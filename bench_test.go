@@ -355,7 +355,7 @@ func BenchmarkDispatcherStream(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunStream(dep, strategy, queries, rates, 1, core.Aging{}); err != nil {
+		if _, err := bench.RunStream(strategy, queries, rates, 1, core.Aging{}); err != nil {
 			b.Fatal(err)
 		}
 	}

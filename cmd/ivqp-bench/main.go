@@ -1,25 +1,18 @@
 // Command ivqp-bench regenerates the paper's evaluation figures (5–9) and
-// the ablation studies as text tables.
+// the ablation studies as text tables. The experiments are the registry in
+// internal/bench (bench.Experiments); `ivqp-bench -h` lists their names.
 //
 // Usage:
 //
 //	ivqp-bench                 # run everything at paper scale
-//	ivqp-bench -fig 5          # one experiment: 5, 6, 7, 8, 9a, 9b, tables,
-//	                           # search, mqo, aging, advisor, sync, load,
-//	                           # scenario, exec, ivm
+//	ivqp-bench -fig 5          # one experiment by its registered name
 //	ivqp-bench -quick          # scaled-down configs (CI-sized)
 //	ivqp-bench -seed 7         # change the experiment seed
-//	ivqp-bench -fig load -epsilon 0.25   # admission-control load run;
-//	                           # writes machine-readable BENCH_<date>.json
-//	ivqp-bench -fig scenario             # the whole named-scenario matrix;
-//	                           # writes BENCH_SCENARIOS_<date>.json
+//	ivqp-bench -fig load -epsilon 0.25   # admission-control load run
 //	ivqp-bench -fig scenario -scenario flash-zipf   # one named scenario
-//	ivqp-bench -fig exec                 # tree-walk vs compiled-VM engine
-//	                           # comparison (throughput + scenario IV);
-//	                           # writes BENCH_EXEC_<date>.json
-//	ivqp-bench -fig ivm                  # materialized views: replica-only
-//	                           # vs view-enabled on an aggregate-heavy skew;
-//	                           # writes BENCH_IVM_<date>.json
+//	ivqp-bench -fig cluster -out c.json  # name the JSON artifact; by default
+//	                           # an artifact-writing experiment leaves
+//	                           # <PREFIX>_<date>.json in the working directory
 //	ivqp-bench -profile prof/  # capture cpu.pprof + heap.pprof for the run
 //	ivqp-bench -compare base.json new.json          # regression gate: exit
 //	                           # non-zero on >threshold total-IV drop per
@@ -41,7 +34,6 @@ import (
 	"time"
 
 	"ivdss/internal/bench"
-	"ivdss/internal/synth"
 )
 
 // options bundles the CLI knobs run consumes.
@@ -53,20 +45,21 @@ type options struct {
 	Epsilon  float64
 	Timeout  time.Duration
 	Out      string
-	Scenario string // restrict -fig scenario to one named preset
+	Scenario string // restrict the scenario matrix to one named preset
 	Profile  string // directory receiving cpu.pprof and heap.pprof
 }
 
 func main() {
-	fig := flag.String("fig", "all", "experiment to run: 5, 6, 7, 8, 9a, 9b, tables, search, mqo, aging, advisor, sync, load, scenario, exec, ivm, cluster, or all")
-	quick := flag.Bool("quick", false, "use scaled-down configurations")
-	seed := flag.Int64("seed", 1, "experiment seed")
-	csvDir := flag.String("csv", "", "also write each result table as CSV into this directory")
-	epsilon := flag.Float64("epsilon", 0.25, "value-expiry threshold for the load experiment (0 disables shedding)")
-	timeout := flag.Duration("timeout", 0, "abort the sweep once this wall-clock budget is spent (0 = unlimited)")
-	out := flag.String("out", "", "path for the load/scenario experiment's JSON result (default BENCH_<date>.json / BENCH_SCENARIOS_<date>.json)")
-	scenario := flag.String("scenario", "", "run only this named scenario preset (with -fig scenario)")
-	profile := flag.String("profile", "", "write cpu.pprof and heap.pprof for the run into this directory")
+	var o options
+	flag.StringVar(&o.Fig, "fig", "all", "experiment to run: "+strings.Join(bench.ExperimentNames(), ", ")+", or all")
+	flag.BoolVar(&o.Quick, "quick", false, "use scaled-down configurations")
+	flag.Int64Var(&o.Seed, "seed", 1, "experiment seed")
+	flag.StringVar(&o.CSVDir, "csv", "", "also write each result table as CSV into this directory")
+	flag.Float64Var(&o.Epsilon, "epsilon", 0.25, "value-expiry threshold of the admission-control load run (0 disables shedding)")
+	flag.DurationVar(&o.Timeout, "timeout", 0, "abort the sweep once this wall-clock budget is spent (0 = unlimited)")
+	flag.StringVar(&o.Out, "out", "", "path for the selected experiment's JSON artifact (default <PREFIX>_<date>.json; refused when the selection writes several)")
+	flag.StringVar(&o.Scenario, "scenario", "", "restrict the scenario matrix to this named preset")
+	flag.StringVar(&o.Profile, "profile", "", "write cpu.pprof and heap.pprof for the run into this directory")
 	compare := flag.String("compare", "", "baseline scenario-suite JSON; pass the candidate JSON as the positional argument to diff instead of running experiments")
 	threshold := flag.Float64("threshold", bench.DefaultIVDropThreshold, "fractional per-scenario total-IV drop tolerated by -compare")
 	flag.Parse()
@@ -87,18 +80,7 @@ func main() {
 		return
 	}
 
-	err := run(options{
-		Fig:      *fig,
-		Quick:    *quick,
-		Seed:     *seed,
-		CSVDir:   *csvDir,
-		Epsilon:  *epsilon,
-		Timeout:  *timeout,
-		Out:      *out,
-		Scenario: *scenario,
-		Profile:  *profile,
-	})
-	if err != nil {
+	if err := run(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, "ivqp-bench:", err)
 		os.Exit(1)
 	}
@@ -122,9 +104,28 @@ func runCompare(baselinePath, candidatePath string, threshold float64, w io.Writ
 	return true, nil
 }
 
-func run(o options) error {
-	ran := false
+// run sweeps the selected experiments in registry order, printing to w.
+// It owns everything that is the same for every experiment: selection,
+// per-figure seeding, the wall-clock budget, CSV export, artifact writing
+// and gate reporting.
+func run(w io.Writer, o options) error {
 	start := time.Now()
+	selected, err := bench.SelectExperiments(o.Fig)
+	if err != nil {
+		return err
+	}
+	if o.Out != "" {
+		var writers []string
+		for _, e := range selected {
+			if e.Artifact != "" {
+				writers = append(writers, e.Name)
+			}
+		}
+		if len(writers) > 1 {
+			return fmt.Errorf("-out names one file but -fig %s writes %d artifacts (%s): select one of them, or drop -out for the default <PREFIX>_<date>.json names",
+				o.Fig, len(writers), strings.Join(writers, ", "))
+		}
+	}
 
 	if o.Profile != "" {
 		if err := os.MkdirAll(o.Profile, 0o755); err != nil {
@@ -151,334 +152,81 @@ func run(o options) error {
 				fmt.Fprintln(os.Stderr, "ivqp-bench: heap profile:", err)
 			}
 			heapFile.Close()
-			fmt.Printf("wrote %s and %s\n",
+			fmt.Fprintf(w, "wrote %s and %s\n",
 				filepath.Join(o.Profile, "cpu.pprof"), filepath.Join(o.Profile, "heap.pprof"))
 		}()
 	}
-
-	// The sweep checks the budget between experiments: a single experiment
-	// is never interrupted, so results that do print are always complete.
-	want := func(name string) bool {
-		if o.Timeout > 0 && time.Since(start) > o.Timeout {
-			return false
-		}
-		return o.Fig == "all" || strings.EqualFold(o.Fig, name)
-	}
-	// Every figure runs on its own name-derived sub-seed, so the streams
-	// one figure draws are independent of which other figures ran.
-	figSeed := func(name string) int64 { return bench.FigSeed(o.Seed, name) }
-
 	if o.CSVDir != "" {
 		if err := os.MkdirAll(o.CSVDir, 0o755); err != nil {
 			return err
 		}
 	}
-	emit := func(tables []bench.Table) {
-		for _, t := range tables {
-			fmt.Println(t.Render())
+
+	in := bench.Input{
+		Quick:    o.Quick,
+		BaseSeed: o.Seed,
+		Date:     time.Now().Format("2006-01-02"),
+		Epsilon:  o.Epsilon,
+		Scenario: o.Scenario,
+	}
+	ran := false
+	for _, e := range selected {
+		// The sweep checks the budget between experiments: a single
+		// experiment is never interrupted, so results that do print are
+		// always complete.
+		if o.Timeout > 0 && time.Since(start) > o.Timeout {
+			if !ran {
+				return fmt.Errorf("wall-clock budget %v spent before any experiment could run", o.Timeout)
+			}
+			fmt.Fprintf(os.Stderr, "ivqp-bench: stopped after %v: wall-clock budget %v spent\n",
+				time.Since(start).Round(time.Millisecond), o.Timeout)
+			break
+		}
+		// Every figure runs on its own name-derived sub-seed, so the streams
+		// one figure draws are independent of which other figures ran.
+		in.Seed = bench.FigSeed(o.Seed, e.Name)
+		out, err := e.Run(context.Background(), in)
+		if err != nil {
+			return err
+		}
+		ran = true
+		for _, t := range out.Result.Tables() {
+			fmt.Fprintln(w, t.Render())
 			if o.CSVDir != "" {
 				if err := writeCSV(o.CSVDir, t); err != nil {
 					fmt.Fprintln(os.Stderr, "ivqp-bench: csv:", err)
 				}
 			}
 		}
-		ran = true
-	}
-
-	if want("5") {
-		cfg := bench.DefaultFig5Config()
-		if o.Quick {
-			cfg = bench.QuickFig5Config()
+		if out.Summary != "" {
+			fmt.Fprintln(w, out.Summary)
 		}
-		cfg.Seed = figSeed("5")
-		res, err := bench.RunFig5(cfg)
-		if err != nil {
-			return err
-		}
-		emit(res.Tables())
-	}
-	if want("6") {
-		cfg := bench.DefaultFig6Config()
-		cfg.Seed = figSeed("6")
-		res, err := bench.RunFig6(cfg)
-		if err != nil {
-			return err
-		}
-		emit(res.Tables())
-	}
-	if want("7") {
-		cfg := bench.DefaultFig7Config()
-		cfg.Seed = figSeed("7")
-		res, err := bench.RunFig7(cfg)
-		if err != nil {
-			return err
-		}
-		emit(res.Tables())
-	}
-	if want("8") {
-		cfg := bench.DefaultFig8Config()
-		if o.Quick {
-			cfg = bench.QuickFig8Config()
-		}
-		cfg.Seed = figSeed("8")
-		res, err := bench.RunFig8(cfg)
-		if err != nil {
-			return err
-		}
-		emit(res.Tables())
-	}
-	if want("9a") || want("9") {
-		cfg := bench.DefaultFig9Config()
-		if o.Quick {
-			cfg = bench.QuickFig9Config()
-		}
-		cfg.Seed = figSeed("9a")
-		res, err := bench.RunFig9a(cfg)
-		if err != nil {
-			return err
-		}
-		emit(res.Tables())
-	}
-	if want("9b") || want("9") {
-		cfg := bench.DefaultFig9Config()
-		if o.Quick {
-			cfg = bench.QuickFig9Config()
-		}
-		cfg.Seed = figSeed("9b")
-		res, err := bench.RunFig9b(cfg)
-		if err != nil {
-			return err
-		}
-		emit(res.Tables())
-	}
-	if want("search") {
-		cfg := bench.DefaultAblationSearchConfig()
-		if o.Quick {
-			cfg.Scenarios = 50
-		}
-		cfg.Seed = figSeed("search")
-		res, err := bench.RunAblationSearch(cfg)
-		if err != nil {
-			return err
-		}
-		emit(res.Tables())
-	}
-	if want("mqo") {
-		cfg := bench.DefaultAblationMQOConfig()
-		if o.Quick {
-			cfg.WorkloadSize = 5
-		}
-		cfg.Seed = figSeed("mqo")
-		res, err := bench.RunAblationMQO(cfg)
-		if err != nil {
-			return err
-		}
-		emit(res.Tables())
-	}
-	if want("tables") {
-		cfg := bench.DefaultTablesSweepConfig()
-		if o.Quick {
-			cfg.TableCounts = []int{10, 100}
-			cfg.NQueries = 30
-		}
-		cfg.Seed = figSeed("tables")
-		res, err := bench.RunTablesSweep(cfg)
-		if err != nil {
-			return err
-		}
-		emit(res.Tables())
-	}
-	if want("advisor") {
-		cfg := bench.DefaultAdvisorConfig()
-		if o.Quick {
-			cfg.NQueries = 30
-			cfg.RandomTrials = 3
-		}
-		cfg.Seed = figSeed("advisor")
-		res, err := bench.RunAdvisor(cfg)
-		if err != nil {
-			return err
-		}
-		emit(res.Tables())
-	}
-	if want("aging") {
-		cfg := bench.DefaultAblationAgingConfig()
-		if o.Quick {
-			cfg.NQueries = 30
-		}
-		cfg.Seed = figSeed("aging")
-		res, err := bench.RunAblationAging(cfg)
-		if err != nil {
-			return err
-		}
-		emit(res.Tables())
-	}
-
-	if want("sync") {
-		cfg := bench.DefaultSyncConfig()
-		if o.Quick {
-			cfg = bench.QuickSyncConfig()
-		}
-		cfg.Seed = figSeed("sync")
-		res, err := bench.RunSync(cfg)
-		if err != nil {
-			return err
-		}
-		emit(res.Tables())
-	}
-
-	if want("load") {
-		cfg := bench.DefaultLoadConfig()
-		if o.Quick {
-			cfg = bench.QuickLoadConfig()
-		}
-		cfg.Seed = figSeed("load")
-		cfg.Epsilon = o.Epsilon
-		res, err := bench.RunLoad(cfg)
-		if err != nil {
-			return err
-		}
-		res.Date = time.Now().Format("2006-01-02")
-		emit(res.Tables())
-		path := o.Out
-		if path == "" {
-			path = fmt.Sprintf("BENCH_%s.json", res.Date)
-		}
-		if err := writeFile(path, res.WriteJSON); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-
-	if want("scenario") {
-		scenarios := synth.Presets()
-		if o.Scenario != "" {
-			sc, err := synth.Preset(o.Scenario)
-			if err != nil {
+		if e.Artifact != "" {
+			path := o.Out
+			if path == "" {
+				path = fmt.Sprintf("%s_%s.json", e.Artifact, in.Date)
+			}
+			if err := writeArtifact(path, out.Result); err != nil {
 				return err
 			}
-			scenarios = []synth.Scenario{sc}
+			fmt.Fprintf(w, "wrote %s\n", path)
 		}
-		suite, err := bench.RunScenarios(scenarios, o.Quick, o.Seed)
-		if err != nil {
-			return err
-		}
-		suite.Date = time.Now().Format("2006-01-02")
-		emit(suite.Tables())
-		path := o.Out
-		if path == "" {
-			path = fmt.Sprintf("BENCH_SCENARIOS_%s.json", suite.Date)
-		}
-		if err := writeFile(path, suite.WriteJSON); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-
-	if want("exec") {
-		cfg := bench.DefaultExecConfig()
-		if o.Quick {
-			cfg = bench.QuickExecConfig()
-		}
-		cfg.Seed = figSeed("exec")
-		res, err := bench.RunExec(context.Background(), cfg)
-		if err != nil {
-			return err
-		}
-		res.Date = time.Now().Format("2006-01-02")
-		emit(res.Tables())
-		path := o.Out
-		if path == "" {
-			path = fmt.Sprintf("BENCH_EXEC_%s.json", res.Date)
-		}
-		if err := writeFile(path, res.WriteJSON); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-
-	if want("ivm") {
-		cfg := bench.DefaultIVMConfig()
-		if o.Quick {
-			cfg = bench.QuickIVMConfig()
-		}
-		cfg.Seed = figSeed("ivm")
-		res, err := bench.RunIVM(cfg)
-		if err != nil {
-			return err
-		}
-		res.Date = time.Now().Format("2006-01-02")
-		emit(res.Tables())
-		path := o.Out
-		if path == "" {
-			path = fmt.Sprintf("BENCH_IVM_%s.json", res.Date)
-		}
-		if err := writeFile(path, res.WriteJSON); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-		// The run doubles as CI's IVM gate: materialized views must not
-		// lose total IV, and must strictly cut sync traffic.
-		if res.ViewEnabled.TotalIV < res.ReplicaOnly.TotalIV {
-			return fmt.Errorf("ivm gate: view-enabled total IV %.3f fell below replica-only %.3f",
-				res.ViewEnabled.TotalIV, res.ReplicaOnly.TotalIV)
-		}
-		if res.ViewEnabled.SyncBytes >= res.ReplicaOnly.SyncBytes {
-			return fmt.Errorf("ivm gate: view-enabled sync bytes %.0f not below replica-only %.0f",
-				res.ViewEnabled.SyncBytes, res.ReplicaOnly.SyncBytes)
+		if out.Gate != nil {
+			return out.Gate
 		}
 	}
-
-	if want("cluster") {
-		res, err := bench.RunClusterFig(figSeed("cluster"), o.Quick)
-		if err != nil {
-			return err
-		}
-		res.Date = time.Now().Format("2006-01-02")
-		emit(res.Tables())
-		fmt.Printf("cluster gates: IV scaling 1→4 shards %.2fx (need ≥ 1.70), 1-shard twin delta %.3f%% (need ≤ 1%%)\n",
-			res.ScalingIV14, res.TwinDeltaPct)
-		path := o.Out
-		if path == "" {
-			path = fmt.Sprintf("BENCH_CLUSTER_%s.json", res.Date)
-		}
-		if err := writeFile(path, res.WriteJSON); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-		// The run doubles as CI's cluster gate: total IV must scale ≥1.7x
-		// from 1 to 4 shards at fixed per-shard resources, and the 1-shard
-		// cluster must match the standalone engine within 1%.
-		if res.ScalingIV14 < 1.7 {
-			return fmt.Errorf("cluster gate: total IV scaled only %.2fx from 1 to 4 shards (need ≥ 1.7x)", res.ScalingIV14)
-		}
-		if res.TwinDeltaPct > 1 {
-			return fmt.Errorf("cluster gate: 1-shard cluster diverges %.2f%% from the standalone engine (need ≤ 1%%)", res.TwinDeltaPct)
-		}
-	}
-
-	if o.Timeout > 0 && time.Since(start) > o.Timeout {
-		if !ran {
-			return fmt.Errorf("wall-clock budget %v spent before any experiment could run", o.Timeout)
-		}
-		fmt.Fprintf(os.Stderr, "ivqp-bench: stopped after %v: wall-clock budget %v spent\n",
-			time.Since(start).Round(time.Millisecond), o.Timeout)
-	}
-	if !ran {
-		return fmt.Errorf("unknown experiment %q (want 5, 6, 7, 8, 9a, 9b, tables, search, mqo, aging, advisor, sync, load, scenario, exec, ivm, cluster, or all)", o.Fig)
-	}
-	fmt.Printf("total: %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(w, "total: %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
-// writeFile creates path and streams write into it, treating a close
+// writeArtifact stores v as indented JSON at path, treating a close
 // failure as a write error (buffered bytes may be lost).
-func writeFile(path string, write func(io.Writer) error) error {
+func writeArtifact(path string, v any) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	writeErr := write(f)
+	writeErr := bench.WriteJSON(f, v)
 	if closeErr := f.Close(); writeErr == nil {
 		writeErr = closeErr
 	}

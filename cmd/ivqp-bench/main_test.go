@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -22,15 +25,9 @@ func opts(mut ...func(*options)) options {
 	return o
 }
 
-func TestRunUnknownExperiment(t *testing.T) {
-	if err := run(opts(func(o *options) { o.Fig = "nope" })); err == nil {
-		t.Error("unknown experiment accepted")
-	}
-}
-
 func TestRunAgingQuickWithCSV(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(opts(func(o *options) { o.CSVDir = dir })); err != nil {
+	if err := run(io.Discard, opts(func(o *options) { o.CSVDir = dir })); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -44,7 +41,7 @@ func TestRunAgingQuickWithCSV(t *testing.T) {
 
 func TestRunLoadWritesJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := run(opts(func(o *options) { o.Fig = "load"; o.Out = path })); err != nil {
+	if err := run(io.Discard, opts(func(o *options) { o.Fig = "load"; o.Out = path })); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -66,7 +63,7 @@ func TestRunLoadWritesJSON(t *testing.T) {
 func TestRunTimeoutBudget(t *testing.T) {
 	// A budget that is already spent before the first experiment: the
 	// sweep refuses to start rather than running past its deadline.
-	if err := run(opts(func(o *options) { o.Timeout = time.Nanosecond })); err == nil {
+	if err := run(io.Discard, opts(func(o *options) { o.Timeout = time.Nanosecond })); err == nil {
 		t.Error("exhausted budget still ran an experiment")
 	}
 }
@@ -79,7 +76,7 @@ func runScenarioSuite(t *testing.T, mut ...func(*options)) (string, bench.Scenar
 	for _, m := range mut {
 		m(&o)
 	}
-	if err := run(o); err != nil {
+	if err := run(io.Discard, o); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)
@@ -114,7 +111,7 @@ func TestRunScenarioSingle(t *testing.T) {
 	if len(suite.Scenarios) != 1 || suite.Scenarios[0].Name != "flash-zipf" {
 		t.Fatalf("suite = %+v, want exactly flash-zipf", suite.Scenarios)
 	}
-	if err := run(opts(func(o *options) { o.Fig = "scenario"; o.Scenario = "nope" })); err == nil {
+	if err := run(io.Discard, opts(func(o *options) { o.Fig = "scenario"; o.Scenario = "nope" })); err == nil {
 		t.Error("unknown scenario accepted")
 	}
 }
@@ -131,7 +128,7 @@ func TestScenarioSuiteDeterministic(t *testing.T) {
 
 func TestRunProfileWritesPprof(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "prof")
-	if err := run(opts(func(o *options) { o.Profile = dir })); err != nil {
+	if err := run(io.Discard, opts(func(o *options) { o.Profile = dir })); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"cpu.pprof", "heap.pprof"} {
@@ -171,7 +168,7 @@ func TestCompareGateEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := suite.WriteJSON(f); err != nil {
+	if err := bench.WriteJSON(f, suite); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -195,14 +192,13 @@ func TestCompareGateEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFigSeedIndependence pins the shared-seed fix: every figure draws
-// from its own name-derived sub-seed, all distinct from the base and from
-// each other, and stable across calls.
+// TestFigSeedIndependence pins the shared-seed fix: every registered
+// figure draws from its own name-derived sub-seed, all distinct from the
+// base and from each other, and stable across calls.
 func TestFigSeedIndependence(t *testing.T) {
-	figs := []string{"5", "6", "7", "8", "9a", "9b", "tables", "search", "mqo", "aging", "advisor", "sync", "load"}
 	const base = int64(1)
 	seen := map[int64]string{base: "base"}
-	for _, fig := range figs {
+	for _, fig := range bench.ExperimentNames() {
 		s := bench.FigSeed(base, fig)
 		if other, dup := seen[s]; dup {
 			t.Errorf("figure %s shares seed %d with %s", fig, s, other)
@@ -213,6 +209,167 @@ func TestFigSeedIndependence(t *testing.T) {
 		}
 		if bench.FigSeed(base+1, fig) == s {
 			t.Errorf("figure %s seed ignores the base", fig)
+		}
+	}
+}
+
+// inTempDir runs the test from a scratch directory, so default-named
+// artifacts (<PREFIX>_<date>.json) do not land in the source tree.
+func inTempDir(t *testing.T) {
+	t.Helper()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// TestRegistryDrivesTheCLI: the registry is the only list of experiment
+// names — they are unique, each runs alone under -quick, "9" selects both
+// Figure 9 panels, and an unknown name is answered with every choice.
+func TestRegistryDrivesTheCLI(t *testing.T) {
+	names := bench.ExperimentNames()
+	if len(names) < 17 {
+		t.Fatalf("registry lists %d experiments, want at least the 17 the CLI shipped with", len(names))
+	}
+	seen := map[string]bool{}
+	for _, name := range names {
+		if seen[strings.ToLower(name)] {
+			t.Errorf("experiment name %q registered twice", name)
+		}
+		seen[strings.ToLower(name)] = true
+	}
+
+	nine, err := bench.SelectExperiments("9")
+	if err != nil || len(nine) != 2 || nine[0].Name != "9a" || nine[1].Name != "9b" {
+		t.Errorf("-fig 9 selected %v (err %v), want 9a and 9b", nine, err)
+	}
+	if all, err := bench.SelectExperiments("all"); err != nil || len(all) != len(names) {
+		t.Errorf("-fig all selected %d of %d experiments (err %v)", len(all), len(names), err)
+	}
+	err = run(io.Discard, opts(func(o *options) { o.Fig = "nope" }))
+	if err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	for _, name := range names {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-experiment error %q does not offer %q", err, name)
+		}
+	}
+
+	if testing.Short() {
+		t.Skip("running every experiment alone takes ~10 s")
+	}
+	inTempDir(t)
+	for _, name := range names {
+		var out bytes.Buffer
+		if err := run(&out, opts(func(o *options) { o.Fig = name })); err != nil {
+			t.Errorf("-fig %s -quick: %v", name, err)
+		}
+		if !strings.Contains(out.String(), "total:") {
+			t.Errorf("-fig %s -quick printed no tables:\n%s", name, out.String())
+		}
+	}
+}
+
+// TestOutRefusedForSeveralArtifacts: -out names one file, so a selection
+// that writes several artifacts is refused before anything runs (it used
+// to run everything and leave only the last artifact at the path), while
+// a single-artifact selection still honours it.
+func TestOutRefusedForSeveralArtifacts(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "one.json")
+	var out bytes.Buffer
+	err := run(&out, opts(func(o *options) { o.Fig = "all"; o.Out = path }))
+	if err == nil {
+		t.Fatal("-fig all -out accepted")
+	}
+	for _, e := range bench.Experiments() {
+		if e.Artifact != "" && !strings.Contains(err.Error(), e.Name) {
+			t.Errorf("refusal %q does not name artifact writer %q", err, e.Name)
+		}
+	}
+	if out.Len() != 0 {
+		t.Errorf("experiments ran before the refusal:\n%s", out.String())
+	}
+	if _, statErr := os.Stat(path); statErr == nil {
+		t.Error("refused run still wrote the -out file")
+	}
+	if err := run(io.Discard, opts(func(o *options) { o.Fig = "ivm"; o.Out = path })); err != nil {
+		t.Fatalf("single-artifact -out refused: %v", err)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Errorf("single-artifact -out not written: %v", err)
+	}
+}
+
+// volatileLine matches the stdout lines that legitimately differ between
+// two runs of one build: date-stamped artifact names and the elapsed total.
+var volatileLine = regexp.MustCompile(`^wrote BENCH(_[A-Z]+)?_\d{4}-\d{2}-\d{2}\.json$|^total: `)
+
+// stableLines drops the volatile lines and cuts the engine comparison's
+// wall-clock throughput table down to what is deterministic: its rows keep
+// their first three cells (shape, input rows, result rows); the header and
+// rule go, because their widths follow the measured numbers.
+func stableLines(out string) []string {
+	var kept []string
+	inThroughput := false
+	for _, line := range strings.Split(out, "\n") {
+		switch {
+		case volatileLine.MatchString(line):
+		case strings.HasPrefix(line, "Execution engines:"):
+			inThroughput = true
+			kept = append(kept, line)
+		case inThroughput && line == "":
+			inThroughput = false
+			kept = append(kept, line)
+		case inThroughput:
+			if cells := strings.Fields(line); len(cells) == 6 && strings.HasSuffix(cells[5], "x") {
+				kept = append(kept, strings.Join(cells[:3], " "))
+			}
+		default:
+			kept = append(kept, line)
+		}
+	}
+	return kept
+}
+
+// TestQuickAllGolden diffs `-fig all -quick -seed 1` against the stdout
+// captured before the harness was collapsed into one registry, one replay
+// and one outcome fold: every table of every experiment must keep its
+// bytes. Regenerate (only for an intended result change) with
+//
+//	go run ./cmd/ivqp-bench -fig all -quick -seed 1 > cmd/ivqp-bench/testdata/quick_all_seed1.golden
+func TestQuickAllGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the quick sweep takes ~8 s")
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "quick_all_seed1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inTempDir(t)
+	var out bytes.Buffer
+	if err := run(&out, options{Fig: "all", Quick: true, Seed: 1, Epsilon: .25}); err != nil {
+		t.Fatal(err)
+	}
+	want, got := stableLines(string(golden)), stableLines(out.String())
+	for i := 0; i < len(want) || i < len(got); i++ {
+		var w, g string
+		if i < len(want) {
+			w = want[i]
+		}
+		if i < len(got) {
+			g = got[i]
+		}
+		if w != g {
+			t.Fatalf("stdout diverges from the golden at stable line %d:\n  golden: %q\n  got:    %q", i+1, w, g)
 		}
 	}
 }

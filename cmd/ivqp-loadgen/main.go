@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -181,10 +182,26 @@ func run(addrsSpec string, n int, rate float64, queryList string, value float64,
 		fmt.Printf("CL minutes:        mean %.2f  p95 %.2f  p99 %.2f\n",
 			stats.Mean(t.cls), stats.Percentile(t.cls, 95), stats.Percentile(t.cls, 99))
 	}
-	for tenant, iv := range t.tenantIV {
-		fmt.Printf("tenant %-8s delivered IV %.3f\n", tenant, iv)
+	for _, line := range tenantLines(t.tenantIV) {
+		fmt.Println(line)
 	}
 	return nil
+}
+
+// tenantLines renders the per-tenant delivered-IV summary in tenant-name
+// order: ranging over the map directly would shuffle the lines between
+// two runs of one seed.
+func tenantLines(tenantIV map[string]float64) []string {
+	tenants := make([]string, 0, len(tenantIV))
+	for tenant := range tenantIV {
+		tenants = append(tenants, tenant)
+	}
+	sort.Strings(tenants)
+	lines := make([]string, len(tenants))
+	for i, tenant := range tenants {
+		lines[i] = fmt.Sprintf("tenant %-8s delivered IV %.3f", tenant, tenantIV[tenant])
+	}
+	return lines
 }
 
 // fire runs one arrival to completion and folds its outcome into the

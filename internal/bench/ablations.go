@@ -181,7 +181,7 @@ func RunAblationMQO(cfg AblationMQOConfig) (AblationMQOResult, error) {
 	if cfg.WorkloadSize < 2 || cfg.WorkloadSize > 8 {
 		return res, fmt.Errorf("bench: workload size %d outside [2, 8] (brute force)", cfg.WorkloadSize)
 	}
-	dep, ev, err := fig9World(Fig9Config{
+	ev, err := fig9Evaluator(Fig9Config{
 		NTables:        cfg.NTables,
 		Replicas:       cfg.Replicas,
 		SyncMean:       cfg.SyncMean,
@@ -192,7 +192,6 @@ func RunAblationMQO(cfg AblationMQOConfig) (AblationMQOResult, error) {
 	if err != nil {
 		return res, err
 	}
-	_ = dep
 	queries, err := synth.Queries(synth.QueryConfig{
 		N:                 cfg.WorkloadSize,
 		Tables:            synth.Tables(cfg.NTables),
@@ -383,7 +382,7 @@ func RunAblationAging(cfg AblationAgingConfig) (AblationAgingResult, error) {
 		if err != nil {
 			return res, err
 		}
-		outcomes, err := RunStream(dep, strategy, queries, cfg.Rates, 1, policy.aging)
+		outcomes, err := RunStream(strategy, queries, cfg.Rates, 1, policy.aging)
 		if err != nil {
 			return res, err
 		}

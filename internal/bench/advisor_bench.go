@@ -104,15 +104,23 @@ func RunAdvisor(cfg AdvisorConfig) (AdvisorResult, error) {
 	// replica set and reports the stream's mean information value.
 	horizon := queries[len(queries)-1].SubmitAt + core.Time(cfg.NQueries)*cfg.QueryMean*4 + 1000
 	simulate := func(replicas []core.TableID) (float64, error) {
-		mgrDep, err := buildDeploymentWithReplicas(tables, placement, replicas, cfg.SyncMean, horizon, cfg.Seed)
+		dep, err := BuildDeployment(DeployConfig{
+			Tables:          tables,
+			placement:       placement,
+			Replicas:        replicas,
+			SyncMean:        cfg.SyncMean,
+			ScheduleHorizon: horizon,
+			InitialSync:     true,
+			Seed:            cfg.Seed,
+		})
 		if err != nil {
 			return 0, err
 		}
-		strategy, err := mgrDep.Strategy(MethodIVQP, cost, cfg.Rates, cfg.PlannerHorizon)
+		strategy, err := dep.Strategy(MethodIVQP, cost, cfg.Rates, cfg.PlannerHorizon)
 		if err != nil {
 			return 0, err
 		}
-		outcomes, err := RunStream(mgrDep, strategy, queries, cfg.Rates, 1, core.Aging{})
+		outcomes, err := RunStream(strategy, queries, cfg.Rates, 1, core.Aging{})
 		if err != nil {
 			return 0, err
 		}
@@ -154,20 +162,6 @@ func RunAdvisor(cfg AdvisorConfig) (AdvisorResult, error) {
 	res.Rows = append(res.Rows, AdvisorRow{Plan: "random (mean)", MeanIV: res.RandomMean})
 	res.Rows = append(res.Rows, AdvisorRow{Plan: "random (best)", MeanIV: res.RandomBest})
 	return res, nil
-}
-
-// buildDeploymentWithReplicas materializes a deployment with an explicit
-// replica set over an existing placement.
-func buildDeploymentWithReplicas(tables []core.TableID, placement *federation.Placement, replicas []core.TableID, syncMean core.Duration, horizon core.Time, seed int64) (*Deployment, error) {
-	mgr, err := newSyncManager(replicas, syncMean, horizon, seed, true)
-	if err != nil {
-		return nil, err
-	}
-	catalog, err := federation.NewCatalog(placement, mgr)
-	if err != nil {
-		return nil, err
-	}
-	return &Deployment{Catalog: catalog, Tables: tables, Replicas: replicas}, nil
 }
 
 // Tables renders the advisor experiment.

@@ -6,7 +6,9 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 
 	"ivdss/internal/core"
@@ -121,21 +123,27 @@ type DeployConfig struct {
 	// are usable from the start (the warehouse baseline needs this).
 	InitialSync bool
 	Seed        int64
+	// placement, when set, replaces the Sites/Skewed/Seed-derived placement:
+	// the cluster bench's shards share one placement while each draws its
+	// sync schedules from its own Seed.
+	placement *federation.Placement
 }
 
-// BuildDeployment materializes the deployment.
+// BuildDeployment materializes the deployment: placement, replica set,
+// one exponential synchronization schedule per replica, and the catalog.
 func BuildDeployment(cfg DeployConfig) (*Deployment, error) {
 	if len(cfg.Tables) == 0 {
 		return nil, fmt.Errorf("bench: deployment needs tables")
 	}
-	if cfg.Sites < 1 {
-		return nil, fmt.Errorf("bench: deployment needs at least one site")
-	}
-	var placement *federation.Placement
+	placement := cfg.placement
 	var err error
-	if cfg.Skewed {
+	switch {
+	case placement != nil:
+	case cfg.Sites < 1:
+		return nil, fmt.Errorf("bench: deployment needs at least one site")
+	case cfg.Skewed:
 		placement, err = federation.SkewedPlacement(cfg.Tables, cfg.Sites, cfg.Seed)
-	} else {
+	default:
 		placement, err = federation.UniformPlacement(cfg.Tables, cfg.Sites, cfg.Seed)
 	}
 	if err != nil {
@@ -163,9 +171,19 @@ func BuildDeployment(cfg DeployConfig) (*Deployment, error) {
 	if horizon <= 0 {
 		horizon = 1e5
 	}
-	mgr, err := newSyncManager(replicas, cfg.SyncMean, horizon, cfg.Seed, cfg.InitialSync)
-	if err != nil {
-		return nil, err
+	mgr := replication.NewManager()
+	for i, id := range replicas {
+		sched, err := replication.Exponential(cfg.SyncMean, cfg.Seed+100+int64(i), horizon)
+		if err != nil {
+			return nil, err
+		}
+		times := sched.Times
+		if cfg.InitialSync {
+			times = append([]core.Time{0}, times...)
+		}
+		if err := mgr.Register(id, replication.Schedule{Times: times}); err != nil {
+			return nil, err
+		}
 	}
 	catalog, err := federation.NewCatalog(placement, mgr)
 	if err != nil {
@@ -192,43 +210,114 @@ func (d *Deployment) Strategy(m Method, cost core.CostModel, rates core.Discount
 	}
 }
 
-// newSyncManager registers exponential synchronization schedules for the
-// given replicas, optionally seeding a completed sync at t=0.
-func newSyncManager(replicas []core.TableID, syncMean core.Duration, horizon core.Time, seed int64, initialSync bool) (*replication.Manager, error) {
-	mgr := replication.NewManager()
-	for i, id := range replicas {
-		sched, err := replication.Exponential(syncMean, seed+100+int64(i), horizon)
+// replay is the one single-engine DES run: it mounts a scheduling engine
+// on a fresh simulator with model execution (PlanExecutor), schedules
+// every arrival, drains the event queue, and returns the recorded
+// outcomes in decision order plus how many arrivals a full admission
+// queue refused. cfg supplies the policies; Clock, Executor and
+// RecordOutcomes are filled in here.
+func replay(cfg scheduler.EngineConfig, epsilon float64, queries []core.Query) ([]scheduler.Outcome, int, error) {
+	s := sim.New()
+	clock := scheduler.SimClock{Sim: s}
+	cfg.Clock = clock
+	cfg.Executor = scheduler.PlanExecutor{Clock: clock, Rates: cfg.Rates}
+	cfg.RecordOutcomes = true
+	eng, err := scheduler.NewEngine(cfg)
+	if err != nil {
+		return nil, 0, err
+	}
+	eng.SetEpsilon(epsilon)
+	refused := 0
+	for _, q := range queries {
+		s.ScheduleAt(q.SubmitAt, func() {
+			if !eng.Submit(q, nil) {
+				refused++
+			}
+		})
+	}
+	s.Run()
+	if err := eng.Err(); err != nil {
+		return nil, 0, err
+	}
+	if p := eng.Pending(); p != 0 {
+		return nil, 0, fmt.Errorf("bench: %d queries neither completed nor shed", p)
+	}
+	return eng.Outcomes(), refused, nil
+}
+
+// summarize folds recorded outcomes into the summary fields of a
+// ScenarioResult — the one place an outcome is classified as unplannable
+// (Err), shed (Expired) or completed, and the one place the IV total and
+// the latency statistics are computed. Each argument is one engine's
+// outcomes: IV is accumulated per engine and the subtotals added in
+// order, so a cluster's total is the sum of its shard totals.
+func summarize(perEngine ...[]scheduler.Outcome) ScenarioResult {
+	var res ScenarioResult
+	var cls, sls, ivs []float64
+	for _, outcomes := range perEngine {
+		var total float64
+		for _, o := range outcomes {
+			switch {
+			case o.Err != nil:
+				res.Unplannable++
+			case o.Expired:
+				res.Shed++
+			default:
+				cls = append(cls, o.Latencies.CL)
+				sls = append(sls, o.Latencies.SL)
+				ivs = append(ivs, o.Value)
+				total += o.Value
+			}
+		}
+		res.TotalIV += total
+	}
+	res.Completed = len(ivs)
+	if len(ivs) > 0 {
+		res.MeanIV = stats.Mean(ivs)
+		res.MeanCL = stats.Mean(cls)
+		res.P95CL = stats.Percentile(cls, 95)
+		res.MeanSL = stats.Mean(sls)
+		res.P95SL = stats.Percentile(sls, 95)
+	}
+	return res
+}
+
+// RunStream replays a query stream through the dispatcher's policy (every
+// query must plan; no expiry) and returns the outcomes.
+func RunStream(strategy scheduler.Strategy, queries []core.Query, rates core.DiscountRates, slots int, aging core.Aging) ([]scheduler.Outcome, error) {
+	outcomes, _, err := replay(scheduler.EngineConfig{
+		Strategy: strategy, Rates: rates, Slots: slots, Aging: aging, HaltOnPlanError: true,
+	}, 0, queries)
+	return outcomes, err
+}
+
+// WriteJSON emits a result artifact as indented JSON — one key per line,
+// so text tools can audit or tamper with individual fields in CI negative
+// tests.
+func WriteJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+// methodMeans replays the stream once per comparison method over this
+// deployment — the methods differ only in plan choice, so IVQP's plan
+// space contains every baseline plan — and returns each method's mean
+// information value.
+func (d *Deployment) methodMeans(cost core.CostModel, rates core.DiscountRates, horizon core.Duration, slots int, queries []core.Query) (map[Method]float64, error) {
+	means := make(map[Method]float64, len(Methods()))
+	for _, m := range Methods() {
+		strategy, err := d.Strategy(m, cost, rates, horizon)
 		if err != nil {
 			return nil, err
 		}
-		times := sched.Times
-		if initialSync {
-			times = append([]core.Time{0}, times...)
+		outcomes, err := RunStream(strategy, queries, rates, slots, core.Aging{})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", m, err)
 		}
-		if err := mgr.Register(id, replication.Schedule{Times: times}); err != nil {
-			return nil, err
-		}
+		means[m] = MeanValue(outcomes)
 	}
-	return mgr, nil
-}
-
-// RunStream pushes a query stream through a dispatcher over the deployment
-// and returns the completed outcomes.
-func RunStream(dep *Deployment, strategy scheduler.Strategy, queries []core.Query, rates core.DiscountRates, slots int, aging core.Aging) ([]scheduler.Outcome, error) {
-	s := sim.New()
-	d, err := scheduler.NewDispatcher(s, strategy, rates, slots, aging)
-	if err != nil {
-		return nil, err
-	}
-	d.SubmitAll(queries)
-	s.Run()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if d.Pending() != 0 {
-		return nil, fmt.Errorf("bench: %d queries never completed", d.Pending())
-	}
-	return d.Outcomes(), nil
+	return means, nil
 }
 
 // MeanValue averages the information value over outcomes.
@@ -238,21 +327,6 @@ func MeanValue(outcomes []scheduler.Outcome) float64 {
 		vals[i] = o.Value
 	}
 	return stats.Mean(vals)
-}
-
-// MeanLatencies averages CL and SL over outcomes.
-func MeanLatencies(outcomes []scheduler.Outcome) core.Latencies {
-	var lat core.Latencies
-	if len(outcomes) == 0 {
-		return lat
-	}
-	for _, o := range outcomes {
-		lat.CL += o.Latencies.CL
-		lat.SL += o.Latencies.SL
-	}
-	lat.CL /= float64(len(outcomes))
-	lat.SL /= float64(len(outcomes))
-	return lat
 }
 
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }

@@ -1,16 +1,13 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"sync/atomic"
 
 	"ivdss/internal/advisor"
 	"ivdss/internal/cluster"
 	"ivdss/internal/core"
-	"ivdss/internal/costmodel"
 	"ivdss/internal/federation"
 	"ivdss/internal/scheduler"
 	"ivdss/internal/sim"
@@ -31,9 +28,8 @@ type ClusterScenarioConfig struct {
 	// Shards is the front-end count (≥ 1).
 	Shards int
 	// GossipInterval is the mean anti-entropy round gap in experiment
-	// minutes (default 1); GossipJitter spreads it (default 0.25).
+	// minutes (default 1), spread by the gossiper's default jitter.
 	GossipInterval core.Duration
-	GossipJitter   float64
 	// StealHighWater hands arrivals to a covering peer once the home
 	// shard's queue reaches this depth; 0 disables work-stealing.
 	StealHighWater int
@@ -41,12 +37,14 @@ type ClusterScenarioConfig struct {
 	// hash of its ID over the weight keys) and turns queue-full refusal
 	// into weighted fair eviction via cluster.Budgets.
 	TenantWeights map[string]float64
-	// AdvisorSample caps how many of a shard's routed queries feed the
-	// replica advisor (default 40); AdvisorSamples is the staleness
-	// scenarios drawn per query (default 2).
-	AdvisorSample  int
-	AdvisorSamples int
 }
+
+// The replica advisor sees at most advisorProbe of a shard's routed
+// queries and draws advisorSamples staleness scenarios per query.
+const (
+	advisorProbe   = 40
+	advisorSamples = 2
+)
 
 // ClusterShardResult is one shard's slice of a cluster run.
 type ClusterShardResult struct {
@@ -82,6 +80,9 @@ type ClusterScenarioResult struct {
 	// budgets are active.
 	TenantIV   map[string]float64 `json:"tenant_iv,omitempty"`
 	TenantShed map[string]int     `json:"tenant_shed,omitempty"`
+	// row is the run folded exactly as RunScenario folds a standalone run;
+	// the summary fields above are copied from it.
+	row ScenarioResult
 }
 
 // clusterShard is one assembled front-end: engine, catalog, gossip.
@@ -162,7 +163,7 @@ func (e chargingExecutor) Execute(d scheduler.Dispatch, done func(core.Outcome))
 // shared placement (same seed as the standalone deployment), per-shard
 // advisor-placed replica sets over the query sub-stream the shard map
 // routes to each shard, and per-shard sync schedules.
-func buildClusterShards(cfg ClusterScenarioConfig, wl *synth.Workload, smap *cluster.ShardMap, cost core.CostModel, clock scheduler.Clock) ([]*clusterShard, error) {
+func buildClusterShards(cfg ClusterScenarioConfig, wl *synth.Workload, smap *cluster.ShardMap, clock scheduler.Clock) ([]*clusterShard, error) {
 	sc := cfg.Scenario
 	placement, err := federation.UniformPlacement(wl.Tables, sc.Sites, stats.SubSeed(sc.Seed, "deploy"))
 	if err != nil {
@@ -177,52 +178,44 @@ func buildClusterShards(cfg ClusterScenarioConfig, wl *synth.Workload, smap *clu
 		routed[s] = append(routed[s], q)
 	}
 
-	sample := cfg.AdvisorSample
-	if sample <= 0 {
-		sample = 40
-	}
-	samples := cfg.AdvisorSamples
-	if samples <= 0 {
-		samples = 2
-	}
-
 	shards := make([]*clusterShard, cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
 		var replicas []core.TableID
 		if len(routed[i]) > 0 && sc.Replicas > 0 {
 			adv, err := advisor.New(advisor.Config{
-				Cost:     cost,
+				Cost:     cfg.cost(),
 				Rates:    cfg.Rates,
 				SyncMean: sc.SyncMean,
 				Horizon:  cfg.PlannerHorizon,
-				Samples:  samples,
+				Samples:  advisorSamples,
 				Seed:     stats.SubSeed(sc.Seed, fmt.Sprintf("advisor:%d", i)),
 			})
 			if err != nil {
 				return nil, err
 			}
-			probe := routed[i]
-			if len(probe) > sample {
-				probe = probe[:sample]
-			}
+			probe := routed[i][:min(len(routed[i]), advisorProbe)]
 			rec, err := adv.RecommendReplicas(probe, placement, sc.Replicas)
 			if err != nil {
 				return nil, err
 			}
 			replicas = rec.Replicas
 		}
-		mgr, err := newSyncManager(replicas, sc.SyncMean, horizon, stats.SubSeed(sc.Seed, fmt.Sprintf("sync:%d", i)), true)
-		if err != nil {
-			return nil, err
-		}
-		catalog, err := federation.NewCatalog(placement, mgr)
+		dep, err := BuildDeployment(DeployConfig{
+			Tables:          wl.Tables,
+			placement:       placement,
+			Replicas:        replicas,
+			SyncMean:        sc.SyncMean,
+			ScheduleHorizon: horizon,
+			InitialSync:     true,
+			Seed:            stats.SubSeed(sc.Seed, fmt.Sprintf("sync:%d", i)),
+		})
 		if err != nil {
 			return nil, err
 		}
 		shards[i] = &clusterShard{
 			id:       cluster.ShardID(i),
-			catalog:  catalog,
-			replicas: replicas,
+			catalog:  dep.Catalog,
+			replicas: dep.Replicas,
 			slots:    cfg.Slots,
 			clock:    clock,
 		}
@@ -249,11 +242,6 @@ func RunClusterScenario(cfg ClusterScenarioConfig) (ClusterScenarioResult, error
 	if err != nil {
 		return res, err
 	}
-	cost := cfg.Cost
-	if cost == nil {
-		cost = ScenarioCostFor(costmodel.VMProcessScale)
-	}
-
 	s := sim.New()
 	clock := scheduler.SimClock{Sim: s}
 
@@ -274,7 +262,7 @@ func RunClusterScenario(cfg ClusterScenarioConfig) (ClusterScenarioResult, error
 			clock:    clock,
 		}}
 	} else {
-		shards, err = buildClusterShards(cfg, wl, smap, cost, clock)
+		shards, err = buildClusterShards(cfg, wl, smap, clock)
 		if err != nil {
 			return res, err
 		}
@@ -299,30 +287,16 @@ func RunClusterScenario(cfg ClusterScenarioConfig) (ClusterScenarioResult, error
 
 	// Engines and strategies per shard.
 	for _, sh := range shards {
-		var view scheduler.CatalogView = sh.catalog
-		if len(wl.Outages) > 0 {
-			view = OutageView{Inner: sh.catalog, Workload: wl}
-		}
-		planner, err := core.NewPlanner(cost, core.PlannerConfig{Rates: cfg.Rates, Horizon: cfg.PlannerHorizon})
+		strategy, err := cfg.strategy(sh.catalog, wl)
 		if err != nil {
 			return res, err
 		}
-		var exec scheduler.Executor = scheduler.PlanExecutor{Clock: clock, Rates: cfg.Rates}
+		ecfg := cfg.engine(strategy)
+		ecfg.Clock = clock
+		ecfg.Executor = scheduler.PlanExecutor{Clock: clock, Rates: cfg.Rates}
+		ecfg.RecordOutcomes = true
 		if budgets != nil {
-			exec = chargingExecutor{inner: exec, budgets: budgets}
-		}
-		ecfg := scheduler.EngineConfig{
-			Clock:           clock,
-			Executor:        exec,
-			Strategy:        &scheduler.IVQPStrategy{Planner: planner, Catalog: view, Horizon: cfg.PlannerHorizon},
-			Rates:           cfg.Rates,
-			Slots:           cfg.Slots,
-			Aging:           cfg.Aging,
-			MaxQueue:        cfg.MaxQueue,
-			HaltOnPlanError: false,
-			RecordOutcomes:  true,
-		}
-		if budgets != nil {
+			ecfg.Executor = chargingExecutor{inner: ecfg.Executor, budgets: budgets}
 			ecfg.Victim = budgets.Victim
 		}
 		eng, err := scheduler.NewEngine(ecfg)
@@ -345,7 +319,6 @@ func RunClusterScenario(cfg ClusterScenarioConfig) (ClusterScenarioResult, error
 		// event queue to drain.
 		until := wl.Queries[len(wl.Queries)-1].SubmitAt + core.Time(interval)
 		for i, sh := range shards {
-			sh := sh
 			var peers []cluster.ShardID
 			for j := range shards {
 				if j != i {
@@ -359,7 +332,6 @@ func RunClusterScenario(cfg ClusterScenarioConfig) (ClusterScenarioResult, error
 				Transport: transport,
 				State:     sh.digest,
 				Interval:  interval,
-				Jitter:    cfg.GossipJitter,
 				Seed:      stats.SubSeed(sc.Seed, "gossip"),
 				Until:     until,
 			})
@@ -379,7 +351,6 @@ func RunClusterScenario(cfg ClusterScenarioConfig) (ClusterScenarioResult, error
 	stolenOut := make([]int, cfg.Shards)
 	stolenIn := make([]int, cfg.Shards)
 	for _, q := range wl.Queries {
-		q := q
 		if budgets != nil {
 			q.Tenant = tenantFor(q.ID, tenantNames)
 		}
@@ -415,60 +386,54 @@ func RunClusterScenario(cfg ClusterScenarioConfig) (ClusterScenarioResult, error
 		}
 	}
 
-	// Accounting.
-	res.Name = sc.Name
+	// Accounting: per-shard and whole-run totals come from the shared
+	// outcome fold; only the tenant breakdown and the p99 tail, which no
+	// standalone run reports, are gathered here.
 	res.Shards = cfg.Shards
-	res.Queries = len(wl.Queries)
-	res.Shed = refused
-	res.Stolen = 0
 	res.GossipRounds = int(transport.rounds.Load())
 	if budgets != nil {
 		res.TenantIV = map[string]float64{}
-		res.TenantShed = map[string]int{}
-		for t, n := range refusedTenant {
-			res.TenantShed[t] += n
-		}
+		res.TenantShed = refusedTenant
 	}
-	var cls, ivs []float64
+	perEngine := make([][]scheduler.Outcome, len(shards))
+	var cls []float64
 	for i, sh := range shards {
-		sr := ClusterShardResult{
-			Shard:     i,
-			Routed:    routedCount[i],
-			StolenOut: stolenOut[i],
-			StolenIn:  stolenIn[i],
-			Replicas:  len(sh.replicas),
-		}
-		sr.Shed = sh.engine.Shed()
-		for _, o := range sh.engine.Outcomes() {
+		perEngine[i] = sh.engine.Outcomes()
+		sum := summarize(perEngine[i])
+		res.PerShard = append(res.PerShard, ClusterShardResult{
+			Shard:       i,
+			Routed:      routedCount[i],
+			StolenOut:   stolenOut[i],
+			StolenIn:    stolenIn[i],
+			Completed:   sum.Completed,
+			Shed:        sum.Shed,
+			Unplannable: sum.Unplannable,
+			TotalIV:     sum.TotalIV,
+			Replicas:    len(sh.replicas),
+		})
+		res.Stolen += stolenOut[i]
+		for _, o := range perEngine[i] {
 			switch {
 			case o.Err != nil:
-				sr.Unplannable++
 			case o.Expired:
-				if res.TenantShed != nil {
+				if budgets != nil {
 					res.TenantShed[o.Query.Tenant]++
 				}
 			default:
-				sr.Completed++
-				sr.TotalIV += o.Value
 				cls = append(cls, o.Latencies.CL)
-				ivs = append(ivs, o.Value)
-				if res.TenantIV != nil {
+				if budgets != nil {
 					res.TenantIV[o.Query.Tenant] += o.Value
 				}
 			}
 		}
-		res.Completed += sr.Completed
-		res.Shed += sr.Shed
-		res.Unplannable += sr.Unplannable
-		res.TotalIV += sr.TotalIV
-		res.Stolen += sr.StolenOut
-		res.PerShard = append(res.PerShard, sr)
 	}
+	res.row = scenarioRow(sc, wl, refused, perEngine...)
+	res.Name, res.Queries = res.row.Name, res.row.Queries
+	res.Completed, res.Shed, res.Unplannable = res.row.Completed, res.row.Shed, res.row.Unplannable
+	res.TotalIV, res.MeanIV = res.row.TotalIV, res.row.MeanIV
+	res.MeanCL, res.P95CL = res.row.MeanCL, res.row.P95CL
 	res.IVPerShard = res.TotalIV / float64(cfg.Shards)
-	if len(ivs) > 0 {
-		res.MeanIV = stats.Mean(ivs)
-		res.MeanCL = stats.Mean(cls)
-		res.P95CL = stats.Percentile(cls, 95)
+	if len(cls) > 0 {
 		res.P99CL = stats.Percentile(cls, 99)
 	}
 	return res, nil
@@ -526,14 +491,6 @@ type ClusterBenchResult struct {
 	TwinDeltaPct float64 `json:"twin_delta_pct"`
 }
 
-// WriteJSON emits the artifact as indented JSON, matching the suite
-// artifacts the -compare gate and CI text tools consume.
-func (r ClusterBenchResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // clusterKnobs is the fixed per-shard operating point of the figure.
 func clusterKnobs(sc synth.Scenario) ClusterScenarioConfig {
 	base := DefaultScenarioConfig(sc)
@@ -545,18 +502,12 @@ func clusterKnobs(sc synth.Scenario) ClusterScenarioConfig {
 	}
 }
 
-// rollup flattens a cluster run into the matrix suite's row shape.
+// rollup is the run as a matrix suite row: every field a standalone run
+// reports, under the cluster size's name.
 func (r ClusterScenarioResult) rollup() ScenarioResult {
-	return ScenarioResult{
-		Name:      fmt.Sprintf("cluster-%d", r.Shards),
-		Queries:   r.Queries,
-		Completed: r.Completed,
-		Shed:      r.Shed,
-		TotalIV:   r.TotalIV,
-		MeanIV:    r.MeanIV,
-		MeanCL:    r.MeanCL,
-		P95CL:     r.P95CL,
-	}
+	row := r.row
+	row.Name = fmt.Sprintf("cluster-%d", r.Shards)
+	return row
 }
 
 // RunClusterFig produces the cluster scaling figure: the standalone

@@ -39,24 +39,23 @@ func TestOneShardClusterIsTheStandaloneEngine(t *testing.T) {
 		t.Fatalf("scenario too tame (completed %d, shed %d): the twin proof must cover shedding",
 			standalone.Completed, standalone.Shed)
 	}
-	if twin.Queries != standalone.Queries {
-		t.Errorf("queries: cluster %d, standalone %d", twin.Queries, standalone.Queries)
+	// The whole shared summary, not a hand-picked field list: a field added
+	// to ScenarioResult is compared the day it is added.
+	row := twin.rollup()
+	if row.Name != "cluster-1" {
+		t.Errorf("rollup name %q, want cluster-1", row.Name)
 	}
-	if twin.Completed != standalone.Completed {
-		t.Errorf("completed: cluster %d, standalone %d", twin.Completed, standalone.Completed)
+	row.Name = standalone.Name
+	if row != standalone {
+		t.Errorf("the worlds diverged:\n  cluster-1:  %+v\n  standalone: %+v", row, standalone)
 	}
-	if twin.Shed != standalone.Shed {
-		t.Errorf("shed: cluster %d, standalone %d", twin.Shed, standalone.Shed)
+	if standalone.Seed == 0 || standalone.MeanSL == 0 || standalone.P95SL == 0 {
+		t.Errorf("standalone summary has unpopulated fields: %+v", standalone)
 	}
-	if twin.Unplannable != standalone.Unplannable {
-		t.Errorf("unplannable: cluster %d, standalone %d", twin.Unplannable, standalone.Unplannable)
-	}
-	if twin.TotalIV != standalone.TotalIV {
-		t.Errorf("total IV: cluster %v, standalone %v — the worlds diverged", twin.TotalIV, standalone.TotalIV)
-	}
-	if twin.MeanCL != standalone.MeanCL || twin.P95CL != standalone.P95CL {
-		t.Errorf("CL: cluster mean %v p95 %v, standalone mean %v p95 %v",
-			twin.MeanCL, twin.P95CL, standalone.MeanCL, standalone.P95CL)
+	// The artifact's own per-size fields are copies of the same fold.
+	if twin.Completed != row.Completed || twin.Shed != row.Shed || twin.Unplannable != row.Unplannable ||
+		twin.TotalIV != row.TotalIV || twin.MeanIV != row.MeanIV || twin.MeanCL != row.MeanCL || twin.P95CL != row.P95CL {
+		t.Errorf("cluster result disagrees with its own rollup: %+v vs %+v", twin, row)
 	}
 	if twin.Stolen != 0 || twin.GossipRounds != 0 {
 		t.Errorf("1-shard cluster did cluster work: %d steals, %d gossip rounds", twin.Stolen, twin.GossipRounds)
@@ -94,6 +93,11 @@ func TestClusterScalingRecoversValue(t *testing.T) {
 	}
 	if r4.Stolen == 0 {
 		t.Error("no work was stolen under saturation")
+	}
+	// ROADMAP 5e: multi-shard rollups used to carry structurally zero seed
+	// and SL because the cluster leg folded outcomes with its own copy.
+	if row := r4.rollup(); row.Seed == 0 || row.MeanSL <= 0 || row.P95SL <= 0 || row.Queries != r4.Queries {
+		t.Errorf("cluster-4 rollup has unpopulated fields: %+v", row)
 	}
 	routed := 0
 	for _, sr := range r4.PerShard {

@@ -2,9 +2,7 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 
 	"ivdss/internal/costmodel"
@@ -114,22 +112,28 @@ func execCatalog(cfg ExecConfig) (sqlmini.MapCatalog, error) {
 	return sqlmini.NewMapCatalog(tables), nil
 }
 
-// timeTreeWalk measures one shape on the tree-walk interpreter: the
-// statement is parsed once (both engines get that), then each iteration
-// re-walks the AST — the engine has nothing to reuse across executions.
-func timeTreeWalk(ctx context.Context, stmt *sqlmini.SelectStmt, cat sqlmini.Catalog, iters int) (*relation.Table, float64, error) {
-	opts := sqlmini.Options{Engine: sqlmini.EngineTreeWalk}
-	out, err := sqlmini.ExecuteWith(ctx, stmt, cat, opts)
+// timeExec runs exec once untimed (the answer it returns, and the warm-up
+// every engine gets), then iters times against the wall clock.
+func timeExec(iters int, exec func() (*relation.Table, error)) (*relation.Table, float64, error) {
+	out, err := exec()
 	if err != nil {
 		return nil, 0, err
 	}
 	start := wall.Now()
 	for i := 0; i < iters; i++ {
-		if _, err := sqlmini.ExecuteWith(ctx, stmt, cat, opts); err != nil {
+		if _, err := exec(); err != nil {
 			return nil, 0, err
 		}
 	}
 	return out, wall.Since(start).Seconds(), nil
+}
+
+// timeTreeWalk measures one shape on the tree-walk interpreter: the
+// statement is parsed once (both engines get that), then each iteration
+// re-walks the AST — the engine has nothing to reuse across executions.
+func timeTreeWalk(ctx context.Context, stmt *sqlmini.SelectStmt, cat sqlmini.Catalog, iters int) (*relation.Table, float64, error) {
+	opts := sqlmini.Options{Engine: sqlmini.EngineTreeWalk}
+	return timeExec(iters, func() (*relation.Table, error) { return sqlmini.ExecuteWith(ctx, stmt, cat, opts) })
 }
 
 // timeVM measures the same shape compiled once and executed many times
@@ -141,17 +145,7 @@ func timeVM(ctx context.Context, stmt *sqlmini.SelectStmt, cat sqlmini.Catalog, 
 		return nil, 0, err
 	}
 	cache := sqlmini.NewExecCache()
-	out, err := prep.ExecuteContext(ctx, cat, cache)
-	if err != nil {
-		return nil, 0, err
-	}
-	start := wall.Now()
-	for i := 0; i < iters; i++ {
-		if _, err := prep.ExecuteContext(ctx, cat, cache); err != nil {
-			return nil, 0, err
-		}
-	}
-	return out, wall.Since(start).Seconds(), nil
+	return timeExec(iters, func() (*relation.Table, error) { return prep.ExecuteContext(ctx, cat, cache) })
 }
 
 // sameResult checks the two engines produced byte-identical answers:
@@ -257,13 +251,6 @@ func RunExec(ctx context.Context, cfg ExecConfig) (ExecResult, error) {
 		res.IVGainPct = (res.VMIV - res.TreeIV) / res.TreeIV * 100
 	}
 	return res, nil
-}
-
-// WriteJSON emits the comparison as indented JSON.
-func (r ExecResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // Tables renders the comparison: one throughput table, one IV table.

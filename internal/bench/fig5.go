@@ -120,8 +120,7 @@ func RunFig5(cfg Fig5Config) (Fig5Result, error) {
 
 	for _, ratio := range cfg.Ratios {
 		// All three methods route over the same hybrid deployment (5 of 12
-		// tables replicated); they differ only in plan choice, so IVQP's
-		// plan space contains every baseline plan.
+		// tables replicated).
 		dep, err := BuildDeployment(DeployConfig{
 			Tables:          world.Tables,
 			Sites:           cfg.Sites,
@@ -135,65 +134,34 @@ func RunFig5(cfg Fig5Config) (Fig5Result, error) {
 			return res, fmt.Errorf("bench: fig5 %s: %w", ratio.Label, err)
 		}
 		for _, lambda := range cfg.Lambdas {
+			means, err := dep.methodMeans(cost, lambda.Rates, cfg.PlannerHorizon, cfg.Slots, queries)
+			if err != nil {
+				return res, fmt.Errorf("bench: fig5 %s %s %w", ratio.Label, lambda.Label, err)
+			}
 			for _, m := range Methods() {
-				strategy, err := dep.Strategy(m, cost, lambda.Rates, cfg.PlannerHorizon)
-				if err != nil {
-					return res, err
-				}
-				outcomes, err := RunStream(dep, strategy, queries, lambda.Rates, cfg.Slots, core.Aging{})
-				if err != nil {
-					return res, fmt.Errorf("bench: fig5 %s %s %s: %w", ratio.Label, lambda.Label, m, err)
-				}
-				res.Cells = append(res.Cells, Fig5Cell{
-					Ratio:  ratio.Label,
-					Lambda: lambda.Label,
-					Method: m,
-					MeanIV: MeanValue(outcomes),
-				})
+				res.Cells = append(res.Cells, Fig5Cell{Ratio: ratio.Label, Lambda: lambda.Label, Method: m, MeanIV: means[m]})
 			}
 		}
 	}
 	return res, nil
 }
 
-// Tables renders one table per Fq:Fs panel, as in the figure.
+// Tables renders one table per Fq:Fs panel, as in the figure. Cells arrive
+// the way RunFig5 appends them: panel by panel, λ row by λ row, each row's
+// bars in Methods() order.
 func (r Fig5Result) Tables() []Table {
-	panels := map[string]*Table{}
-	var order []string
+	var out []Table
 	for _, c := range r.Cells {
-		t, ok := panels[c.Ratio]
-		if !ok {
-			t = &Table{
-				Title:   fmt.Sprintf("Figure 5: Information Value (Fq:Fs = %s)", c.Ratio),
-				Columns: []string{"lambda", "IVQP", "Federation", "Data Warehouse"},
-			}
-			panels[c.Ratio] = t
-			order = append(order, c.Ratio)
+		title := fmt.Sprintf("Figure 5: Information Value (Fq:Fs = %s)", c.Ratio)
+		if len(out) == 0 || out[len(out)-1].Title != title {
+			out = append(out, Table{Title: title, Columns: []string{"lambda", "IVQP", "Federation", "Data Warehouse"}})
 		}
-		_ = t
-	}
-	for _, ratio := range order {
-		t := panels[ratio]
-		var lambdas []string
-		seen := map[string]bool{}
-		for _, c := range r.Cells {
-			if c.Ratio == ratio && !seen[c.Lambda] {
-				seen[c.Lambda] = true
-				lambdas = append(lambdas, c.Lambda)
-			}
+		t := &out[len(out)-1]
+		if len(t.Rows) == 0 || t.Rows[len(t.Rows)-1][0] != c.Lambda {
+			t.Rows = append(t.Rows, []string{c.Lambda})
 		}
-		for _, l := range lambdas {
-			row := []string{l}
-			for _, m := range Methods() {
-				v, _ := r.Get(ratio, l, m)
-				row = append(row, f3(v))
-			}
-			t.Rows = append(t.Rows, row)
-		}
-	}
-	out := make([]Table, 0, len(order))
-	for _, ratio := range order {
-		out = append(out, *panels[ratio])
+		row := &t.Rows[len(t.Rows)-1]
+		*row = append(*row, f3(c.MeanIV))
 	}
 	return out
 }

@@ -51,66 +51,56 @@ type Fig6Result struct {
 	Points []FigQueryPoint
 }
 
-// isolatedRun plans and executes one query alone over the deployment and
-// returns its outcome.
-func isolatedRun(dep *Deployment, m Method, cost core.CostModel, rates core.DiscountRates, horizon core.Duration, q core.Query) (core.Latencies, float64, error) {
-	strategy, err := dep.Strategy(m, cost, rates, horizon)
-	if err != nil {
-		return core.Latencies{}, 0, err
-	}
-	outcomes, err := RunStream(dep, strategy, []core.Query{q}, rates, 1, core.Aging{})
-	if err != nil {
-		return core.Latencies{}, 0, err
-	}
-	return outcomes[0].Latencies, outcomes[0].Value, nil
-}
-
-// buildSharedDeployment constructs the hybrid deployment all three
-// methods route over.
-func buildSharedDeployment(tables []core.TableID, sites, replicas int, syncMean core.Duration, horizon core.Time, skewed bool, seed int64) (*Deployment, error) {
-	return BuildDeployment(DeployConfig{
-		Tables:          tables,
-		Sites:           sites,
-		Skewed:          skewed,
-		ReplicaCount:    replicas,
-		SyncMean:        syncMean,
-		ScheduleHorizon: horizon,
+// isolatedPoints runs each of the cfg.NQueries mid-cost templates alone
+// over the hybrid deployment all methods route over (synchronized at
+// QueryMean/factor) and records pick(latencies) per method.
+func isolatedPoints(world *TPCHWorld, cfg Fig6Config, factor float64, methods []Method, pick func(core.Latencies) float64) ([]FigQueryPoint, error) {
+	cost := world.CostModel(world.Weights)
+	dep, err := BuildDeployment(DeployConfig{
+		Tables:          world.Tables,
+		Sites:           cfg.Sites,
+		ReplicaCount:    cfg.Replicas,
+		SyncMean:        cfg.QueryMean / factor,
+		ScheduleHorizon: cfg.SubmitAt*4 + 1000,
 		InitialSync:     true,
-		Seed:            seed,
+		Seed:            cfg.Seed,
 	})
+	if err != nil {
+		return nil, err
+	}
+	var points []FigQueryPoint
+	for _, id := range tpch.MidCostQueries(world.Weights, cfg.NQueries) {
+		q, err := world.QueryFor(id, 0, cfg.SubmitAt)
+		if err != nil {
+			return nil, err
+		}
+		q.ID = id // isolated runs use the bare template ID so weights apply
+		point := FigQueryPoint{QueryID: id, Values: make(map[Method]float64, len(methods))}
+		for _, m := range methods {
+			strategy, err := dep.Strategy(m, cost, cfg.Rates, cfg.PlannerHorizon)
+			if err != nil {
+				return nil, err
+			}
+			outcomes, err := RunStream(strategy, []core.Query{q}, cfg.Rates, 1, core.Aging{})
+			if err != nil {
+				return nil, fmt.Errorf("bench: isolated %s %s: %w", id, m, err)
+			}
+			point.Values[m] = pick(outcomes[0].Latencies)
+		}
+		points = append(points, point)
+	}
+	return points, nil
 }
 
 // RunFig6 executes the computational-latency experiment.
 func RunFig6(cfg Fig6Config) (Fig6Result, error) {
-	var res Fig6Result
 	world, err := NewTPCHWorld(cfg.Scale, cfg.Seed)
 	if err != nil {
-		return res, err
+		return Fig6Result{}, err
 	}
-	ids := tpch.MidCostQueries(world.Weights, cfg.NQueries)
-	cost := world.CostModel(world.Weights)
-	dep, err := buildSharedDeployment(world.Tables, cfg.Sites, cfg.Replicas,
-		cfg.QueryMean/cfg.RatioFactor, cfg.SubmitAt*4+1000, false, cfg.Seed)
-	if err != nil {
-		return res, err
-	}
-	for _, id := range ids {
-		q, err := world.QueryFor(id, 0, cfg.SubmitAt)
-		if err != nil {
-			return res, err
-		}
-		q.ID = id // isolated runs use the bare template ID so weights apply
-		point := FigQueryPoint{QueryID: id, Values: make(map[Method]float64, 3)}
-		for _, m := range Methods() {
-			lat, _, err := isolatedRun(dep, m, cost, cfg.Rates, cfg.PlannerHorizon, q)
-			if err != nil {
-				return res, fmt.Errorf("bench: fig6 %s %s: %w", id, m, err)
-			}
-			point.Values[m] = lat.CL
-		}
-		res.Points = append(res.Points, point)
-	}
-	return res, nil
+	points, err := isolatedPoints(world, cfg, cfg.RatioFactor, Methods(),
+		func(lat core.Latencies) float64 { return lat.CL })
+	return Fig6Result{Points: points}, err
 }
 
 // Tables renders Figure 6.
@@ -162,32 +152,13 @@ func RunFig7(cfg Fig7Config) (Fig7Result, error) {
 	if err != nil {
 		return res, err
 	}
-	ids := tpch.MidCostQueries(world.Weights, cfg.NQueries)
-	cost := world.CostModel(world.Weights)
 	for _, factor := range cfg.RatioFactors {
-		dep, err := buildSharedDeployment(world.Tables, cfg.Sites, cfg.Replicas,
-			cfg.QueryMean/factor, cfg.SubmitAt*4+1000, false, cfg.Seed)
+		points, err := isolatedPoints(world, cfg.Fig6Config, factor, []Method{MethodIVQP, MethodWarehouse},
+			func(lat core.Latencies) float64 { return lat.SL })
 		if err != nil {
 			return res, err
 		}
-		panel := Fig7Panel{Ratio: fmt.Sprintf("1:%g", factor)}
-		for _, id := range ids {
-			q, err := world.QueryFor(id, 0, cfg.SubmitAt)
-			if err != nil {
-				return res, err
-			}
-			q.ID = id
-			point := FigQueryPoint{QueryID: id, Values: make(map[Method]float64, 2)}
-			for _, m := range []Method{MethodIVQP, MethodWarehouse} {
-				lat, _, err := isolatedRun(dep, m, cost, cfg.Rates, cfg.PlannerHorizon, q)
-				if err != nil {
-					return res, fmt.Errorf("bench: fig7 %s %s: %w", id, m, err)
-				}
-				point.Values[m] = lat.SL
-			}
-			panel.Points = append(panel.Points, point)
-		}
-		res.Panels = append(res.Panels, panel)
+		res.Panels = append(res.Panels, Fig7Panel{Ratio: fmt.Sprintf("1:%g", factor), Points: points})
 	}
 	return res, nil
 }

@@ -118,23 +118,24 @@ func RunFig8(cfg Fig8Config) (Fig8Result, error) {
 		}
 		series := Fig8Series{Distribution: dist}
 		for _, sites := range cfg.SiteCounts {
-			dep, err := buildSharedDeployment(tables, sites, cfg.Replicas, cfg.SyncMean, horizon, skewed, cfg.Seed)
+			dep, err := BuildDeployment(DeployConfig{
+				Tables:          tables,
+				Sites:           sites,
+				Skewed:          skewed,
+				ReplicaCount:    cfg.Replicas,
+				SyncMean:        cfg.SyncMean,
+				ScheduleHorizon: horizon,
+				InitialSync:     true,
+				Seed:            cfg.Seed,
+			})
 			if err != nil {
 				return res, err
 			}
-			point := Fig8Point{Sites: sites, Values: make(map[Method]float64, 3)}
-			for _, m := range Methods() {
-				strategy, err := dep.Strategy(m, cost, cfg.Rates, cfg.PlannerHorizon)
-				if err != nil {
-					return res, err
-				}
-				outcomes, err := RunStream(dep, strategy, queries, cfg.Rates, cfg.Slots, core.Aging{})
-				if err != nil {
-					return res, fmt.Errorf("bench: fig8 %s sites=%d %s: %w", dist, sites, m, err)
-				}
-				point.Values[m] = MeanValue(outcomes)
+			means, err := dep.methodMeans(cost, cfg.Rates, cfg.PlannerHorizon, cfg.Slots, queries)
+			if err != nil {
+				return res, fmt.Errorf("bench: fig8 %s sites=%d %w", dist, sites, err)
 			}
-			series.Points = append(series.Points, point)
+			series.Points = append(series.Points, Fig8Point{Sites: sites, Values: means})
 		}
 		res.Series = append(res.Series, series)
 	}

@@ -85,11 +85,11 @@ type Fig9Result struct {
 	Counts  []Fig9Point // panel (b)
 }
 
-// fig9World builds the shared deployment and evaluator for one run.
-func fig9World(cfg Fig9Config) (*Deployment, *scheduler.Evaluator, error) {
-	tables := synth.Tables(cfg.NTables)
+// fig9Evaluator builds the shared deployment and the evaluator that scores
+// candidate orders over it.
+func fig9Evaluator(cfg Fig9Config) (*scheduler.Evaluator, error) {
 	dep, err := BuildDeployment(DeployConfig{
-		Tables:          tables,
+		Tables:          synth.Tables(cfg.NTables),
 		Sites:           4,
 		ReplicaCount:    cfg.Replicas,
 		SyncMean:        cfg.SyncMean,
@@ -98,93 +98,79 @@ func fig9World(cfg Fig9Config) (*Deployment, *scheduler.Evaluator, error) {
 		Seed:            cfg.Seed,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cost := &costmodel.CountModel{LocalProcess: 1, PerBaseTable: 1, TransmitFlat: 0.5}
 	planner, err := core.NewPlanner(cost, core.PlannerConfig{Rates: cfg.Rates, Horizon: cfg.PlannerHorizon})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	ev := &scheduler.Evaluator{Planner: planner, Catalog: dep.Catalog, Horizon: cfg.PlannerHorizon}
-	return dep, ev, nil
+	return &scheduler.Evaluator{Planner: planner, Catalog: dep.Catalog, Horizon: cfg.PlannerHorizon}, nil
+}
+
+// fig9Sweep compares MQO and FIFO at every x-axis value, averaging each
+// point over cfg.Reps workloads; gen draws the workload for (x, base
+// query config), whose seed varies by rep only.
+func fig9Sweep(cfg Fig9Config, xs []float64, gen func(x float64, base synth.QueryConfig) ([]core.Query, error)) ([]Fig9Point, error) {
+	ev, err := fig9Evaluator(cfg)
+	if err != nil {
+		return nil, err
+	}
+	tables := synth.Tables(cfg.NTables)
+	reps := max(cfg.Reps, 1)
+	points := make([]Fig9Point, 0, len(xs))
+	for _, x := range xs {
+		point := Fig9Point{X: x}
+		for rep := 0; rep < reps; rep++ {
+			queries, err := gen(x, synth.QueryConfig{
+				Tables:            tables,
+				MaxTablesPerQuery: cfg.MaxTablesPer,
+				Seed:              cfg.Seed + int64(rep)*997,
+			})
+			if err != nil {
+				return nil, err
+			}
+			p, err := compareMQO(queries, ev, cfg.GA)
+			if err != nil {
+				return nil, fmt.Errorf("bench: fig9 x=%v: %w", x, err)
+			}
+			point.MQO += p.MQO / float64(reps)
+			point.Without += p.Without / float64(reps)
+		}
+		points = append(points, point)
+	}
+	return points, nil
 }
 
 // RunFig9a executes the overlap-rate sweep.
 func RunFig9a(cfg Fig9Config) (Fig9Result, error) {
-	var res Fig9Result
-	_, ev, err := fig9World(cfg)
-	if err != nil {
-		return res, err
+	points, err := fig9Sweep(cfg, cfg.OverlapRates, func(rate float64, base synth.QueryConfig) ([]core.Query, error) {
+		base.N = cfg.OverlapQueries
+		return synth.OverlappingQueries(synth.OverlapConfig{
+			QueryConfig: base,
+			Rate:        rate,
+			ClusterGap:  cfg.ClusterGap,
+			SpreadGap:   cfg.SpreadGap,
+		})
+	})
+	for i := range points {
+		points[i].X *= 100 // the panel plots percent
 	}
-	tables := synth.Tables(cfg.NTables)
-	reps := cfg.Reps
-	if reps < 1 {
-		reps = 1
-	}
-	for _, rate := range cfg.OverlapRates {
-		point := Fig9Point{X: rate * 100}
-		for rep := 0; rep < reps; rep++ {
-			queries, err := synth.OverlappingQueries(synth.OverlapConfig{
-				QueryConfig: synth.QueryConfig{
-					N:                 cfg.OverlapQueries,
-					Tables:            tables,
-					MaxTablesPerQuery: cfg.MaxTablesPer,
-					Seed:              cfg.Seed + int64(rep)*997,
-				},
-				Rate:       rate,
-				ClusterGap: cfg.ClusterGap,
-				SpreadGap:  cfg.SpreadGap,
-			})
-			if err != nil {
-				return res, err
-			}
-			p, err := compareMQO(queries, ev, cfg.GA)
-			if err != nil {
-				return res, fmt.Errorf("bench: fig9a rate %v: %w", rate, err)
-			}
-			point.MQO += p.MQO / float64(reps)
-			point.Without += p.Without / float64(reps)
-		}
-		res.Overlap = append(res.Overlap, point)
-	}
-	return res, nil
+	return Fig9Result{Overlap: points}, err
 }
 
 // RunFig9b executes the workload-size sweep.
 func RunFig9b(cfg Fig9Config) (Fig9Result, error) {
-	var res Fig9Result
-	_, ev, err := fig9World(cfg)
-	if err != nil {
-		return res, err
+	xs := make([]float64, len(cfg.QueryCounts))
+	for i, n := range cfg.QueryCounts {
+		xs[i] = float64(n)
 	}
-	tables := synth.Tables(cfg.NTables)
-	reps := cfg.Reps
-	if reps < 1 {
-		reps = 1
-	}
-	for _, n := range cfg.QueryCounts {
-		point := Fig9Point{X: float64(n)}
-		for rep := 0; rep < reps; rep++ {
-			queries, err := synth.Queries(synth.QueryConfig{
-				N:                 n,
-				Tables:            tables,
-				MaxTablesPerQuery: cfg.MaxTablesPer,
-				MeanInterarrival:  cfg.BurstGap,
-				Seed:              cfg.Seed + int64(rep)*997,
-			})
-			if err != nil {
-				return res, err
-			}
-			p, err := compareMQO(queries, ev, cfg.GA)
-			if err != nil {
-				return res, fmt.Errorf("bench: fig9b n=%d: %w", n, err)
-			}
-			point.MQO += p.MQO / float64(reps)
-			point.Without += p.Without / float64(reps)
-		}
-		res.Counts = append(res.Counts, point)
-	}
-	return res, nil
+	points, err := fig9Sweep(cfg, xs, func(n float64, base synth.QueryConfig) ([]core.Query, error) {
+		base.N = int(n)
+		base.MeanInterarrival = cfg.BurstGap
+		return synth.Queries(base)
+	})
+	return Fig9Result{Counts: points}, err
 }
 
 func compareMQO(queries []core.Query, ev *scheduler.Evaluator, ga scheduler.GAConfig) (Fig9Point, error) {

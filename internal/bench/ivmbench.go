@@ -1,20 +1,9 @@
 package bench
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"math"
 
 	"ivdss/internal/core"
-	"ivdss/internal/metrics"
-	"ivdss/internal/relation"
-	"ivdss/internal/replication"
-	"ivdss/internal/replsync"
-	"ivdss/internal/scheduler"
-	"ivdss/internal/sim"
-	"ivdss/internal/stats"
 )
 
 // Materialized-view experiment (-fig ivm): an aggregate-heavy skewed
@@ -97,11 +86,7 @@ func QuickIVMConfig() IVMConfig {
 
 // IVMVariant is one variant's outcome.
 type IVMVariant struct {
-	TotalIV           float64 `json:"total_iv"`
-	MeanSL            float64 `json:"mean_sl_minutes"`
-	Syncs             float64 `json:"syncs_total"`
-	SyncBytes         float64 `json:"sync_bytes_total"`
-	SyncDeferred      float64 `json:"sync_deferred_total"`
+	SyncTotals
 	ViewsMaterialized float64 `json:"views_materialized_total"`
 	ViewDeltaRows     float64 `json:"view_delta_rows_total"`
 	ViewDeltaBytes    float64 `json:"view_delta_bytes_total"`
@@ -123,73 +108,10 @@ func ivmViewID(i int) core.ViewID {
 	return core.ViewID(fmt.Sprintf("q%02d", i))
 }
 
-// ivmModelFetcher prices sync payloads for both unit kinds: a replica
-// unit ships its table's full append suffix; a view unit ships the suffix
-// filtered by the view's selectivity and projected to its column
-// fraction. Versions always count base rows, so both kinds share one
-// cursor space — exactly the live wire contract.
-type ivmModelFetcher struct {
-	clock scheduler.Clock
-	cfg   IVMConfig
-}
-
-func (f ivmModelFetcher) version() uint64 {
-	return f.cfg.BaseRows + uint64(f.cfg.RowsPerMin*float64(f.clock.Now()))
-}
-
-// passed is the cumulative count of rows passing the view predicate among
-// the first v base rows — a deterministic floor so successive deltas sum
-// exactly to the snapshot.
-func (f ivmModelFetcher) passed(v uint64) uint64 {
-	return uint64(math.Floor(f.cfg.Selectivity * float64(v)))
-}
-
-func (f ivmModelFetcher) viewRowBytes() int64 {
-	b := int64(math.Round(f.cfg.ColumnFraction * float64(f.cfg.RowBytes)))
-	if b < 1 {
-		b = 1
-	}
-	return b
-}
-
-func (f ivmModelFetcher) Snapshot(_ context.Context, id core.TableID) (replsync.Snapshot, error) {
-	v := f.version()
-	if _, isView := core.ViewOfUnit(id); isView {
-		return replsync.Snapshot{
-			Table:   relation.NewTable(string(id), relation.Schema{}),
-			Version: v,
-			Bytes:   int64(f.passed(v)) * f.viewRowBytes(),
-		}, nil
-	}
-	return replsync.Snapshot{Version: v, Bytes: int64(v) * f.cfg.RowBytes}, nil
-}
-
-func (f ivmModelFetcher) Delta(_ context.Context, id core.TableID, cursor uint64) (replsync.Delta, error) {
-	v := f.version()
-	if cursor > v {
-		return replsync.Delta{Resync: true}, nil
-	}
-	if _, isView := core.ViewOfUnit(id); isView {
-		rows := f.passed(v) - f.passed(cursor)
-		return replsync.Delta{
-			Rows:    make([]relation.Row, rows),
-			Version: v,
-			Bytes:   int64(rows) * f.viewRowBytes(),
-		}, nil
-	}
-	return replsync.Delta{Version: v, Bytes: int64(v-cursor) * f.cfg.RowBytes}, nil
-}
-
 // RunIVM executes the experiment: the identical aggregate-heavy skewed
 // stream against a replica-only and a view-enabled source set.
 func RunIVM(cfg IVMConfig) (IVMResult, error) {
 	var res IVMResult
-	if cfg.Tables < 2 || cfg.HotTables < 1 || cfg.HotTables >= cfg.Tables {
-		return res, fmt.Errorf("bench: need at least one hot and one cold table, got %d/%d", cfg.HotTables, cfg.Tables)
-	}
-	if cfg.HotFraction <= 0 || cfg.HotFraction >= 1 {
-		return res, fmt.Errorf("bench: hot fraction %v outside (0, 1)", cfg.HotFraction)
-	}
 	if cfg.Selectivity <= 0 || cfg.Selectivity > 1 {
 		return res, fmt.Errorf("bench: selectivity %v outside (0, 1]", cfg.Selectivity)
 	}
@@ -218,10 +140,6 @@ func RunIVM(cfg IVMConfig) (IVMResult, error) {
 }
 
 func runIVMVariant(cfg IVMConfig, viewEnabled bool) (IVMVariant, error) {
-	var out IVMVariant
-	s := sim.New()
-	clock := scheduler.SimClock{Sim: s}
-	mgr := replication.NewManager()
 	// Unit per table: hot tables synchronize as views in the view-enabled
 	// variant (same slot, projected bytes), as plain replicas otherwise.
 	units := make([]core.TableID, cfg.Tables)
@@ -232,111 +150,37 @@ func runIVMVariant(cfg IVMConfig, viewEnabled bool) (IVMVariant, error) {
 			units[i] = syncTableID(i)
 		}
 	}
-	tables := make([]replsync.TableConfig, cfg.Tables)
-	for i, id := range units {
-		tables[i] = replsync.TableConfig{ID: id, Period: cfg.Period}
-		if err := mgr.Register(id, replication.Schedule{}); err != nil {
-			return out, err
-		}
-	}
-	reg := metrics.NewRegistry()
-	agent, err := replsync.New(replsync.Config{
-		Clock:   clock,
-		Fetch:   ivmModelFetcher{clock: clock, cfg: cfg},
-		Apply:   nopApplier{},
-		Manager: mgr,
-		Tables:  tables,
-		Budget:  cfg.Budget,
-		Stats:   reg,
-	})
-	if err != nil {
-		return out, err
-	}
-	for _, tc := range tables {
-		if err := agent.SyncNow(tc.ID); err != nil {
-			return out, err
-		}
-	}
-	agent.Start()
-
-	// The skewed stream: identical arrivals and table choices in both
-	// variants (seeded independently of the sync engine's behaviour).
-	src := stats.NewSource(cfg.Seed)
-	arrivals := make([]core.Time, cfg.NQueries)
-	targets := make([]int, cfg.NQueries)
-	at := core.Time(0)
-	for i := range arrivals {
-		at += src.Expo(float64(cfg.QueryMean))
-		arrivals[i] = at
-		if src.Float64() < cfg.HotFraction {
-			targets[i] = src.Intn(cfg.HotTables)
-		} else {
-			targets[i] = cfg.HotTables + src.Intn(cfg.Tables-cfg.HotTables)
-		}
-	}
-
-	var sls []float64
-	for i := range arrivals {
-		i := i
-		s.ScheduleAt(arrivals[i], func() {
-			now := s.Now()
-			tableIdx := targets[i]
-			unit := units[tableIdx]
-			sl, ok := mgr.Staleness(unit, now)
-			if !ok {
-				sl = now
-			}
-			// Serving a pre-aggregated view answer is cheaper than
-			// re-aggregating a replica — the CL the view collapses.
-			cl := cfg.ProcessCL
+	run, err := syncModel{
+		cfg: SyncConfig{
+			Tables: cfg.Tables, HotTables: cfg.HotTables, HotFraction: cfg.HotFraction,
+			NQueries: cfg.NQueries, QueryMean: cfg.QueryMean, Period: cfg.Period,
+			RowsPerMin: cfg.RowsPerMin, RowBytes: cfg.RowBytes, BaseRows: cfg.BaseRows,
+			Budget: cfg.Budget, Rates: cfg.Rates, Seed: cfg.Seed,
+		},
+		units:          units,
+		selectivity:    cfg.Selectivity,
+		columnFraction: cfg.ColumnFraction,
+		// Serving a pre-aggregated view answer is cheaper than
+		// re-aggregating a replica — the CL the view collapses.
+		unitCL: func(unit core.TableID) core.Duration {
 			if _, isView := core.ViewOfUnit(unit); isView {
-				cl = cfg.ViewProcessCL
+				return cfg.ViewProcessCL
 			}
-			lat := core.Latencies{CL: cl, SL: sl + cl}
-			value := core.InformationValue(1, lat, cfg.Rates)
-			out.TotalIV += value
-			sls = append(sls, lat.SL)
-			fresh := core.InformationValue(1, core.Latencies{CL: lat.CL}, cfg.Rates)
-			agent.ObserveLoss([]core.TableID{unit}, fresh-value)
-		})
-	}
-	s.RunUntil(arrivals[len(arrivals)-1] + 1)
-	agent.Stop()
-
-	if len(sls) != cfg.NQueries {
-		return out, fmt.Errorf("bench: ivm variant scored %d of %d queries", len(sls), cfg.NQueries)
-	}
-	out.MeanSL = stats.Mean(sls)
-	flat := reg.Flatten()
-	out.Syncs = flat["syncs_total"]
-	out.SyncBytes = flat["sync_bytes_total"]
-	out.SyncDeferred = flat["sync_deferred_total"]
-	out.ViewsMaterialized = flat["views_materialized_total"]
-	out.ViewDeltaRows = flat["view_delta_rows_total"]
-	out.ViewDeltaBytes = flat["view_delta_bytes_total"]
-	return out, nil
-}
-
-// WriteJSON writes the machine-readable result.
-func (r IVMResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+			return cfg.ProcessCL
+		},
+	}.run()
+	return IVMVariant{
+		SyncTotals:        run.SyncTotals,
+		ViewsMaterialized: run.metrics["views_materialized_total"],
+		ViewDeltaRows:     run.metrics["view_delta_rows_total"],
+		ViewDeltaBytes:    run.metrics["view_delta_bytes_total"],
+	}, err
 }
 
 // Tables renders the experiment as a summary table.
 func (r IVMResult) Tables() []Table {
 	row := func(name string, v IVMVariant) []string {
-		return []string{
-			name,
-			f3(v.TotalIV),
-			f1(v.MeanSL),
-			fmt.Sprintf("%.0f", v.Syncs),
-			fmt.Sprintf("%.0f", v.SyncBytes),
-			fmt.Sprintf("%.0f", v.SyncDeferred),
-			fmt.Sprintf("%.0f", v.ViewsMaterialized),
-			fmt.Sprintf("%.0f", v.ViewDeltaBytes),
-		}
+		return append(v.cells(name), fmt.Sprintf("%.0f", v.ViewsMaterialized), fmt.Sprintf("%.0f", v.ViewDeltaBytes))
 	}
 	return []Table{{
 		Title:   "Materialized views: replica-only vs view-enabled (aggregate-heavy skew)",

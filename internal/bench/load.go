@@ -1,14 +1,10 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"ivdss/internal/core"
 	"ivdss/internal/scheduler"
-	"ivdss/internal/sim"
-	"ivdss/internal/stats"
 )
 
 // LoadConfig parameterizes the admission-control load experiment: a
@@ -143,79 +139,75 @@ func RunLoad(cfg LoadConfig) (LoadResult, error) {
 		InitialSync:     true,
 		Seed:            cfg.Seed,
 	}
-	dep, err := BuildDeployment(depCfg)
-	if err != nil {
-		return res, err
-	}
-	strategy, err := dep.Strategy(MethodIVQP, cost, cfg.Rates, cfg.PlannerHorizon)
-	if err != nil {
-		return res, err
-	}
-
-	s := sim.New()
-	d, err := scheduler.NewDispatcher(s, strategy, cfg.Rates, cfg.Slots, cfg.Aging)
-	if err != nil {
-		return res, err
-	}
-	d.SetExpiry(cfg.Epsilon)
-	d.SubmitAll(queries)
-	s.Run()
-	if err := d.Err(); err != nil {
-		return res, err
-	}
-	if d.Pending() != 0 {
-		return res, fmt.Errorf("bench: %d queries neither completed nor shed", d.Pending())
-	}
-
-	var cls, sls, ivs []float64
-	makespan := core.Time(0)
-	for _, o := range d.Outcomes() {
-		if o.Expired {
-			continue
+	// variant replays the stream through the scheduling engine on virtual
+	// time under one dispatch policy. Each variant gets a fresh deployment
+	// so no state leaks between runs.
+	variant := func(policy func(*scheduler.EngineConfig, *scheduler.IVQPStrategy)) ([]scheduler.Outcome, error) {
+		dep, err := BuildDeployment(depCfg)
+		if err != nil {
+			return nil, err
 		}
-		cls = append(cls, o.Latencies.CL)
-		sls = append(sls, o.Latencies.SL)
-		ivs = append(ivs, o.Value)
-		res.TotalIV += o.Value
-		if finish := o.Query.SubmitAt + o.Latencies.CL; finish > makespan {
+		strategy, err := dep.Strategy(MethodIVQP, cost, cfg.Rates, cfg.PlannerHorizon)
+		if err != nil {
+			return nil, err
+		}
+		ecfg := scheduler.EngineConfig{Strategy: strategy, Rates: cfg.Rates, Slots: cfg.Slots, HaltOnPlanError: true}
+		policy(&ecfg, strategy.(*scheduler.IVQPStrategy))
+		outcomes, _, err := replay(ecfg, cfg.Epsilon, queries)
+		return outcomes, err
+	}
+
+	// The headline run: value-ranked dispatch with aging, one arrival at a
+	// time.
+	outcomes, err := variant(func(e *scheduler.EngineConfig, _ *scheduler.IVQPStrategy) { e.Aging = cfg.Aging })
+	if err != nil {
+		return res, err
+	}
+	sum := summarize(outcomes)
+	makespan := core.Time(0)
+	for _, o := range outcomes {
+		if finish := o.Query.SubmitAt + o.Latencies.CL; !o.Expired && finish > makespan {
 			makespan = finish
 		}
 	}
 	res.Queries = len(queries)
-	res.Completed = len(ivs)
-	res.Shed = d.Shed()
+	res.Completed, res.Shed = sum.Completed, sum.Shed
 	res.Epsilon = cfg.Epsilon
 	res.Slots = cfg.Slots
 	res.Seed = cfg.Seed
 	if makespan > 0 {
 		res.Throughput = float64(res.Completed) / makespan
 	}
-	if len(ivs) > 0 {
-		res.MeanCL = stats.Mean(cls)
-		res.P95CL = stats.Percentile(cls, 95)
-		res.MeanSL = stats.Mean(sls)
-		res.P95SL = stats.Percentile(sls, 95)
-		res.MeanIV = stats.Mean(ivs)
-	}
+	res.MeanCL, res.P95CL = sum.MeanCL, sum.P95CL
+	res.MeanSL, res.P95SL = sum.MeanSL, sum.P95SL
+	res.TotalIV, res.MeanIV = sum.TotalIV, sum.MeanIV
 
-	// Live-path ablation: the identical stream through the shared engine,
-	// once in plain FIFO submission order (the old live server path), once
-	// with continuous micro-batch MQO. Each variant gets a fresh deployment
-	// so no state leaks between runs.
+	// Live-path ablation: the identical stream through the live DSS
+	// server's scheduling core (minus the network), once in plain FIFO
+	// submission order (the old live server path), once with continuous
+	// micro-batch MQO (window formation, GA ordering, value-ranked dispatch
+	// with aging).
 	if cfg.MQOWindow > 0 {
-		fifoDone, fifoShed, fifoIV, err := runLivePath(cfg, depCfg, cost, queries, false)
+		outcomes, err := variant(func(e *scheduler.EngineConfig, _ *scheduler.IVQPStrategy) { e.FIFO = true })
 		if err != nil {
 			return res, err
 		}
-		mqoDone, mqoShed, mqoIV, err := runLivePath(cfg, depCfg, cost, queries, true)
+		fifo := summarize(outcomes)
+		outcomes, err = variant(func(e *scheduler.EngineConfig, ivqp *scheduler.IVQPStrategy) {
+			e.Aging = cfg.Aging
+			e.Window = cfg.MQOWindow
+			e.GA = cfg.GA
+			e.Evaluator = &scheduler.Evaluator{Planner: ivqp.Planner, Catalog: ivqp.Catalog, Horizon: cfg.PlannerHorizon}
+		})
 		if err != nil {
 			return res, err
 		}
+		mqo := summarize(outcomes)
 		res.MQOWindowMinutes = float64(cfg.MQOWindow)
-		res.FIFOCompleted, res.FIFOShed, res.FIFOTotalIV = fifoDone, fifoShed, fifoIV
-		res.MQOCompleted, res.MQOShed, res.MQOTotalIV = mqoDone, mqoShed, mqoIV
-		if fifoIV > 0 {
-			res.MQOGainPct = (mqoIV - fifoIV) / fifoIV * 100
+		res.FIFOCompleted, res.FIFOShed, res.FIFOTotalIV = fifo.Completed, fifo.Shed, fifo.TotalIV
+		res.MQOCompleted, res.MQOShed, res.MQOTotalIV = mqo.Completed, mqo.Shed, mqo.TotalIV
+		if fifo.TotalIV > 0 {
+			res.MQOGainPct = (mqo.TotalIV - fifo.TotalIV) / fifo.TotalIV * 100
 		}
 	}
 
@@ -239,77 +231,6 @@ func RunLoad(cfg LoadConfig) (LoadResult, error) {
 	res.SyncDeferredTotal = syncRes.Adaptive.SyncDeferred
 	res.CadenceAdjustmentsTotal = syncRes.Adaptive.CadenceAdjustments
 	return res, nil
-}
-
-// runLivePath replays the stream through the scheduling engine on virtual
-// time with model execution — the live DSS server's scheduling core,
-// minus the network. mqo selects between the FIFO baseline and the
-// micro-batch MQO pipeline (window formation, GA ordering, value-ranked
-// dispatch with aging).
-func runLivePath(cfg LoadConfig, depCfg DeployConfig, cost core.CostModel, queries []core.Query, mqo bool) (completed, shed int, totalIV float64, err error) {
-	dep, err := BuildDeployment(depCfg)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	strategy, err := dep.Strategy(MethodIVQP, cost, cfg.Rates, cfg.PlannerHorizon)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	s := sim.New()
-	clock := scheduler.SimClock{Sim: s}
-	ecfg := scheduler.EngineConfig{
-		Clock:           clock,
-		Executor:        scheduler.PlanExecutor{Clock: clock, Rates: cfg.Rates},
-		Strategy:        strategy,
-		Rates:           cfg.Rates,
-		Slots:           cfg.Slots,
-		HaltOnPlanError: true,
-		RecordOutcomes:  true,
-	}
-	if mqo {
-		ivqp := strategy.(*scheduler.IVQPStrategy)
-		ecfg.Aging = cfg.Aging
-		ecfg.Window = cfg.MQOWindow
-		ecfg.GA = cfg.GA
-		ecfg.Evaluator = &scheduler.Evaluator{
-			Planner: ivqp.Planner,
-			Catalog: ivqp.Catalog,
-			Horizon: cfg.PlannerHorizon,
-		}
-	} else {
-		ecfg.FIFO = true
-	}
-	eng, err := scheduler.NewEngine(ecfg)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	eng.SetEpsilon(cfg.Epsilon)
-	for _, q := range queries {
-		q := q
-		s.ScheduleAt(q.SubmitAt, func() { eng.Submit(q, nil) })
-	}
-	s.Run()
-	if err := eng.Err(); err != nil {
-		return 0, 0, 0, err
-	}
-	if p := eng.Pending(); p != 0 {
-		return 0, 0, 0, fmt.Errorf("bench: live path left %d queries pending", p)
-	}
-	for _, o := range eng.Outcomes() {
-		if o.Expired {
-			continue
-		}
-		completed++
-		totalIV += o.Value
-	}
-	return completed, eng.Shed(), totalIV, nil
-}
-
-// WriteJSON emits the result as indented JSON.
-func (r LoadResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // Tables renders the run as summary tables.

@@ -40,7 +40,7 @@ func TestRunLoadShedsUnderOverload(t *testing.T) {
 	}
 
 	var buf strings.Builder
-	if err := res.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, res); err != nil {
 		t.Fatal(err)
 	}
 	var back LoadResult

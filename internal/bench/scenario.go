@@ -7,8 +7,8 @@ import (
 
 	"ivdss/internal/core"
 	"ivdss/internal/costmodel"
+	"ivdss/internal/federation"
 	"ivdss/internal/scheduler"
-	"ivdss/internal/sim"
 	"ivdss/internal/stats"
 	"ivdss/internal/synth"
 )
@@ -103,32 +103,27 @@ func (v OutageView) Snapshot(tables []core.TableID, now core.Time, horizon core.
 	return snap, nil
 }
 
-// scenarioCost is the synthetic-table cost model shared by every
-// scenario: the Figure 4 shape plus fan-out coordination and flat result
-// transmission, so plan choice has all three axes to trade. The base
-// constants describe the tree-walk engine; the matrix default applies
-// the VM's measured process scale on top (transmission unscaled).
-func scenarioCost() *costmodel.CountModel {
-	return &costmodel.CountModel{LocalProcess: 2, PerBaseTable: 3, PerExtraSite: 1, TransmitFlat: 2}
-}
-
-// ScenarioCostFor returns the matrix cost model recalibrated for an
-// execution engine: the tree-walk anchor model at scale 1, or the VM's
-// processing constants shrunk by its measured speedup.
+// ScenarioCostFor returns the synthetic-table cost model shared by every
+// scenario — the Figure 4 shape plus fan-out coordination and flat result
+// transmission, so plan choice has all three axes to trade — recalibrated
+// for an execution engine: the constants describe the tree-walk engine
+// (scale 1); the matrix default shrinks the processing ones by the VM's
+// measured speedup (transmission unscaled).
 func ScenarioCostFor(scale float64) core.CostModel {
-	return scenarioCost().Scaled(scale)
+	base := costmodel.CountModel{LocalProcess: 2, PerBaseTable: 3, PerExtraSite: 1, TransmitFlat: 2}
+	return base.Scaled(scale)
 }
 
 // ScenarioWorld materializes a scenario into everything a driver needs to
 // replay it: the generated workload, the deployment (placement, replicas,
 // sync schedules, catalog), and the scheduling strategy with the outage
-// overlay applied. Both the DES runner below and the live tools build on
-// it, so the two modes execute one world.
+// overlay applied. The DES runner below, the one-shard cluster twin and
+// the DES-vs-manual-clock equivalence test all build on it, so they
+// execute one world.
 type ScenarioWorld struct {
 	Workload   *synth.Workload
 	Deployment *Deployment
 	Strategy   *scheduler.IVQPStrategy
-	Cost       core.CostModel
 }
 
 // BuildScenarioWorld generates and assembles the scenario world.
@@ -151,24 +146,48 @@ func BuildScenarioWorld(cfg ScenarioConfig) (*ScenarioWorld, error) {
 	if err != nil {
 		return nil, err
 	}
-	cost := cfg.Cost
-	if cost == nil {
-		cost = ScenarioCostFor(costmodel.VMProcessScale)
-	}
-	planner, err := core.NewPlanner(cost, core.PlannerConfig{Rates: cfg.Rates, Horizon: cfg.PlannerHorizon})
+	strategy, err := cfg.strategy(dep.Catalog, wl)
 	if err != nil {
 		return nil, err
 	}
-	var view scheduler.CatalogView = dep.Catalog
-	if len(wl.Outages) > 0 {
-		view = OutageView{Inner: dep.Catalog, Workload: wl}
+	return &ScenarioWorld{Workload: wl, Deployment: dep, Strategy: strategy}, nil
+}
+
+// cost is the scenario's cost model: the explicit override, else the
+// matrix default calibrated to the VM execution engine.
+func (cfg ScenarioConfig) cost() core.CostModel {
+	if cfg.Cost != nil {
+		return cfg.Cost
 	}
-	return &ScenarioWorld{
-		Workload:   wl,
-		Deployment: dep,
-		Strategy:   &scheduler.IVQPStrategy{Planner: planner, Catalog: view, Horizon: cfg.PlannerHorizon},
-		Cost:       cost,
-	}, nil
+	return ScenarioCostFor(costmodel.VMProcessScale)
+}
+
+// strategy plans with IVQP over the catalog, seen through the workload's
+// outage overlay when it has outages.
+func (cfg ScenarioConfig) strategy(catalog *federation.Catalog, wl *synth.Workload) (*scheduler.IVQPStrategy, error) {
+	planner, err := core.NewPlanner(cfg.cost(), core.PlannerConfig{Rates: cfg.Rates, Horizon: cfg.PlannerHorizon})
+	if err != nil {
+		return nil, err
+	}
+	var view scheduler.CatalogView = catalog
+	if len(wl.Outages) > 0 {
+		view = OutageView{Inner: catalog, Workload: wl}
+	}
+	return &scheduler.IVQPStrategy{Planner: planner, Catalog: view, Horizon: cfg.PlannerHorizon}, nil
+}
+
+// engine is the matrix's engine policy around a strategy. Plan failures
+// are dropped, not fatal (the live contract): outage windows make some
+// queries unplannable. The standalone run and every cluster shard mount
+// exactly this configuration.
+func (cfg ScenarioConfig) engine(strategy scheduler.Strategy) scheduler.EngineConfig {
+	return scheduler.EngineConfig{
+		Strategy: strategy,
+		Rates:    cfg.Rates,
+		Slots:    cfg.Slots,
+		Aging:    cfg.Aging,
+		MaxQueue: cfg.MaxQueue,
+	}
 }
 
 // RunScenario replays the scenario through the shared scheduling engine
@@ -176,74 +195,31 @@ func BuildScenarioWorld(cfg ScenarioConfig) (*ScenarioWorld, error) {
 // candidate needs a downed base); those are dropped with Outcome.Err —
 // the live contract — and counted, not fatal.
 func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
-	var res ScenarioResult
 	world, err := BuildScenarioWorld(cfg)
 	if err != nil {
-		return res, err
+		return ScenarioResult{}, err
 	}
-	s := sim.New()
-	clock := scheduler.SimClock{Sim: s}
-	eng, err := scheduler.NewEngine(scheduler.EngineConfig{
-		Clock:           clock,
-		Executor:        scheduler.PlanExecutor{Clock: clock, Rates: cfg.Rates},
-		Strategy:        world.Strategy,
-		Rates:           cfg.Rates,
-		Slots:           cfg.Slots,
-		Aging:           cfg.Aging,
-		MaxQueue:        cfg.MaxQueue,
-		HaltOnPlanError: false,
-		RecordOutcomes:  true,
-	})
+	outcomes, refused, err := replay(cfg.engine(world.Strategy), cfg.Epsilon, world.Workload.Queries)
 	if err != nil {
-		return res, err
+		return ScenarioResult{}, err
 	}
-	eng.SetEpsilon(cfg.Epsilon)
-	refused := 0
-	for _, q := range world.Workload.Queries {
-		q := q
-		s.ScheduleAt(q.SubmitAt, func() {
-			if !eng.Submit(q, nil) {
-				refused++
-			}
-		})
-	}
-	s.Run()
-	if err := eng.Err(); err != nil {
-		return res, err
-	}
-	if p := eng.Pending(); p != 0 {
-		return res, fmt.Errorf("bench: scenario %s left %d queries pending", cfg.Scenario.Name, p)
-	}
+	return scenarioRow(cfg.Scenario, world.Workload, refused, outcomes), nil
+}
 
-	sc := cfg.Scenario
+// scenarioRow is the matrix row of one replayed workload: the outcome
+// summary (arrivals refused at a full queue count as shed) under the
+// scenario's identity and outage accounting. The cluster bench builds its
+// rows here too, so a cluster row can never lack a field the standalone
+// row carries.
+func scenarioRow(sc synth.Scenario, wl *synth.Workload, refused int, perEngine ...[]scheduler.Outcome) ScenarioResult {
+	res := summarize(perEngine...)
 	res.Name = sc.Name
 	res.Seed = sc.Seed
-	res.Queries = len(world.Workload.Queries)
-	res.Shed = eng.Shed() + refused
-	res.OutageCount = len(world.Workload.Outages)
-	res.OutageMinutes = world.Workload.OutageMinutes()
-	var cls, sls, ivs []float64
-	for _, o := range eng.Outcomes() {
-		switch {
-		case o.Err != nil:
-			res.Unplannable++
-		case o.Expired:
-		default:
-			cls = append(cls, o.Latencies.CL)
-			sls = append(sls, o.Latencies.SL)
-			ivs = append(ivs, o.Value)
-			res.TotalIV += o.Value
-		}
-	}
-	res.Completed = len(ivs)
-	if len(ivs) > 0 {
-		res.MeanIV = stats.Mean(ivs)
-		res.MeanCL = stats.Mean(cls)
-		res.P95CL = stats.Percentile(cls, 95)
-		res.MeanSL = stats.Mean(sls)
-		res.P95SL = stats.Percentile(sls, 95)
-	}
-	return res, nil
+	res.Queries = len(wl.Queries)
+	res.Shed += refused
+	res.OutageCount = len(wl.Outages)
+	res.OutageMinutes = wl.OutageMinutes()
+	return res
 }
 
 // RunScenarios runs the given scenarios (quick variants if asked) with
@@ -275,14 +251,6 @@ func RunScenariosWithCost(scenarios []synth.Scenario, quick bool, seed int64, co
 		suite.Scenarios = append(suite.Scenarios, res)
 	}
 	return suite, nil
-}
-
-// WriteJSON emits the suite as indented JSON (one key per line, so text
-// tools can audit or tamper with individual fields in CI negative tests).
-func (r ScenarioSuiteResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // ReadScenarioSuite parses a suite artifact.

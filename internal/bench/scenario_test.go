@@ -63,7 +63,7 @@ func TestRunScenariosAllPresets(t *testing.T) {
 	}
 	// The artifact must round-trip, since the regression gate re-reads it.
 	var buf bytes.Buffer
-	if err := suite.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, suite); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadScenarioSuite(&buf)

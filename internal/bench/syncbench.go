@@ -3,9 +3,12 @@ package bench
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 
 	"ivdss/internal/core"
 	"ivdss/internal/metrics"
+	"ivdss/internal/relation"
 	"ivdss/internal/replication"
 	"ivdss/internal/replsync"
 	"ivdss/internal/scheduler"
@@ -80,13 +83,31 @@ func QuickSyncConfig() SyncConfig {
 	return cfg
 }
 
+// SyncTotals are the totals every sync-model variant reports: the value
+// the stream collected and the traffic the agent spent.
+type SyncTotals struct {
+	TotalIV      float64 `json:"total_iv"`
+	MeanSL       float64 `json:"mean_sl_minutes"`
+	Syncs        float64 `json:"syncs_total"`
+	SyncBytes    float64 `json:"sync_bytes_total"`
+	SyncDeferred float64 `json:"sync_deferred_total"`
+}
+
+// cells renders the totals as the leading cells of a variant's table row.
+func (t SyncTotals) cells(variant string) []string {
+	return []string{
+		variant,
+		f3(t.TotalIV),
+		f1(t.MeanSL),
+		fmt.Sprintf("%.0f", t.Syncs),
+		fmt.Sprintf("%.0f", t.SyncBytes),
+		fmt.Sprintf("%.0f", t.SyncDeferred),
+	}
+}
+
 // SyncVariant is one cadence policy's outcome.
 type SyncVariant struct {
-	TotalIV            float64 `json:"total_iv"`
-	MeanSL             float64 `json:"mean_sl_minutes"`
-	Syncs              float64 `json:"syncs_total"`
-	SyncBytes          float64 `json:"sync_bytes_total"`
-	SyncDeferred       float64 `json:"sync_deferred_total"`
+	SyncTotals
 	CadenceAdjustments float64 `json:"cadence_adjustments_total"`
 	// HotPeriod/ColdPeriod are the mean final periods of the hot and cold
 	// table groups — the cadence the controller converged to.
@@ -102,27 +123,61 @@ type SyncResult struct {
 	GainPct float64 `json:"gain_pct"`
 }
 
-// syncModelFetcher prices sync payloads from a per-table append model
-// without materializing rows: version grows RowsPerMin per minute from
-// BaseRows, a snapshot ships every row, a delta ships the suffix.
-type syncModelFetcher struct {
+// modelFetcher prices sync payloads from a per-table append model without
+// materializing rows: versions grow RowsPerMin per minute from BaseRows.
+// A replica unit's snapshot ships every row and its delta the append
+// suffix; a view unit ships the same suffix filtered by the view's
+// selectivity and projected to its column fraction. Versions always count
+// base rows, so both kinds share one cursor space — exactly the live wire
+// contract.
+type modelFetcher struct {
 	clock scheduler.Clock
-	cfg   SyncConfig
+	syncModel
 }
 
-func (f syncModelFetcher) version() uint64 {
+func (f modelFetcher) version() uint64 {
 	return f.cfg.BaseRows + uint64(f.cfg.RowsPerMin*float64(f.clock.Now()))
 }
 
-func (f syncModelFetcher) Snapshot(context.Context, core.TableID) (replsync.Snapshot, error) {
+// passed is the cumulative count of rows passing the view predicate among
+// the first v base rows — a deterministic floor so successive deltas sum
+// exactly to the snapshot.
+func (f modelFetcher) passed(v uint64) uint64 {
+	return uint64(math.Floor(f.selectivity * float64(v)))
+}
+
+func (f modelFetcher) viewRowBytes() int64 {
+	b := int64(math.Round(f.columnFraction * float64(f.cfg.RowBytes)))
+	if b < 1 {
+		b = 1
+	}
+	return b
+}
+
+func (f modelFetcher) Snapshot(_ context.Context, id core.TableID) (replsync.Snapshot, error) {
 	v := f.version()
+	if _, isView := core.ViewOfUnit(id); isView {
+		return replsync.Snapshot{
+			Table:   relation.NewTable(string(id), relation.Schema{}),
+			Version: v,
+			Bytes:   int64(f.passed(v)) * f.viewRowBytes(),
+		}, nil
+	}
 	return replsync.Snapshot{Version: v, Bytes: int64(v) * f.cfg.RowBytes}, nil
 }
 
-func (f syncModelFetcher) Delta(_ context.Context, _ core.TableID, cursor uint64) (replsync.Delta, error) {
+func (f modelFetcher) Delta(_ context.Context, id core.TableID, cursor uint64) (replsync.Delta, error) {
 	v := f.version()
 	if cursor > v {
 		return replsync.Delta{Resync: true}, nil
+	}
+	if _, isView := core.ViewOfUnit(id); isView {
+		rows := f.passed(v) - f.passed(cursor)
+		return replsync.Delta{
+			Rows:    make([]relation.Row, rows),
+			Version: v,
+			Bytes:   int64(rows) * f.viewRowBytes(),
+		}, nil
 	}
 	return replsync.Delta{Version: v, Bytes: int64(v-cursor) * f.cfg.RowBytes}, nil
 }
@@ -139,12 +194,6 @@ func (nopApplier) Drop(core.TableID)                                            
 // static uniform cadence and the adaptive controller.
 func RunSync(cfg SyncConfig) (SyncResult, error) {
 	var res SyncResult
-	if cfg.Tables < 2 || cfg.HotTables < 1 || cfg.HotTables >= cfg.Tables {
-		return res, fmt.Errorf("bench: need at least one hot and one cold table, got %d/%d", cfg.HotTables, cfg.Tables)
-	}
-	if cfg.HotFraction <= 0 || cfg.HotFraction >= 1 {
-		return res, fmt.Errorf("bench: hot fraction %v outside (0, 1)", cfg.HotFraction)
-	}
 	st, err := runSyncVariant(cfg, false)
 	if err != nil {
 		return res, err
@@ -160,37 +209,97 @@ func RunSync(cfg SyncConfig) (SyncResult, error) {
 	return res, nil
 }
 
+func runSyncVariant(cfg SyncConfig, adaptive bool) (SyncVariant, error) {
+	run, err := syncModel{
+		cfg:    cfg,
+		unitCL: func(core.TableID) core.Duration { return cfg.ProcessCL },
+		tune: func(c *replsync.Config) {
+			c.Adaptive = adaptive
+			c.AdjustEvery = cfg.AdjustEvery
+			c.MinPeriod = cfg.Period / 8
+			c.MaxPeriod = cfg.Period * 8
+		},
+	}.run()
+	return SyncVariant{
+		SyncTotals:         run.SyncTotals,
+		CadenceAdjustments: run.metrics["cadence_adjustments_total"],
+		HotPeriod:          run.hotPeriod,
+		ColdPeriod:         run.coldPeriod,
+	}, err
+}
+
 func syncTableID(i int) core.TableID {
 	return core.TableID(fmt.Sprintf("t%02d", i))
 }
 
-func runSyncVariant(cfg SyncConfig, adaptive bool) (SyncVariant, error) {
-	var out SyncVariant
+// syncModel is the stochastic periodic-update world -fig sync and -fig ivm
+// share: a replsync agent on the DES clock over cfg.Tables sync units, a
+// model fetcher pricing their payloads, and a Poisson stream whose every
+// arrival reads one unit — a hot one with probability HotFraction — and is
+// scored by the staleness it finds there.
+type syncModel struct {
+	cfg SyncConfig
+	// units names the sync unit per table index; nil means plain replicas.
+	units []core.TableID
+	// selectivity is the fraction of appended rows a view unit's predicate
+	// passes, columnFraction the fraction of each row's bytes it keeps;
+	// replica units ignore both.
+	selectivity, columnFraction float64
+	// tune adjusts the agent configuration (nil leaves the static cadence).
+	tune func(*replsync.Config)
+	// unitCL is the computational latency of a report served from a unit.
+	unitCL func(core.TableID) core.Duration
+}
+
+// syncRun is what one replay of the model yields: the totals, the agent's
+// flattened metrics, and the mean final periods of the hot and cold units.
+type syncRun struct {
+	SyncTotals
+	metrics               map[string]float64
+	hotPeriod, coldPeriod float64
+}
+
+// run replays the stream against the agent.
+func (m syncModel) run() (syncRun, error) {
+	var out syncRun
+	cfg := m.cfg
+	if cfg.Tables < 2 || cfg.HotTables < 1 || cfg.HotTables >= cfg.Tables {
+		return out, fmt.Errorf("bench: need at least one hot and one cold table, got %d/%d", cfg.HotTables, cfg.Tables)
+	}
+	if cfg.HotFraction <= 0 || cfg.HotFraction >= 1 {
+		return out, fmt.Errorf("bench: hot fraction %v outside (0, 1)", cfg.HotFraction)
+	}
+	units := m.units
+	if units == nil {
+		units = make([]core.TableID, cfg.Tables)
+		for i := range units {
+			units[i] = syncTableID(i)
+		}
+	}
 	s := sim.New()
 	clock := scheduler.SimClock{Sim: s}
 	mgr := replication.NewManager()
-	tables := make([]replsync.TableConfig, cfg.Tables)
-	for i := range tables {
-		id := syncTableID(i)
+	tables := make([]replsync.TableConfig, len(units))
+	for i, id := range units {
 		tables[i] = replsync.TableConfig{ID: id, Period: cfg.Period}
 		if err := mgr.Register(id, replication.Schedule{}); err != nil {
 			return out, err
 		}
 	}
 	reg := metrics.NewRegistry()
-	agent, err := replsync.New(replsync.Config{
-		Clock:       clock,
-		Fetch:       syncModelFetcher{clock: clock, cfg: cfg},
-		Apply:       nopApplier{},
-		Manager:     mgr,
-		Tables:      tables,
-		Budget:      cfg.Budget,
-		Adaptive:    adaptive,
-		AdjustEvery: cfg.AdjustEvery,
-		MinPeriod:   cfg.Period / 8,
-		MaxPeriod:   cfg.Period * 8,
-		Stats:       reg,
-	})
+	acfg := replsync.Config{
+		Clock:   clock,
+		Fetch:   modelFetcher{clock: clock, syncModel: m},
+		Apply:   nopApplier{},
+		Manager: mgr,
+		Tables:  tables,
+		Budget:  cfg.Budget,
+		Stats:   reg,
+	}
+	if m.tune != nil {
+		m.tune(&acfg)
+	}
+	agent, err := replsync.New(acfg)
 	if err != nil {
 		return out, err
 	}
@@ -201,8 +310,8 @@ func runSyncVariant(cfg SyncConfig, adaptive bool) (SyncVariant, error) {
 	}
 	agent.Start()
 
-	// The skewed stream: identical arrivals and table choices in both
-	// variants (seeded independently of the sync engine's behaviour).
+	// The skewed stream: identical arrivals and table choices in every
+	// variant (seeded independently of the sync engine's behaviour).
 	src := stats.NewSource(cfg.Seed)
 	arrivals := make([]core.Time, cfg.NQueries)
 	targets := make([]core.TableID, cfg.NQueries)
@@ -211,30 +320,30 @@ func runSyncVariant(cfg SyncConfig, adaptive bool) (SyncVariant, error) {
 		at += src.Expo(float64(cfg.QueryMean))
 		arrivals[i] = at
 		if src.Float64() < cfg.HotFraction {
-			targets[i] = syncTableID(src.Intn(cfg.HotTables))
+			targets[i] = units[src.Intn(cfg.HotTables)]
 		} else {
-			targets[i] = syncTableID(cfg.HotTables + src.Intn(cfg.Tables-cfg.HotTables))
+			targets[i] = units[cfg.HotTables+src.Intn(cfg.Tables-cfg.HotTables)]
 		}
 	}
 
 	var sls []float64
 	for i := range arrivals {
-		i := i
 		s.ScheduleAt(arrivals[i], func() {
 			now := s.Now()
-			id := targets[i]
-			sl, ok := mgr.Staleness(id, now)
+			unit := targets[i]
+			sl, ok := mgr.Staleness(unit, now)
 			if !ok {
 				sl = now
 			}
 			// The report's SL also includes its own processing time: the
 			// replica ages while the query runs.
-			lat := core.Latencies{CL: cfg.ProcessCL, SL: sl + cfg.ProcessCL}
+			cl := m.unitCL(unit)
+			lat := core.Latencies{CL: cl, SL: sl + cl}
 			value := core.InformationValue(1, lat, cfg.Rates)
 			out.TotalIV += value
 			sls = append(sls, lat.SL)
 			fresh := core.InformationValue(1, core.Latencies{CL: lat.CL}, cfg.Rates)
-			agent.ObserveLoss([]core.TableID{id}, fresh-value)
+			agent.ObserveLoss([]core.TableID{unit}, fresh-value)
 		})
 	}
 	// The periodic cycles re-arm forever; bound the run at the stream's end.
@@ -242,47 +351,29 @@ func runSyncVariant(cfg SyncConfig, adaptive bool) (SyncVariant, error) {
 	agent.Stop()
 
 	if len(sls) != cfg.NQueries {
-		return out, fmt.Errorf("bench: sync variant scored %d of %d queries", len(sls), cfg.NQueries)
+		return out, fmt.Errorf("bench: sync model scored %d of %d queries", len(sls), cfg.NQueries)
 	}
 	out.MeanSL = stats.Mean(sls)
-	flat := reg.Flatten()
-	out.Syncs = flat["syncs_total"]
-	out.SyncBytes = flat["sync_bytes_total"]
-	out.SyncDeferred = flat["sync_deferred_total"]
-	out.CadenceAdjustments = flat["cadence_adjustments_total"]
-	var hotP, coldP float64
+	out.metrics = reg.Flatten()
+	out.Syncs = out.metrics["syncs_total"]
+	out.SyncBytes = out.metrics["sync_bytes_total"]
+	out.SyncDeferred = out.metrics["sync_deferred_total"]
 	for _, st := range agent.Status() {
-		isHot := false
-		for i := 0; i < cfg.HotTables; i++ {
-			if st.Table == syncTableID(i) {
-				isHot = true
-			}
-		}
-		if isHot {
-			hotP += st.Period
+		if slices.Contains(units[:cfg.HotTables], st.Table) {
+			out.hotPeriod += st.Period
 		} else {
-			coldP += st.Period
+			out.coldPeriod += st.Period
 		}
 	}
-	out.HotPeriod = hotP / float64(cfg.HotTables)
-	out.ColdPeriod = coldP / float64(cfg.Tables-cfg.HotTables)
+	out.hotPeriod /= float64(cfg.HotTables)
+	out.coldPeriod /= float64(cfg.Tables - cfg.HotTables)
 	return out, nil
 }
 
 // Tables renders the experiment as a summary table.
 func (r SyncResult) Tables() []Table {
 	row := func(name string, v SyncVariant) []string {
-		return []string{
-			name,
-			f3(v.TotalIV),
-			f1(v.MeanSL),
-			fmt.Sprintf("%.0f", v.Syncs),
-			fmt.Sprintf("%.0f", v.SyncBytes),
-			fmt.Sprintf("%.0f", v.SyncDeferred),
-			fmt.Sprintf("%.0f", v.CadenceAdjustments),
-			f1(v.HotPeriod),
-			f1(v.ColdPeriod),
-		}
+		return append(v.cells(name), fmt.Sprintf("%.0f", v.CadenceAdjustments), f1(v.HotPeriod), f1(v.ColdPeriod))
 	}
 	return []Table{{
 		Title:   "Sync cadence: static uniform vs IV-adaptive (skewed workload)",

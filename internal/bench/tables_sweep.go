@@ -75,23 +75,23 @@ func RunTablesSweep(cfg TablesSweepConfig) (TablesSweepResult, error) {
 			return res, err
 		}
 		horizon := queries[len(queries)-1].SubmitAt + core.Time(cfg.NQueries)*cfg.QueryMean*4 + 1000
-		dep, err := buildSharedDeployment(tables, cfg.Sites, n/2, cfg.SyncMean, horizon, false, cfg.Seed)
+		dep, err := BuildDeployment(DeployConfig{
+			Tables:          tables,
+			Sites:           cfg.Sites,
+			ReplicaCount:    n / 2,
+			SyncMean:        cfg.SyncMean,
+			ScheduleHorizon: horizon,
+			InitialSync:     true,
+			Seed:            cfg.Seed,
+		})
 		if err != nil {
 			return res, err
 		}
-		point := TablesSweepPoint{Tables: n, Values: make(map[Method]float64, 3)}
-		for _, m := range Methods() {
-			strategy, err := dep.Strategy(m, cost, cfg.Rates, cfg.PlannerHorizon)
-			if err != nil {
-				return res, err
-			}
-			outcomes, err := RunStream(dep, strategy, queries, cfg.Rates, cfg.Slots, core.Aging{})
-			if err != nil {
-				return res, fmt.Errorf("bench: tables sweep n=%d %s: %w", n, m, err)
-			}
-			point.Values[m] = MeanValue(outcomes)
+		means, err := dep.methodMeans(cost, cfg.Rates, cfg.PlannerHorizon, cfg.Slots, queries)
+		if err != nil {
+			return res, fmt.Errorf("bench: tables sweep n=%d %w", n, err)
 		}
-		res.Points = append(res.Points, point)
+		res.Points = append(res.Points, TablesSweepPoint{Tables: n, Values: means})
 	}
 	return res, nil
 }

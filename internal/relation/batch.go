@@ -143,38 +143,3 @@ func (c *ColTable) ToTable() *Table {
 	}
 	return out
 }
-
-// AppendRowFrom appends src's i-th row (src must share c's column types
-// positionally).
-func (c *ColTable) AppendRowFrom(src *ColTable, i int) {
-	for ci := range c.Cols {
-		c.Cols[ci].AppendFrom(&src.Cols[ci], i)
-	}
-	c.N++
-}
-
-// GatherInto appends the rows of src at positions base+sel[j] for every
-// selection entry, column by column — the batch-filter output path.
-func (c *ColTable) GatherInto(src *ColTable, base int, sel []int32) {
-	for ci := range c.Cols {
-		dst, sc := &c.Cols[ci], &src.Cols[ci]
-		switch dst.T {
-		case Int, Date:
-			in := sc.Ints[base:]
-			for _, j := range sel {
-				dst.Ints = append(dst.Ints, in[j])
-			}
-		case Float:
-			in := sc.Floats[base:]
-			for _, j := range sel {
-				dst.Floats = append(dst.Floats, in[j])
-			}
-		case Str:
-			in := sc.Strs[base:]
-			for _, j := range sel {
-				dst.Strs = append(dst.Strs, in[j])
-			}
-		}
-	}
-	c.N += len(sel)
-}

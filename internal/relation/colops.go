@@ -24,34 +24,55 @@ func (t *colTicker) tick() error {
 	return nil
 }
 
-// appendColKey appends the composite key bytes for row i over the given
-// columns — byte-identical to the row-major joinKey, so columnar and
+// ColRef reads one column through an optional row-id vector: position i
+// is V[Rows[i]], or V[i] when Rows is nil. It is how late-materializing
+// callers (sqlmini's working relation) hand key columns to the operators
+// below without first gathering them.
+type ColRef struct {
+	V    *Vector
+	Rows []int32
+}
+
+// Refs returns identity ColRefs for the given column positions of t.
+func (c *ColTable) Refs(cols []int) []ColRef {
+	refs := make([]ColRef, len(cols))
+	for i, ci := range cols {
+		refs[i].V = &c.Cols[ci]
+	}
+	return refs
+}
+
+// appendColKey appends the composite key bytes for position i over the
+// given columns — byte-identical to the row-major joinKey, so columnar and
 // row-major operators group and join identically (numerically equal
 // Int/Float cells share a key, Dates stay distinct from numbers).
-func appendColKey(b []byte, t *ColTable, i int, cols []int) []byte {
-	for _, c := range cols {
-		v := &t.Cols[c]
+func appendColKey(b []byte, keys []ColRef, i int) []byte {
+	for _, k := range keys {
+		v, r := k.V, i
+		if k.Rows != nil {
+			r = int(k.Rows[i])
+		}
 		switch v.T {
 		case Int:
-			bits := math.Float64bits(float64(v.Ints[i]))
+			bits := math.Float64bits(float64(v.Ints[r]))
 			b = append(b, 'n')
 			for shift := 56; shift >= 0; shift -= 8 {
 				b = append(b, byte(bits>>shift))
 			}
 		case Float:
-			bits := math.Float64bits(v.Floats[i])
+			bits := math.Float64bits(v.Floats[r])
 			b = append(b, 'n')
 			for shift := 56; shift >= 0; shift -= 8 {
 				b = append(b, byte(bits>>shift))
 			}
 		case Date:
 			b = append(b, 'd')
-			u := uint64(v.Ints[i])
+			u := uint64(v.Ints[r])
 			for shift := 56; shift >= 0; shift -= 8 {
 				b = append(b, byte(u>>shift))
 			}
 		case Str:
-			s := v.Strs[i]
+			s := v.Strs[r]
 			b = append(b, 's')
 			n := uint64(len(s))
 			for shift := 56; shift >= 0; shift -= 8 {
@@ -65,8 +86,8 @@ func appendColKey(b []byte, t *ColTable, i int, cols []int) []byte {
 	return b
 }
 
-// JoinIndex is a reusable hash-join build: key bytes to row positions of
-// the indexed (build-side) table. Because it depends only on the build
+// JoinIndex is a reusable hash-join build: key bytes to positions of the
+// indexed (build-side) input. Because it depends only on the build
 // input's vectors and key positions, a micro-batch workload that joins
 // the same replica snapshot repeatedly can build it once and reuse it
 // (sqlmini's ExecCache does exactly that).
@@ -75,146 +96,69 @@ type JoinIndex struct {
 	groups map[string][]int32
 }
 
-// BuildJoinIndex indexes t's rows by the key columns.
-func BuildJoinIndex(ctx context.Context, t *ColTable, keys []int) (*JoinIndex, error) {
-	idx := &JoinIndex{N: t.N, groups: make(map[string][]int32, t.N)}
+// BuildJoinIndex indexes the n positions of the build input by its key
+// columns.
+func BuildJoinIndex(ctx context.Context, keys []ColRef, n int) (*JoinIndex, error) {
+	idx := &JoinIndex{N: n, groups: make(map[string][]int32, n)}
 	tk := colTicker{ctx: ctx}
 	var buf []byte
-	for i := 0; i < t.N; i++ {
+	for i := 0; i < n; i++ {
 		if err := tk.tick(); err != nil {
 			return nil, err
 		}
-		buf = appendColKey(buf[:0], t, i, keys)
+		buf = appendColKey(buf[:0], keys, i)
 		idx.groups[string(buf)] = append(idx.groups[string(buf)], int32(i))
 	}
 	return idx, nil
 }
 
-// ColHashJoinContext equijoins l and r in columnar form with the same
-// semantics as the row-major HashJoinContext: build on the smaller input
-// (left on ties), probe in input order, matches emitted in build insertion
-// order, output columns l's then r's.
-func ColHashJoinContext(ctx context.Context, l, r *ColTable, lk, rk []int) (*ColTable, error) {
-	buildLeft := r.N >= l.N
-	var idx *JoinIndex
-	var err error
-	if buildLeft {
-		idx, err = BuildJoinIndex(ctx, l, lk)
-	} else {
-		idx, err = BuildJoinIndex(ctx, r, rk)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return ColHashJoinIndexed(ctx, l, r, lk, rk, buildLeft, idx)
-}
-
-// ColHashJoinIndexed is ColHashJoinContext with the build side chosen by
-// the caller and its index possibly prebuilt (idx indexes l when
-// buildLeft, r otherwise). Callers must pick the side by the same
-// smaller-input rule to keep output order identical to the row-major
-// operator.
-func ColHashJoinIndexed(ctx context.Context, l, r *ColTable, lk, rk []int, buildLeft bool, idx *JoinIndex) (*ColTable, error) {
-	if len(lk) != len(rk) || len(lk) == 0 {
-		return nil, fmt.Errorf("relation: hash join needs matching non-empty key lists, got %d and %d", len(lk), len(rk))
-	}
-	for _, c := range lk {
-		if c < 0 || c >= l.Schema.Arity() {
-			return nil, fmt.Errorf("relation: join key %d out of range for %s", c, l.Name)
-		}
-	}
-	for _, c := range rk {
-		if c < 0 || c >= r.Schema.Arity() {
-			return nil, fmt.Errorf("relation: join key %d out of range for %s", c, r.Name)
-		}
-	}
-
-	probe, pk := r, rk
-	if !buildLeft {
-		probe, pk = l, lk
-	}
-
-	// Collect the matching (left row, right row) pairs first, then gather
-	// per column in typed loops: the pair lists are two int32 slices, far
-	// cheaper than a row-at-a-time emit.
+// Probe looks the n positions of the probe input up by its key columns
+// and returns the matching (build position, probe position) pairs with
+// the semantics of the row-major HashJoinContext: probe in input order,
+// matches emitted in build insertion order. Callers pick the build side by
+// the same smaller-input rule (left on ties) to keep output order
+// identical to the row-major operator, and gather only the columns they
+// go on to read. The pair lists are never nil; they are sized for one
+// match per probe position, the foreign-key join's shape, so they seldom
+// regrow.
+func (idx *JoinIndex) Probe(ctx context.Context, keys []ColRef, n int) (build, probe []int32, err error) {
 	tk := colTicker{ctx: ctx}
 	tk.n = idx.N // index build already advanced the cadence
-	var lrows, rrows []int32
+	build, probe = make([]int32, 0, n), make([]int32, 0, n)
 	var buf []byte
-	for p := 0; p < probe.N; p++ {
+	for p := 0; p < n; p++ {
 		if err := tk.tick(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		buf = appendColKey(buf[:0], probe, p, pk)
+		buf = appendColKey(buf[:0], keys, p)
 		for _, b := range idx.groups[string(buf)] {
 			if err := tk.tick(); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			if buildLeft {
-				lrows = append(lrows, b)
-				rrows = append(rrows, int32(p))
-			} else {
-				lrows = append(lrows, int32(p))
-				rrows = append(rrows, b)
-			}
+			build = append(build, b)
+			probe = append(probe, int32(p))
 		}
 	}
-
-	outSchema := Schema{Cols: make([]Column, 0, l.Schema.Arity()+r.Schema.Arity())}
-	outSchema.Cols = append(outSchema.Cols, l.Schema.Cols...)
-	outSchema.Cols = append(outSchema.Cols, r.Schema.Cols...)
-	out := NewColTable(l.Name+"⨝"+r.Name, outSchema, len(lrows))
-	gatherCols(out.Cols[:l.Schema.Arity()], l, lrows)
-	gatherCols(out.Cols[l.Schema.Arity():], r, rrows)
-	out.N = len(lrows)
-	return out, nil
+	return build, probe, nil
 }
 
-func gatherCols(dst []Vector, src *ColTable, rows []int32) {
-	for ci := range dst {
-		d, s := &dst[ci], &src.Cols[ci]
-		switch d.T {
-		case Int, Date:
-			for _, i := range rows {
-				d.Ints = append(d.Ints, s.Ints[i])
-			}
-		case Float:
-			for _, i := range rows {
-				d.Floats = append(d.Floats, s.Floats[i])
-			}
-		case Str:
-			for _, i := range rows {
-				d.Strs = append(d.Strs, s.Strs[i])
-			}
-		}
-	}
-}
-
-// ColCrossJoinContext is the columnar cross product, emitting rows in the
-// same left-major order as the row-major crossJoin. The caller guards
-// against blow-up before calling.
-func ColCrossJoinContext(ctx context.Context, l, r *ColTable) (*ColTable, error) {
-	outSchema := Schema{Cols: make([]Column, 0, l.Schema.Arity()+r.Schema.Arity())}
-	outSchema.Cols = append(outSchema.Cols, l.Schema.Cols...)
-	outSchema.Cols = append(outSchema.Cols, r.Schema.Cols...)
-	total := l.N * r.N
-	out := NewColTable(l.Name+"×"+r.Name, outSchema, total)
+// CrossPairs enumerates the (left, right) position pairs of an ln × rn
+// cross product in the same left-major order as the row-major crossJoin.
+// The caller guards against blow-up before calling.
+func CrossPairs(ctx context.Context, ln, rn int) (l, r []int32, err error) {
 	tk := colTicker{ctx: ctx}
-	lrows := make([]int32, 0, total)
-	rrows := make([]int32, 0, total)
-	for li := 0; li < l.N; li++ {
-		for ri := 0; ri < r.N; ri++ {
+	l = make([]int32, 0, ln*rn)
+	r = make([]int32, 0, ln*rn)
+	for li := 0; li < ln; li++ {
+		for ri := 0; ri < rn; ri++ {
 			if err := tk.tick(); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			lrows = append(lrows, int32(li))
-			rrows = append(rrows, int32(ri))
+			l = append(l, int32(li))
+			r = append(r, int32(ri))
 		}
 	}
-	gatherCols(out.Cols[:l.Schema.Arity()], l, lrows)
-	gatherCols(out.Cols[l.Schema.Arity():], r, rrows)
-	out.N = total
-	return out, nil
+	return l, r, nil
 }
 
 // ColAggregateContext groups t by the groupBy columns and computes the
@@ -255,11 +199,12 @@ func ColAggregateContext(ctx context.Context, t *ColTable, groupBy []int, aggs [
 	gids := make([]int32, t.N)
 	var firstRow []int32
 	var buf []byte
+	keys := t.Refs(groupBy)
 	for i := 0; i < t.N; i++ {
 		if err := tk.tick(); err != nil {
 			return nil, err
 		}
-		buf = appendColKey(buf[:0], t, i, groupBy)
+		buf = appendColKey(buf[:0], keys, i)
 		id, ok := ids[string(buf)]
 		if !ok {
 			id = int32(len(firstRow))

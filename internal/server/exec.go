@@ -223,6 +223,15 @@ func (s *DSSServer) executePlan(ctx context.Context, stmt *sqlmini.SelectStmt, p
 	cat := make(sqlmini.MapCatalog, len(plan.Access))
 	oldest := math.Inf(1)
 	degraded := false
+	// A fetched table is one-shot: its pointer never reaches the executor
+	// again, so evict what running over it cached. Replica snapshots stay
+	// cached until the next sync swaps them.
+	var fetched []*relation.Table
+	defer func() {
+		for _, t := range fetched {
+			s.execOpts.Cache.Forget(t)
+		}
+	}()
 	for _, a := range plan.Access {
 		switch a.Kind {
 		case core.AccessReplica:
@@ -278,6 +287,7 @@ func (s *DSSServer) executePlan(ctx context.Context, stmt *sqlmini.SelectStmt, p
 			result := resp.Result
 			result.Name = string(a.Table)
 			cat.Add(string(a.Table), result)
+			fetched = append(fetched, result)
 			oldest = math.Min(oldest, fetchedAt)
 		case core.AccessView:
 			// A view materializes a whole answer; the bypass above is the

@@ -113,8 +113,15 @@ func (ap replicaApplier) ApplySnapshot(id core.TableID, snap replsync.Snapshot, 
 	snap.Table.Name = string(id)
 	s := ap.s
 	s.mu.Lock()
+	old := s.replicas[id].table
 	s.replicas[id] = replicaSnapshot{table: snap.Table, syncedAt: at}
 	s.mu.Unlock()
+	// The executor's cache is keyed by table pointer and the swapped-out
+	// copy will not be handed to a new query again, so evict what was
+	// cached for it (here, on a delta's copy-on-write swap, and on Drop).
+	// A query still in flight over it merely re-caches it until the cache
+	// next cycles.
+	s.execOpts.Cache.Forget(old)
 	s.stats.Counter("replica_syncs_total").Inc()
 	return nil
 }
@@ -143,6 +150,7 @@ func (ap replicaApplier) ApplyDelta(id core.TableID, delta replsync.Delta, at co
 			}
 		}
 		s.replicas[id] = replicaSnapshot{table: next, syncedAt: at}
+		s.execOpts.Cache.Forget(cur.table)
 	}
 	s.stats.Counter("replica_syncs_total").Inc()
 	return nil
@@ -155,8 +163,10 @@ func (ap replicaApplier) Drop(id core.TableID) {
 	}
 	s := ap.s
 	s.mu.Lock()
+	old := s.replicas[id].table
 	delete(s.replicas, id)
 	s.mu.Unlock()
+	s.execOpts.Cache.Forget(old)
 }
 
 // recentQueries is the sliding window of executed queries the placement

@@ -1,0 +1,107 @@
+package sqlmini_test
+
+import (
+	"context"
+	"runtime"
+	"testing"
+
+	"ivdss/internal/sqlmini"
+	"ivdss/internal/tpch"
+)
+
+// tpchPrepared compiles the 22 TPC-H templates over a scale-1 catalog and
+// warms one shared ExecCache, the micro-batch steady state.
+func tpchPrepared(tb testing.TB) (sqlmini.MapCatalog, *sqlmini.ExecCache, []tpch.Query, []*sqlmini.Prepared) {
+	tb.Helper()
+	tables, err := tpch.Generate(tpch.Config{Scale: 1, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cat := sqlmini.MapCatalog(tables)
+	cache := sqlmini.NewExecCache()
+	queries := tpch.Queries()
+	preps := make([]*sqlmini.Prepared, len(queries))
+	for i, q := range queries {
+		stmt, err := sqlmini.Parse(q.SQL)
+		if err != nil {
+			tb.Fatalf("%s: %v", q.ID, err)
+		}
+		if preps[i], err = sqlmini.Prepare(stmt, cat); err != nil {
+			tb.Fatalf("%s: %v", q.ID, err)
+		}
+		if _, err := preps[i].ExecuteContext(context.Background(), cat, cache); err != nil {
+			tb.Fatalf("%s: %v", q.ID, err)
+		}
+	}
+	return cat, cache, queries, preps
+}
+
+// preChangeAllocBytes is what one warm execution of each template
+// allocated (MemStats.TotalAlloc delta, scale 1, seed 1) while the VM
+// still widened a ColTable at every join and filter.
+var preChangeAllocBytes = map[string]uint64{
+	"Q1":  3_947_624,
+	"Q2":  1_013_232,
+	"Q3":  2_594_504,
+	"Q4":  1_650_720,
+	"Q5":  3_015_712,
+	"Q6":  208_384,
+	"Q7":  11_029_744,
+	"Q8":  19_437_600,
+	"Q9":  12_701_232,
+	"Q10": 4_837_312,
+	"Q11": 410_064,
+	"Q12": 1_734_072,
+	"Q13": 1_028_248,
+	"Q14": 1_857_104,
+	"Q15": 1_661_960,
+	"Q16": 866_440,
+	"Q17": 1_898_688,
+	"Q18": 9_690_296,
+	"Q19": 2_598_336,
+	"Q20": 558_128,
+	"Q21": 5_470_064,
+	"Q22": 105_216,
+}
+
+// TestVMAllocBudget guards late materialization: the 22 templates together
+// must allocate at most 40 % of what the eager representation did. Bytes
+// allocated are all but deterministic, so this needs no timing slack.
+func TestVMAllocBudget(t *testing.T) {
+	cat, cache, queries, preps := tpchPrepared(t)
+	var total, before uint64
+	var ms runtime.MemStats
+	for i, q := range queries {
+		runtime.ReadMemStats(&ms)
+		start := ms.TotalAlloc
+		if _, err := preps[i].ExecuteContext(context.Background(), cat, cache); err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		runtime.ReadMemStats(&ms)
+		got := ms.TotalAlloc - start
+		t.Logf("%-4s %9d B (pre-change %9d B)", q.ID, got, preChangeAllocBytes[q.ID])
+		total += got
+		before += preChangeAllocBytes[q.ID]
+	}
+	if budget := before * 40 / 100; total > budget {
+		t.Fatalf("22 templates allocate %d B per pass, budget %d B (40%% of the pre-change %d B)", total, budget, before)
+	}
+}
+
+// BenchmarkVMTemplates times and sizes one warm execution per template,
+// the per-layer twin of the ledger's sqlmini.exec_* counters.
+func BenchmarkVMTemplates(b *testing.B) {
+	cat, cache, queries, preps := tpchPrepared(b)
+	ctx := context.Background()
+	for i, q := range queries {
+		prep := preps[i]
+		b.Run(q.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := prep.ExecuteContext(ctx, cat, cache); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -32,7 +32,7 @@ import (
 type opcode uint8
 
 const (
-	opLoadCol opcode = iota // dst ← view of column aux
+	opLoadCol opcode = iota // dst ← view of column aux (gathered if behind row-ids)
 	opConst                 // dst ← broadcast consts[aux]
 	opI2F                   // dst.f ← float64(a.i) over sel
 	opAddI                  // dst.i ← a.i + b.i over sel
@@ -102,7 +102,7 @@ type prog struct {
 	pats   [][]string // pre-split LIKE patterns
 
 	dataTypes []relation.Type // per data register
-	dataView  []bool          // true: column view, rebound per batch; false: owned buffer
+	viewCol   []int           // column a view register rebinds to per batch; -1: owned buffer
 	nsel      int             // selection registers (0 is the input)
 
 	outs   []int // value outputs, in stage order
@@ -116,12 +116,17 @@ type compiler struct {
 	// constOf tracks which data registers hold a known constant, enabling
 	// compile-time date coercion of string literals.
 	constOf []int // index into consts, or -1
+	// loaded maps a column to the register already viewing it: programs
+	// are straight-line, so one load (one gather, behind row-ids) serves
+	// every later reference.
+	loaded map[int]int
 }
 
 func newCompiler(schema relation.Schema) *compiler {
 	return &compiler{
-		en: newEnv(schema),
-		p:  &prog{outSel: -1, nsel: 1},
+		en:     newEnv(schema),
+		p:      &prog{outSel: -1, nsel: 1},
+		loaded: make(map[int]int),
 	}
 }
 
@@ -148,15 +153,9 @@ func compileValueProg(schema relation.Schema, exprs []Expr) (*prog, []relation.T
 
 func (c *compiler) dataReg(t relation.Type) int {
 	c.p.dataTypes = append(c.p.dataTypes, t)
-	c.p.dataView = append(c.p.dataView, false)
+	c.p.viewCol = append(c.p.viewCol, -1)
 	c.constOf = append(c.constOf, -1)
 	return len(c.p.dataTypes) - 1
-}
-
-func (c *compiler) viewReg(t relation.Type) int {
-	r := c.dataReg(t)
-	c.p.dataView[r] = true
-	return r
 }
 
 func (c *compiler) selReg() int {
@@ -167,8 +166,12 @@ func (c *compiler) selReg() int {
 func (c *compiler) emit(in instr) { c.p.ins = append(c.p.ins, in) }
 
 func (c *compiler) loadCol(col int) int {
-	t := c.en.schema.Cols[col].Type
-	r := c.viewReg(t)
+	if r, ok := c.loaded[col]; ok {
+		return r
+	}
+	r := c.dataReg(c.en.schema.Cols[col].Type)
+	c.loaded[col] = r
+	c.p.viewCol[r] = col
 	c.emit(instr{op: opLoadCol, dst: uint16(r), aux: int32(col)})
 	return r
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -143,10 +144,13 @@ func NewExecCache() *ExecCache {
 	return &ExecCache{}
 }
 
-// columnar returns the cached columnar image of t, converting on miss.
-// Conversion runs outside the lock; concurrent misses may duplicate work
-// but never block each other on it.
+// columnar returns the cached columnar image of t, converting on miss
+// (always, on a nil cache). Conversion runs outside the lock; concurrent
+// misses may duplicate work but never block each other on it.
 func (c *ExecCache) columnar(t *relation.Table) (*relation.ColTable, error) {
+	if c == nil {
+		return relation.Columnar(t)
+	}
 	c.mu.Lock()
 	if ct, ok := c.cols[t]; ok && ct.N == len(t.Rows) {
 		c.mu.Unlock()
@@ -166,17 +170,21 @@ func (c *ExecCache) columnar(t *relation.Table) (*relation.ColTable, error) {
 	return ct, nil
 }
 
-// joinIndex returns the cached build index for t's columnar image ct over
-// the given key positions, building on miss.
-func (c *ExecCache) joinIndex(ctx context.Context, t *relation.Table, ct *relation.ColTable, keys []int) (*relation.JoinIndex, error) {
-	key := buildKey{t: t, sig: keySig(keys)}
+// joinIndex returns the cached build index over the n rows of t's columnar
+// image, keyed by the identity key columns keys (rendered as sig), building
+// on miss (always, on a nil cache).
+func (c *ExecCache) joinIndex(ctx context.Context, t *relation.Table, keys []relation.ColRef, n int, sig string) (*relation.JoinIndex, error) {
+	if c == nil {
+		return relation.BuildJoinIndex(ctx, keys, n)
+	}
+	key := buildKey{t: t, sig: sig}
 	c.mu.Lock()
-	if idx, ok := c.builds[key]; ok && idx.N == ct.N {
+	if idx, ok := c.builds[key]; ok && idx.N == n {
 		c.mu.Unlock()
 		return idx, nil
 	}
 	c.mu.Unlock()
-	idx, err := relation.BuildJoinIndex(ctx, ct, keys)
+	idx, err := relation.BuildJoinIndex(ctx, keys, n)
 	if err != nil {
 		return nil, err
 	}
@@ -189,13 +197,33 @@ func (c *ExecCache) joinIndex(ctx context.Context, t *relation.Table, ct *relati
 	return idx, nil
 }
 
+// Forget drops everything cached for t. Entries are keyed by pointer, so
+// a table its owner will never execute against again (a one-shot remote
+// fetch, unlike a replica snapshot) would otherwise stay pinned, together
+// with its columnar image and join builds, until the map fills.
+func (c *ExecCache) Forget(t *relation.Table) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.cols, t)
+	for k := range c.builds {
+		if k.t == t {
+			delete(c.builds, k)
+		}
+	}
+}
+
+// keySig renders key column positions ("3,7"); Prepare calls it once per
+// join step.
 func keySig(keys []int) string {
-	var b strings.Builder
+	var b []byte
 	for i, k := range keys {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", k)
+		b = strconv.AppendInt(b, int64(k), 10)
 	}
-	return b.String()
+	return string(b)
 }

@@ -41,6 +41,10 @@ func FuzzParse(f *testing.F) {
 		"SELECT a FROM t WHERE s",
 		"SELECT a + s FROM t",
 		"SELECT sum(a) FROM t HAVING sum(a) > 0",
+		// join-shaped seeds for the row-id paths: self-join aliases with a
+		// residual, and a cross join narrowed by WHERE
+		"SELECT x.a, y.s, u.a FROM t x JOIN t y ON x.a = y.a AND y.b < 1 JOIN u ON u.a = x.c - 1 WHERE x.s LIKE 'x%'",
+		"SELECT t.s, u.a / (t.c - 2) FROM t, u WHERE t.b > u.a ORDER BY t.s",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -31,12 +31,16 @@ type loadSpec struct {
 	qual  relation.Schema // column names qualified to "alias.col"
 }
 
+// colRef places one working-schema column: column col of loads[load].
+type colRef struct{ load, col int }
+
 // joinStep joins the working relation with one loaded table.
 type joinStep struct {
-	cross    bool
-	right    int   // index into loads
-	lk, rk   []int // equijoin key positions (working side, right side)
-	residual []*prog
+	cross      bool
+	right      int    // index into loads
+	lk, rk     []int  // equijoin key positions (working side, right side)
+	lsig, rsig string // lk and rk rendered once, the ExecCache build keys
+	residual   []*prog
 }
 
 // aggPlan materializes group keys and aggregate arguments, then groups.
@@ -65,8 +69,12 @@ type projPlan struct {
 // pipeline, and bytecode for every expression stage. Safe for concurrent
 // ExecuteContext calls.
 type Prepared struct {
-	loads  []loadSpec
-	steps  []joinStep
+	loads []loadSpec
+	steps []joinStep
+	// refs maps a position of the pre-aggregation working schema, which is
+	// always load0 ++ right1 ++ right2 …, to its load and column. Every
+	// join step and program up to the first value stage sees a prefix of it.
+	refs   []colRef
 	where  *prog
 	agg    *aggPlan
 	having *prog
@@ -100,10 +108,18 @@ func Prepare(stmt *SelectStmt, cat Catalog) (*Prepared, error) {
 		return len(p.loads) - 1, nil
 	}
 
+	// join extends the working schema (and its position table) by one load.
+	var working relation.Schema
+	join := func(idx int) {
+		working = appendSchema(working, p.loads[idx].qual)
+		for c := range p.loads[idx].qual.Cols {
+			p.refs = append(p.refs, colRef{load: idx, col: c})
+		}
+	}
 	if _, err := load(stmt.From[0]); err != nil {
 		return nil, err
 	}
-	working := p.loads[0].qual
+	join(0)
 
 	// WHERE conjuncts drive join ordering for comma-FROM tables, exactly
 	// as buildJoinTree orders them at run time.
@@ -124,8 +140,8 @@ func Prepare(stmt *SelectStmt, cat Catalog) (*Prepared, error) {
 			if len(lk) == 0 {
 				continue
 			}
-			p.steps = append(p.steps, joinStep{right: idx, lk: lk, rk: rk})
-			working = appendSchema(working, p.loads[idx].qual)
+			p.steps = append(p.steps, joinStep{right: idx, lk: lk, rk: rk, lsig: keySig(lk), rsig: keySig(rk)})
+			join(idx)
 			pending = append(pending[:i], pending[i+1:]...)
 			joined = true
 			break
@@ -136,7 +152,7 @@ func Prepare(stmt *SelectStmt, cat Catalog) (*Prepared, error) {
 			idx := pending[0]
 			pending = pending[1:]
 			p.steps = append(p.steps, joinStep{cross: true, right: idx})
-			working = appendSchema(working, p.loads[idx].qual)
+			join(idx)
 		}
 	}
 
@@ -150,8 +166,8 @@ func Prepare(stmt *SelectStmt, cat Catalog) (*Prepared, error) {
 		if len(lk) == 0 {
 			return nil, fmt.Errorf("sqlmini: JOIN %s ON clause has no equijoin predicate", jc.Table.Name)
 		}
-		step := joinStep{right: idx, lk: lk, rk: rk}
-		working = appendSchema(working, p.loads[idx].qual)
+		step := joinStep{right: idx, lk: lk, rk: rk, lsig: keySig(lk), rsig: keySig(rk)}
+		join(idx)
 		// Non-equijoin residue of the ON clause filters the join output,
 		// one conjunct at a time, in clause order.
 		for _, c := range onConjuncts {

@@ -11,9 +11,10 @@ import (
 
 // This file executes a Prepared plan: a register interpreter for the
 // bytecode in compile.go, and the batched pipeline driver that binds the
-// plan to live tables, runs joins over columnar data (reusing cached
-// build indexes), and drives each expression program one BatchRows
-// window at a time.
+// plan to live tables, joins and filters them as row-id vectors over the
+// bound columns (reusing cached build indexes), and drives each
+// expression program one BatchRows window at a time. Columns are gathered
+// only where a program reads them, a window at a time.
 
 // errVMFallback marks conditions under which the VM cannot faithfully
 // execute (a base table whose rows violate its declared schema, or a
@@ -35,12 +36,69 @@ var identitySel = func() []int32 {
 	return s
 }()
 
+// working is the relation a stage reads: bound columnar tables plus one
+// row-id vector per joined table. Row i of the relation is row rows[l][i]
+// of every loads[l]; a nil vector is the identity (load 0 as a bare scan).
+// Joins and filters only rewrite the row-id vectors, so a column nobody
+// reads is never touched.
+type working struct {
+	loads []*relation.ColTable
+	rows  [][]int32
+	refs  []colRef // schema position → (load, column); nil: columns of loads[0]
+	n     int
+}
+
+// scanOf wraps one columnar table as a bare-scan working relation.
+func scanOf(ct *relation.ColTable) *working {
+	return &working{loads: []*relation.ColTable{ct}, rows: [][]int32{nil}, n: ct.N}
+}
+
+// col returns the accessor for the column at a schema position.
+func (w *working) col(pos int) relation.ColRef {
+	r := colRef{col: pos}
+	if w.refs != nil {
+		r = w.refs[pos]
+	}
+	return relation.ColRef{V: &w.loads[r.load].Cols[r.col], Rows: w.rows[r.load]}
+}
+
+func (w *working) keys(cols []int) []relation.ColRef {
+	keys := make([]relation.ColRef, len(cols))
+	for i, c := range cols {
+		keys[i] = w.col(c)
+	}
+	return keys
+}
+
+// take replaces the relation by its rows at positions sel (never nil),
+// composing every joined load's row-ids with it. inPlace reuses the
+// vectors, which is safe when sel is ascending (a filter's survivors).
+func (w *working) take(sel []int32, inPlace bool) {
+	for l, old := range w.rows {
+		if old == nil {
+			continue
+		}
+		dst := old
+		if !inPlace {
+			dst = make([]int32, len(sel))
+		}
+		for i, r := range sel {
+			dst[i] = old[r]
+		}
+		w.rows[l] = dst[:len(sel)]
+	}
+	if w.rows[0] == nil {
+		w.rows[0] = sel
+	}
+	w.n = len(sel)
+}
+
 // progRegs is one program's register file. Data registers are indexed
 // uniformly across the three typed pools (only the slice matching the
-// register's type is populated); view registers rebind to column windows
-// per batch, computed registers own BatchRows-sized buffers for the
-// lifetime of the stage. Selection registers hold sorted row positions;
-// register 0 is the stage-provided input selection.
+// register's type is populated); view registers of an identity load rebind
+// to column windows per batch, every other register owns a batch-sized
+// buffer for the lifetime of the stage. Selection registers hold sorted
+// row positions; register 0 is the stage-provided input selection.
 type progRegs struct {
 	ints   [][]int64
 	floats [][]float64
@@ -49,7 +107,8 @@ type progRegs struct {
 	selBuf [][]int32 // backing storage for computed selections
 }
 
-func newProgRegs(p *prog) *progRegs {
+func newProgRegs(p *prog, w *working) *progRegs {
+	size := min(w.n, relation.BatchRows)
 	rf := &progRegs{
 		ints:   make([][]int64, len(p.dataTypes)),
 		floats: make([][]float64, len(p.dataTypes)),
@@ -58,39 +117,67 @@ func newProgRegs(p *prog) *progRegs {
 		selBuf: make([][]int32, p.nsel),
 	}
 	for r, t := range p.dataTypes {
-		if p.dataView[r] {
+		if c := p.viewCol[r]; c >= 0 && w.col(c).Rows == nil {
 			continue
 		}
 		switch t {
 		case relation.Float:
-			rf.floats[r] = make([]float64, relation.BatchRows)
+			rf.floats[r] = make([]float64, size)
 		case relation.Str:
-			rf.strs[r] = make([]string, relation.BatchRows)
+			rf.strs[r] = make([]string, size)
 		default: // Int, Date
-			rf.ints[r] = make([]int64, relation.BatchRows)
+			rf.ints[r] = make([]int64, size)
 		}
 	}
 	for i := 1; i < p.nsel; i++ {
-		rf.selBuf[i] = make([]int32, 0, relation.BatchRows)
+		rf.selBuf[i] = make([]int32, 0, size)
 	}
 	return rf
 }
 
-// run executes the program over the window [base, base+n) of ct. The
+// load binds register dst to the window [base, base+n) of col: a zero-copy
+// view while the column's load is an identity scan, else a gather through
+// its row-ids into the register's own buffer.
+func (rf *progRegs) load(dst uint16, col relation.ColRef, base, n int) {
+	v := col.V
+	if col.Rows == nil {
+		switch v.T {
+		case relation.Float:
+			rf.floats[dst] = v.Floats[base : base+n]
+		case relation.Str:
+			rf.strs[dst] = v.Strs[base : base+n]
+		default:
+			rf.ints[dst] = v.Ints[base : base+n]
+		}
+		return
+	}
+	rows := col.Rows[base : base+n]
+	switch v.T {
+	case relation.Float:
+		d := rf.floats[dst]
+		for i, r := range rows {
+			d[i] = v.Floats[r]
+		}
+	case relation.Str:
+		d := rf.strs[dst]
+		for i, r := range rows {
+			d[i] = v.Strs[r]
+		}
+	default:
+		d := rf.ints[dst]
+		for i, r := range rows {
+			d[i] = v.Ints[r]
+		}
+	}
+}
+
+// run executes the program over the window [base, base+n) of w. The
 // caller sets rf.sels[0] to the input selection before calling.
-func (p *prog) run(rf *progRegs, ct *relation.ColTable, base, n int) error {
+func (p *prog) run(rf *progRegs, w *working, base, n int) error {
 	for _, in := range p.ins {
 		switch in.op {
 		case opLoadCol:
-			col := &ct.Cols[in.aux]
-			switch col.T {
-			case relation.Float:
-				rf.floats[in.dst] = col.Floats[base : base+n]
-			case relation.Str:
-				rf.strs[in.dst] = col.Strs[base : base+n]
-			default:
-				rf.ints[in.dst] = col.Ints[base : base+n]
-			}
+			rf.load(in.dst, w.col(int(in.aux)), base, n)
 		case opConst:
 			v := p.consts[in.aux]
 			switch v.T {
@@ -396,7 +483,11 @@ func (p *Prepared) ExecuteContext(ctx context.Context, cat Catalog, cache *ExecC
 		return nil, context.Cause(ctx)
 	}
 
-	bound := make([]*relation.ColTable, len(p.loads))
+	w := &working{
+		loads: make([]*relation.ColTable, len(p.loads)),
+		rows:  make([][]int32, len(p.loads)),
+		refs:  p.refs,
+	}
 	ptrs := make([]*relation.Table, len(p.loads))
 	for i, ld := range p.loads {
 		t, err := cat.Table(ld.table)
@@ -406,98 +497,87 @@ func (p *Prepared) ExecuteContext(ctx context.Context, cat Catalog, cache *ExecC
 		if !schemaEqual(t.Schema, ld.base) {
 			return nil, vmFallback(fmt.Errorf("table %q schema changed since prepare", ld.table))
 		}
-		var ct *relation.ColTable
-		if cache != nil {
-			ct, err = cache.columnar(t)
-		} else {
-			ct, err = relation.Columnar(t)
-		}
-		if err != nil {
+		// The (possibly cached) base image is shared and never written;
+		// plan-time refs address its columns by position, so it needs no
+		// requalified wrapper.
+		if w.loads[i], err = cache.columnar(t); err != nil {
 			return nil, vmFallback(err)
 		}
-		// Requalify via a shallow wrapper: vectors are shared with the
-		// (possibly cached) base image and never written.
-		bound[i] = &relation.ColTable{Name: ld.alias, Schema: ld.qual, N: ct.N, Cols: ct.Cols}
 		ptrs[i] = t
 	}
+	w.n = w.loads[0].N
 
-	working := bound[0]
-	workingBase := 0 // loads index while working is still a bare scan, else -1
-	var err error
 	for _, st := range p.steps {
-		right := bound[st.right]
+		right := w.loads[st.right]
+		var lrows, rrows []int32
+		var err error
 		if st.cross {
-			if int64(working.N)*int64(right.N) > maxCrossRows {
-				return nil, fmt.Errorf("sqlmini: cross product of %s (%d rows) and %s (%d rows) exceeds limit",
-					working.Name, working.N, right.Name, right.N)
+			if int64(w.n)*int64(right.N) > maxCrossRows {
+				return nil, fmt.Errorf("sqlmini: cross product of %d rows and %s (%d rows) exceeds limit",
+					w.n, p.loads[st.right].alias, right.N)
 			}
-			working, err = relation.ColCrossJoinContext(ctx, working, right)
-			if err != nil {
-				return nil, err
-			}
+			lrows, rrows, err = relation.CrossPairs(ctx, w.n, right.N)
 		} else {
 			// Build the smaller side, like HashJoinContext (ties build
 			// left). When the chosen build side is a bare base-table scan,
 			// the build index is cacheable across executions — the heart
 			// of hash-join reuse under a micro-batch workload.
-			buildLeft := right.N >= working.N
+			lkeys, rkeys := w.keys(st.lk), right.Refs(st.rk)
+			buildLeft := right.N >= w.n
 			var idx *relation.JoinIndex
-			if cache != nil {
-				if buildLeft && workingBase >= 0 {
-					idx, err = cache.joinIndex(ctx, ptrs[workingBase], working, st.lk)
-				} else if !buildLeft {
-					idx, err = cache.joinIndex(ctx, ptrs[st.right], right, st.rk)
-				}
-			}
-			if idx == nil && err == nil {
-				if buildLeft {
-					idx, err = relation.BuildJoinIndex(ctx, working, st.lk)
-				} else {
-					idx, err = relation.BuildJoinIndex(ctx, right, st.rk)
-				}
+			switch {
+			case !buildLeft:
+				idx, err = cache.joinIndex(ctx, ptrs[st.right], rkeys, right.N, st.rsig)
+			case w.rows[0] == nil:
+				idx, err = cache.joinIndex(ctx, ptrs[0], lkeys, w.n, st.lsig)
+			default:
+				idx, err = relation.BuildJoinIndex(ctx, lkeys, w.n)
 			}
 			if err != nil {
 				return nil, err
 			}
-			working, err = relation.ColHashJoinIndexed(ctx, working, right, st.lk, st.rk, buildLeft, idx)
-			if err != nil {
-				return nil, err
+			if buildLeft {
+				lrows, rrows, err = idx.Probe(ctx, rkeys, right.N)
+			} else {
+				rrows, lrows, err = idx.Probe(ctx, lkeys, w.n)
 			}
 		}
-		workingBase = -1
+		if err != nil {
+			return nil, err
+		}
+		w.take(lrows, false)
+		w.rows[st.right] = rrows
 		for _, rp := range st.residual {
-			working, err = filterCol(ctx, working, rp)
-			if err != nil {
+			if err := filterCol(ctx, w, rp); err != nil {
 				return nil, err
 			}
 		}
 	}
 
 	if p.where != nil {
-		working, err = filterCol(ctx, working, p.where)
-		if err != nil {
+		if err := filterCol(ctx, w, p.where); err != nil {
 			return nil, err
 		}
 	}
 
 	if p.agg != nil {
-		derived, err := runValueStage(ctx, working, p.agg.derived, working.Name, p.agg.derivedCols, p.agg.progTypes)
+		derived, err := runValueStage(ctx, w, p.agg.derived, "derived", p.agg.derivedCols, p.agg.progTypes)
 		if err != nil {
 			return nil, err
 		}
-		working, err = relation.ColAggregateContext(ctx, derived, p.agg.groupIdx, p.agg.specs)
+		grouped, err := relation.ColAggregateContext(ctx, derived, p.agg.groupIdx, p.agg.specs)
 		if err != nil {
 			return nil, err
 		}
+		w = scanOf(grouped)
 		if p.having != nil {
-			working, err = filterCol(ctx, working, p.having)
-			if err != nil {
+			if err := filterCol(ctx, w, p.having); err != nil {
 				return nil, err
 			}
 		}
 	}
 
-	stage, err := runValueStage(ctx, working, p.proj.prog, "result", p.proj.outEnvCols, p.proj.progTypes)
+	stage, err := runValueStage(ctx, w, p.proj.prog, "result", p.proj.outEnvCols, p.proj.progTypes)
 	if err != nil {
 		return nil, err
 	}
@@ -526,51 +606,49 @@ func (p *Prepared) ExecuteContext(ctx context.Context, cat Catalog, cache *ExecC
 	return result, nil
 }
 
-// filterCol streams t through a predicate program, gathering surviving
-// rows batch by batch.
-func filterCol(ctx context.Context, t *relation.ColTable, pr *prog) (*relation.ColTable, error) {
-	out := relation.NewColTable(t.Name, t.Schema, 0)
-	rf := newProgRegs(pr)
-	for base := 0; base < t.N; base += relation.BatchRows {
+// filterCol narrows w to the rows a predicate program keeps, batch by
+// batch: only the row-id vectors are compacted.
+func filterCol(ctx context.Context, w *working, pr *prog) error {
+	keep := []int32{}
+	rf := newProgRegs(pr, w)
+	for base := 0; base < w.n; base += relation.BatchRows {
 		if ctx.Err() != nil {
-			return nil, context.Cause(ctx)
+			return context.Cause(ctx)
 		}
-		n := t.N - base
-		if n > relation.BatchRows {
-			n = relation.BatchRows
-		}
+		n := min(w.n-base, relation.BatchRows)
 		rf.sels[0] = identitySel[:n]
-		if err := pr.run(rf, t, base, n); err != nil {
-			return nil, err
+		if err := pr.run(rf, w, base, n); err != nil {
+			return err
 		}
-		out.GatherInto(t, base, rf.sels[pr.outSel])
+		for _, j := range rf.sels[pr.outSel] {
+			keep = append(keep, int32(base)+j)
+		}
 	}
-	return out, nil
+	w.take(keep, true)
+	return nil
 }
 
-// runValueStage evaluates a value program over every row of t, producing
+// runValueStage evaluates a value program over every row of w, producing
 // a columnar table whose declared schema comes from the plan and whose
-// vectors carry the program's computed types.
-func runValueStage(ctx context.Context, t *relation.ColTable, pr *prog, name string, declared []relation.Column, progTypes []relation.Type) (*relation.ColTable, error) {
+// vectors carry the program's computed types. This is where the plan
+// materializes: only program outputs, pre-sized to the input cardinality.
+func runValueStage(ctx context.Context, w *working, pr *prog, name string, declared []relation.Column, progTypes []relation.Type) (*relation.ColTable, error) {
 	out := &relation.ColTable{
 		Name:   name,
 		Schema: relation.Schema{Cols: declared},
 		Cols:   make([]relation.Vector, len(progTypes)),
 	}
 	for i, ty := range progTypes {
-		out.Cols[i] = relation.NewVector(ty, t.N)
+		out.Cols[i] = relation.NewVector(ty, w.n)
 	}
-	rf := newProgRegs(pr)
-	for base := 0; base < t.N; base += relation.BatchRows {
+	rf := newProgRegs(pr, w)
+	for base := 0; base < w.n; base += relation.BatchRows {
 		if ctx.Err() != nil {
 			return nil, context.Cause(ctx)
 		}
-		n := t.N - base
-		if n > relation.BatchRows {
-			n = relation.BatchRows
-		}
+		n := min(w.n-base, relation.BatchRows)
 		rf.sels[0] = identitySel[:n]
-		if err := pr.run(rf, t, base, n); err != nil {
+		if err := pr.run(rf, w, base, n); err != nil {
 			return nil, err
 		}
 		for oi, reg := range pr.outs {
@@ -585,6 +663,6 @@ func runValueStage(ctx context.Context, t *relation.ColTable, pr *prog, name str
 			}
 		}
 	}
-	out.N = t.N
+	out.N = w.n
 	return out, nil
 }

@@ -83,6 +83,24 @@ func TestEngineDifferentialCorpus(t *testing.T) {
 		"SELECT c.c_name FROM customers AS c WHERE c.c_id = 2",
 		"SELECT count(*) FROM customers, orders",
 		"SELECT x.c_id, y.c_id FROM customers AS x, customers AS y WHERE x.c_id = y.c_id ORDER BY x.c_id",
+		// row-id working relations: every shape that rewrites, composes or
+		// reads through the per-load row-id vectors.
+		// two aliases of one table, Q7-style
+		"SELECT o.o_id, x.c_name, y.c_name FROM orders o, customers x, customers y WHERE o.o_cust = x.c_id AND x.c_nation = y.c_nation AND x.c_id <> y.c_id",
+		// an ON residual leaves zero rows feeding the next join
+		"SELECT c.c_name, o.o_id, d.c_name FROM customers c JOIN orders o ON c.c_id = o.o_cust AND o.o_total > 1000 JOIN customers d ON d.c_id = o.o_cust",
+		// cross join, then WHERE
+		"SELECT c_name, o_id FROM customers, orders WHERE o_total > 25 AND c_nation = 'DE'",
+		// non-equi ON residuals, alone and chained under a WHERE
+		"SELECT c_name, o_total FROM customers JOIN orders ON c_id = o_cust AND o_total > 25",
+		"SELECT c_name, o_total FROM customers JOIN orders ON c_id = o_cust AND o_total > 25 AND c_name <> 'carol' WHERE o_total < 80",
+		// every column of a 3-way join live
+		"SELECT * FROM customers c, orders o, customers d WHERE c.c_id = o.o_cust AND d.c_nation = c.c_nation",
+		// the right side is the smaller build
+		"SELECT o_id, c_name FROM orders, customers WHERE o_cust = c_id",
+		"SELECT o_id, c_name FROM orders, customers WHERE o_cust = c_id AND c_nation = 'FR'",
+		// a zero divisor the WHERE removes before the value stage
+		"SELECT o_total / (c_id - 2) FROM customers, orders WHERE c_id = o_cust AND c_id <> 2",
 		// aggregation, grouping, having
 		"SELECT count(*) FROM orders",
 		"SELECT count(DISTINCT c_nation) FROM customers",
@@ -128,6 +146,9 @@ func TestEngineDifferentialErrors(t *testing.T) {
 		"SELECT c_id FROM customers WHERE c_id LIKE 'a%'",                       // LIKE over non-string
 		"SELECT o_id FROM orders WHERE o_date > 'notadate'",                     // bad date literal
 		"SELECT c_id + c_name FROM customers",                                   // arithmetic over string
+		// division by zero that only a joined row reaches
+		"SELECT o_total / (c_id - 2) FROM customers, orders WHERE c_id = o_cust",
+		"SELECT c_name FROM customers, orders WHERE c_id = o_cust AND o_total / (o_cust - 3) > 0",
 	}
 	for _, q := range queries {
 		_, _, treeErr, vmErr := execBoth(t, cat, q)
@@ -179,6 +200,12 @@ func TestEngineDifferentialMultiBatch(t *testing.T) {
 		"SELECT i_cat, count(*), avg(i_price) FROM items GROUP BY i_cat ORDER BY i_cat",
 		"SELECT k_name, count(*) FROM items, cats WHERE i_cat = k_id GROUP BY k_name ORDER BY k_name",
 		"SELECT count(*) FROM items WHERE i_tag LIKE 'tag1%' OR i_price < 3",
+		// joined inputs wider than two batches: gathers cross window
+		// boundaries on both the probe and the build side's row-ids
+		"SELECT i_id, k_name, i_price FROM items, cats WHERE i_cat = k_id AND i_price > 10 ORDER BY i_id DESC LIMIT 50",
+		"SELECT k_name, i_tag, sum(i_price), count(*) FROM cats, items WHERE k_id = i_cat AND i_tag LIKE 'tag1%' GROUP BY k_name, i_tag ORDER BY k_name, i_tag",
+		"SELECT a.i_id, b.i_id, k_name FROM items a, items b, cats WHERE a.i_id = b.i_id AND b.i_cat = k_id AND a.i_price < b.i_id ORDER BY a.i_id LIMIT 20",
+		"SELECT i_tag, k_name FROM items JOIN cats ON i_cat = k_id AND i_id > 5000 WHERE i_price = 0 ORDER BY i_id",
 	}
 	for _, q := range queries {
 		tree, vm, treeErr, vmErr := execBoth(t, cat, q)
@@ -248,6 +275,39 @@ func TestExecCacheSeesAppends(t *testing.T) {
 	a := after.Rows[0][0].I
 	if a != b+1 {
 		t.Fatalf("stale cache: count %d before append, %d after (want %d)", b, a, b+1)
+	}
+}
+
+// TestExecCacheForget plays the federated read path: every execution runs
+// over freshly fetched tables whose pointers never come back, and the
+// owner forgets them afterwards. Nothing may stay pinned in either map,
+// while a long-lived table executed alongside stays cached.
+func TestExecCacheForget(t *testing.T) {
+	cache := NewExecCache()
+	opts := Options{Engine: EngineVM, Cache: cache}
+	q := "SELECT c_name, o_total FROM customers, orders WHERE c_id = o_cust"
+	for i := 0; i < 5; i++ {
+		cat := testCatalog(t) // fresh *relation.Table pointers
+		if _, err := RunWith(context.Background(), q, cat, opts); err != nil {
+			t.Fatal(err)
+		}
+		if len(cache.cols) != 2 || len(cache.builds) != 1 {
+			t.Fatalf("run %d cached %d tables and %d builds, want 2 and 1", i, len(cache.cols), len(cache.builds))
+		}
+		for _, tbl := range cat {
+			cache.Forget(tbl)
+		}
+		if len(cache.cols) != 0 || len(cache.builds) != 0 {
+			t.Fatalf("run %d left %d tables and %d builds cached after Forget", i, len(cache.cols), len(cache.builds))
+		}
+	}
+	replica := testCatalog(t)
+	if _, err := RunWith(context.Background(), q, replica, opts); err != nil {
+		t.Fatal(err)
+	}
+	cache.Forget(testCatalog(t)["orders"]) // some other table: a no-op
+	if len(cache.cols) != 2 || len(cache.builds) != 1 {
+		t.Fatalf("forgetting an unrelated table dropped live entries: %d tables, %d builds", len(cache.cols), len(cache.builds))
 	}
 }
 

@@ -28,7 +28,6 @@ func main() {
 	status := flag.Bool("status", false, "print DSS replica status instead of running a query")
 	showMetrics := flag.Bool("metrics", false, "print DSS server metrics instead of running a query")
 	remote := flag.Bool("remote", false, "talk to a remote site server (bypasses IV planning)")
-	register := flag.Bool("register", false, "pre-register the query for fast routing instead of running it")
 	batch := flag.Bool("batch", false, "treat the argument as a ';'-separated workload and submit it for MQO scheduling")
 	timeout := flag.Duration("timeout", 2*time.Minute, "wall-clock deadline for the call (0 = no deadline)")
 	epsilon := flag.Float64("epsilon", 0, "derive the deadline from the report's value horizon: give up once IV would fall below this (0 = off)")
@@ -38,7 +37,7 @@ func main() {
 
 	deadline, err := callDeadline(*timeout, *epsilon, *value, *lambdaCL, *timescale)
 	if err == nil {
-		err = run(*addr, *value, *status, *showMetrics, *remote, *register, *batch, deadline, strings.Join(flag.Args(), " "))
+		err = run(*addr, *value, *status, *showMetrics, *remote, *batch, deadline, strings.Join(flag.Args(), " "))
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ivqp:", err)
@@ -80,21 +79,9 @@ func callCtx(deadline time.Duration) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), deadline)
 }
 
-func run(addr string, value float64, status, showMetrics, remote, register, batch bool, deadline time.Duration, sql string) error {
+func run(addr string, value float64, status, showMetrics, remote, batch bool, deadline time.Duration, sql string) error {
 	if batch {
 		return runBatch(addr, value, deadline, sql)
-	}
-	if register {
-		if strings.TrimSpace(sql) == "" {
-			return fmt.Errorf("no SQL given to register")
-		}
-		if _, err := netproto.Call(addr, &netproto.Request{
-			Kind: netproto.KindRegister, SQL: sql, BusinessValue: value,
-		}, 30*time.Second); err != nil {
-			return err
-		}
-		fmt.Println("registered: plans pre-calculated for routing")
-		return nil
 	}
 	if showMetrics {
 		resp, err := netproto.Call(addr, &netproto.Request{Kind: netproto.KindMetrics}, 5*time.Second)

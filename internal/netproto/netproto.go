@@ -38,9 +38,6 @@ const (
 	// KindMetrics dumps the DSS server's instrumentation as a flat
 	// name → value map.
 	KindMetrics
-	// KindRegister pre-registers a query at the DSS so its plans are
-	// pre-calculated for routing (Section 3.1 of the paper).
-	KindRegister
 	// KindBatch submits a workload of queries together; the DSS orders it
 	// with the multi-query optimizer (Section 3.2) before executing.
 	KindBatch

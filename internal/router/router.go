@@ -20,7 +20,6 @@ import (
 	"sync"
 
 	"ivdss/internal/core"
-	"ivdss/internal/metrics"
 )
 
 // choice is the memorized per-table decision.
@@ -42,10 +41,6 @@ type Config struct {
 	// FutureSyncs bounds how many upcoming syncs the precomputation
 	// assumes visible (default 3).
 	FutureSyncs int
-	// Stats, when set, counts fast-path coverage: router_hits_total for
-	// every Route that materialized a plan, router_fallback_total for every
-	// Route handed back to the full planner.
-	Stats *metrics.Registry
 }
 
 func (c Config) validate() error {
@@ -76,8 +71,7 @@ type entry struct {
 
 // Router precomputes and serves plan shapes. Construct with New; register
 // queries with Register; route with Route. The router is safe for
-// concurrent use: Route takes a read lock (it is the per-shard fast path),
-// Register a write lock.
+// concurrent use: Route takes a read lock, Register a write lock.
 type Router struct {
 	cfg     Config
 	planner *core.Planner
@@ -100,11 +94,6 @@ func New(cfg Config) (*Router, error) {
 	planner, err := core.NewPlanner(cfg.Cost, core.PlannerConfig{Rates: cfg.Rates})
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Stats != nil {
-		// Pre-create the coverage counters so a dump shows them at zero.
-		cfg.Stats.Counter("router_hits_total")
-		cfg.Stats.Counter("router_fallback_total")
 	}
 	return &Router{cfg: cfg, planner: planner, entries: make(map[string]*entry)}, nil
 }
@@ -187,14 +176,6 @@ func (r *Router) Register(q core.Query, sites []core.SiteID, replicated []bool, 
 	return nil
 }
 
-// fallback counts a Route handed back to the full planner.
-func (r *Router) fallback() (core.Plan, bool) {
-	if r.cfg.Stats != nil {
-		r.cfg.Stats.Counter("router_fallback_total").Inc()
-	}
-	return core.Plan{}, false
-}
-
 // Route materializes the memorized plan shape for a registered query
 // against a live catalog snapshot. It returns ok=false — meaning the
 // caller should fall back to the full planner — when the query is not
@@ -210,7 +191,7 @@ func (r *Router) Route(id string, snapshot []core.TableState, now core.Time) (co
 	defer r.mu.RUnlock()
 	e, registered := r.entries[id]
 	if !registered {
-		return r.fallback()
+		return core.Plan{}, false
 	}
 	byID := make(map[core.TableID]core.TableState, len(snapshot))
 	for _, ts := range snapshot {
@@ -220,7 +201,7 @@ func (r *Router) Route(id string, snapshot []core.TableState, now core.Time) (co
 		// query back to the full search so the view gets considered.
 		for _, v := range ts.Views {
 			if v.QueryID == id {
-				return r.fallback()
+				return core.Plan{}, false
 			}
 		}
 	}
@@ -233,14 +214,14 @@ func (r *Router) Route(id string, snapshot []core.TableState, now core.Time) (co
 		}
 		ts, ok := byID[tid]
 		if !ok || ts.Replica == nil {
-			return r.fallback()
+			return core.Plan{}, false
 		}
 		if s := now - ts.Replica.LastSync; s > worst {
 			worst = s // a negative s (skewed-ahead stamp) never raises worst
 		}
 	}
 	if worst > e.window {
-		return r.fallback() // QoS violated: precomputation invalid
+		return core.Plan{}, false // QoS violated: precomputation invalid
 	}
 	bucket := int(worst / e.window * core.Duration(r.cfg.Buckets))
 	if bucket >= r.cfg.Buckets {
@@ -256,14 +237,14 @@ func (r *Router) Route(id string, snapshot []core.TableState, now core.Time) (co
 	for i, tid := range e.query.Tables {
 		ts, ok := byID[tid]
 		if !ok {
-			return r.fallback()
+			return core.Plan{}, false
 		}
 		switch decision[i] {
 		case useBase:
 			access[i] = core.TableAccess{Table: tid, Site: ts.Site, Kind: core.AccessBase}
 		case useReplicaNow:
 			if ts.Replica == nil {
-				return r.fallback()
+				return core.Plan{}, false
 			}
 			// Clamp a skewed-ahead sync stamp: the replica is at least as
 			// fresh as now, never fresher.
@@ -274,7 +255,7 @@ func (r *Router) Route(id string, snapshot []core.TableState, now core.Time) (co
 			access[i] = core.TableAccess{Table: tid, Site: ts.Site, Kind: core.AccessReplica, Freshness: fresh}
 		case useReplicaNext:
 			if ts.Replica == nil || len(ts.Replica.NextSyncs) == 0 {
-				return r.fallback()
+				return core.Plan{}, false
 			}
 			next := ts.Replica.NextSyncs[0]
 			access[i] = core.TableAccess{Table: tid, Site: ts.Site, Kind: core.AccessReplica, Freshness: next}
@@ -282,16 +263,13 @@ func (r *Router) Route(id string, snapshot []core.TableState, now core.Time) (co
 				start = next
 			}
 		default:
-			return r.fallback()
+			return core.Plan{}, false
 		}
 	}
 	q := e.query
 	q.SubmitAt = now
 	plan := core.Plan{Query: q, Access: access, Start: start}
 	plan.Cost = r.cfg.Cost.Estimate(q, access, start)
-	if r.cfg.Stats != nil {
-		r.cfg.Stats.Counter("router_hits_total").Inc()
-	}
 	return plan, true
 }
 

@@ -25,7 +25,6 @@ import (
 	"ivdss/internal/relation"
 	"ivdss/internal/replication"
 	"ivdss/internal/replsync"
-	"ivdss/internal/router"
 	"ivdss/internal/scheduler"
 	"ivdss/internal/sqlmini"
 )
@@ -248,10 +247,6 @@ type DSSServer struct {
 	retrier  netproto.Retrier
 	breakers map[core.SiteID]*faults.Breaker
 
-	// router is internally locked (RWMutex): Route is the concurrent fast
-	// path, Register the rare write.
-	router *router.Router
-
 	// Cluster front-end state: the gossip ring (nil when not clustered),
 	// the digest version counter, and the tenant budget accounts (nil when
 	// no tenants are configured). See gossip.go.
@@ -375,20 +370,14 @@ func NewDSSServer(cfg DSSConfig) (*DSSServer, error) {
 		return nil, err
 	}
 
-	reg := metrics.NewRegistry()
-	fastRouter, err := router.New(router.Config{Cost: costs, Rates: cfg.Rates, Stats: reg})
-	if err != nil {
-		return nil, err
-	}
 	s := &DSSServer{
 		cfg:      cfg,
 		clock:    scheduler.NewWallClock(cfg.TimeScale),
 		catalog:  catalog,
 		planner:  planner,
 		costs:    costs,
-		stats:    reg,
+		stats:    metrics.NewRegistry(),
 		pool:     netproto.NewPool(cfg.DialTimeout, cfg.DialTimeout),
-		router:   fastRouter,
 		replicas: make(map[core.TableID]replicaSnapshot),
 		views:    make(map[core.ViewID]*viewState),
 		execOpts: sqlmini.Options{Engine: cfg.SQLEngine, Cache: sqlmini.NewExecCache()},
@@ -609,8 +598,6 @@ func (s *DSSServer) handleConn(conn *netproto.Conn) {
 		case netproto.KindMetrics:
 			s.sync.RefreshStaleness()
 			resp = &netproto.Response{Metrics: s.stats.Flatten()}
-		case netproto.KindRegister:
-			resp = s.handleRegister(req)
 		case netproto.KindGossip:
 			resp = s.handleGossip(req)
 		case netproto.KindBatch, netproto.KindExec:
@@ -668,63 +655,6 @@ func (s *DSSServer) handleStatus() *netproto.Response {
 	}
 	sort.Slice(sites, func(i, j int) bool { return sites[i].Site < sites[j].Site })
 	return &netproto.Response{Replicas: out, Views: s.viewStatuses(now), Sites: sites, Metrics: s.schedulerStatusMetrics()}
-}
-
-// handleRegister pre-computes routing for a query (Section 3.1): plans for
-// every staleness bucket within the replication QoS window are tabulated
-// once, and later executions of the same SQL resolve by table lookup.
-func (s *DSSServer) handleRegister(req *netproto.Request) *netproto.Response {
-	stmt, err := sqlmini.Parse(req.SQL)
-	if err != nil {
-		return &netproto.Response{Err: err.Error()}
-	}
-	bv := req.BusinessValue
-	if bv == 0 {
-		bv = 1
-	}
-	var tables []core.TableID
-	for _, name := range stmt.TableNames() {
-		tables = append(tables, core.TableID(strings.ToLower(name)))
-	}
-	q := core.Query{ID: queryID(req.SQL), Tables: tables, BusinessValue: bv}
-
-	repl := s.catalog.Replication()
-	sites := make([]core.SiteID, len(tables))
-	replicated := make([]bool, len(tables))
-	// QoS window: replicas refresh on fixed periods, so staleness is
-	// bounded by the largest period among the query's replicated tables.
-	window := core.Duration(0)
-	for i, id := range tables {
-		site, err := s.catalog.Placement().SiteOf(id)
-		if err != nil {
-			return &netproto.Response{Err: err.Error()}
-		}
-		sites[i] = site
-		if repl.Replicated(id) {
-			replicated[i] = true
-			if period, ok := s.cfg.Replicate[id]; ok {
-				if m := period.Seconds() * s.cfg.TimeScale; m > window {
-					window = m
-				}
-			}
-		}
-	}
-	if window == 0 {
-		// No replicated tables: routing is trivial (always all-base), but
-		// the router still needs a positive window to tabulate against.
-		window = 1
-	}
-	if s.router.Registered(q.ID) {
-		return &netproto.Response{} // idempotent
-	}
-	if err := s.router.Register(q, sites, replicated, window); err != nil {
-		if s.router.Registered(q.ID) {
-			return &netproto.Response{} // lost a registration race: idempotent
-		}
-		return &netproto.Response{Err: err.Error()}
-	}
-	s.stats.Counter("registered_queries_total").Inc()
-	return &netproto.Response{}
 }
 
 // Close stops the listener and the synchronization loop. It is idempotent.

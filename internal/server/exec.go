@@ -18,9 +18,9 @@ import (
 	"ivdss/internal/wall"
 )
 
-// Execution path of the DSS: planning one query (router fast path, bounded
-// delays, degraded planning around open breakers), running its plan
-// against replicas and remote sites, and the per-report IV accounting.
+// Execution path of the DSS: planning one query (bounded delays, degraded
+// planning around open breakers), running its plan against replicas and
+// remote sites, and the per-report IV accounting.
 // Scheduling — which query runs when — lives in sched.go; this file only
 // knows how to run the one it is handed.
 
@@ -83,11 +83,10 @@ func (s *DSSServer) plannerQuery(stmt *sqlmini.SelectStmt, sql string, bv float6
 	return q, nil
 }
 
-// runOne plans (router fast path optional), honours a bounded delay,
-// executes, and records calibration and metrics for one query. The CL
-// clock runs from q.SubmitAt, so queries queued behind their workload
-// predecessors pay their waiting time.
-func (s *DSSServer) runOne(ctx context.Context, stmt *sqlmini.SelectStmt, q core.Query, tryRouter bool) (*relation.Table, *netproto.ReportMeta, error) {
+// runOne plans, honours a bounded delay, executes, and records calibration
+// and metrics for one query. The CL clock runs from q.SubmitAt, so queries
+// queued behind their workload predecessors pay their waiting time.
+func (s *DSSServer) runOne(ctx context.Context, stmt *sqlmini.SelectStmt, q core.Query) (*relation.Table, *netproto.ReportMeta, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, context.Cause(ctx)
 	}
@@ -109,23 +108,9 @@ func (s *DSSServer) runOne(ctx context.Context, stmt *sqlmini.SelectStmt, q core
 			}
 		}
 	}
-	// Registered queries take the pre-calculated routing fast path; a
-	// refusal (QoS violated, shape changed) falls back to the full search.
-	// Routing tables were precomputed assuming healthy sites, so degraded
-	// planning always takes the full search.
-	var plan core.Plan
-	usedRouter := false
-	if tryRouter && !degradedPlanning {
-		plan, usedRouter = s.router.Route(q.ID, snapshot, now)
-	}
-	if usedRouter {
-		plan.Query = q // carry the true submission time for CL accounting
-		s.stats.Counter("routed_plans_total").Inc()
-	} else {
-		plan, _, err = s.planner.Best(q, snapshot, now)
-		if err != nil {
-			return nil, nil, err
-		}
+	plan, _, err := s.planner.Best(q, snapshot, now)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// Honour a delayed plan, bounded by MaxDelay — and by the request

@@ -49,9 +49,8 @@ func (st liveStrategy) Plan(q core.Query, now core.Time) (core.Plan, error) {
 // statement plus the path back to the waiting client — a reply channel
 // for ad hoc queries, a collector slot for batch members.
 type pendingQuery struct {
-	ctx       context.Context
-	stmt      *sqlmini.SelectStmt
-	tryRouter bool
+	ctx  context.Context
+	stmt *sqlmini.SelectStmt
 	// done receives the response for an ad hoc query (nil for batch
 	// members).
 	done chan *netproto.Response
@@ -133,7 +132,7 @@ func (x liveExecutor) Execute(d scheduler.Dispatch, done func(core.Outcome)) {
 		p := d.Payload.(*pendingQuery)
 		s.stats.Counter("queries_total").Inc()
 		start := wall.Now()
-		result, meta, err := s.runOne(p.ctx, p.stmt, d.Query, p.tryRouter)
+		result, meta, err := s.runOne(p.ctx, p.stmt, d.Query)
 		var resp *netproto.Response
 		if err != nil {
 			resp = s.expiryResponse(err)
@@ -205,7 +204,7 @@ func (s *DSSServer) submitExec(ctx context.Context, req *netproto.Request, id st
 		return s.execError(err)
 	}
 	q.Tenant = req.Tenant
-	p := &pendingQuery{ctx: ctx, stmt: stmt, tryRouter: true, done: make(chan *netproto.Response, 1)}
+	p := &pendingQuery{ctx: ctx, stmt: stmt, done: make(chan *netproto.Response, 1)}
 	if !s.engine.Submit(q, p) {
 		return s.shed(id, horizon, "queue-full")
 	}
@@ -287,7 +286,6 @@ func (s *DSSServer) schedulerStatusMetrics() map[string]float64 {
 			strings.HasPrefix(name, "workload_size") ||
 			strings.HasPrefix(name, "mqo_") ||
 			strings.HasPrefix(name, "aging_") ||
-			strings.HasPrefix(name, "router_") ||
 			strings.HasPrefix(name, "gossip_") ||
 			strings.HasPrefix(name, "steal") {
 			out[name] = v

@@ -438,50 +438,6 @@ func TestDSSPushdown(t *testing.T) {
 	}
 }
 
-func TestDSSRegisterAndRoute(t *testing.T) {
-	_, remoteAddr := startRemote(t, accountsTable(t), tradesTable(t))
-	_, dssAddr := startDSS(t, remoteAddr)
-
-	sql := `SELECT a.a_id, a.a_balance FROM accounts a WHERE a.a_balance > 50 ORDER BY a.a_id`
-	if _, err := netproto.Call(dssAddr, &netproto.Request{Kind: netproto.KindRegister, SQL: sql}, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// Re-registering is idempotent.
-	if _, err := netproto.Call(dssAddr, &netproto.Request{Kind: netproto.KindRegister, SQL: sql}, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err := netproto.Call(dssAddr, &netproto.Request{Kind: netproto.KindExec, SQL: sql}, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Result.NumRows() != 2 {
-		t.Fatalf("rows = %d", resp.Result.NumRows())
-	}
-
-	m, err := netproto.Call(dssAddr, &netproto.Request{Kind: netproto.KindMetrics}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Metrics["registered_queries_total"] != 1 {
-		t.Errorf("registered_queries_total = %v", m.Metrics["registered_queries_total"])
-	}
-	if m.Metrics["routed_plans_total"] < 1 {
-		t.Errorf("routed_plans_total = %v, want ≥ 1", m.Metrics["routed_plans_total"])
-	}
-}
-
-func TestDSSRegisterBadSQL(t *testing.T) {
-	_, remoteAddr := startRemote(t, accountsTable(t))
-	_, dssAddr := startDSS(t, remoteAddr)
-	if _, err := netproto.Call(dssAddr, &netproto.Request{Kind: netproto.KindRegister, SQL: "garbage"}, time.Second); err == nil {
-		t.Error("bad SQL registered")
-	}
-	if _, err := netproto.Call(dssAddr, &netproto.Request{Kind: netproto.KindRegister, SQL: "SELECT x FROM ghost"}, time.Second); err == nil {
-		t.Error("unknown table registered")
-	}
-}
-
 func TestDSSBatchMQO(t *testing.T) {
 	_, remoteAddr := startRemote(t, accountsTable(t), tradesTable(t))
 	_, dssAddr := startDSS(t, remoteAddr)

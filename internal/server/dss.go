@@ -397,7 +397,7 @@ func NewDSSServer(cfg DSSConfig) (*DSSServer, error) {
 		}
 		s.budgets = budgets
 	}
-	eng, err := s.newEngine()
+	eng, err := s.newEngine(liveStrategy{s})
 	if err != nil {
 		return nil, err
 	}

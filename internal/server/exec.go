@@ -18,11 +18,11 @@ import (
 	"ivdss/internal/wall"
 )
 
-// Execution path of the DSS: planning one query (bounded delays, degraded
-// planning around open breakers), running its plan against replicas and
-// remote sites, and the per-report IV accounting.
-// Scheduling — which query runs when — lives in sched.go; this file only
-// knows how to run the one it is handed.
+// Execution path of the DSS: running one dispatched plan (bounded delay,
+// replicas and remote sites, degradation around unreachable sites) and the
+// per-report IV accounting. Scheduling — which query runs when, and with
+// which plan — lives in sched.go; this file only knows how to run the one
+// it is handed.
 
 // queryID derives a stable identifier for ad hoc SQL so repeated texts
 // share calibration entries.
@@ -83,34 +83,21 @@ func (s *DSSServer) plannerQuery(stmt *sqlmini.SelectStmt, sql string, bv float6
 	return q, nil
 }
 
-// runOne plans, honours a bounded delay, executes, and records calibration
-// and metrics for one query. The CL clock runs from q.SubmitAt, so queries
-// queued behind their workload predecessors pay their waiting time.
-func (s *DSSServer) runOne(ctx context.Context, stmt *sqlmini.SelectStmt, q core.Query) (*relation.Table, *netproto.ReportMeta, error) {
+// runOne runs the plan the engine dispatched q with: it honours a bounded
+// delay, executes, and records calibration and metrics. The CL clock runs
+// from q.SubmitAt, so queries queued behind their workload predecessors pay
+// their waiting time.
+func (s *DSSServer) runOne(ctx context.Context, stmt *sqlmini.SelectStmt, q core.Query, plan core.Plan) (*relation.Table, *netproto.ReportMeta, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, context.Cause(ctx)
 	}
-	now := s.now()
-	snapshot, err := s.catalog.Snapshot(q.Tables, now, s.cfg.PlannerHorizon)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Degradation policy (planner-level): a site whose breaker is open is
-	// excluded from the plan space, so the search itself falls back to the
-	// freshest replica — pricing the true staleness into the IV — instead
-	// of the executor discovering the outage per call.
+	// A plan that touches a table whose base site is behind an open breaker
+	// was searched around the outage (liveStrategy.Plan): flag its answer.
 	degradedPlanning := false
 	if down := s.openSites(); down != nil {
-		for i := range snapshot {
-			if down[snapshot[i].Site] {
-				snapshot[i].BaseDown = true
-				degradedPlanning = true
-			}
+		for _, a := range plan.Access {
+			degradedPlanning = degradedPlanning || down[a.Site]
 		}
-	}
-	plan, _, err := s.planner.Best(q, snapshot, now)
-	if err != nil {
-		return nil, nil, err
 	}
 
 	// Honour a delayed plan, bounded by MaxDelay — and by the request

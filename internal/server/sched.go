@@ -22,9 +22,9 @@ import (
 // (Section 3.3) and horizon shedding. The DES dispatcher drives the
 // identical engine on virtual time — one scheduling core, two drivers.
 
-// liveStrategy plans dispatch candidates the way runOne will plan them:
-// full IVQP search over the current catalog snapshot, with sites behind
-// open breakers excluded so scheduling decisions already respect outages.
+// liveStrategy is the server's one plan chooser: full IVQP search over the
+// current catalog snapshot. The plan a query is ranked with is the plan
+// liveExecutor runs, as in the DES (scheduler.PlanExecutor).
 type liveStrategy struct{ s *DSSServer }
 
 var _ scheduler.Strategy = liveStrategy{}
@@ -34,6 +34,10 @@ func (st liveStrategy) Plan(q core.Query, now core.Time) (core.Plan, error) {
 	if err != nil {
 		return core.Plan{}, err
 	}
+	// Degradation policy (planner-level): a site whose breaker is open is
+	// excluded from the plan space, so the search itself falls back to the
+	// freshest replica — pricing the true staleness into the IV — instead
+	// of the executor discovering the outage per call.
 	if down := st.s.openSites(); down != nil {
 		for i := range snap {
 			if down[snap[i].Site] {
@@ -86,13 +90,14 @@ type batchCollector struct {
 }
 
 // newEngine wires the shared scheduling engine to this server: scaled
-// wall clock, real execution, IVQP dispatch planning, and the configured
-// MQO window, GA, aging, and admission bound.
-func (s *DSSServer) newEngine() (*scheduler.Engine, error) {
+// wall clock, real execution, dispatch planning by strategy (liveStrategy
+// outside tests), and the configured MQO window, GA, aging, and admission
+// bound.
+func (s *DSSServer) newEngine(strategy scheduler.Strategy) (*scheduler.Engine, error) {
 	ecfg := scheduler.EngineConfig{
 		Clock:    s.clock,
 		Executor: liveExecutor{s},
-		Strategy: liveStrategy{s},
+		Strategy: strategy,
 		Rates:    s.cfg.Rates,
 		Slots:    s.cfg.Workers,
 		Aging:    s.cfg.Aging,
@@ -120,8 +125,8 @@ func (s *DSSServer) newEngine() (*scheduler.Engine, error) {
 	return eng, nil
 }
 
-// liveExecutor runs a dispatched query for real: one goroutine per
-// execution slot in use, through the planning/execution path in exec.go.
+// liveExecutor runs a dispatched plan for real: one goroutine per
+// execution slot in use, through the execution path in exec.go.
 type liveExecutor struct{ s *DSSServer }
 
 var _ scheduler.Executor = liveExecutor{}
@@ -132,7 +137,7 @@ func (x liveExecutor) Execute(d scheduler.Dispatch, done func(core.Outcome)) {
 		p := d.Payload.(*pendingQuery)
 		s.stats.Counter("queries_total").Inc()
 		start := wall.Now()
-		result, meta, err := s.runOne(p.ctx, p.stmt, d.Query)
+		result, meta, err := s.runOne(p.ctx, p.stmt, d.Query, d.Plan)
 		var resp *netproto.Response
 		if err != nil {
 			resp = s.expiryResponse(err)

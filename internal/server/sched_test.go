@@ -2,6 +2,7 @@ package server
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -215,5 +216,94 @@ func TestDSSMicroBatchWindowFormsWorkloads(t *testing.T) {
 	}
 	if v, ok := st.Metrics["workloads_formed_total"]; !ok || v < 1 {
 		t.Errorf("status metrics workloads_formed_total = %v (present %v), want ≥ 1", v, ok)
+	}
+}
+
+// countingCost counts the plans a planner prices through it.
+type countingCost struct {
+	core.CostModel
+	estimates atomic.Int64
+}
+
+func (c *countingCost) Estimate(q core.Query, access []core.TableAccess, start core.Time) core.CostEstimate {
+	c.estimates.Add(1)
+	return c.CostModel.Estimate(q, access, start)
+}
+
+// recordingStrategy is liveStrategy plus a log of what it returned and how
+// many plans the search priced on its behalf.
+type recordingStrategy struct {
+	inner liveStrategy
+	cost  *countingCost
+
+	mu     sync.Mutex
+	sigs   []string
+	priced int64
+}
+
+func (r *recordingStrategy) Plan(q core.Query, now core.Time) (core.Plan, error) {
+	before := r.cost.estimates.Load()
+	plan, err := r.inner.Plan(q, now)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.priced += r.cost.estimates.Load() - before
+	if err == nil {
+		r.sigs = append(r.sigs, plan.Signature())
+	}
+	return plan, err
+}
+
+// TestDSSExecutesTheDispatchedPlan pins the DES contract on the live path:
+// the plan a query was ranked and dispatched with is the plan that runs.
+// One ad hoc query on an idle server is searched exactly once — every plan
+// the cost model priced was priced inside the engine's Strategy call — and
+// the report carries that call's plan, not a later re-plan's.
+func TestDSSExecutesTheDispatchedPlan(t *testing.T) {
+	_, remoteAddr := startRemote(t, accountsTable(t), tradesTable(t))
+	dss, err := NewDSSServer(DSSConfig{
+		Remotes:   map[core.SiteID]string{1: remoteAddr},
+		Replicate: map[core.TableID]time.Duration{"accounts": time.Hour},
+		Rates:     core.DiscountRates{CL: .05, SL: .05},
+		TimeScale: 10,
+		MaxDelay:  time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dss.Close() })
+	cost := &countingCost{CostModel: dss.costs}
+	if dss.planner, err = core.NewPlanner(cost, core.PlannerConfig{Rates: dss.cfg.Rates, Horizon: dss.cfg.PlannerHorizon}); err != nil {
+		t.Fatal(err)
+	}
+	rec := &recordingStrategy{inner: liveStrategy{dss}, cost: cost}
+	dss.engine.Stop()
+	if dss.engine, err = dss.newEngine(rec); err != nil {
+		t.Fatal(err)
+	}
+	addr, err := dss.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for i, sql := range []string{
+		"SELECT a.a_id FROM accounts a ORDER BY a.a_id", // replicated: replica and base plans compete
+		"SELECT count(*) AS n FROM trades",              // base only
+	} {
+		resp, err := netproto.Call(addr, &netproto.Request{Kind: netproto.KindExec, SQL: sql, BusinessValue: 1}, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.mu.Lock()
+		sigs, priced := append([]string(nil), rec.sigs...), rec.priced
+		rec.mu.Unlock()
+		if len(sigs) != i+1 {
+			t.Fatalf("query %d: %d strategy calls so far, want %d (one search per idle-server query)", i, len(sigs), i+1)
+		}
+		if got := resp.Meta.PlanSignature; got != sigs[i] {
+			t.Errorf("query %d ran plan %q, was dispatched with %q", i, got, sigs[i])
+		}
+		if total := cost.estimates.Load(); total != priced || priced == 0 {
+			t.Errorf("query %d: %d plans priced in all, %d inside the strategy: something searched a second time", i, total, priced)
+		}
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"ivdss/internal/core"
 	"ivdss/internal/scheduler"
 	"ivdss/internal/server"
-	"ivdss/internal/sqlmini"
 	"ivdss/internal/synth"
 )
 
@@ -148,7 +147,6 @@ func main() {
 	syncAdjust := flag.Duration("sync-adjust", 0, "cadence controller interval for -adaptive-sync (0 = default 10s)")
 	scenario := flag.String("scenario", "", "derive the replication plan from this named scenario preset (see ivqp-bench -fig scenario); needs -scenario-tables")
 	scenarioTables := flag.String("scenario-tables", "", "comma-separated live table names the -scenario replica budget draws from, hottest first")
-	engine := flag.String("engine", "vm", "sqlmini execution engine: vm (compiled bytecode over columnar batches) or tree (reference tree-walk)")
 	shards := flag.Int("shards", 0, "run N in-process front-end shards on consecutive ports starting at -addr; each replicates the slice of -replicate it owns under the cluster shard map")
 	shardID := flag.Int("shard-id", 0, "this front-end's shard ID when clustering across processes (use with -peers)")
 	peersSpec := flag.String("peers", "", "peer shards as id=addr,... for multi-process clustering (e.g. 1=127.0.0.1:7201,2=127.0.0.1:7202)")
@@ -158,11 +156,6 @@ func main() {
 	tenants := flag.String("tenants", "", "tenant weights as name=weight,...: turns queue-full refusal into weighted fair shedding by IV per budget unit")
 	flag.Parse()
 
-	sqlEngine, err := sqlmini.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ivqp-dss:", err)
-		os.Exit(1)
-	}
 	tenantWeights, err := parseTenants(*tenants)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ivqp-dss:", err)
@@ -183,7 +176,6 @@ func main() {
 		SyncBudget:      *syncBudget,
 		AdaptiveSync:    *adaptiveSync,
 		SyncAdjustEvery: *syncAdjust,
-		SQLEngine:       sqlEngine,
 		StealHighWater:  *stealHighWater,
 		GossipInterval:  *gossipInterval,
 		GossipSeed:      *gossipSeed,

@@ -80,10 +80,9 @@ type Engine struct {
 	// access; in-process sites are otherwise as fast as local replicas,
 	// which would hide the federation trade-off the planner reasons about.
 	netDelay time.Duration
-	// execOpts selects the sqlmini execution engine. The default is the
-	// bytecode VM with a shared cache, so repeated plans over the same
-	// replica snapshots reuse columnar images and hash-join builds.
-	execOpts sqlmini.Options
+	// execCache is shared by every plan execution, so repeated plans over
+	// the same replica snapshots reuse columnar images and hash-join builds.
+	execCache *sqlmini.ExecCache
 }
 
 // NewEngine builds an engine and subscribes it to the catalog's
@@ -93,11 +92,11 @@ func NewEngine(catalog *Catalog) (*Engine, error) {
 		return nil, fmt.Errorf("federation: engine needs a catalog")
 	}
 	e := &Engine{
-		catalog:  catalog,
-		sites:    make(map[core.SiteID]*Site),
-		replicas: make(map[core.TableID]*relation.Table),
-		views:    make(map[core.ViewID]*relation.Table),
-		execOpts: sqlmini.Options{Cache: sqlmini.NewExecCache()},
+		catalog:   catalog,
+		sites:     make(map[core.SiteID]*Site),
+		replicas:  make(map[core.TableID]*relation.Table),
+		views:     make(map[core.ViewID]*relation.Table),
+		execCache: sqlmini.NewExecCache(),
 	}
 	catalog.Replication().OnSync(func(ev replication.SyncEvent) {
 		// A failed copy leaves the previous snapshot in place; the planner
@@ -110,11 +109,6 @@ func NewEngine(catalog *Catalog) (*Engine, error) {
 // SetNetworkDelay configures the simulated per-access network cost of
 // reading a base table from a remote site. Zero (the default) disables it.
 func (e *Engine) SetNetworkDelay(d time.Duration) { e.netDelay = d }
-
-// SetSQLEngine selects the sqlmini execution engine for subsequent plan
-// executions (the bytecode VM by default; the tree-walk oracle for
-// reference runs).
-func (e *Engine) SetSQLEngine(eng sqlmini.Engine) { e.execOpts.Engine = eng }
 
 // AddSite registers a remote site.
 func (e *Engine) AddSite(s *Site) error {
@@ -284,7 +278,7 @@ func (e *Engine) ExecutePlanContext(ctx context.Context, sql string, plan core.P
 	for _, a := range plan.Access {
 		access[a.Table] = a
 	}
-	return sqlmini.RunWith(ctx, sql, &planCatalog{ctx: ctx, engine: e, access: access}, e.execOpts)
+	return sqlmini.RunWith(ctx, sql, &planCatalog{ctx: ctx, engine: e, access: access}, sqlmini.Options{Cache: e.execCache})
 }
 
 // Measurement is one calibration data point: the wall time to execute a

@@ -111,9 +111,16 @@ func NewColTable(name string, schema Schema, capHint int) *ColTable {
 	return &ColTable{Name: name, Schema: schema, Cols: cols}
 }
 
-// Columnar converts a row-major table to columnar form. Every cell must
-// match its declared column type; tables built through Insert always do.
+// Columnar converts a row-major table to columnar form. Every row must be
+// as wide as the schema and every cell must match its declared column
+// type; tables built through Insert always are, decoded ones need not be.
 func Columnar(t *Table) (*ColTable, error) {
+	for ri, r := range t.Rows {
+		if len(r) != len(t.Schema.Cols) {
+			return nil, fmt.Errorf("relation: columnar %s: row %d has %d cells, schema has %d",
+				t.Name, ri, len(r), len(t.Schema.Cols))
+		}
+	}
 	out := NewColTable(t.Name, t.Schema, len(t.Rows))
 	for ci := range t.Schema.Cols {
 		want := t.Schema.Cols[ci].Type

@@ -78,13 +78,6 @@ type DSSConfig struct {
 	// Default 10s.
 	SyncAdjustEvery time.Duration
 
-	// SQLEngine selects the sqlmini execution engine for local plan
-	// evaluation: the bytecode VM (default) or the tree-walk reference
-	// oracle. The VM shares one columnar/join-build cache per server, so
-	// micro-batched workloads over the same replica snapshots skip
-	// re-conversion and re-building.
-	SQLEngine sqlmini.Engine
-
 	// RetryAttempts is the total tries per remote call, including the
 	// first. Default 3.
 	RetryAttempts int
@@ -261,9 +254,10 @@ type DSSServer struct {
 	// each entry's mutable fields are guarded by mu.
 	views map[core.ViewID]*viewState
 
-	// execOpts carries the configured sqlmini engine plus the server-wide
-	// execution cache (columnar images, hash-join builds).
-	execOpts sqlmini.Options
+	// execCache is the server-wide execution cache (columnar images,
+	// hash-join builds): micro-batched workloads over the same replica
+	// snapshots skip re-conversion and re-building.
+	execCache *sqlmini.ExecCache
 
 	// sync is the live replication engine; it owns every replica write.
 	sync *replsync.Agent
@@ -371,17 +365,17 @@ func NewDSSServer(cfg DSSConfig) (*DSSServer, error) {
 	}
 
 	s := &DSSServer{
-		cfg:      cfg,
-		clock:    scheduler.NewWallClock(cfg.TimeScale),
-		catalog:  catalog,
-		planner:  planner,
-		costs:    costs,
-		stats:    metrics.NewRegistry(),
-		pool:     netproto.NewPool(cfg.DialTimeout, cfg.DialTimeout),
-		replicas: make(map[core.TableID]replicaSnapshot),
-		views:    make(map[core.ViewID]*viewState),
-		execOpts: sqlmini.Options{Engine: cfg.SQLEngine, Cache: sqlmini.NewExecCache()},
-		closed:   make(chan struct{}),
+		cfg:       cfg,
+		clock:     scheduler.NewWallClock(cfg.TimeScale),
+		catalog:   catalog,
+		planner:   planner,
+		costs:     costs,
+		stats:     metrics.NewRegistry(),
+		pool:      netproto.NewPool(cfg.DialTimeout, cfg.DialTimeout),
+		replicas:  make(map[core.TableID]replicaSnapshot),
+		views:     make(map[core.ViewID]*viewState),
+		execCache: sqlmini.NewExecCache(),
+		closed:    make(chan struct{}),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(cfg.BaseContext)
 	// Pre-create the admission metrics so a -metrics dump shows them at

@@ -201,7 +201,7 @@ func (s *DSSServer) executePlan(ctx context.Context, stmt *sqlmini.SelectStmt, p
 	var fetched []*relation.Table
 	defer func() {
 		for _, t := range fetched {
-			s.execOpts.Cache.Forget(t)
+			s.execCache.Forget(t)
 		}
 	}()
 	for _, a := range plan.Access {
@@ -269,7 +269,7 @@ func (s *DSSServer) executePlan(ctx context.Context, stmt *sqlmini.SelectStmt, p
 			return nil, 0, false, fmt.Errorf("server: invalid access kind %d", int(a.Kind))
 		}
 	}
-	out, err := sqlmini.ExecuteWith(ctx, stmt, cat, s.execOpts)
+	out, err := sqlmini.ExecuteWith(ctx, stmt, cat, sqlmini.Options{Cache: s.execCache})
 	if err != nil {
 		return nil, 0, false, err
 	}

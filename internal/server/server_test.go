@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ivdss/internal/core"
+	"ivdss/internal/faults"
 	"ivdss/internal/netproto"
 	"ivdss/internal/relation"
 )
@@ -537,6 +538,54 @@ func TestDSSCalibrationPersistence(t *testing.T) {
 	}
 	if dss2.CalibrationLen() != dss.CalibrationLen() {
 		t.Errorf("restored %d entries, want %d", dss2.CalibrationLen(), dss.CalibrationLen())
+	}
+}
+
+// TestDSSSchemaViolatingRemoteResultFailsOneQuery: a remote whose scan
+// result carries a cell of the wrong type costs that one query its IV. The
+// error names table, row and column; the site is alive and answered, so
+// neither the degraded flag nor the breaker moves; and the client's
+// connection serves the next query normally.
+func TestDSSSchemaViolatingRemoteResultFailsOneQuery(t *testing.T) {
+	confused := accountsTable(t)
+	confused.Rows = append(confused.Rows, relation.Row{relation.StrVal("3"), relation.FloatVal(1)}) // not via Insert
+	_, remoteAddr := startRemote(t, confused, tradesTable(t))
+	dss, dssAddr := startDSSWith(t, DSSConfig{
+		Remotes:   map[core.SiteID]string{1: remoteAddr},
+		Rates:     core.DiscountRates{CL: .05, SL: .05},
+		TimeScale: 10,
+	})
+	conn, err := netproto.Dial(dssAddr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	resp, err := conn.RoundTrip(&netproto.Request{Kind: netproto.KindExec, SQL: "SELECT a_id FROM accounts ORDER BY a_id", BusinessValue: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "accounts: row 2 column a_id wants int, got string"; !strings.Contains(resp.Err, want) {
+		t.Fatalf("error %q does not name table, row and column (%q)", resp.Err, want)
+	}
+	if resp.Degraded || resp.Result != nil {
+		t.Errorf("schema violation answered degraded=%v result=%v, want a plain failure", resp.Degraded, resp.Result)
+	}
+	if st := dss.breakers[1].State(); st != faults.Closed || dss.breakers[1].Failures() != 0 {
+		t.Errorf("breaker %v with %d failures: the site answered, it must not be penalized", st, dss.breakers[1].Failures())
+	}
+
+	resp, err = conn.RoundTrip(&netproto.Request{Kind: netproto.KindExec, SQL: "SELECT count(*) AS n FROM trades", BusinessValue: 1})
+	if err != nil || resp.Err != "" {
+		t.Fatalf("next query on the same connection: %v %q", err, resp.Err)
+	}
+	if resp.Result.NumRows() != 1 || resp.Result.Rows[0][0].I != 2 || resp.Degraded {
+		t.Errorf("next query answered %v degraded=%v", resp.Result.Rows, resp.Degraded)
+	}
+	m := metricsOf(t, dssAddr)
+	if m["query_errors_total"] != 1 || m["degraded_answers_total"] != 0 || m["breaker_transitions_total"] != 0 {
+		t.Errorf("query_errors %v degraded_answers %v breaker_transitions %v, want 1 0 0",
+			m["query_errors_total"], m["degraded_answers_total"], m["breaker_transitions_total"])
 	}
 }
 

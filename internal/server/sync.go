@@ -121,7 +121,7 @@ func (ap replicaApplier) ApplySnapshot(id core.TableID, snap replsync.Snapshot, 
 	// cached for it (here, on a delta's copy-on-write swap, and on Drop).
 	// A query still in flight over it merely re-caches it until the cache
 	// next cycles.
-	s.execOpts.Cache.Forget(old)
+	s.execCache.Forget(old)
 	s.stats.Counter("replica_syncs_total").Inc()
 	return nil
 }
@@ -150,7 +150,7 @@ func (ap replicaApplier) ApplyDelta(id core.TableID, delta replsync.Delta, at co
 			}
 		}
 		s.replicas[id] = replicaSnapshot{table: next, syncedAt: at}
-		s.execOpts.Cache.Forget(cur.table)
+		s.execCache.Forget(cur.table)
 	}
 	s.stats.Counter("replica_syncs_total").Inc()
 	return nil
@@ -166,7 +166,7 @@ func (ap replicaApplier) Drop(id core.TableID) {
 	old := s.replicas[id].table
 	delete(s.replicas, id)
 	s.mu.Unlock()
-	s.execOpts.Cache.Forget(old)
+	s.execCache.Forget(old)
 }
 
 // recentQueries is the sliding window of executed queries the placement

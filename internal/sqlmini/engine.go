@@ -2,10 +2,7 @@ package sqlmini
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 
 	"ivdss/internal/relation"
@@ -23,30 +20,6 @@ const (
 	// EngineTreeWalk is the original row-at-a-time AST interpreter.
 	EngineTreeWalk
 )
-
-// String names the engine for flags and logs.
-func (e Engine) String() string {
-	switch e {
-	case EngineVM:
-		return "vm"
-	case EngineTreeWalk:
-		return "tree"
-	default:
-		return fmt.Sprintf("Engine(%d)", int(e))
-	}
-}
-
-// ParseEngine maps a flag value ("vm" or "tree") to an Engine.
-func ParseEngine(s string) (Engine, error) {
-	switch strings.ToLower(s) {
-	case "", "vm":
-		return EngineVM, nil
-	case "tree", "treewalk", "tree-walk":
-		return EngineTreeWalk, nil
-	default:
-		return 0, fmt.Errorf("sqlmini: unknown engine %q (want vm or tree)", s)
-	}
-}
 
 // Options tunes one execution. The zero value runs the VM without a
 // cache, matching ExecuteContext.
@@ -75,14 +48,7 @@ func ExecuteWith(ctx context.Context, stmt *SelectStmt, cat Catalog, opts Option
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.ExecuteContext(ctx, cat, opts.Cache)
-	if err != nil && errors.Is(err, errVMFallback) {
-		// The VM declined (e.g. a base table whose rows violate their
-		// declared schema, which columnar conversion rejects but the
-		// row-at-a-time oracle tolerates). Preserve reference semantics.
-		return executeTree(ctx, stmt, cat)
-	}
-	return res, err
+	return p.ExecuteContext(ctx, cat, opts.Cache)
 }
 
 // RunWith is ExecuteWith over query text.

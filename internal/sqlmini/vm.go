@@ -16,17 +16,6 @@ import (
 // expression program one BatchRows window at a time. Columns are gathered
 // only where a program reads them, a window at a time.
 
-// errVMFallback marks conditions under which the VM cannot faithfully
-// execute (a base table whose rows violate its declared schema, or a
-// plan/type mirror mismatch). ExecuteWith catches it and re-runs the
-// statement on the tree-walk oracle, so callers always get the
-// reference semantics.
-var errVMFallback = errors.New("sqlmini: vm cannot execute faithfully")
-
-func vmFallback(err error) error {
-	return fmt.Errorf("%w: %v", errVMFallback, err)
-}
-
 // identitySel is the shared all-rows selection; programs only read it.
 var identitySel = func() []int32 {
 	s := make([]int32, relation.BatchRows)
@@ -495,13 +484,16 @@ func (p *Prepared) ExecuteContext(ctx context.Context, cat Catalog, cache *ExecC
 			return nil, err
 		}
 		if !schemaEqual(t.Schema, ld.base) {
-			return nil, vmFallback(fmt.Errorf("table %q schema changed since prepare", ld.table))
+			return nil, fmt.Errorf("sqlmini: table %q schema changed since prepare", ld.table)
 		}
 		// The (possibly cached) base image is shared and never written;
 		// plan-time refs address its columns by position, so it needs no
 		// requalified wrapper.
+		// A table whose rows violate its declared schema (type-confused wire
+		// rows) fails the query here; it is never handed to the row-at-a-time
+		// interpreter, which would compute over the confused cells.
 		if w.loads[i], err = cache.columnar(t); err != nil {
-			return nil, vmFallback(err)
+			return nil, err
 		}
 		ptrs[i] = t
 	}

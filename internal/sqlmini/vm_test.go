@@ -2,8 +2,8 @@ package sqlmini
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"ivdss/internal/relation"
@@ -311,11 +311,11 @@ func TestExecCacheForget(t *testing.T) {
 	}
 }
 
-// TestPrepareSchemaChangeFallsBack swaps a table for one with a
-// different schema after Prepare: the raw ExecuteContext must decline
-// with the fallback sentinel rather than run a stale plan, and the
-// ExecuteWith wrapper must still answer via the oracle.
-func TestPrepareSchemaChangeFallsBack(t *testing.T) {
+// TestPrepareSchemaChangeIsAnError swaps a table for one with a different
+// schema after Prepare: the stale plan must not run and nothing re-runs
+// the statement on another interpreter — the caller gets the plain error.
+// A fresh ExecuteWith prepares against the new schema and answers.
+func TestPrepareSchemaChangeIsAnError(t *testing.T) {
 	cat := testCatalog(t)
 	stmt, err := Parse("SELECT c_name FROM customers")
 	if err != nil {
@@ -330,43 +330,46 @@ func TestPrepareSchemaChangeFallsBack(t *testing.T) {
 	))
 	swapped.MustInsert(relation.Row{relation.StrVal("dora")})
 	cat.Add("customers", swapped)
-	if _, err := prep.ExecuteContext(context.Background(), cat, nil); !errors.Is(err, errVMFallback) {
-		t.Fatalf("want errVMFallback for schema change, got %v", err)
+	_, err = prep.ExecuteContext(context.Background(), cat, nil)
+	if err == nil || !strings.Contains(err.Error(), `table "customers" schema changed since prepare`) {
+		t.Fatalf("want the schema-changed error, got %v", err)
 	}
-	out, err := ExecuteWith(context.Background(), stmt, cat, Options{Engine: EngineVM})
+	out, err := ExecuteWith(context.Background(), stmt, cat, Options{})
 	if err != nil {
 		t.Fatalf("ExecuteWith after swap: %v", err)
 	}
 	if len(out.Rows) != 1 || out.Rows[0][0].S != "dora" {
-		t.Fatalf("fallback answered wrong rows: %v", out.Rows)
+		t.Fatalf("re-prepared statement answered wrong rows: %v", out.Rows)
 	}
 }
 
-// TestParseEngine covers the flag surface.
-func TestParseEngine(t *testing.T) {
+// TestSchemaViolatingRowsFailTheQuery hands the VM a table whose cells do
+// not match the declared column types, or whose rows are the wrong width —
+// what a confused or hostile remote can put on the wire. The statement
+// fails with an error naming table, row and column; the tree-walk
+// interpreter, which would compute over the confused cells, is not tried.
+func TestSchemaViolatingRowsFailTheQuery(t *testing.T) {
 	for _, tc := range []struct {
-		in   string
-		want Engine
-		ok   bool
+		name string
+		row  relation.Row
+		want string
 	}{
-		{"", EngineVM, true},
-		{"vm", EngineVM, true},
-		{"VM", EngineVM, true},
-		{"tree", EngineTreeWalk, true},
-		{"treewalk", EngineTreeWalk, true},
-		{"tree-walk", EngineTreeWalk, true},
-		{"llvm", 0, false},
+		{"wrong cell type", relation.Row{relation.StrVal("7"), relation.StrVal("eve")}, "customers: row 3 column c_id wants int, got string"},
+		{"short row", relation.Row{relation.IntVal(7)}, "customers: row 3 has 1 cells, schema has 2"},
 	} {
-		got, err := ParseEngine(tc.in)
-		if tc.ok != (err == nil) {
-			t.Errorf("ParseEngine(%q): err %v, want ok=%v", tc.in, err, tc.ok)
-			continue
-		}
-		if tc.ok && got != tc.want {
-			t.Errorf("ParseEngine(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-	if EngineVM.String() != "vm" || EngineTreeWalk.String() != "tree" {
-		t.Errorf("engine names: %q, %q", EngineVM.String(), EngineTreeWalk.String())
+		t.Run(tc.name, func(t *testing.T) {
+			cat := testCatalog(t)
+			good := cat["customers"]
+			bad := &relation.Table{Name: "customers", Schema: relation.MustSchema(good.Schema.Cols[:2]...)}
+			for _, r := range good.Rows {
+				bad.Rows = append(bad.Rows, r[:2])
+			}
+			bad.Rows = append(bad.Rows, tc.row) // bypasses Insert's check, as decoding does
+			cat.Add("customers", bad)
+			_, err := RunWith(context.Background(), "SELECT c_name FROM customers", cat, Options{})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("want an error containing %q, got %v", tc.want, err)
+			}
+		})
 	}
 }

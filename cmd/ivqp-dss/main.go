@@ -120,46 +120,54 @@ func parseReplicate(spec string) (map[core.TableID]time.Duration, error) {
 }
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7100", "listen address")
-	remotes := remoteFlags{}
-	flag.Var(remotes, "remote", "remote site as site=addr (repeatable)")
-	replicate := flag.String("replicate", "", "replication plan as table=period,... (e.g. customer=30s,nation=2m)")
-	views := viewFlags{}
-	flag.Var(&views, "views", "materialized view SQL — a single-table aggregate the view answers (repeatable)")
-	viewPeriod := flag.Duration("view-period", 0, "refresh period for every -views view (0 = default 10s); views share the -sync-budget with replicas")
-	lambdaCL := flag.Float64("lambda-cl", .01, "computational-latency discount rate per experiment minute")
-	lambdaSL := flag.Float64("lambda-sl", .01, "synchronization-latency discount rate per experiment minute")
-	timescale := flag.Float64("timescale", 1.0/60, "experiment minutes per wall second (1/60 = real time)")
-	calibration := flag.String("calibration", "", "JSON file to load learned plan costs from at startup and save to on shutdown")
-	timeout := flag.Duration("timeout", 0, "deadline for each remote call (dial and per round trip; 0 = server default)")
-	epsilon := flag.Float64("epsilon", 0, "value-expiry threshold: shed queries whose projected IV falls below it (0 = server default, negative disables)")
-	workers := flag.Int("workers", 0, "execution worker pool size (0 = server default)")
-	queue := flag.Int("queue", 0, "admission queue depth; arrivals beyond it are shed (0 = server default)")
-	mqoWindow := flag.Duration("mqo-window", 0, "micro-batch window: hold ad hoc arrivals this long (wall clock) and schedule them as one MQO workload (0 = dispatch immediately)")
-	agingCoeff := flag.Float64("aging", 0, "aging coefficient: boost queued queries by coeff*wait^exponent so low-value reports cannot starve (0 = off)")
-	agingExp := flag.Float64("aging-exponent", 0, "aging exponent, must be > 1 (0 = default 1.5)")
-	gaSeed := flag.Int64("ga-seed", 0, "GA ordering seed for batch/micro-batch MQO (0 = server default)")
-	retrySeed := flag.Int64("retry-seed", 0, "seed for remote-call retry backoff jitter (0 = server default)")
-	gaPopulation := flag.Int("ga-population", 0, "GA population size (0 = default 40)")
-	gaGenerations := flag.Int("ga-generations", 0, "GA generations (0 = default 50)")
-	syncBudget := flag.Float64("sync-budget", 0, "replication bandwidth budget in bytes per wall second shared by all tables (0 = unlimited)")
-	adaptiveSync := flag.Bool("adaptive-sync", false, "re-divide the sync budget by observed IV loss to staleness and review replica placement online")
-	syncAdjust := flag.Duration("sync-adjust", 0, "cadence controller interval for -adaptive-sync (0 = default 10s)")
-	scenario := flag.String("scenario", "", "derive the replication plan from this named scenario preset (see ivqp-bench -fig scenario); needs -scenario-tables")
-	scenarioTables := flag.String("scenario-tables", "", "comma-separated live table names the -scenario replica budget draws from, hottest first")
-	shards := flag.Int("shards", 0, "run N in-process front-end shards on consecutive ports starting at -addr; each replicates the slice of -replicate it owns under the cluster shard map")
-	shardID := flag.Int("shard-id", 0, "this front-end's shard ID when clustering across processes (use with -peers)")
-	peersSpec := flag.String("peers", "", "peer shards as id=addr,... for multi-process clustering (e.g. 1=127.0.0.1:7201,2=127.0.0.1:7202)")
-	stealHighWater := flag.Int("steal-highwater", 0, "hand whole requests to the least-loaded covering peer once the local queue reaches this depth (0 = no work-stealing)")
-	gossipInterval := flag.Duration("gossip-interval", 0, "mean gap between anti-entropy gossip rounds (0 = default 2s)")
-	gossipSeed := flag.Int64("gossip-seed", 0, "seed for gossip round jitter and peer choice (0 = default 1)")
-	tenants := flag.String("tenants", "", "tenant weights as name=weight,...: turns queue-full refusal into weighted fair shedding by IV per budget unit")
-	flag.Parse()
-
-	tenantWeights, err := parseTenants(*tenants)
-	if err != nil {
+	if err := cli(flag.CommandLine, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "ivqp-dss:", err)
 		os.Exit(1)
+	}
+}
+
+// cli declares the flags on fs, parses args and serves until interrupted.
+func cli(fs *flag.FlagSet, args []string) error {
+	addr := fs.String("addr", "127.0.0.1:7100", "listen address")
+	remotes := remoteFlags{}
+	fs.Var(remotes, "remote", "remote site as site=addr (repeatable)")
+	replicate := fs.String("replicate", "", "replication plan as table=period,... (e.g. customer=30s,nation=2m)")
+	views := viewFlags{}
+	fs.Var(&views, "views", "materialized view SQL — a single-table aggregate the view answers (repeatable)")
+	viewPeriod := fs.Duration("view-period", 0, "refresh period for every -views view (0 = default 10s); views share the -sync-budget with replicas")
+	lambdaCL := fs.Float64("lambda-cl", .01, "computational-latency discount rate per experiment minute")
+	lambdaSL := fs.Float64("lambda-sl", .01, "synchronization-latency discount rate per experiment minute")
+	timescale := fs.Float64("timescale", 1.0/60, "experiment minutes per wall second (1/60 = real time)")
+	calibration := fs.String("calibration", "", "JSON file to load learned plan costs from at startup and save to on shutdown")
+	timeout := fs.Duration("timeout", 0, "deadline for each remote call (dial and per round trip; 0 = server default)")
+	epsilon := fs.Float64("epsilon", 0, "value-expiry threshold: shed queries whose projected IV falls below it (0 = server default, negative disables)")
+	workers := fs.Int("workers", 0, "execution worker pool size (0 = server default)")
+	queue := fs.Int("queue", 0, "admission queue depth; arrivals beyond it are shed (0 = server default)")
+	mqoWindow := fs.Duration("mqo-window", 0, "micro-batch window: hold ad hoc arrivals this long (wall clock) and schedule them as one MQO workload (0 = dispatch immediately)")
+	agingCoeff := fs.Float64("aging", 0, "aging coefficient: boost queued queries by coeff*wait^exponent so low-value reports cannot starve (0 = off)")
+	agingExp := fs.Float64("aging-exponent", 0, "aging exponent, must be > 1 (0 = default 1.5)")
+	gaSeed := fs.Int64("ga-seed", 0, "GA ordering seed for batch/micro-batch MQO (0 = server default)")
+	retrySeed := fs.Int64("retry-seed", 0, "seed for remote-call retry backoff jitter (0 = server default)")
+	gaPopulation := fs.Int("ga-population", 0, "GA population size (0 = default 40)")
+	gaGenerations := fs.Int("ga-generations", 0, "GA generations (0 = default 50)")
+	syncBudget := fs.Float64("sync-budget", 0, "replication bandwidth budget in bytes per wall second shared by all tables (0 = unlimited)")
+	adaptiveSync := fs.Bool("adaptive-sync", false, "re-divide the sync budget by observed IV loss to staleness and review replica placement online")
+	syncAdjust := fs.Duration("sync-adjust", 0, "cadence controller interval for -adaptive-sync (0 = default 10s)")
+	scenario := fs.String("scenario", "", "derive the replication plan from this named scenario preset (see ivqp-bench -fig scenario); needs -scenario-tables")
+	scenarioTables := fs.String("scenario-tables", "", "comma-separated live table names the -scenario replica budget draws from, hottest first")
+	shards := fs.Int("shards", 0, "run N in-process front-end shards on consecutive ports starting at -addr; each replicates the slice of -replicate it owns under the cluster shard map")
+	shardID := fs.Int("shard-id", 0, "this front-end's shard ID when clustering across processes (use with -peers)")
+	peersSpec := fs.String("peers", "", "peer shards as id=addr,... for multi-process clustering (e.g. 1=127.0.0.1:7201,2=127.0.0.1:7202)")
+	stealHighWater := fs.Int("steal-highwater", 0, "hand whole requests to the least-loaded covering peer once the local queue reaches this depth (0 = no work-stealing)")
+	gossipInterval := fs.Duration("gossip-interval", 0, "mean gap between anti-entropy gossip rounds (0 = default 2s)")
+	gossipSeed := fs.Int64("gossip-seed", 0, "seed for gossip round jitter and peer choice (0 = default 1)")
+	tenants := fs.String("tenants", "", "tenant weights as name=weight,...: turns queue-full refusal into weighted fair shedding by IV per budget unit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	tenantWeights, err := parseTenants(*tenants)
+	if err != nil {
+		return err
 	}
 
 	cfg := server.DSSConfig{
@@ -186,35 +194,26 @@ func main() {
 	}
 	if *shards > 1 {
 		if *peersSpec != "" {
-			fmt.Fprintln(os.Stderr, "ivqp-dss: -shards runs an in-process cluster; -peers is for multi-process mode, pick one")
-			os.Exit(1)
+			return fmt.Errorf("-shards runs an in-process cluster; -peers is for multi-process mode, pick one")
 		}
-		if err := runCluster(*addr, *shards, remotes, *replicate, *scenario, *scenarioTables, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "ivqp-dss:", err)
-			os.Exit(1)
-		}
-		return
+		return runCluster(*addr, *shards, remotes, *replicate, *scenario, *scenarioTables, cfg)
 	}
 	if *peersSpec != "" {
 		peers, err := parsePeers(*peersSpec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ivqp-dss:", err)
-			os.Exit(1)
+			return err
 		}
 		cfg.ShardID = *shardID
 		cfg.Peers = peers
 	}
-	if err := run(*addr, remotes, *replicate, *scenario, *scenarioTables, cfg, *calibration); err != nil {
-		fmt.Fprintln(os.Stderr, "ivqp-dss:", err)
-		os.Exit(1)
-	}
+	return run(*addr, remotes, *replicate, *scenario, *scenarioTables, cfg, *calibration)
 }
 
 // runCluster starts N front-end shards inside one process on consecutive
 // ports, each a full DSSServer wired to every remote site: shard i listens
 // on -addr's port + i, replicates the tables it owns under the canonical
 // cluster shard map, and gossips with the other N−1 shards. Clients route
-// with the same shard map (ivqp-loadgen -shards does this).
+// with the same shard map (ivqp-workload with the shard addresses in -addr).
 func runCluster(addr string, n int, remotes remoteFlags, replicate, scenario, scenarioTables string, cfg server.DSSConfig) error {
 	plan, err := parseReplicate(replicate)
 	if err != nil {

@@ -23,26 +23,32 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7100", "DSS (or remote) server address")
-	value := flag.Float64("value", 1, "business value of the report")
-	status := flag.Bool("status", false, "print DSS replica status instead of running a query")
-	showMetrics := flag.Bool("metrics", false, "print DSS server metrics instead of running a query")
-	remote := flag.Bool("remote", false, "talk to a remote site server (bypasses IV planning)")
-	batch := flag.Bool("batch", false, "treat the argument as a ';'-separated workload and submit it for MQO scheduling")
-	timeout := flag.Duration("timeout", 2*time.Minute, "wall-clock deadline for the call (0 = no deadline)")
-	epsilon := flag.Float64("epsilon", 0, "derive the deadline from the report's value horizon: give up once IV would fall below this (0 = off)")
-	lambdaCL := flag.Float64("lambda-cl", .01, "computational-latency discount rate used for the -epsilon horizon")
-	timescale := flag.Float64("timescale", 1.0/60, "experiment minutes per wall second for the -epsilon horizon (must match the server)")
-	flag.Parse()
-
-	deadline, err := callDeadline(*timeout, *epsilon, *value, *lambdaCL, *timescale)
-	if err == nil {
-		err = run(*addr, *value, *status, *showMetrics, *remote, *batch, deadline, strings.Join(flag.Args(), " "))
-	}
-	if err != nil {
+	if err := cli(flag.CommandLine, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "ivqp:", err)
 		os.Exit(1)
 	}
+}
+
+// cli declares the flags on fs, parses args and runs the selected call.
+func cli(fs *flag.FlagSet, args []string) error {
+	addr := fs.String("addr", "127.0.0.1:7100", "DSS (or remote) server address")
+	value := fs.Float64("value", 1, "business value of the report")
+	status := fs.Bool("status", false, "print DSS replica status instead of running a query")
+	showMetrics := fs.Bool("metrics", false, "print DSS server metrics instead of running a query")
+	remote := fs.Bool("remote", false, "talk to a remote site server (bypasses IV planning)")
+	batch := fs.Bool("batch", false, "treat the argument as a ';'-separated workload and submit it for MQO scheduling")
+	timeout := fs.Duration("timeout", 2*time.Minute, "wall-clock deadline for the call (0 = no deadline)")
+	epsilon := fs.Float64("epsilon", 0, "derive the deadline from the report's value horizon: give up once IV would fall below this (0 = off)")
+	lambdaCL := fs.Float64("lambda-cl", .01, "computational-latency discount rate used for the -epsilon horizon")
+	timescale := fs.Float64("timescale", 1.0/60, "experiment minutes per wall second for the -epsilon horizon (must match the server)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	deadline, err := callDeadline(*timeout, *epsilon, *value, *lambdaCL, *timescale)
+	if err != nil {
+		return err
+	}
+	return run(*addr, *value, *status, *showMetrics, *remote, *batch, deadline, strings.Join(fs.Args(), " "))
 }
 
 // callDeadline folds -timeout and the optional -epsilon value horizon into

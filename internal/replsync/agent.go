@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"ivdss/internal/core"
 	"ivdss/internal/metrics"
@@ -115,6 +116,11 @@ type TableStatus struct {
 type Agent struct {
 	cfg Config
 	ctx context.Context
+	// self is what armed clock callbacks hold in place of the agent. Stop
+	// clears it, so a callback still waiting out its period (an hour at the
+	// slowest cadences) keeps nothing reachable: not the agent, not its
+	// applier, not the owner's replica store behind that.
+	self *atomic.Pointer[Agent]
 
 	mu      sync.Mutex
 	tables  map[core.TableID]*tableState
@@ -179,7 +185,9 @@ func New(cfg Config) (*Agent, error) {
 		tables: make(map[core.TableID]*tableState, len(cfg.Tables)),
 		losses: make(map[core.TableID]float64),
 		stats:  cfg.Stats,
+		self:   new(atomic.Pointer[Agent]),
 	}
+	a.self.Store(a)
 	minP, maxP := core.Duration(math.Inf(1)), core.Duration(0)
 	for _, tc := range cfg.Tables {
 		if tc.ID == "" {
@@ -352,12 +360,25 @@ func (a *Agent) Start() {
 	}
 }
 
-// Stop ceases all cycles. Armed timers become no-ops; an in-flight fetch
-// completes but its result is discarded.
+// Stop ceases all cycles. Armed timers become no-ops that no longer
+// reference the agent; an in-flight fetch completes but its result is
+// discarded.
 func (a *Agent) Stop() {
 	a.mu.Lock()
 	a.stopped = true
 	a.mu.Unlock()
+	a.self.Store(nil)
+}
+
+// after arms fn on the clock through a.self (see there): fn must reach the
+// agent only through its argument.
+func (a *Agent) after(d core.Duration, fn func(*Agent)) {
+	self := a.self
+	a.cfg.Clock.AfterFunc(d, func() {
+		if a := self.Load(); a != nil {
+			fn(a)
+		}
+	})
 }
 
 // armLocked schedules the table's next cycle `delay` minutes from `now`.
@@ -367,7 +388,7 @@ func (a *Agent) armLocked(ts *tableState, now core.Time, delay core.Duration) {
 	}
 	ts.nextAt = now + math.Max(delay, 0)
 	id, gen := ts.id, ts.gen
-	a.cfg.Clock.AfterFunc(delay, func() { a.tick(id, gen) })
+	a.after(delay, func(a *Agent) { a.tick(id, gen) })
 }
 
 // tick runs one scheduled cycle: budget check, then fetch/apply.

@@ -65,7 +65,7 @@ func (a *Agent) armAdjustLocked() {
 		return
 	}
 	gen := a.adjustGen
-	a.cfg.Clock.AfterFunc(a.cfg.AdjustEvery, func() { a.adjustTick(gen) })
+	a.after(a.cfg.AdjustEvery, func(a *Agent) { a.adjustTick(gen) })
 }
 
 // adjustTick is one controller step: re-divide the rate budget, re-arm the

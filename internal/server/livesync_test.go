@@ -1,6 +1,7 @@
 package server
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -187,5 +188,51 @@ func TestSyncChaosBreakerDefersWithoutStall(t *testing.T) {
 	}, 5*time.Second)
 	if err != nil || resp.Result == nil || resp.Result.NumRows() != 2 {
 		t.Fatalf("post-heal query: err=%v resp=%+v", err, resp)
+	}
+}
+
+// TestClosedServerReleasesItsReplicas opens and closes replicated DSS
+// servers in a row. Each Listen arms the sync agent's next cycle an hour
+// out; Close must leave nothing on the clock that still reaches the agent
+// — and through its applier the server and its replica set — or every
+// closed deployment stays on the heap until its timers fire.
+func TestClosedServerReleasesItsReplicas(t *testing.T) {
+	big := relation.NewTable("accounts", accountsTable(t).Schema)
+	for i := 0; i < 40000; i++ { // ≈ 4 MB as a replica
+		big.MustInsert(relation.Row{relation.IntVal(int64(i)), relation.FloatVal(float64(i))})
+	}
+	_, remoteAddr := startRemote(t, big)
+	openClose := func() {
+		dss, err := NewDSSServer(DSSConfig{
+			Remotes:      map[core.SiteID]string{1: remoteAddr},
+			Replicate:    map[core.TableID]time.Duration{"accounts": time.Hour},
+			Rates:        core.DiscountRates{CL: .05, SL: .05},
+			AdaptiveSync: true, // the cadence controller arms a timer too
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dss.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		if err := dss.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	openClose() // warm up pools, codecs and the remote's clone buffers
+	before := liveHeap()
+	const rounds = 6
+	for i := 0; i < rounds; i++ {
+		openClose()
+	}
+	if grown := int64(liveHeap()) - int64(before); grown > 4<<20 {
+		t.Errorf("live heap grew %d KiB over %d closed servers (≈ 4 MiB of replica each): Close left them reachable", grown>>10, rounds)
 	}
 }

@@ -2,6 +2,7 @@ package replication
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -110,6 +111,71 @@ func TestRecordSyncSupersedesPendingEntries(t *testing.T) {
 	if err := m.RecordSync("missing", 1); err == nil {
 		t.Fatal("RecordSync on unregistered table should error")
 	}
+}
+
+// TestRecordSyncKeepsScheduleBounded runs the live agent's mirror loop for
+// 10 000 cycles — each completion recorded, the next four rescheduled, with
+// drift and the occasional late cycle. The stored schedule must stay at one
+// completion plus the pending entries (it used to keep, and re-copy under
+// the lock, every completion ever), and for instants at or after the last
+// completion StateFor and Staleness must answer exactly what the full
+// history implies.
+func TestRecordSyncKeepsScheduleBounded(t *testing.T) {
+	m := NewManager()
+	if err := m.Register("t", Schedule{}); err != nil {
+		t.Fatal(err)
+	}
+	const period, mirrored = 2.0, 4
+	at := core.Time(0)
+	for i := 0; i < 10000; i++ {
+		at += period + core.Time(i%7)*.01
+		if i%97 == 0 {
+			at += 3 * period // a deferred cycle lands past pending entries
+		}
+		if err := m.RecordSync("t", at); err != nil {
+			t.Fatal(err)
+		}
+		future := make([]core.Time, mirrored)
+		for k := range future {
+			future[k] = at + core.Time(k+1)*period
+		}
+		if err := m.Reschedule("t", future); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(m.tables["t"].schedule); n > 1+mirrored {
+			t.Fatalf("cycle %d: schedule holds %d entries, want at most %d", i, n, 1+mirrored)
+		}
+		for _, now := range []core.Time{at, at + .5, at + period, at + 2.5*period} {
+			if s, ok := m.Staleness("t", now); !ok || s != now-lastAtOrBefore(at, future, now) {
+				t.Fatalf("cycle %d: Staleness(%v) = %v,%v, want %v", i, now, s, ok, now-lastAtOrBefore(at, future, now))
+			}
+			rs := m.StateFor("t", now, 3*period)
+			if rs.LastSync != lastAtOrBefore(at, future, now) {
+				t.Fatalf("cycle %d: StateFor(%v).LastSync = %v, want %v", i, now, rs.LastSync, lastAtOrBefore(at, future, now))
+			}
+			var next []core.Time
+			for _, f := range future {
+				if f > now && f <= now+3*period {
+					next = append(next, f)
+				}
+			}
+			if !slices.Equal(rs.NextSyncs, next) {
+				t.Fatalf("cycle %d: StateFor(%v).NextSyncs = %v, want %v", i, now, rs.NextSyncs, next)
+			}
+		}
+	}
+}
+
+// lastAtOrBefore is the reference answer over a completion and its pending
+// schedule: the latest instant not after now.
+func lastAtOrBefore(completed core.Time, future []core.Time, now core.Time) core.Time {
+	last := completed
+	for _, f := range future {
+		if f <= now {
+			last = f
+		}
+	}
+	return last
 }
 
 func TestRescheduleReplacesFuture(t *testing.T) {

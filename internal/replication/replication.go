@@ -218,6 +218,12 @@ func (m *Manager) NextSyncAt() (core.Time, bool) {
 // completed sync supersedes them) and `at` becomes the latest completed
 // sync, so StateFor and Staleness reflect exactly what the replica store
 // holds. `at` must not precede the last completed sync.
+//
+// Earlier completions are forgotten: the replica store holds the version
+// synchronized at `at` and nothing older, so StateFor and Staleness answer
+// for instants at or after `at` only. That keeps a table's schedule at one
+// completion plus its pending entries however long the agent runs, instead
+// of a history copied under the lock on every sync.
 func (m *Manager) RecordSync(id core.TableID, at core.Time) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -232,18 +238,14 @@ func (m *Manager) RecordSync(id core.TableID, at core.Time) error {
 			return nil // already recorded
 		}
 	}
-	// Drop pending entries the completed sync supersedes, then splice the
-	// completion into the applied prefix.
+	// Drop pending entries the completed sync supersedes; the completion
+	// replaces the applied prefix.
 	rest := ts.schedule[ts.applied:]
 	for len(rest) > 0 && rest[0] <= at {
 		rest = rest[1:]
 	}
-	sched := make([]core.Time, 0, ts.applied+1+len(rest))
-	sched = append(sched, ts.schedule[:ts.applied]...)
-	sched = append(sched, at)
-	sched = append(sched, rest...)
-	ts.schedule = sched
-	ts.applied++
+	ts.schedule = append([]core.Time{at}, rest...)
+	ts.applied = 1
 	return nil
 }
 

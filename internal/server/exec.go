@@ -91,6 +91,10 @@ func (s *DSSServer) runOne(ctx context.Context, stmt *sqlmini.SelectStmt, q core
 	if err := ctx.Err(); err != nil {
 		return nil, nil, context.Cause(ctx)
 	}
+	// Processing is measured from here (or from a delayed plan's start), not
+	// from the dispatch instant: the hand-off to this goroutine is queueing,
+	// and must not be calibrated into the plan's processing cost.
+	began := math.Max(plan.Start, s.now())
 	// A plan that touches a table whose base site is behind an open breaker
 	// was searched around the outage (liveStrategy.Plan): flag its answer.
 	degradedPlanning := false
@@ -131,7 +135,7 @@ func (s *DSSServer) runOne(ctx context.Context, stmt *sqlmini.SelectStmt, q core
 	// (query, data-source configuration) pair. For plans without views the
 	// key reduces to the legacy base-table subset, so saved calibrations
 	// keep matching.
-	s.costs.RecordAccess(q.ID, plan.Access, core.CostEstimate{Process: finish - plan.Start})
+	s.costs.RecordAccess(q.ID, plan.Access, core.CostEstimate{Process: finish - began})
 
 	lat := core.Latencies{
 		CL: math.Max(finish-q.SubmitAt, 0),

@@ -44,7 +44,10 @@ func TestManagerConcurrentAdvanceStateFor(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		at := core.Time(0)
+		// Its clock runs past the Advance writer's last instant: Advance
+		// applying this table's pending entries first would make the
+		// ordering errors below depend on the interleaving.
+		at := core.Time(iters)
 		for i := 0; i < iters; i++ {
 			at += .5
 			if err := m.RecordSync("live", at); err != nil {
@@ -116,8 +119,7 @@ func TestRecordSyncSupersedesPendingEntries(t *testing.T) {
 // TestRecordSyncKeepsScheduleBounded runs the live agent's mirror loop for
 // 10 000 cycles — each completion recorded, the next four rescheduled, with
 // drift and the occasional late cycle. The stored schedule must stay at one
-// completion plus the pending entries (it used to keep, and re-copy under
-// the lock, every completion ever), and for instants at or after the last
+// completion plus the pending entries, and for instants at or after the last
 // completion StateFor and Staleness must answer exactly what the full
 // history implies.
 func TestRecordSyncKeepsScheduleBounded(t *testing.T) {

@@ -222,8 +222,8 @@ func (m *Manager) NextSyncAt() (core.Time, bool) {
 // Earlier completions are forgotten: the replica store holds the version
 // synchronized at `at` and nothing older, so StateFor and Staleness answer
 // for instants at or after `at` only. That keeps a table's schedule at one
-// completion plus its pending entries however long the agent runs, instead
-// of a history copied under the lock on every sync.
+// completion plus its pending entries however long the agent runs, so the
+// lock every StateFor takes is never held across a growing copy.
 func (m *Manager) RecordSync(id core.TableID, at core.Time) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

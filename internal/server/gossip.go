@@ -19,7 +19,7 @@ import (
 // replica freshness and queue depth over netproto KindGossip) and, with
 // StealHighWater set, hands whole Exec/Batch requests to the least-loaded
 // peer whose replica set covers the footprint once its own admission queue
-// backs up. Routing queries TO shards is the client's job (ivqp-loadgen
+// backs up. Routing queries TO shards is the client's job (ivqp-workload
 // builds the same cluster.ShardMap); this file only keeps shards honest
 // about each other's load and freshness.
 

@@ -138,15 +138,47 @@ func Columnar(t *Table) (*ColTable, error) {
 	return out, nil
 }
 
-// ToTable converts back to row-major form.
+// transposeRows is how many rows ToTable fills per pass over the columns.
+const transposeRows = 128
+
+// ToTable converts back to row-major form in a constant number of
+// allocations: every row is a capped view of one Value slab, so appending
+// to a row reallocates it instead of running into its neighbour. The
+// table keeps c as its columnar image (see Table.Image), so c must not be
+// written afterwards.
 func (c *ColTable) ToTable() *Table {
-	out := &Table{Name: c.Name, Schema: c.Schema, Rows: make([]Row, c.N)}
-	for ri := 0; ri < c.N; ri++ {
-		row := make(Row, len(c.Cols))
+	width := len(c.Cols)
+	slab := make([]Value, c.N*width)
+	out := &Table{Name: c.Name, Schema: c.Schema, Rows: make([]Row, c.N), image: c}
+	for ri := range out.Rows {
+		out.Rows[ri] = slab[ri*width : (ri+1)*width : (ri+1)*width]
+	}
+	// Transpose a block of rows at a time: the block's slab stays in cache
+	// while each column's values are dealt across it. The slab starts
+	// zeroed, so only a cell's type and its one payload field are stored.
+	for lo := 0; lo < c.N; lo += transposeRows {
+		hi := min(lo+transposeRows, c.N)
 		for ci := range c.Cols {
-			row[ci] = c.Cols[ci].Value(ri)
+			v := &c.Cols[ci]
+			cells := slab[lo*width+ci:]
+			switch v.T {
+			case Int, Date:
+				for ri, x := range v.Ints[lo:hi] {
+					cell := &cells[ri*width]
+					cell.T, cell.I = v.T, x
+				}
+			case Float:
+				for ri, x := range v.Floats[lo:hi] {
+					cell := &cells[ri*width]
+					cell.T, cell.F = Float, x
+				}
+			case Str:
+				for ri, x := range v.Strs[lo:hi] {
+					cell := &cells[ri*width]
+					cell.T, cell.S = Str, x
+				}
+			}
 		}
-		out.Rows[ri] = row
 	}
 	return out
 }

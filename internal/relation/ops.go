@@ -369,6 +369,7 @@ func Sort(t *Table, keys []SortKey) error {
 			return fmt.Errorf("relation: sort column %d out of range", k.Col)
 		}
 	}
+	t.image = nil
 	var sortErr error
 	sort.SliceStable(t.Rows, func(i, j int) bool {
 		for _, k := range keys {
@@ -398,6 +399,7 @@ func Limit(t *Table, n int) error {
 	}
 	if n < len(t.Rows) {
 		t.Rows = t.Rows[:n]
+		t.image = nil
 	}
 	return nil
 }

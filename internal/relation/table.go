@@ -83,6 +83,26 @@ type Table struct {
 	Name   string
 	Schema Schema
 	Rows   []Row
+	// image is the columnar form the rows were built from
+	// (ColTable.ToTable), kept so the VM and the wire encoder need not
+	// re-derive it. Whatever reorders or resizes Rows in place drops it.
+	image *ColTable
+}
+
+// Image returns the table's columnar image, or nil when it has none or
+// the image no longer describes the table: Rows and Schema are public, so
+// the row count and the column types are re-checked on every call.
+func (t *Table) Image() *ColTable {
+	c := t.image
+	if c == nil || c.N != len(t.Rows) || len(c.Cols) != len(t.Schema.Cols) {
+		return nil
+	}
+	for i := range c.Cols {
+		if c.Cols[i].T != t.Schema.Cols[i].Type {
+			return nil
+		}
+	}
+	return c
 }
 
 // NewTable returns an empty table.
@@ -102,6 +122,7 @@ func (t *Table) Insert(r Row) error {
 		}
 	}
 	t.Rows = append(t.Rows, r)
+	t.image = nil
 	return nil
 }
 

@@ -87,8 +87,8 @@ func (c *onceCatalog) Table(name string) (*relation.Table, error) {
 // is dropped and re-warms from the live working set.
 const execCacheCap = 128
 
-// ExecCache holds columnar images of row-major tables and hash-join build
-// indexes, keyed by table pointer identity. Replica snapshots are swapped
+// ExecCache holds columnar images of row-major tables that carry none of
+// their own and hash-join build indexes, keyed by table pointer identity. Replica snapshots are swapped
 // copy-on-write, so a pointer uniquely names one version of a table's
 // contents; a row-count check additionally invalidates entries for
 // append-mutated tables. A micro-batch workload that scans and joins the
@@ -110,10 +110,15 @@ func NewExecCache() *ExecCache {
 	return &ExecCache{}
 }
 
-// columnar returns the cached columnar image of t, converting on miss
-// (always, on a nil cache). Conversion runs outside the lock; concurrent
-// misses may duplicate work but never block each other on it.
+// columnar returns the columnar image of t: the one t was built from
+// when it has one (a decoded or VM-produced table), else the cached one,
+// converting on miss (always, on a nil cache). Conversion runs outside the
+// lock; concurrent misses may duplicate work but never block each other
+// on it.
 func (c *ExecCache) columnar(t *relation.Table) (*relation.ColTable, error) {
+	if img := t.Image(); img != nil {
+		return img, nil
+	}
 	if c == nil {
 		return relation.Columnar(t)
 	}

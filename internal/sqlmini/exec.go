@@ -630,7 +630,8 @@ func project(ctx context.Context, stmt *SelectStmt, working *relation.Table, en 
 
 // dedupeRows removes duplicate rows, comparing only the first visible
 // columns (hidden sort keys must not make duplicates distinct). First
-// occurrence wins, preserving order.
+// occurrence wins, preserving order. The rows are compacted in place, so
+// the table is rebuilt around them without its columnar image.
 func dedupeRows(t *relation.Table, visible int) {
 	cols := make([]int, visible)
 	for i := range cols {
@@ -646,7 +647,7 @@ func dedupeRows(t *relation.Table, visible int) {
 		seen[key] = true
 		kept = append(kept, row)
 	}
-	t.Rows = kept
+	*t = relation.Table{Name: t.Name, Schema: t.Schema, Rows: kept}
 }
 
 func dedupeName(existing []relation.Column, name string, i int) string {

@@ -1,13 +1,17 @@
 // Package netproto is the wire protocol between the DSS (federation)
-// server, the remote site servers, and clients: gob-encoded request /
-// response pairs over a TCP connection, one outstanding request per
-// connection at a time.
+// server, the remote site servers, and clients: request / response pairs
+// over a TCP connection, one outstanding request per connection at a
+// time. Each message is one length-prefixed, checksummed frame written by
+// the codec in wire.go; tables cross the wire column-major and arrive
+// with their columnar image attached (relation.Table.Image), so neither
+// side transposes twice.
 package netproto
 
 import (
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"time"
 
@@ -282,18 +286,20 @@ func (r *Response) ErrOrNil() error {
 	return &RemoteError{Msg: r.Err, Degraded: r.Degraded, Expired: r.Expired}
 }
 
-// Conn wraps a network connection with gob codecs.
+// Conn frames messages over a network connection. It owns one encode and
+// one decode buffer, reused from frame to frame, and is for one goroutine
+// at a time, like the protocol itself.
 type Conn struct {
-	raw net.Conn
-	enc *gob.Encoder
-	dec *gob.Decoder
+	raw        net.Conn
+	hdr        [frameHeader]byte // of the frame last received
+	wbuf, rbuf []byte
 	// timeout bounds each round trip; zero means no deadline.
 	timeout time.Duration
 }
 
 // NewConn wraps an established connection.
 func NewConn(raw net.Conn) *Conn {
-	return &Conn{raw: raw, enc: gob.NewEncoder(raw), dec: gob.NewDecoder(raw)}
+	return &Conn{raw: raw}
 }
 
 // SetTimeout bounds every subsequent round trip on this connection: the
@@ -323,9 +329,81 @@ func DialContext(ctx context.Context, addr string, timeout time.Duration) (*Conn
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.raw.Close() }
 
-// WriteRequest sends a request.
+// kept is what a Conn keeps of a frame buffer for the next frame: the
+// buffer, emptied, unless the frame made it outgrow keepBuffer.
+func kept(buf []byte) []byte {
+	if cap(buf) > keepBuffer {
+		return nil
+	}
+	return buf[:0]
+}
+
+// begin starts a frame in the connection's encode buffer, leaving room
+// for the header.
+func (c *Conn) begin() wire {
+	return wire{enc: true, b: append(c.wbuf[:0], make([]byte, frameHeader)...)}
+}
+
+// send completes the frame around the encoded body and hands it to the
+// connection in one Write.
+func (c *Conn) send(e *wire, kind, flags byte, deadlineMillis int64) error {
+	frame := e.b
+	c.wbuf = kept(frame)
+	if e.err == nil && len(frame)-frameHeader > maxFrameBody {
+		e.fail("netproto: message of %d bytes exceeds the %d-byte frame limit", len(frame)-frameHeader, maxFrameBody)
+	}
+	if e.err != nil {
+		return e.err
+	}
+	frame[0], frame[1], frame[2], frame[3] = frameMagic, kind, flags, 0
+	binary.LittleEndian.PutUint64(frame[4:], uint64(deadlineMillis))
+	binary.LittleEndian.PutUint32(frame[12:], uint32(len(frame)-frameHeader))
+	binary.LittleEndian.PutUint32(frame[16:], frameSum(frame, frame[frameHeader:]))
+	_, err := c.raw.Write(frame)
+	return err
+}
+
+// recv reads one frame, leaving its header in c.hdr, and returns a
+// decoder over its body. Nothing past the frame's last byte is read. The
+// body buffer is reused by the next recv; decoded messages never alias it.
+func (c *Conn) recv() (d wire, err error) {
+	hdr := c.hdr[:]
+	if _, err := io.ReadFull(c.raw, hdr); err != nil {
+		return d, err
+	}
+	n := int(binary.LittleEndian.Uint32(hdr[12:]))
+	if hdr[0] != frameMagic || hdr[3] != 0 || n > maxFrameBody {
+		return d, fmt.Errorf("netproto: not a version-%d frame (header % x)", frameMagic&0x0f, hdr)
+	}
+	// A declared length is only a claim: the buffer grows as the bytes
+	// actually arrive, by doubling from readChunk, never past n.
+	body := c.rbuf[:0]
+	for len(body) < n {
+		if len(body) == cap(body) {
+			body = append(make([]byte, 0, min(n, max(2*cap(body), readChunk))), body...)
+		}
+		next := body[len(body):min(n, cap(body))]
+		m, err := io.ReadFull(c.raw, next)
+		body = body[:len(body)+m]
+		if err != nil {
+			return d, fmt.Errorf("netproto: frame body cut short at %d of %d bytes: %w", len(body), n, err)
+		}
+	}
+	c.rbuf = kept(body)
+	sum := frameSum(hdr, body)
+	if want := binary.LittleEndian.Uint32(hdr[16:]); sum != want {
+		return d, fmt.Errorf("netproto: frame checksum %08x, header says %08x", sum, want)
+	}
+	return wire{b: body}, nil
+}
+
+// WriteRequest sends a request. A request that cannot be encoded (rows
+// of mixed types) is an error with nothing written: the connection stays
+// in step.
 func (c *Conn) WriteRequest(req *Request) error {
-	if err := c.enc.Encode(req); err != nil {
+	e := c.begin()
+	e.request(req)
+	if err := c.send(&e, byte(req.Kind), flagBits(req.Forwarded), req.TimeoutMillis); err != nil {
 		return fmt.Errorf("netproto: encode request: %w", err)
 	}
 	return nil
@@ -333,28 +411,56 @@ func (c *Conn) WriteRequest(req *Request) error {
 
 // ReadRequest receives a request (server side).
 func (c *Conn) ReadRequest() (*Request, error) {
-	var req Request
-	if err := c.dec.Decode(&req); err != nil {
+	d, err := c.recv()
+	if err != nil {
 		return nil, err
 	}
-	return &req, nil
+	req := &Request{Kind: RequestKind(c.hdr[1]), TimeoutMillis: int64(binary.LittleEndian.Uint64(c.hdr[4:]))}
+	if req.Kind < KindPing || req.Kind > KindGossip || !unflag(c.hdr[2], &req.Forwarded) {
+		return nil, fmt.Errorf("netproto: malformed frame: request kind %d, flags %#x", c.hdr[1], c.hdr[2])
+	}
+	d.request(req)
+	if err := d.done(); err != nil {
+		return nil, err
+	}
+	return req, nil
 }
 
-// WriteResponse sends a response (server side).
+// WriteResponse sends a response (server side). A response that cannot
+// be encoded — a result whose cells violate its schema — reaches the peer
+// as an error response naming the cell, on a connection still in step.
 func (c *Conn) WriteResponse(resp *Response) error {
-	if err := c.enc.Encode(resp); err != nil {
+	e := c.begin()
+	e.response(resp)
+	if e.err != nil {
+		resp = &Response{Err: e.err.Error()}
+		e = c.begin()
+		e.response(resp)
+	}
+	flags := flagBits(resp.Degraded, resp.Expired, resp.MQOFallback, resp.Resync)
+	if err := c.send(&e, frameResponse, flags, 0); err != nil {
 		return fmt.Errorf("netproto: encode response: %w", err)
 	}
 	return nil
 }
 
-// ReadResponse receives a response.
+// ReadResponse receives a response. Every failure here — a short read, a
+// checksum mismatch, a malformed body — is a transport error: the
+// connection cannot be trusted again.
 func (c *Conn) ReadResponse() (*Response, error) {
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
+	d, err := c.recv()
+	if err != nil {
 		return nil, fmt.Errorf("netproto: decode response: %w", err)
 	}
-	return &resp, nil
+	resp := &Response{}
+	if c.hdr[1] != frameResponse || !unflag(c.hdr[2], &resp.Degraded, &resp.Expired, &resp.MQOFallback, &resp.Resync) {
+		return nil, fmt.Errorf("netproto: decode response: malformed frame: kind %d, flags %#x", c.hdr[1], c.hdr[2])
+	}
+	d.response(resp)
+	if err := d.done(); err != nil {
+		return nil, fmt.Errorf("netproto: decode response: %w", err)
+	}
+	return resp, nil
 }
 
 // RoundTrip sends one request and reads its response. With a timeout set,

@@ -212,8 +212,10 @@ func (p *Proxy) serve(client net.Conn, mode Mode, delay time.Duration) {
 	}
 }
 
-// corruptReader flips the low bit of every 7th byte, enough to break gob
-// framing deterministically without stalling the stream.
+// corruptReader flips the low bit of every 7th byte without stalling the
+// stream: the first flip lands on the frame's version byte, and any flip
+// the header checks miss fails the frame checksum, so a corrupted reply
+// is a transport error at the reader, never a different table.
 type corruptReader struct {
 	r io.Reader
 	n int

@@ -28,6 +28,10 @@ import (
 type RemoteServer struct {
 	mu     sync.RWMutex
 	tables map[string]*relation.Table
+	// execCache keeps the base tables' columnar images and join builds
+	// between pushdowns. Entries are validated by row count and execution
+	// holds mu.RLock, so an insert costs the next pushdown one rebuild.
+	execCache *sqlmini.ExecCache
 	// scanDelay simulates WAN latency on every scan and exec; loopback
 	// demos use it so remote reads genuinely cost more than replicas.
 	scanDelay time.Duration
@@ -45,8 +49,9 @@ type RemoteServer struct {
 // NewRemoteServer returns a server with no tables.
 func NewRemoteServer() *RemoteServer {
 	return &RemoteServer{
-		tables: make(map[string]*relation.Table),
-		closed: make(chan struct{}),
+		tables:    make(map[string]*relation.Table),
+		execCache: sqlmini.NewExecCache(),
+		closed:    make(chan struct{}),
 	}
 }
 
@@ -165,13 +170,7 @@ func (s *RemoteServer) handle(req *netproto.Request) *netproto.Response {
 		if err := s.waitScanDelay(ctx); err != nil {
 			return &netproto.Response{Err: err.Error(), Expired: true}
 		}
-		s.mu.RLock()
-		t, ok := s.tables[strings.ToLower(req.Table)]
-		var snapshot *relation.Table
-		if ok {
-			snapshot = t.Clone()
-		}
-		s.mu.RUnlock()
+		snapshot, _, ok := s.snapshot(req.Table, 0)
 		if !ok {
 			return &netproto.Response{Err: fmt.Sprintf("no table %q", req.Table)}
 		}
@@ -186,23 +185,15 @@ func (s *RemoteServer) handle(req *netproto.Request) *netproto.Response {
 		if err := s.waitScanDelay(ctx); err != nil {
 			return &netproto.Response{Err: err.Error(), Expired: true}
 		}
-		s.mu.RLock()
-		t, ok := s.tables[strings.ToLower(req.Table)]
-		var snapshot *relation.Table
-		if ok {
-			snapshot = t.Clone()
-		}
-		s.mu.RUnlock()
+		snapshot, version, ok := s.snapshot(req.Table, 0)
 		if !ok {
 			return &netproto.Response{Err: fmt.Sprintf("no table %q", req.Table)}
 		}
-		version := uint64(snapshot.NumRows())
 		if req.Filter != "" || req.Columns != nil {
-			shipped, err := projectForWire(ctx, snapshot, snapshot.Rows, req.Filter, req.Columns)
-			if err != nil {
+			var err error
+			if snapshot, err = projectForWire(ctx, snapshot, req.Filter, req.Columns); err != nil {
 				return &netproto.Response{Err: err.Error(), Expired: ctx.Err() != nil}
 			}
-			snapshot = shipped
 		}
 		return &netproto.Response{Result: snapshot, Version: version}
 
@@ -214,37 +205,18 @@ func (s *RemoteServer) handle(req *netproto.Request) *netproto.Response {
 		if err := s.waitScanDelay(ctx); err != nil {
 			return &netproto.Response{Err: err.Error(), Expired: true}
 		}
-		s.mu.RLock()
-		t, ok := s.tables[strings.ToLower(req.Table)]
-		var version uint64
-		var rows []relation.Row
-		var schema *relation.Table
-		resync := false
-		if ok {
-			version = uint64(t.NumRows())
-			if req.Cursor > version {
-				resync = true
-			} else {
-				tail := t.Rows[req.Cursor:]
-				rows = make([]relation.Row, len(tail))
-				for i, r := range tail {
-					rows[i] = r.Clone()
-				}
-				schema = t
-			}
-		}
-		s.mu.RUnlock()
+		tail, version, ok := s.snapshot(req.Table, req.Cursor)
 		if !ok {
 			return &netproto.Response{Err: fmt.Sprintf("no table %q", req.Table)}
 		}
+		resync := req.Cursor > version
 		if !resync && (req.Filter != "" || req.Columns != nil) {
-			shipped, err := projectForWire(ctx, schema, rows, req.Filter, req.Columns)
-			if err != nil {
+			var err error
+			if tail, err = projectForWire(ctx, tail, req.Filter, req.Columns); err != nil {
 				return &netproto.Response{Err: err.Error(), Expired: ctx.Err() != nil}
 			}
-			rows = shipped.Rows
 		}
-		return &netproto.Response{DeltaRows: rows, Version: version, Resync: resync}
+		return &netproto.Response{DeltaRows: tail.Rows, Version: version, Resync: resync}
 
 	case netproto.KindExec:
 		if err := s.waitScanDelay(ctx); err != nil {
@@ -252,7 +224,7 @@ func (s *RemoteServer) handle(req *netproto.Request) *netproto.Response {
 		}
 		s.mu.RLock()
 		cat := sqlmini.NewMapCatalog(s.tables)
-		out, err := sqlmini.RunContext(ctx, req.SQL, cat)
+		out, err := sqlmini.RunWith(ctx, req.SQL, cat, sqlmini.Options{Cache: s.execCache})
 		s.mu.RUnlock()
 		if err != nil {
 			return &netproto.Response{Err: err.Error(), Expired: ctx.Err() != nil}
@@ -278,15 +250,30 @@ func (s *RemoteServer) handle(req *netproto.Request) *netproto.Response {
 	}
 }
 
+// snapshot returns the named table's rows from position from on (none,
+// when from is beyond the table) and the table's version, its row count.
+// Base tables are append-only and a row is never written once inserted,
+// so the capped slice taken under the read lock stays a stable copy while
+// later inserts append past it.
+func (s *RemoteServer) snapshot(table string, from uint64) (rows *relation.Table, version uint64, ok bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	t, ok := s.tables[strings.ToLower(table)]
+	if !ok {
+		return nil, 0, false
+	}
+	n := uint64(len(t.Rows))
+	from = min(from, n)
+	return &relation.Table{Name: t.Name, Schema: t.Schema, Rows: t.Rows[from:n:n]}, n, true
+}
+
 // projectForWire applies a view's delta projection — the ViewWire filter
 // and column subset — to candidate rows before they cross the wire, by
-// running the shipping SELECT over a scratch table holding just those
-// rows. The schema (and the query's FROM name) come from the base table.
-func projectForWire(ctx context.Context, base *relation.Table, rows []relation.Row, filter string, columns []string) (*relation.Table, error) {
-	name := strings.ToLower(base.Name)
-	scratch := relation.NewTable(base.Name, base.Schema)
-	scratch.Rows = rows
-	out, err := sqlmini.RunContext(ctx, sqlmini.WireSQL(name, filter, columns), sqlmini.MapCatalog{name: scratch})
+// running the shipping SELECT over them. rows carries the base table's
+// name (the query's FROM name) and schema.
+func projectForWire(ctx context.Context, rows *relation.Table, filter string, columns []string) (*relation.Table, error) {
+	name := strings.ToLower(rows.Name)
+	out, err := sqlmini.RunContext(ctx, sqlmini.WireSQL(name, filter, columns), sqlmini.MapCatalog{name: rows})
 	if err != nil {
 		return nil, fmt.Errorf("server: delta projection on %s: %w", name, err)
 	}

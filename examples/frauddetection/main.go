@@ -54,11 +54,10 @@ func run() error {
 	// time. TimeScale 20 makes each wall second worth 20 experiment
 	// minutes, so latency discounts are visible within a short demo.
 	dss, err := ivdss.NewDSSServer(ivdss.DSSConfig{
-		Remotes:         map[ivdss.SiteID]string{1: remoteAddr},
-		Replicate:       map[ivdss.TableID]time.Duration{"policies": 300 * time.Millisecond},
-		Rates:           ivdss.DiscountRates{CL: .02, SL: .05},
-		TimeScale:       20,
-		ScheduleHorizon: time.Minute,
+		Remotes:   map[ivdss.SiteID]string{1: remoteAddr},
+		Replicate: map[ivdss.TableID]time.Duration{"policies": 300 * time.Millisecond},
+		Rates:     ivdss.DiscountRates{CL: .02, SL: .05},
+		TimeScale: 20,
 	})
 	if err != nil {
 		return err

@@ -358,12 +358,11 @@ func TestDSSWireDeadlineCountsAsDeadlineExceeded(t *testing.T) {
 func TestDSSConcurrentBatchesThroughWorkerPool(t *testing.T) {
 	_, remoteAddr := startRemote(t, accountsTable(t), tradesTable(t))
 	_, dssAddr := startDSSWith(t, DSSConfig{
-		Remotes:         map[core.SiteID]string{1: remoteAddr},
-		Replicate:       map[core.TableID]time.Duration{"accounts": 200 * time.Millisecond},
-		Rates:           core.DiscountRates{CL: .05, SL: .05},
-		TimeScale:       10,
-		ScheduleHorizon: 20 * time.Second,
-		Workers:         4,
+		Remotes:   map[core.SiteID]string{1: remoteAddr},
+		Replicate: map[core.TableID]time.Duration{"accounts": 200 * time.Millisecond},
+		Rates:     core.DiscountRates{CL: .05, SL: .05},
+		TimeScale: 10,
+		Workers:   4,
 	})
 
 	batch := &netproto.Request{

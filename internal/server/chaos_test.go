@@ -59,7 +59,6 @@ func TestDSSChaosKillAndRecoverSite(t *testing.T) {
 		Replicate:          map[core.TableID]time.Duration{"accounts": 150 * time.Millisecond},
 		Rates:              core.DiscountRates{CL: .05, SL: .05},
 		TimeScale:          10,
-		ScheduleHorizon:    60 * time.Second,
 		MaxDelay:           200 * time.Millisecond,
 		DialTimeout:        200 * time.Millisecond,
 		RetryAttempts:      2,

@@ -26,16 +26,15 @@ func freeAddr(t *testing.T) string {
 func startShard(t *testing.T, remoteAddr string, id int, addr string, peers map[int]string, highWater int) *DSSServer {
 	t.Helper()
 	dss, err := NewDSSServer(DSSConfig{
-		Remotes:         map[core.SiteID]string{1: remoteAddr},
-		Replicate:       map[core.TableID]time.Duration{"accounts": 200 * time.Millisecond},
-		Rates:           core.DiscountRates{CL: .05, SL: .05},
-		TimeScale:       10,
-		ScheduleHorizon: 20 * time.Second,
-		MaxDelay:        time.Second,
-		ShardID:         id,
-		Peers:           peers,
-		GossipInterval:  50 * time.Millisecond,
-		StealHighWater:  highWater,
+		Remotes:        map[core.SiteID]string{1: remoteAddr},
+		Replicate:      map[core.TableID]time.Duration{"accounts": 200 * time.Millisecond},
+		Rates:          core.DiscountRates{CL: .05, SL: .05},
+		TimeScale:      10,
+		MaxDelay:       time.Second,
+		ShardID:        id,
+		Peers:          peers,
+		GossipInterval: 50 * time.Millisecond,
+		StealHighWater: highWater,
 	})
 	if err != nil {
 		t.Fatal(err)

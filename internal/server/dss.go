@@ -51,9 +51,6 @@ type DSSConfig struct {
 	// PlannerHorizon bounds how far ahead the planner may delay execution,
 	// in experiment minutes. Default 30.
 	PlannerHorizon core.Duration
-	// ScheduleHorizon bounds how much synchronization schedule is
-	// materialized, wall-clock. Default 24h.
-	ScheduleHorizon time.Duration
 	// MaxDelay caps how long the executor honours a delayed plan,
 	// wall-clock. Default 30s.
 	MaxDelay time.Duration
@@ -161,9 +158,6 @@ func (c DSSConfig) withDefaults() DSSConfig {
 	}
 	if c.PlannerHorizon == 0 {
 		c.PlannerHorizon = 30
-	}
-	if c.ScheduleHorizon == 0 {
-		c.ScheduleHorizon = 24 * time.Hour
 	}
 	if c.MaxDelay == 0 {
 		c.MaxDelay = 30 * time.Second

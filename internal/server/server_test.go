@@ -167,12 +167,11 @@ func TestRemoteServerPersistentConnection(t *testing.T) {
 func startDSS(t *testing.T, remoteAddr string) (*DSSServer, string) {
 	t.Helper()
 	dss, err := NewDSSServer(DSSConfig{
-		Remotes:         map[core.SiteID]string{1: remoteAddr},
-		Replicate:       map[core.TableID]time.Duration{"accounts": 200 * time.Millisecond},
-		Rates:           core.DiscountRates{CL: .05, SL: .05},
-		TimeScale:       10,
-		ScheduleHorizon: 20 * time.Second,
-		MaxDelay:        time.Second,
+		Remotes:   map[core.SiteID]string{1: remoteAddr},
+		Replicate: map[core.TableID]time.Duration{"accounts": 200 * time.Millisecond},
+		Rates:     core.DiscountRates{CL: .05, SL: .05},
+		TimeScale: 10,
+		MaxDelay:  time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

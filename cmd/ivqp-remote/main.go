@@ -7,7 +7,7 @@
 //	ivqp-remote -addr :7102 -tables lineitem,supplier,part,partsupp -scale 2
 //
 // Clients (the DSS server, or ivqp -remote) connect over TCP with the
-// internal gob protocol.
+// internal frame protocol (internal/netproto; DESIGN.md §14).
 package main
 
 import (

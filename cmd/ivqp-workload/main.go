@@ -106,7 +106,7 @@ func cli(fs *flag.FlagSet, args []string) error {
 	if *scenario != "" {
 		return runScenario(addrs, *scenario, *seed, *timescale, *timeout, tenantNames, proxies)
 	}
-	deadline, err := queryDeadline(*timeout, *epsilon, *value, *lambdaCL, *timescale)
+	deadline, err := core.ClientDeadline(*timeout, *epsilon, *value, *lambdaCL, *timescale)
 	if err != nil {
 		return err
 	}
@@ -299,30 +299,6 @@ func runScenario(addrs []string, name string, seed int64, timescale float64, tim
 
 	fmt.Printf("scenario %s: %d tables, seed %d, timescale %g min/s\n", sc.Name, sc.Tables, sc.Seed, timescale)
 	return offer(os.Stdout, addrs, stream, timeout)
-}
-
-// queryDeadline folds -timeout and the optional -epsilon value horizon into
-// one per-query wall-clock budget; zero means no deadline.
-func queryDeadline(timeout time.Duration, epsilon, value, lambdaCL, timescale float64) (time.Duration, error) {
-	d := timeout
-	if epsilon > 0 {
-		if timescale <= 0 {
-			return 0, fmt.Errorf("-timescale must be positive when -epsilon is set")
-		}
-		rates := core.DiscountRates{CL: lambdaCL}
-		if err := rates.Validate(); err != nil {
-			return 0, err
-		}
-		minutes := core.ToleratedCL(value, epsilon, rates)
-		wall := time.Duration(minutes / timescale * float64(time.Second))
-		if wall <= 0 {
-			return 0, fmt.Errorf("value %g is already below -epsilon %g: every report would be worthless", value, epsilon)
-		}
-		if d == 0 || wall < d {
-			d = wall
-		}
-	}
-	return d, nil
 }
 
 // tally accumulates results across arrival goroutines.

@@ -197,12 +197,12 @@ func TestRunScenarioRejectsBadInput(t *testing.T) {
 
 func TestQueryDeadline(t *testing.T) {
 	// -epsilon off: the plain timeout passes through.
-	if d, err := queryDeadline(time.Minute, 0, 1, .01, 1.0/60); err != nil || d != time.Minute {
+	if d, err := core.ClientDeadline(time.Minute, 0, 1, .01, 1.0/60); err != nil || d != time.Minute {
 		t.Errorf("deadline = %v, %v", d, err)
 	}
 	// bv 1, epsilon .5, λcl .05 → ~13.5 experiment minutes; at timescale 10
 	// that is ~1.35 wall seconds, well under the 1-minute timeout.
-	d, err := queryDeadline(time.Minute, .5, 1, .05, 10)
+	d, err := core.ClientDeadline(time.Minute, .5, 1, .05, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,10 +210,10 @@ func TestQueryDeadline(t *testing.T) {
 		t.Errorf("horizon deadline = %v, want ~1.35s", d)
 	}
 	// A value already below epsilon is refused up front.
-	if _, err := queryDeadline(time.Minute, .5, .4, .05, 10); err == nil {
+	if _, err := core.ClientDeadline(time.Minute, .5, .4, .05, 10); err == nil {
 		t.Error("worthless value accepted")
 	}
-	if _, err := queryDeadline(time.Minute, .5, 1, .05, 0); err == nil {
+	if _, err := core.ClientDeadline(time.Minute, .5, 1, .05, 0); err == nil {
 		t.Error("zero timescale accepted with epsilon set")
 	}
 }

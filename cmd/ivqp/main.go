@@ -44,37 +44,11 @@ func cli(fs *flag.FlagSet, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	deadline, err := callDeadline(*timeout, *epsilon, *value, *lambdaCL, *timescale)
+	deadline, err := core.ClientDeadline(*timeout, *epsilon, *value, *lambdaCL, *timescale)
 	if err != nil {
 		return err
 	}
 	return run(*addr, *value, *status, *showMetrics, *remote, *batch, deadline, strings.Join(fs.Args(), " "))
-}
-
-// callDeadline folds -timeout and the optional -epsilon value horizon into
-// one wall-clock budget. The horizon is client-side insurance: even when the
-// server does no shedding, the call abandons work that can no longer reach
-// the threshold. Zero means no deadline.
-func callDeadline(timeout time.Duration, epsilon, value, lambdaCL, timescale float64) (time.Duration, error) {
-	d := timeout
-	if epsilon > 0 {
-		if timescale <= 0 {
-			return 0, fmt.Errorf("-timescale must be positive when -epsilon is set")
-		}
-		rates := core.DiscountRates{CL: lambdaCL}
-		if err := rates.Validate(); err != nil {
-			return 0, err
-		}
-		minutes := core.ToleratedCL(value, epsilon, rates)
-		wall := time.Duration(minutes / timescale * float64(time.Second))
-		if wall <= 0 {
-			return 0, fmt.Errorf("value %g is already below -epsilon %g: the report would be worthless", value, epsilon)
-		}
-		if d == 0 || wall < d {
-			d = wall
-		}
-	}
-	return d, nil
 }
 
 // callCtx returns a context carrying the deadline (Background when zero).

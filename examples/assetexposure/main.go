@@ -57,7 +57,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	engine, err := ivdss.NewEngine(catalog)
+	engine, err := ivdss.NewEngine(catalog, mgr)
 	if err != nil {
 		return err
 	}

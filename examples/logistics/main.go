@@ -96,7 +96,7 @@ func run() error {
 	fmt.Println("\novernight overload: aging prevents starvation of the compliance report")
 	for _, aging := range []ivdss.Aging{{}, {Coefficient: .03, Exponent: 1.5}} {
 		s := ivdss.NewSimulator()
-		d, err := ivdss.NewDispatcher(s, &ivdss.IVQPStrategy{Planner: planner, Catalog: catalog, Horizon: 30}, rates, 1, aging)
+		d, err := ivdss.NewSimEngine(s, &ivdss.IVQPStrategy{Planner: planner, Catalog: catalog, Horizon: 30}, rates, 1, aging)
 		if err != nil {
 			return err
 		}
@@ -112,7 +112,9 @@ func run() error {
 				SubmitAt:      ivdss.Time(i) * .7,
 			})
 		}
-		d.SubmitAll(stream)
+		for _, q := range stream {
+			s.ScheduleAt(q.SubmitAt, func() { d.Submit(q, nil) })
+		}
 		s.Run()
 		if err := d.Err(); err != nil {
 			return err

@@ -9,7 +9,6 @@ import (
 	"ivdss/internal/core"
 	"ivdss/internal/metrics"
 	"ivdss/internal/relation"
-	"ivdss/internal/replication"
 	"ivdss/internal/replsync"
 	"ivdss/internal/scheduler"
 	"ivdss/internal/sim"
@@ -278,23 +277,18 @@ func (m syncModel) run() (syncRun, error) {
 	}
 	s := sim.New()
 	clock := scheduler.SimClock{Sim: s}
-	mgr := replication.NewManager()
 	tables := make([]replsync.TableConfig, len(units))
 	for i, id := range units {
 		tables[i] = replsync.TableConfig{ID: id, Period: cfg.Period}
-		if err := mgr.Register(id, replication.Schedule{}); err != nil {
-			return out, err
-		}
 	}
 	reg := metrics.NewRegistry()
 	acfg := replsync.Config{
-		Clock:   clock,
-		Fetch:   modelFetcher{clock: clock, syncModel: m},
-		Apply:   nopApplier{},
-		Manager: mgr,
-		Tables:  tables,
-		Budget:  cfg.Budget,
-		Stats:   reg,
+		Clock:  clock,
+		Fetch:  modelFetcher{clock: clock, syncModel: m},
+		Apply:  nopApplier{},
+		Tables: tables,
+		Budget: cfg.Budget,
+		Stats:  reg,
 	}
 	if m.tune != nil {
 		m.tune(&acfg)
@@ -331,9 +325,11 @@ func (m syncModel) run() (syncRun, error) {
 		s.ScheduleAt(arrivals[i], func() {
 			now := s.Now()
 			unit := targets[i]
-			sl, ok := mgr.Staleness(unit, now)
-			if !ok {
-				sl = now
+			// The staleness the report finds is the agent's own account of
+			// the unit's last applied payload.
+			sl := now
+			if st := agent.StateFor(unit, now, 0); st != nil {
+				sl = now - st.LastSync
 			}
 			// The report's SL also includes its own processing time: the
 			// replica ages while the query runs.

@@ -103,6 +103,33 @@ func (q Query) ValueHorizon(r DiscountRates, epsilon float64) Duration {
 	return ToleratedCL(bv, epsilon, r)
 }
 
+// ClientDeadline folds a client's -timeout and its optional -epsilon value
+// horizon into one wall-clock budget per query; zero means no deadline.
+// The horizon is client-side insurance: even when the server does no
+// shedding, the call abandons work that can no longer reach the threshold.
+// timescale is experiment minutes per wall second.
+func ClientDeadline(timeout time.Duration, epsilon, value, lambdaCL, timescale float64) (time.Duration, error) {
+	d := timeout
+	if epsilon > 0 {
+		if timescale <= 0 {
+			return 0, fmt.Errorf("-timescale must be positive when -epsilon is set")
+		}
+		rates := DiscountRates{CL: lambdaCL}
+		if err := rates.Validate(); err != nil {
+			return 0, err
+		}
+		minutes := ToleratedCL(value, epsilon, rates)
+		wall := time.Duration(minutes / timescale * float64(time.Second))
+		if wall <= 0 {
+			return 0, fmt.Errorf("value %g is already below -epsilon %g: the report would be worthless", value, epsilon)
+		}
+		if d == 0 || wall < d {
+			d = wall
+		}
+	}
+	return d, nil
+}
+
 // ValueExpiredError is the typed load-shedding failure: the query's
 // information value fell (or was projected to fall) below the admission
 // threshold before a report could be produced, so the system refused to

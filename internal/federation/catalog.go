@@ -4,25 +4,40 @@ import (
 	"fmt"
 
 	"ivdss/internal/core"
-	"ivdss/internal/replication"
 )
+
+// ReplicaStates is whoever keeps the freshness of the local replicas and
+// view units: a replication.Manager over schedules materialized in advance
+// (the DES, the paper's simulator setup) or the live server's sync agent
+// answering from the cycles it actually ran.
+type ReplicaStates interface {
+	// StateFor is the planner's view of one unit at time now, nil when it
+	// is not replicated.
+	StateFor(id core.TableID, now core.Time, horizon core.Duration) *core.ReplicaState
+	// Tables lists the units with state, sorted.
+	Tables() []core.TableID
+}
 
 // Catalog combines table placement, replication state, and the
 // materialized-view directory into the snapshot the IVQP planner consumes:
 // per table, every data source the plan space enumerates.
 type Catalog struct {
 	placement *Placement
-	replicas  *replication.Manager
+	replicas  ReplicaStates
 	views     viewRegistry
 }
 
-// NewCatalog wires a placement to a replication manager. Every table the
-// manager replicates must be placed.
-func NewCatalog(p *Placement, m *replication.Manager) (*Catalog, error) {
+// NewCatalog wires a placement to the keeper of replica freshness. Every
+// table it replicates must be placed; a view unit's base table is checked
+// when RegisterView names it.
+func NewCatalog(p *Placement, m ReplicaStates) (*Catalog, error) {
 	if p == nil || m == nil {
 		return nil, fmt.Errorf("federation: catalog needs placement and replication manager")
 	}
 	for _, id := range m.Tables() {
+		if _, isView := core.ViewOfUnit(id); isView {
+			continue
+		}
 		if _, err := p.SiteOf(id); err != nil {
 			return nil, fmt.Errorf("federation: replicated table %s is not placed", id)
 		}
@@ -32,9 +47,6 @@ func NewCatalog(p *Placement, m *replication.Manager) (*Catalog, error) {
 
 // Placement exposes the underlying placement.
 func (c *Catalog) Placement() *Placement { return c.placement }
-
-// Replication exposes the underlying replication manager.
-func (c *Catalog) Replication() *replication.Manager { return c.replicas }
 
 // Snapshot returns the planner view of the given tables at time now,
 // including scheduled syncs within the horizon (0 = unbounded).

@@ -16,16 +16,6 @@ import (
 	"ivdss/internal/wall"
 )
 
-// SyncBucket is the engine's slice of the shared sync-bandwidth budget: a
-// post-paid token bucket where Debt reports outstanding overdraw (zero
-// means spending is allowed) and Charge post-pays a payload's bytes.
-// *replsync.Bucket implements it; the indirection keeps federation from
-// importing replsync, whose clockwork depends on the scheduler.
-type SyncBucket interface {
-	Debt() float64
-	Charge(bytes int64)
-}
-
 // Site is an in-process remote server holding base tables. The live TCP
 // deployment (internal/server) exposes the same data over the wire; the
 // engine here is the embedded equivalent used by examples, tests and
@@ -67,15 +57,12 @@ func (s *Site) Table(id core.TableID) (*relation.Table, error) {
 // maintained by the replication manager's sync events.
 type Engine struct {
 	catalog  *Catalog
+	manager  *replication.Manager
 	sites    map[core.SiteID]*Site
 	replicas map[core.TableID]*relation.Table
 	// views holds each materialized view's current answer table,
 	// installed by the view maintenance pipeline.
 	views map[core.ViewID]*relation.Table
-	// bucket, when set, is the shared sync-bandwidth bucket replica
-	// refreshes charge — the same one the sync agent draws on, so
-	// pre-warming replica-access plans cannot exceed the sync budget.
-	bucket SyncBucket
 	// netDelay simulates the network cost of each remote base-table
 	// access; in-process sites are otherwise as fast as local replicas,
 	// which would hide the federation trade-off the planner reasons about.
@@ -85,22 +72,23 @@ type Engine struct {
 	execCache *sqlmini.ExecCache
 }
 
-// NewEngine builds an engine and subscribes it to the catalog's
-// replication manager so sync events refresh local replica snapshots.
-func NewEngine(catalog *Catalog) (*Engine, error) {
-	if catalog == nil {
-		return nil, fmt.Errorf("federation: engine needs a catalog")
+// NewEngine builds an engine and subscribes it to the replication manager
+// behind the catalog, so sync events refresh local replica snapshots.
+func NewEngine(catalog *Catalog, manager *replication.Manager) (*Engine, error) {
+	if catalog == nil || manager == nil {
+		return nil, fmt.Errorf("federation: engine needs a catalog and its replication manager")
 	}
 	e := &Engine{
 		catalog:   catalog,
+		manager:   manager,
 		sites:     make(map[core.SiteID]*Site),
 		replicas:  make(map[core.TableID]*relation.Table),
 		views:     make(map[core.ViewID]*relation.Table),
 		execCache: sqlmini.NewExecCache(),
 	}
-	catalog.Replication().OnSync(func(ev replication.SyncEvent) {
-		// A failed copy leaves the previous snapshot in place; the planner
-		// still sees the stale freshness via the replication manager.
+	manager.OnSync(func(ev replication.SyncEvent) {
+		// A copy fails only for a table no site holds, which then has no
+		// snapshot at all: replica plans over it fail at Replica.
 		_ = e.refreshReplica(ev.Table)
 	})
 	return e, nil
@@ -148,11 +136,6 @@ func (e *Engine) Distribute(tables map[string]*relation.Table) error {
 	return nil
 }
 
-// SetSyncBucket routes the engine's replica-refresh bytes through the
-// given shared bandwidth bucket (the one the sync agent charges), so all
-// byte movers respect one sync budget. Nil (the default) is unlimited.
-func (e *Engine) SetSyncBucket(b SyncBucket) { e.bucket = b }
-
 // InstallView installs (or replaces) a materialized view's current answer
 // table. The view maintenance pipeline calls this after each refresh;
 // AccessView plans read the installed table.
@@ -169,10 +152,7 @@ func (e *Engine) View(id core.ViewID) (*relation.Table, error) {
 	return t, nil
 }
 
-// refreshReplica snapshots the base table into the local replica store,
-// charging the payload against the shared sync bucket. A bucket in debt
-// defers the refresh — the previous snapshot stays in place and the next
-// sync event retries — so pre-warming cannot exceed the sync budget.
+// refreshReplica snapshots the base table into the local replica store.
 func (e *Engine) refreshReplica(id core.TableID) error {
 	site, err := e.catalog.Placement().SiteOf(id)
 	if err != nil {
@@ -186,16 +166,7 @@ func (e *Engine) refreshReplica(id core.TableID) error {
 	if err != nil {
 		return err
 	}
-	if e.bucket != nil {
-		if debt := e.bucket.Debt(); debt > 0 {
-			return fmt.Errorf("federation: replica %s refresh deferred: sync budget in debt %.0f bytes", id, debt)
-		}
-	}
-	snap := t.Clone()
-	if e.bucket != nil {
-		e.bucket.Charge(snap.SizeBytes())
-	}
-	e.replicas[id] = snap
+	e.replicas[id] = t.Clone()
 	return nil
 }
 
@@ -302,9 +273,8 @@ func (e *Engine) Calibrate(q core.Query, sql string, model *costmodel.Calibrated
 	}
 	var replicated []core.TableID
 	var fixedBase []core.TableID
-	repl := e.catalog.Replication()
 	for _, id := range q.Tables {
-		if repl.Replicated(id) {
+		if e.manager.Replicated(id) {
 			replicated = append(replicated, id)
 		} else {
 			fixedBase = append(fixedBase, id)

@@ -153,7 +153,7 @@ func buildTestWorld(t *testing.T) (*Catalog, *Engine, *replication.Manager) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := NewEngine(catalog)
+	engine, err := NewEngine(catalog, mgr)
 	if err != nil {
 		t.Fatal(err)
 	}

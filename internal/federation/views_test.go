@@ -6,8 +6,6 @@ import (
 	"ivdss/internal/core"
 	"ivdss/internal/relation"
 	"ivdss/internal/replication"
-	"ivdss/internal/replsync"
-	"ivdss/internal/scheduler"
 )
 
 func TestRegisterView(t *testing.T) {
@@ -138,66 +136,5 @@ func TestExecutePlanViewBypass(t *testing.T) {
 	}}
 	if _, err := engine.ExecutePlan("SELECT 1 FROM trades", missing); err == nil {
 		t.Error("uninstalled view served")
-	}
-}
-
-// TestRefreshReplicaSharedBucket pins the satellite fix: replica
-// pre-warming charges the shared sync bucket, and a bucket in debt defers
-// the refresh instead of overdrawing the -sync-budget.
-func TestRefreshReplicaSharedBucket(t *testing.T) {
-	placement, err := NewPlacement(map[core.TableID]core.SiteID{"accounts": 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr := replication.NewManager()
-	if err := mgr.Register("accounts", replication.Schedule{Times: []core.Time{0, 10, 20, 30}}); err != nil {
-		t.Fatal(err)
-	}
-	catalog, err := NewCatalog(placement, mgr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine, err := NewEngine(catalog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	accounts := relation.NewTable("accounts", relation.MustSchema(
-		relation.Column{Name: "a_id", Type: relation.Int},
-		relation.Column{Name: "a_balance", Type: relation.Float},
-	))
-	accounts.MustInsert(relation.Row{relation.IntVal(1), relation.FloatVal(100)})
-	accounts.MustInsert(relation.Row{relation.IntVal(2), relation.FloatVal(250)})
-	if err := engine.Distribute(map[string]*relation.Table{"accounts": accounts}); err != nil {
-		t.Fatal(err)
-	}
-
-	clk := &scheduler.ManualClock{}
-	bucket, err := replsync.NewBucket(clk, 10, 40) // 10 B/min, burst 40
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine.SetSyncBucket(bucket)
-
-	mgr.Advance(0) // 2 rows × 16 B = 32 B charged; 8 tokens left
-	if r, _ := engine.Replica("accounts"); r.NumRows() != 2 {
-		t.Fatal("first refresh did not install the snapshot")
-	}
-
-	accounts.MustInsert(relation.Row{relation.IntVal(3), relation.FloatVal(5)})
-	mgr.Advance(10) // 48 B charged from 8 tokens: bucket goes to -40
-	if r, _ := engine.Replica("accounts"); r.NumRows() != 3 {
-		t.Fatal("second refresh should still pass (post-paid bucket)")
-	}
-
-	accounts.MustInsert(relation.Row{relation.IntVal(4), relation.FloatVal(7)})
-	mgr.Advance(20) // bucket in debt: refresh defers, snapshot stays
-	if r, _ := engine.Replica("accounts"); r.NumRows() != 3 {
-		t.Fatal("refresh proceeded while the shared bucket was in debt")
-	}
-
-	clk.RunUntil(10) // refill: 10 min × 10 B/min clears the 40 B debt
-	mgr.Advance(30)
-	if r, _ := engine.Replica("accounts"); r.NumRows() != 4 {
-		t.Fatal("refresh did not resume after the bucket refilled")
 	}
 }

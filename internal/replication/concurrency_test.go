@@ -9,9 +9,9 @@ import (
 	"ivdss/internal/core"
 )
 
-// The manager is mutated by the live sync agent (RecordSync, Reschedule,
-// Register/Unregister) while request handlers read StateFor and Staleness
-// concurrently. This test hammers every combination under -race.
+// The manager may be mutated (Advance, RecordSync, Reschedule, Register)
+// while planners read StateFor and Staleness concurrently. This test
+// hammers every combination under -race.
 func TestManagerConcurrentAdvanceStateFor(t *testing.T) {
 	m := NewManager()
 	tables := []core.TableID{"a", "b", "c", "d"}
@@ -36,7 +36,7 @@ func TestManagerConcurrentAdvanceStateFor(t *testing.T) {
 		}
 	}()
 	// Writer: records live completions and rewrites the future schedule of
-	// its own table, like the sync agent does.
+	// its own table.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -59,7 +59,6 @@ func TestManagerConcurrentAdvanceStateFor(t *testing.T) {
 				return
 			}
 		}
-		m.Unregister("live")
 	}()
 	// Readers: the planner's view, staleness, and enumeration.
 	for r := 0; r < 4; r++ {
@@ -212,29 +211,6 @@ func TestRescheduleReplacesFuture(t *testing.T) {
 	}
 	if rs := m.StateFor("t", 6, 0); len(rs.NextSyncs) != 0 {
 		t.Fatalf("NextSyncs after clearing = %v, want none", rs.NextSyncs)
-	}
-}
-
-func TestUnregister(t *testing.T) {
-	m := NewManager()
-	if err := m.Register("t", Schedule{Times: []core.Time{1}}); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Unregister("t") {
-		t.Fatal("Unregister should report the table existed")
-	}
-	if m.Replicated("t") {
-		t.Fatal("table still replicated after Unregister")
-	}
-	if m.StateFor("t", 2, 0) != nil {
-		t.Fatal("StateFor after Unregister should be nil")
-	}
-	if m.Unregister("t") {
-		t.Fatal("second Unregister should report absence")
-	}
-	// Re-registering after demotion is allowed (a later promotion).
-	if err := m.Register("t", Schedule{}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -9,6 +9,12 @@
 // materialized in advance (periodic or drawn from an exponential stream,
 // as in the paper's simulator), which is exactly what lets the planner
 // reason about *future* replica versions.
+//
+// A materialized schedule is a model: every scheduled sync is taken to
+// complete at its instant. That is the DES's and the examples' world. The
+// live server, whose syncs can be deferred or late, does not use this
+// package: its sync agent (internal/replsync) answers the planner from the
+// cycles it actually ran.
 package replication
 
 import (
@@ -79,9 +85,8 @@ type SyncEvent struct {
 }
 
 // Manager tracks the synchronization state of every replicated table. All
-// methods are safe for concurrent use: the live server's sync agent
-// rewrites schedules while request handlers read StateFor, so the manager
-// carries its own lock rather than relying on a single driving goroutine.
+// methods are safe for concurrent use: the manager carries its own lock
+// rather than relying on a single driving goroutine.
 type Manager struct {
 	mu     sync.Mutex
 	tables map[core.TableID]*tableSync
@@ -109,9 +114,9 @@ func (m *Manager) OnSync(fn func(SyncEvent)) {
 }
 
 // Register adds a replicated table with its schedule. Re-registering a
-// table is an error. An empty schedule is valid: the live sync agent
-// registers tables bare and fills in completions (RecordSync) and upcoming
-// syncs (Reschedule) as it runs.
+// table is an error. An empty schedule is valid: a caller modelling syncs
+// as they happen registers tables bare and fills in completions
+// (RecordSync) and upcoming syncs (Reschedule) as it goes.
 func (m *Manager) Register(id core.TableID, s Schedule) error {
 	if id == "" {
 		return fmt.Errorf("replication: empty table ID")
@@ -128,16 +133,6 @@ func (m *Manager) Register(id core.TableID, s Schedule) error {
 	copy(times, s.Times)
 	m.tables[id] = &tableSync{schedule: times}
 	return nil
-}
-
-// Unregister drops a replicated table (a runtime demotion). It reports
-// whether the table was registered.
-func (m *Manager) Unregister(id core.TableID) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok := m.tables[id]
-	delete(m.tables, id)
-	return ok
 }
 
 // Replicated reports whether the table has a registered replica.
@@ -212,8 +207,8 @@ func (m *Manager) NextSyncAt() (core.Time, bool) {
 }
 
 // RecordSync records an out-of-schedule completed synchronization at `at`
-// — the live sync agent's actual completion instant, which drifts from the
-// materialized schedule under deferrals and transfer time. Scheduled
+// — an actual completion instant, which drifts from the materialized
+// schedule under deferrals and transfer time. Scheduled
 // entries at or before `at` that have not completed are dropped (the
 // completed sync supersedes them) and `at` becomes the latest completed
 // sync, so StateFor and Staleness reflect exactly what the replica store
@@ -222,7 +217,7 @@ func (m *Manager) NextSyncAt() (core.Time, bool) {
 // Earlier completions are forgotten: the replica store holds the version
 // synchronized at `at` and nothing older, so StateFor and Staleness answer
 // for instants at or after `at` only. That keeps a table's schedule at one
-// completion plus its pending entries however long the agent runs, so the
+// completion plus its pending entries however long the caller runs, so the
 // lock every StateFor takes is never held across a growing copy.
 func (m *Manager) RecordSync(id core.TableID, at core.Time) error {
 	m.mu.Lock()
@@ -251,9 +246,8 @@ func (m *Manager) RecordSync(id core.TableID, at core.Time) error {
 
 // Reschedule replaces the table's not-yet-completed schedule suffix with
 // `future` (strictly ascending, every entry after the last completed
-// sync). The adaptive cadence controller calls it whenever it re-divides
-// the sync budget, so the planner's view of upcoming replica versions
-// tracks the cadence actually in force.
+// sync), so the planner's view of upcoming replica versions tracks a
+// cadence that changed.
 func (m *Manager) Reschedule(id core.TableID, future []core.Time) error {
 	if err := (Schedule{Times: future}).Validate(); err != nil {
 		return err

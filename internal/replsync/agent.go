@@ -10,7 +10,6 @@ import (
 
 	"ivdss/internal/core"
 	"ivdss/internal/metrics"
-	"ivdss/internal/replication"
 	"ivdss/internal/scheduler"
 )
 
@@ -30,11 +29,6 @@ type Config struct {
 	// Fetch obtains sync payloads; Apply installs them.
 	Fetch Fetcher
 	Apply Applier
-	// Manager, when set, mirrors every completion (RecordSync) and the
-	// upcoming cadence (Reschedule) so the planner's StateFor view matches
-	// the replica store exactly. The caller registers the initial Tables;
-	// the agent registers/unregisters tables it promotes/demotes.
-	Manager *replication.Manager
 	// Context roots fetches; cancelling it aborts in-flight pulls on
 	// shutdown. Defaults to context.Background().
 	Context context.Context
@@ -48,14 +42,6 @@ type Config struct {
 	Budget float64
 	// Burst caps accumulated budget. Default 5 minutes' worth.
 	Burst float64
-	// Bucket, when set, is the shared token bucket the agent charges
-	// instead of building a private one from Budget/Burst — so other
-	// byte movers (the federation engine's replica pre-warming) draw
-	// from the same -sync-budget.
-	Bucket *Bucket
-	// MirrorSyncs is how many upcoming syncs are mirrored into the Manager
-	// per table (the planner's delayed-execution lookahead). Default 4.
-	MirrorSyncs int
 
 	// Adaptive enables the cadence controller: every AdjustEvery minutes
 	// the total sync rate (Σ 1/period, fixed at construction) is
@@ -91,14 +77,21 @@ type Config struct {
 // tableState is one replicated table's live sync state.
 type tableState struct {
 	id           core.TableID
-	period       core.Duration
 	cursor       uint64
 	haveSnapshot bool
-	lastSync     core.Time // -1 before the first completed sync
-	nextAt       core.Time // -1 when no cycle is armed
-	gen          uint64    // invalidates armed timers on reschedule/demote
-	syncing      bool      // a cycle is in flight (live mode)
+	gen          uint64 // invalidates armed timers on reschedule/demote
+	syncing      bool   // a cycle is in flight (live mode)
+
+	// The freshness ledger StateFor answers from. Written with Agent.mu
+	// and Agent.fmu both held, so holding either is enough to read.
+	period   core.Duration
+	lastSync core.Time // -1 before the first completed sync
+	nextAt   core.Time // -1 when no cycle is armed
 }
+
+// lookahead is how many upcoming syncs StateFor reports per table: the
+// planner's delayed-execution plan space grows with every one.
+const lookahead = 4
 
 // TableStatus is one table's sync state as reported by Status.
 type TableStatus struct {
@@ -122,7 +115,12 @@ type Agent struct {
 	// applier, not the owner's replica store behind that.
 	self *atomic.Pointer[Agent]
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// fmu is the planner's way in: mu is held across Apply (a whole-replica
+	// clone on the live server) while StateFor runs once per plan, so the
+	// ledger fields and the tables map are also covered by fmu, which is
+	// only ever held for a few loads or stores. Lock order: mu, then fmu.
+	fmu     sync.RWMutex
 	tables  map[core.TableID]*tableState
 	genSeq  uint64
 	started bool
@@ -159,9 +157,6 @@ func New(cfg Config) (*Agent, error) {
 	}
 	if cfg.Context == nil {
 		cfg.Context = context.Background()
-	}
-	if cfg.MirrorSyncs == 0 {
-		cfg.MirrorSyncs = 4
 	}
 	if cfg.AdjustEvery == 0 {
 		cfg.AdjustEvery = 10
@@ -218,8 +213,7 @@ func New(cfg Config) (*Agent, error) {
 			return nil, fmt.Errorf("replsync: invalid period clamp [%v, %v]", a.cfg.MinPeriod, a.cfg.MaxPeriod)
 		}
 	}
-	a.bucket = cfg.Bucket
-	if a.bucket == nil && cfg.Budget > 0 {
+	if cfg.Budget > 0 {
 		b, err := NewBucket(cfg.Clock, cfg.Budget, cfg.Burst)
 		if err != nil {
 			return nil, err
@@ -257,6 +251,50 @@ func (a *Agent) tablesLocked() []core.TableID {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
+}
+
+// StateFor is the planner's view of one replicated table at time now, the
+// agent being the only keeper of live freshness: LastSync is the instant
+// of the table's last applied payload — the stamp the Applier was handed,
+// whatever cycles have been deferred or are in flight since — and
+// NextSyncs are the armed cycle and the period steps after it that fall
+// after now, at most lookahead of them and within the horizon (0 =
+// unbounded). A table not replicated, or with no payload applied yet, has
+// no state.
+func (a *Agent) StateFor(id core.TableID, now core.Time, horizon core.Duration) *core.ReplicaState {
+	a.fmu.RLock()
+	ts, ok := a.tables[id]
+	if !ok || ts.lastSync < 0 {
+		a.fmu.RUnlock()
+		return nil
+	}
+	period, lastSync, next := ts.period, ts.lastSync, ts.nextAt
+	a.fmu.RUnlock()
+	rs := &core.ReplicaState{LastSync: lastSync}
+	if next < 0 {
+		return rs
+	}
+	// A cycle still in flight (or its timer late) leaves nextAt behind now:
+	// step over the periods already missed.
+	if next <= now {
+		next += (math.Floor((now-next)/period) + 1) * period
+	}
+	for i := 0; i < lookahead; i++ {
+		t := next + core.Time(i)*period
+		if horizon != 0 && t > now+horizon {
+			break
+		}
+		if t <= now { // only when rounding left next a hair short
+			continue
+		}
+		if rs.NextSyncs == nil {
+			// Allocated once, and not at all for the common slow cadence
+			// whose next cycle lies beyond the horizon.
+			rs.NextSyncs = make([]core.Time, 0, lookahead-i)
+		}
+		rs.NextSyncs = append(rs.NextSyncs, t)
+	}
+	return rs
 }
 
 // Status reports every table's sync state, sorted by table ID.
@@ -386,7 +424,9 @@ func (a *Agent) armLocked(ts *tableState, now core.Time, delay core.Duration) {
 	if !a.started || a.stopped {
 		return
 	}
+	a.fmu.Lock()
 	ts.nextAt = now + math.Max(delay, 0)
+	a.fmu.Unlock()
 	id, gen := ts.id, ts.gen
 	a.after(delay, func(a *Agent) { a.tick(id, gen) })
 }
@@ -422,7 +462,7 @@ func (a *Agent) tick(id core.TableID, gen uint64) {
 }
 
 // perform fetches and applies one cycle's payload, updates cursors,
-// budget, metrics, and the Manager mirror, and (when rearm) schedules the
+// budget, metrics and the freshness ledger, and (when rearm) schedules the
 // next cycle. It returns the cycle's Event.
 func (a *Agent) perform(id core.TableID, gen uint64, cursor uint64, have, rearm bool) Event {
 	var (
@@ -469,7 +509,7 @@ func (a *Agent) perform(id core.TableID, gen uint64, cursor uint64, have, rearm 
 
 	if err == nil {
 		// Apply atomically (the applier owns the replica store's lock)
-		// and stamp the manager mirror with the same instant, so the
+		// and, below, enter the same instant in the ledger, so the
 		// planner's freshness view and the store agree exactly.
 		if asSnap {
 			err = a.cfg.Apply.ApplySnapshot(id, snap, now)
@@ -498,7 +538,9 @@ func (a *Agent) perform(id core.TableID, gen uint64, cursor uint64, have, rearm 
 
 	ts.cursor = version
 	ts.haveSnapshot = true
+	a.fmu.Lock()
 	ts.lastSync = now
+	a.fmu.Unlock()
 	a.bucket.Charge(bytes)
 	a.stats.Counter("syncs_total").Inc()
 	a.stats.Counter("sync_bytes_total").Add(bytes)
@@ -519,7 +561,6 @@ func (a *Agent) perform(id core.TableID, gen uint64, cursor uint64, have, rearm 
 	if rearm {
 		a.armLocked(ts, now, ts.period)
 	}
-	a.mirrorLocked(ts, now)
 	a.mu.Unlock()
 
 	kind := DeltaSync
@@ -527,27 +568,6 @@ func (a *Agent) perform(id core.TableID, gen uint64, cursor uint64, have, rearm 
 		kind = SnapshotSync
 	}
 	return Event{Table: id, At: now, Kind: kind, Bytes: bytes, Version: version}
-}
-
-// mirrorLocked records the completion and the upcoming cadence in the
-// replication manager, so StateFor tracks the live schedule.
-func (a *Agent) mirrorLocked(ts *tableState, at core.Time) {
-	mgr := a.cfg.Manager
-	if mgr == nil {
-		return
-	}
-	if err := mgr.RecordSync(ts.id, at); err != nil {
-		return // e.g. unregistered concurrently; nothing to mirror
-	}
-	future := make([]core.Time, a.cfg.MirrorSyncs)
-	next := at + ts.period
-	if ts.nextAt > at {
-		next = ts.nextAt
-	}
-	for i := range future {
-		future[i] = next + core.Time(i)*ts.period
-	}
-	_ = mgr.Reschedule(ts.id, future)
 }
 
 // emit hands the event to the observer, outside the agent lock.

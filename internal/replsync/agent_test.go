@@ -11,7 +11,6 @@ import (
 	"ivdss/internal/core"
 	"ivdss/internal/faults"
 	"ivdss/internal/metrics"
-	"ivdss/internal/replication"
 	"ivdss/internal/scheduler"
 )
 
@@ -28,6 +27,9 @@ type modelFetcher struct {
 	// fixedBytes, when positive, overrides the modeled payload size — for
 	// budget tests that need constant-size transfers.
 	fixedBytes int64
+	// inFlight, when set, runs inside every Delta before it answers: the
+	// time a fetch spends on the wire.
+	inFlight func()
 
 	mu        sync.Mutex
 	fail      error
@@ -58,6 +60,9 @@ func (f *modelFetcher) Delta(_ context.Context, table core.TableID, cursor uint6
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.calls = append(f.calls, fmt.Sprintf("delta %s @%d", table, cursor))
+	if f.inFlight != nil {
+		f.inFlight()
+	}
 	if f.fail != nil {
 		return Delta{}, f.fail
 	}
@@ -125,25 +130,20 @@ func (l *eventLog) all() []Event {
 }
 
 // The basic engine cycle: snapshot on the first sync, deltas after, the
-// Manager mirror tracking every completion and the upcoming cadence.
+// planner's view tracking every completion and the upcoming cadence.
 func TestAgentSnapshotThenDeltas(t *testing.T) {
 	clk := &scheduler.ManualClock{}
 	fetch := &modelFetcher{clock: clk, baseRows: 100, rowsPerMin: 10, rowBytes: 8}
 	apply := &countApplier{}
-	mgr := replication.NewManager()
-	if err := mgr.Register("accounts", replication.Schedule{}); err != nil {
-		t.Fatal(err)
-	}
 	log := &eventLog{}
 	reg := metrics.NewRegistry()
 	a, err := New(Config{
-		Clock:   clk,
-		Fetch:   fetch,
-		Apply:   apply,
-		Manager: mgr,
-		Tables:  []TableConfig{{ID: "accounts", Period: 5}},
-		Stats:   reg,
-		OnSync:  log.observe,
+		Clock:  clk,
+		Fetch:  fetch,
+		Apply:  apply,
+		Tables: []TableConfig{{ID: "accounts", Period: 5}},
+		Stats:  reg,
+		OnSync: log.observe,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -170,8 +170,8 @@ func TestAgentSnapshotThenDeltas(t *testing.T) {
 		t.Fatalf("applier saw %d snapshots, %d deltas; want 1, 4", apply.snapshots, apply.deltas)
 	}
 
-	// The Manager mirror: last sync at 20, upcoming syncs at 25, 30, ...
-	st := mgr.StateFor("accounts", 21, 0)
+	// The planner's view: last sync at 20, upcoming syncs at 25, 30, ...
+	st := a.StateFor("accounts", 21, 0)
 	if st == nil || st.LastSync != 20 {
 		t.Fatalf("StateFor last sync = %+v, want 20", st)
 	}
@@ -184,6 +184,109 @@ func TestAgentSnapshotThenDeltas(t *testing.T) {
 	if got := reg.Counter("delta_syncs_total").Value(); got != 4 {
 		t.Fatalf("delta_syncs_total = %d, want 4", got)
 	}
+}
+
+// The planner is only as right as the LastSync it is handed: through
+// breaker-open deferrals, bucket-debt deferrals and a fetch still on the
+// wire past its armed instant, StateFor's LastSync is the stamp the applier
+// last got — never a scheduled instant that merely went by — and NextSyncs
+// ascend from strictly after now.
+func TestStateForIsTheAppliersStamp(t *testing.T) {
+	type world struct {
+		clk   *scheduler.ManualClock
+		fetch *modelFetcher
+		a     *Agent
+		probe func()
+	}
+	build := func(t *testing.T, cfg Config) *world {
+		w := &world{clk: &scheduler.ManualClock{}}
+		w.fetch = &modelFetcher{clock: w.clk, baseRows: 10, rowsPerMin: 1, rowBytes: 8, fixedBytes: 80}
+		apply := &countApplier{}
+		cfg.Clock, cfg.Fetch, cfg.Apply = w.clk, w.fetch, apply
+		cfg.Tables = []TableConfig{{ID: "t", Period: 5}}
+		a, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.a = a
+		w.probe = func() {
+			t.Helper()
+			now := w.clk.Now()
+			st := a.StateFor("t", now, 0)
+			if st == nil || st.LastSync != apply.lastAt {
+				t.Fatalf("t=%v: planner sees %+v, the applier's last stamp is %v", now, st, apply.lastAt)
+			}
+			if len(st.NextSyncs) != lookahead {
+				t.Fatalf("t=%v: %d upcoming syncs, want %d", now, len(st.NextSyncs), lookahead)
+			}
+			prev := now
+			for _, n := range st.NextSyncs {
+				if n <= prev {
+					t.Fatalf("t=%v: upcoming syncs %v not ascending from after now", now, st.NextSyncs)
+				}
+				prev = n
+			}
+		}
+		a.Start()
+		return w
+	}
+	stepTo := func(w *world, until core.Time) {
+		t.Helper()
+		for w.clk.Now() < until {
+			w.clk.RunUntil(w.clk.Now() + 1)
+			w.probe()
+		}
+	}
+
+	t.Run("breaker open", func(t *testing.T) {
+		reg := metrics.NewRegistry()
+		w := build(t, Config{Stats: reg})
+		stepTo(w, 11) // syncs at 0, 5, 10
+		w.fetch.fail = fmt.Errorf("site 1: %w", &faults.OpenError{Key: "site-1"})
+		stepTo(w, 32) // cycles at 15, 20, 25, 30 all deferred
+		if st := w.a.StateFor("t", 32, 0); st.LastSync != 10 {
+			t.Fatalf("last sync during the outage = %v, want 10", st.LastSync)
+		}
+		if got := reg.Counter("sync_deferred_total").Value(); got != 4 {
+			t.Fatalf("sync_deferred_total = %d, want 4", got)
+		}
+		w.fetch.fail = nil
+		stepTo(w, 36)
+		if st := w.a.StateFor("t", 36, 0); st.LastSync != 35 {
+			t.Fatalf("last sync after healing = %v, want 35", st.LastSync)
+		}
+	})
+
+	t.Run("bucket debt", func(t *testing.T) {
+		reg := metrics.NewRegistry()
+		// 80-byte payloads every 5 minutes against 4 bytes/min: every sync
+		// leaves 15+ minutes of debt, which the armed cycles defer through.
+		w := build(t, Config{Budget: 4, Burst: 40, Stats: reg})
+		stepTo(w, 60)
+		if got := reg.Counter("sync_deferred_total").Value(); got == 0 {
+			t.Fatal("the budget deferred no cycle")
+		}
+		if got := reg.Counter("syncs_total").Value(); got < 2 {
+			t.Fatalf("syncs_total = %d: the agent stalled", got)
+		}
+	})
+
+	t.Run("fetch in flight", func(t *testing.T) {
+		w := build(t, Config{})
+		stepTo(w, 6) // syncs at 0, 5
+		// The cycle armed for 10 spends 7 minutes on the wire: the planner is
+		// asked at 11 … 17 with the fetch still out, then the payload lands.
+		w.fetch.inFlight = func() {
+			w.fetch.inFlight = nil
+			w.fetch.mu.Unlock()
+			stepTo(w, 17)
+			w.fetch.mu.Lock()
+		}
+		stepTo(w, 20)
+		if st := w.a.StateFor("t", 20, 0); st.LastSync != 17 {
+			t.Fatalf("last sync after the slow fetch = %v, want 17 (when its payload was applied)", st.LastSync)
+		}
+	})
 }
 
 // SyncNow runs the initial pull synchronously (for server construction)

@@ -9,14 +9,12 @@ import (
 	"ivdss/internal/scheduler"
 )
 
-// Bucket is a bandwidth token bucket over experiment time, shared by every
-// consumer of the DSS's sync budget: the replication agent's cycles and the
-// federation engine's replica pre-warming both charge the same bucket, so
-// their combined traffic respects one -sync-budget.
+// Bucket is a bandwidth token bucket over experiment time: the agent's
+// sync budget, charged by every unit's cycles, replicas and views alike.
 //
-// The bucket is post-paid: a consumer checks Debt before moving bytes and
+// The bucket is post-paid: a cycle checks Debt before moving bytes and
 // Charges the actual payload afterwards, which may overdraw the bucket.
-// Overdraw puts the bucket into debt and later consumers defer until the
+// Overdraw puts the bucket into debt and later cycles defer until the
 // refill catches up — a payload is never split or truncated to fit.
 //
 // A nil *Bucket is a valid unlimited budget: Debt is always zero and

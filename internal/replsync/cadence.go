@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"ivdss/internal/core"
-	"ivdss/internal/replication"
 )
 
 // This file is the adaptive cadence controller: every AdjustEvery minutes
@@ -69,8 +68,7 @@ func (a *Agent) armAdjustLocked() {
 }
 
 // adjustTick is one controller step: re-divide the rate budget, re-arm the
-// table timers that moved, mirror the new cadence into the Manager, and
-// every PlaceEvery steps review placement.
+// table timers that moved, and every PlaceEvery steps review placement.
 func (a *Agent) adjustTick(gen uint64) {
 	a.mu.Lock()
 	if a.stopped || gen != a.adjustGen {
@@ -125,7 +123,9 @@ func (a *Agent) rebalanceLocked(now core.Time) {
 	for i, id := range ids {
 		ts := a.tables[id]
 		old := ts.period
+		a.fmu.Lock()
 		ts.period = periods[i]
+		a.fmu.Unlock()
 		if ts.syncing || ts.period == old {
 			// An in-flight cycle re-arms itself with the new period when it
 			// completes; nothing to move now.
@@ -139,7 +139,6 @@ func (a *Agent) rebalanceLocked(now core.Time) {
 			next = math.Max(now, ts.lastSync+ts.period)
 		}
 		a.armLocked(ts, now, next-now)
-		a.mirrorCadenceLocked(ts)
 	}
 }
 
@@ -187,23 +186,6 @@ func (a *Agent) allocatePeriods(weights []float64) []core.Duration {
 	return periods
 }
 
-// mirrorCadenceLocked rewrites the table's upcoming schedule in the
-// Manager to match the new cadence (completions stay untouched).
-func (a *Agent) mirrorCadenceLocked(ts *tableState) {
-	mgr := a.cfg.Manager
-	if mgr == nil || ts.nextAt < 0 {
-		return
-	}
-	future := make([]core.Time, a.cfg.MirrorSyncs)
-	for i := range future {
-		future[i] = ts.nextAt + core.Time(i)*ts.period
-	}
-	if ts.lastSync >= 0 && len(future) > 0 && future[0] <= ts.lastSync {
-		return // degenerate float case; the completion mirror will fix it
-	}
-	_ = mgr.Reschedule(ts.id, future)
-}
-
 // reviewPlacement asks the Placer for the replica set and applies the
 // difference: promote tables it adds (snapshot first), demote tables it
 // drops. Called without the agent lock held — the Placer may plan.
@@ -241,11 +223,10 @@ func (a *Agent) reviewPlacement() {
 	for _, id := range demote {
 		ts := a.tables[id]
 		ts.gen = a.nextGenLocked() // orphan any armed timer
+		a.fmu.Lock()
 		delete(a.tables, id)
+		a.fmu.Unlock()
 		delete(a.losses, id)
-		if a.cfg.Manager != nil {
-			a.cfg.Manager.Unregister(id)
-		}
 		a.cfg.Apply.Drop(id)
 		a.stats.Counter("replicas_demoted_total").Inc()
 	}
@@ -253,12 +234,9 @@ func (a *Agent) reviewPlacement() {
 		a.cfg.MinPeriod, a.cfg.MaxPeriod)
 	for _, id := range promote {
 		ts := &tableState{id: id, period: period, lastSync: -1, nextAt: -1, gen: a.nextGenLocked()}
+		a.fmu.Lock()
 		a.tables[id] = ts
-		if a.cfg.Manager != nil {
-			// Ignore "already registered": the caller may track the table
-			// for other reasons; the completion mirror will line it up.
-			_ = a.cfg.Manager.Register(id, replication.Schedule{})
-		}
+		a.fmu.Unlock()
 		a.armLocked(ts, now, 0) // first cycle (a snapshot) right away
 		a.stats.Counter("replicas_promoted_total").Inc()
 	}

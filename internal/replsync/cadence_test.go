@@ -6,7 +6,6 @@ import (
 
 	"ivdss/internal/core"
 	"ivdss/internal/metrics"
-	"ivdss/internal/replication"
 	"ivdss/internal/scheduler"
 	"ivdss/internal/sim"
 )
@@ -112,25 +111,18 @@ func (p *stubPlacer) Recommend(current []core.TableID) ([]core.TableID, error) {
 }
 
 // A placement review applies the Placer's recommendation online: the
-// demoted table is dropped (replica discarded, Manager unregistered) and
-// the promoted table snapshots immediately and joins the cadence.
+// demoted table is dropped (replica discarded, gone from the planner's
+// view) and the promoted table snapshots immediately and joins the cadence.
 func TestPlacementReviewPromotesAndDemotes(t *testing.T) {
 	clk := &scheduler.ManualClock{}
 	reg := metrics.NewRegistry()
 	placer := &stubPlacer{rec: []core.TableID{"hot", "fresh"}}
 	fetch := &modelFetcher{clock: clk, baseRows: 10, rowsPerMin: 1, rowBytes: 8}
 	apply := &countApplier{}
-	mgr := replication.NewManager()
-	for _, id := range []core.TableID{"hot", "cold"} {
-		if err := mgr.Register(id, replication.Schedule{}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	a, err := New(Config{
 		Clock:       clk,
 		Fetch:       fetch,
 		Apply:       apply,
-		Manager:     mgr,
 		Tables:      []TableConfig{{ID: "hot", Period: 10}, {ID: "cold", Period: 10}},
 		Adaptive:    true,
 		AdjustEvery: 10,
@@ -156,16 +148,12 @@ func TestPlacementReviewPromotesAndDemotes(t *testing.T) {
 	if len(apply.drops) != 1 || apply.drops[0] != "cold" {
 		t.Fatalf("dropped replicas = %v, want [cold]", apply.drops)
 	}
-	if mgr.Replicated("cold") {
-		t.Fatal("cold should be unregistered from the manager")
-	}
-	if !mgr.Replicated("fresh") {
-		t.Fatal("fresh should be registered in the manager")
+	if st := a.StateFor("cold", 45, 0); st != nil {
+		t.Fatalf("cold is still in the planner's view: %+v", st)
 	}
 	// The promoted table snapshotted and is on a cadence.
-	st, _ := mgr.Staleness("fresh", 45)
-	if st > 100 {
-		t.Fatalf("fresh staleness %v: promoted table never synced", st)
+	if st := a.StateFor("fresh", 45, 0); st == nil || len(st.NextSyncs) == 0 {
+		t.Fatalf("fresh in the planner's view = %+v: promoted table never synced", st)
 	}
 	if reg.Counter("replicas_promoted_total").Value() != 1 ||
 		reg.Counter("replicas_demoted_total").Value() != 1 {

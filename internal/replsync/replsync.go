@@ -14,9 +14,11 @@
 //     is the only party that touches replica data.
 //   - The Agent owns the cycles: per-table periods, a global bandwidth
 //     budget (token bucket over experiment time), deferral instead of
-//     retries when a circuit breaker is open, and mirroring every
-//     completion and upcoming sync into replication.Manager so the
-//     planner's StateFor view stays exact.
+//     retries when a circuit breaker is open. It is also the one keeper of
+//     live freshness: StateFor answers the planner (through the catalog)
+//     from the last instant the Applier returned and the cycle it has
+//     armed, so what a plan is priced with is what the replica store
+//     holds, deferrals and slow fetches included.
 //   - The adaptive cadence controller (cadence.go) re-divides the total
 //     sync rate across tables in proportion to each table's measured
 //     IV-loss-to-staleness, and periodically asks a Placer whether the

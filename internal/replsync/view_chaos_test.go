@@ -114,63 +114,3 @@ func TestViewDeltasDeferIndependently(t *testing.T) {
 		t.Error("view_delta_bytes_total stayed zero despite delta syncs")
 	}
 }
-
-// TestSharedBucketThrottlesOutsideCharges pins the shared-budget contract:
-// bytes charged by another consumer (the federation engine pre-warming a
-// replica) put the common bucket into debt, and the agent's next cycle
-// defers until the refill catches up.
-func TestSharedBucketThrottlesOutsideCharges(t *testing.T) {
-	clk := &scheduler.ManualClock{}
-	bucket, err := NewBucket(clk, 100, 200) // 100 B/min, burst 200
-	if err != nil {
-		t.Fatal(err)
-	}
-	fetch := &modelFetcher{clock: clk, baseRows: 10, rowsPerMin: 1, rowBytes: 8, fixedBytes: 10}
-	log := &eventLog{}
-	a, err := New(Config{
-		Clock:  clk,
-		Fetch:  fetch,
-		Apply:  &countApplier{},
-		Tables: []TableConfig{{ID: "t1", Period: 5}},
-		Bucket: bucket,
-		OnSync: log.observe,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SyncNow("t1"); err != nil {
-		t.Fatal(err)
-	}
-	a.Start()
-
-	// An outside consumer drains the bucket deep into debt: 200 tokens
-	// minus 1200 bytes = 1000 bytes of debt, 10 minutes of refill.
-	bucket.Charge(1200)
-	clk.RunUntil(6) // the t=5 cycle must defer
-
-	var deferred, synced int
-	for _, ev := range log.all() {
-		if ev.At > 0 {
-			switch ev.Kind {
-			case DeferredSync:
-				deferred++
-			case DeltaSync, SnapshotSync:
-				synced++
-			}
-		}
-	}
-	if deferred == 0 || synced != 0 {
-		t.Fatalf("outside charge not honored: %d deferred, %d synced by t=6", deferred, synced)
-	}
-
-	clk.RunUntil(20) // debt refilled by t≈10; later cycles proceed
-	synced = 0
-	for _, ev := range log.all() {
-		if ev.Kind == DeltaSync || ev.Kind == SnapshotSync {
-			synced++
-		}
-	}
-	if synced == 0 {
-		t.Fatal("agent never resumed after the shared bucket refilled")
-	}
-}

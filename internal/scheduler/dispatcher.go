@@ -71,34 +71,23 @@ func (s *FixedStrategy) Plan(q core.Query, now core.Time) (core.Plan, error) {
 	})
 }
 
-// Dispatcher runs queries through a fixed number of execution slots on the
-// DSS coordinator inside a discrete event simulation. Arrivals queue; when
-// a slot frees, the dispatcher plans every waiting query and releases the
-// one with the highest effective value — information value plus the
-// anti-starvation aging boost for the time it has already waited (Section
-// 3.3). With aging disabled this is pure value-maximizing dispatch, which
-// can starve long-waiting queries under load.
-//
-// Dispatcher is the DES driver of the shared scheduling Engine: it mounts
-// the engine on the simulator's virtual clock with model execution
-// (PlanExecutor), while the live DSS server mounts the same engine on its
-// wall clock with real execution.
-type Dispatcher struct {
-	sim *sim.Simulator
-	eng *Engine
-}
-
-// NewDispatcher validates inputs and returns a dispatcher bound to the
-// simulator. rates must match what the strategy optimizes for.
-func NewDispatcher(s *sim.Simulator, strategy Strategy, rates core.DiscountRates, slots int, aging core.Aging) (*Dispatcher, error) {
-	if s == nil || strategy == nil {
-		return nil, fmt.Errorf("scheduler: dispatcher needs a simulator and a strategy")
-	}
-	if slots < 1 {
-		return nil, fmt.Errorf("scheduler: dispatcher needs at least one slot, got %d", slots)
+// NewSimEngine mounts the shared scheduling Engine on the simulator's
+// virtual clock with model execution (PlanExecutor) — the DES driver, where
+// the live DSS server mounts the same engine on its wall clock with real
+// execution. Arrivals are scheduled on the simulator and Submitted as they
+// fire; when one of the slots frees, the engine plans every waiting query
+// and releases the one with the highest effective value — information
+// value plus the anti-starvation aging boost for the time it has already
+// waited (Section 3.3). With aging disabled this is pure value-maximizing
+// dispatch, which can starve long-waiting queries under load. The engine
+// stops issuing work after the first planning failure (Err) and records
+// every Outcome. rates must match what the strategy optimizes for.
+func NewSimEngine(s *sim.Simulator, strategy Strategy, rates core.DiscountRates, slots int, aging core.Aging) (*Engine, error) {
+	if s == nil {
+		return nil, fmt.Errorf("scheduler: a simulated engine needs a simulator")
 	}
 	clock := SimClock{Sim: s}
-	eng, err := NewEngine(EngineConfig{
+	return NewEngine(EngineConfig{
 		Clock:           clock,
 		Executor:        PlanExecutor{Clock: clock, Rates: rates},
 		Strategy:        strategy,
@@ -108,39 +97,4 @@ func NewDispatcher(s *sim.Simulator, strategy Strategy, rates core.DiscountRates
 		HaltOnPlanError: true,
 		RecordOutcomes:  true,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Dispatcher{sim: s, eng: eng}, nil
 }
-
-// SetExpiry enables value-horizon expiry; see Engine.SetEpsilon.
-func (d *Dispatcher) SetExpiry(epsilon float64) { d.eng.SetEpsilon(epsilon) }
-
-// Engine exposes the underlying scheduling engine, for drivers that need
-// its full interface (workload formation, metrics).
-func (d *Dispatcher) Engine() *Engine { return d.eng }
-
-// SubmitAll schedules every query's arrival on the simulator. Call before
-// running the simulation.
-func (d *Dispatcher) SubmitAll(queries []core.Query) {
-	for _, q := range queries {
-		q := q
-		d.sim.ScheduleAt(q.SubmitAt, func() { d.eng.Submit(q, nil) })
-	}
-}
-
-// Outcomes returns every query's result in decision order: completions
-// carry their plan and value, expired entries are marked Expired with zero
-// value.
-func (d *Dispatcher) Outcomes() []Outcome { return d.eng.Outcomes() }
-
-// Shed returns how many queries expired in the queue and were dropped.
-func (d *Dispatcher) Shed() int { return d.eng.Shed() }
-
-// Pending returns the number of queries still waiting or running.
-func (d *Dispatcher) Pending() int { return d.eng.Pending() }
-
-// Err reports the first planning failure, if any; the dispatcher stops
-// issuing work after one.
-func (d *Dispatcher) Err() error { return d.eng.Err() }

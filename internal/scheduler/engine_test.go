@@ -36,12 +36,12 @@ func TestEngineManualClockMatchesDESDispatcher(t *testing.T) {
 
 	catalogA, plannerA := testWorld(t, rates)
 	s := sim.New()
-	d, err := NewDispatcher(s, &IVQPStrategy{Planner: plannerA, Catalog: catalogA, Horizon: 100}, rates, 1, aging)
+	d, err := NewSimEngine(s, &IVQPStrategy{Planner: plannerA, Catalog: catalogA, Horizon: 100}, rates, 1, aging)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetExpiry(epsilon)
-	d.SubmitAll(equivalenceQueries())
+	d.SetEpsilon(epsilon)
+	submitAll(s, d, equivalenceQueries())
 	s.Run()
 	if err := d.Err(); err != nil {
 		t.Fatal(err)

@@ -19,18 +19,18 @@ func TestDispatcherShedsExpiredQueuedQueries(t *testing.T) {
 	s := sim.New()
 	strategy := &IVQPStrategy{Planner: planner, Catalog: catalog, Horizon: 100}
 	aging := core.Aging{Coefficient: .05, Exponent: 1.5}
-	d, err := NewDispatcher(s, strategy, rates, 1, aging)
+	d, err := NewSimEngine(s, strategy, rates, 1, aging)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const epsilon = .6
-	d.SetExpiry(epsilon)
+	d.SetEpsilon(epsilon)
 
 	// Eight simultaneous arrivals through one slot: the tail of the queue
 	// waits past its ~10-minute horizon (ln .6 / ln .95) and must be shed.
 	queries := queriesAt([]core.Time{0, 0, 0, 0, 0, 0, 0, 0})
 	horizon := queries[0].ValueHorizon(rates, epsilon)
-	d.SubmitAll(queries)
+	submitAll(s, d, queries)
 	s.Run()
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
@@ -78,12 +78,12 @@ func TestDispatcherExpiryDisabledByDefault(t *testing.T) {
 	catalog, planner := testWorld(t, rates)
 	s := sim.New()
 	strategy := &IVQPStrategy{Planner: planner, Catalog: catalog, Horizon: 100}
-	d, err := NewDispatcher(s, strategy, rates, 1, core.Aging{Coefficient: .05, Exponent: 1.5})
+	d, err := NewSimEngine(s, strategy, rates, 1, core.Aging{Coefficient: .05, Exponent: 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	queries := queriesAt([]core.Time{0, 0, 0, 0, 0, 0, 0, 0})
-	d.SubmitAll(queries)
+	submitAll(s, d, queries)
 	s.Run()
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
@@ -109,14 +109,14 @@ func TestDispatcherShedsLowValueImmediately(t *testing.T) {
 	catalog, planner := testWorld(t, rates)
 	s := sim.New()
 	strategy := &IVQPStrategy{Planner: planner, Catalog: catalog, Horizon: 100}
-	d, err := NewDispatcher(s, strategy, rates, 1, core.Aging{})
+	d, err := NewSimEngine(s, strategy, rates, 1, core.Aging{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Epsilon at the full business value: the horizon is zero, so every
 	// query is already worthless on arrival.
-	d.SetExpiry(1)
-	d.SubmitAll(queriesAt([]core.Time{0, 5}))
+	d.SetEpsilon(1)
+	submitAll(s, d, queriesAt([]core.Time{0, 5}))
 	s.Run()
 	if err := d.Err(); err != nil {
 		t.Fatal(err)

@@ -332,17 +332,25 @@ func TestScheduleMQOBeatsOrMatchesFIFO(t *testing.T) {
 	}
 }
 
+// submitAll schedules every query's arrival on the simulator; call before
+// running it.
+func submitAll(s *sim.Simulator, e *Engine, queries []core.Query) {
+	for _, q := range queries {
+		s.ScheduleAt(q.SubmitAt, func() { e.Submit(q, nil) })
+	}
+}
+
 func TestDispatcherCompletesAllQueries(t *testing.T) {
 	rates := core.DiscountRates{CL: .05, SL: .05}
 	catalog, planner := testWorld(t, rates)
 	s := sim.New()
 	strategy := &IVQPStrategy{Planner: planner, Catalog: catalog, Horizon: 100}
-	d, err := NewDispatcher(s, strategy, rates, 1, core.Aging{})
+	d, err := NewSimEngine(s, strategy, rates, 1, core.Aging{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	queries := queriesAt([]core.Time{0, 1, 2, 3, 20})
-	d.SubmitAll(queries)
+	submitAll(s, d, queries)
 	s.Run()
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
@@ -368,11 +376,11 @@ func TestDispatcherBaselines(t *testing.T) {
 
 	run := func(strategy Strategy) []Outcome {
 		s := sim.New()
-		d, err := NewDispatcher(s, strategy, rates, 1, core.Aging{})
+		d, err := NewSimEngine(s, strategy, rates, 1, core.Aging{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.SubmitAll(queries)
+		submitAll(s, d, queries)
 		s.Run()
 		if err := d.Err(); err != nil {
 			t.Fatal(err)
@@ -402,12 +410,12 @@ func TestDispatcherWarehouseNeedsReplicas(t *testing.T) {
 	catalog, _ := testWorld(t, rates)
 	cost := &costmodel.CountModel{LocalProcess: 2}
 	s := sim.New()
-	d, err := NewDispatcher(s, &FixedStrategy{Catalog: catalog, Cost: cost, Kind: core.AccessReplica}, rates, 1, core.Aging{})
+	d, err := NewSimEngine(s, &FixedStrategy{Catalog: catalog, Cost: cost, Kind: core.AccessReplica}, rates, 1, core.Aging{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// t2 has no replica: the warehouse strategy must fail and surface it.
-	d.SubmitAll(queriesAt([]core.Time{5}))
+	submitAll(s, d, queriesAt([]core.Time{5}))
 	s.Run()
 	if d.Err() == nil {
 		t.Error("warehouse dispatch over unreplicated table succeeded")
@@ -437,11 +445,11 @@ func TestDispatcherAgingPreventsStarvation(t *testing.T) {
 
 	waitOf := func(aging core.Aging) core.Duration {
 		s := sim.New()
-		d, err := NewDispatcher(s, &IVQPStrategy{Planner: planner, Catalog: catalog, Horizon: 100}, rates, 1, aging)
+		d, err := NewSimEngine(s, &IVQPStrategy{Planner: planner, Catalog: catalog, Horizon: 100}, rates, 1, aging)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.SubmitAll(queries)
+		submitAll(s, d, queries)
 		s.Run()
 		if err := d.Err(); err != nil {
 			t.Fatal(err)
@@ -467,19 +475,19 @@ func TestNewDispatcherValidation(t *testing.T) {
 	catalog, planner := testWorld(t, rates)
 	strategy := &IVQPStrategy{Planner: planner, Catalog: catalog}
 	s := sim.New()
-	if _, err := NewDispatcher(nil, strategy, rates, 1, core.Aging{}); err == nil {
+	if _, err := NewSimEngine(nil, strategy, rates, 1, core.Aging{}); err == nil {
 		t.Error("nil simulator accepted")
 	}
-	if _, err := NewDispatcher(s, nil, rates, 1, core.Aging{}); err == nil {
+	if _, err := NewSimEngine(s, nil, rates, 1, core.Aging{}); err == nil {
 		t.Error("nil strategy accepted")
 	}
-	if _, err := NewDispatcher(s, strategy, rates, 0, core.Aging{}); err == nil {
+	if _, err := NewSimEngine(s, strategy, rates, 0, core.Aging{}); err == nil {
 		t.Error("zero slots accepted")
 	}
-	if _, err := NewDispatcher(s, strategy, core.DiscountRates{CL: 5}, 1, core.Aging{}); err == nil {
+	if _, err := NewSimEngine(s, strategy, core.DiscountRates{CL: 5}, 1, core.Aging{}); err == nil {
 		t.Error("bad rates accepted")
 	}
-	if _, err := NewDispatcher(s, strategy, rates, 1, core.Aging{Coefficient: -1}); err == nil {
+	if _, err := NewSimEngine(s, strategy, rates, 1, core.Aging{Coefficient: -1}); err == nil {
 		t.Error("bad aging accepted")
 	}
 }
@@ -491,11 +499,11 @@ func TestDispatcherMultipleSlots(t *testing.T) {
 
 	makespan := func(slots int) core.Time {
 		s := sim.New()
-		d, err := NewDispatcher(s, &IVQPStrategy{Planner: planner, Catalog: catalog, Horizon: 100}, rates, slots, core.Aging{})
+		d, err := NewSimEngine(s, &IVQPStrategy{Planner: planner, Catalog: catalog, Horizon: 100}, rates, slots, core.Aging{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.SubmitAll(queries)
+		submitAll(s, d, queries)
 		s.Run()
 		if err := d.Err(); err != nil {
 			t.Fatal(err)
@@ -516,12 +524,12 @@ func TestDispatcherOutcomesValueSumMatchesIVFormula(t *testing.T) {
 	rates := core.DiscountRates{CL: .05, SL: .05}
 	catalog, planner := testWorld(t, rates)
 	s := sim.New()
-	d, err := NewDispatcher(s, &IVQPStrategy{Planner: planner, Catalog: catalog, Horizon: 100}, rates, 1, core.Aging{})
+	d, err := NewSimEngine(s, &IVQPStrategy{Planner: planner, Catalog: catalog, Horizon: 100}, rates, 1, core.Aging{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	queries := queriesAt([]core.Time{0, 1, 7})
-	d.SubmitAll(queries)
+	submitAll(s, d, queries)
 	s.Run()
 	for _, o := range d.Outcomes() {
 		want := core.InformationValue(o.Query.BusinessValue, o.Latencies, rates)

@@ -23,7 +23,6 @@ import (
 	"ivdss/internal/metrics"
 	"ivdss/internal/netproto"
 	"ivdss/internal/relation"
-	"ivdss/internal/replication"
 	"ivdss/internal/replsync"
 	"ivdss/internal/scheduler"
 	"ivdss/internal/sqlmini"
@@ -320,26 +319,13 @@ func NewDSSServer(cfg DSSConfig) (*DSSServer, error) {
 		return nil, err
 	}
 
-	mgr := replication.NewManager()
 	for _, id := range sortedKeys(cfg.Replicate) {
-		period := cfg.Replicate[id]
 		if _, ok := siteOf[id]; !ok {
 			return nil, fmt.Errorf("server: replicated table %s not served by any remote", id)
 		}
-		if period <= 0 {
+		if cfg.Replicate[id] <= 0 {
 			return nil, fmt.Errorf("server: replication period for %s must be positive", id)
 		}
-		// Registered bare: the sync agent records completions and mirrors
-		// its live cadence as it runs, so the planner's view tracks what
-		// the replica store actually holds rather than a materialized
-		// wall-clock schedule it may drift from.
-		if err := mgr.Register(id, replication.Schedule{}); err != nil {
-			return nil, err
-		}
-	}
-	catalog, err := federation.NewCatalog(placement, mgr)
-	if err != nil {
-		return nil, err
 	}
 
 	costs, err := costmodel.NewCalibratedModel(&costmodel.CountModel{
@@ -361,7 +347,6 @@ func NewDSSServer(cfg DSSConfig) (*DSSServer, error) {
 	s := &DSSServer{
 		cfg:       cfg,
 		clock:     scheduler.NewWallClock(cfg.TimeScale),
-		catalog:   catalog,
 		planner:   planner,
 		costs:     costs,
 		stats:     metrics.NewRegistry(),
@@ -372,6 +357,24 @@ func NewDSSServer(cfg DSSConfig) (*DSSServer, error) {
 		closed:    make(chan struct{}),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(cfg.BaseContext)
+	// The sync agent keeps the replicas' freshness, so the catalog the
+	// planner reads is built over it: what a plan is priced with is what
+	// the replica store holds, not a schedule it may drift from.
+	views, err := s.compileViews()
+	if err != nil {
+		return nil, err
+	}
+	if s.sync, err = s.newSyncAgent(); err != nil {
+		return nil, err
+	}
+	if s.catalog, err = federation.NewCatalog(placement, s.sync); err != nil {
+		return nil, err
+	}
+	for _, def := range views {
+		if err := s.catalog.RegisterView(def); err != nil {
+			return nil, err
+		}
+	}
 	// Pre-create the admission metrics so a -metrics dump shows them at
 	// zero before the first query is shed or cancelled.
 	s.stats.Counter("queries_shed_total")
@@ -428,18 +431,10 @@ func NewDSSServer(cfg DSSConfig) (*DSSServer, error) {
 		})
 		s.stats.Gauge(breakerGaugeName(site)).Set(float64(faults.Closed)) //lint:allow metriccheck(per-site gauge family, bounded by cfg.Remotes)
 	}
-	if err := s.registerViews(); err != nil {
-		return nil, err
-	}
-	agent, err := s.newSyncAgent()
-	if err != nil {
-		return nil, err
-	}
-	s.sync = agent
 	// Initial snapshot pulls so replicas are usable immediately; periodic
 	// cycles (deltas from here on) start with Listen.
-	for _, id := range agent.Tables() {
-		if err := agent.SyncNow(id); err != nil {
+	for _, id := range s.sync.Tables() {
+		if err := s.sync.SyncNow(id); err != nil {
 			return nil, fmt.Errorf("server: initial sync of %s: %w", id, err)
 		}
 	}
@@ -604,24 +599,31 @@ func (s *DSSServer) handleConn(conn *netproto.Conn) {
 
 func (s *DSSServer) handleStatus() *netproto.Response {
 	now := s.now()
-	mgr := s.catalog.Replication()
-	syncStatus := s.syncStatuses(now)
+	// One pass over the agent's rows (sorted by unit): a replica's row is
+	// completed with the store's stamp here, a view unit's row is handed
+	// to viewStatuses.
 	var out []netproto.ReplicaStatus
-	for _, id := range mgr.Tables() {
-		site, err := s.catalog.Placement().SiteOf(id)
+	viewRows := make(map[core.ViewID]replsync.TableStatus)
+	for _, row := range s.sync.Status() {
+		if vid, ok := core.ViewOfUnit(row.Table); ok {
+			viewRows[vid] = row
+			continue
+		}
+		site, err := s.catalog.Placement().SiteOf(row.Table)
 		if err != nil {
 			continue
 		}
-		st := netproto.ReplicaStatus{Table: string(id), Site: int(site),
+		st := netproto.ReplicaStatus{Table: string(row.Table), Site: int(site),
+			PeriodMinutes: row.Period, Cursor: row.Cursor,
 			LastSyncAgeMinutes: -1, NextSyncMinutes: -1}
-		if agentView, ok := syncStatus[id]; ok {
-			st.LastSyncAgeMinutes = agentView.LastSyncAgeMinutes
-			st.NextSyncMinutes = agentView.NextSyncMinutes
-			st.PeriodMinutes = agentView.PeriodMinutes
-			st.Cursor = agentView.Cursor
+		if row.LastSync >= 0 {
+			st.LastSyncAgeMinutes = now - row.LastSync
+		}
+		if row.NextAt >= 0 {
+			st.NextSyncMinutes = row.NextAt - now
 		}
 		s.mu.RLock()
-		snap, ok := s.replicas[id]
+		snap, ok := s.replicas[row.Table]
 		s.mu.RUnlock()
 		if ok {
 			st.LastSyncMinutes = snap.syncedAt
@@ -629,7 +631,6 @@ func (s *DSSServer) handleStatus() *netproto.Response {
 		}
 		out = append(out, st)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Table < out[j].Table })
 	var sites []netproto.SiteStatus
 	for _, site := range sortedKeys(s.cfg.Remotes) {
 		addr := s.cfg.Remotes[site]
@@ -642,7 +643,7 @@ func (s *DSSServer) handleStatus() *netproto.Response {
 		})
 	}
 	sort.Slice(sites, func(i, j int) bool { return sites[i].Site < sites[j].Site })
-	return &netproto.Response{Replicas: out, Views: s.viewStatuses(now), Sites: sites, Metrics: s.schedulerStatusMetrics()}
+	return &netproto.Response{Replicas: out, Views: s.viewStatuses(now, viewRows), Sites: sites, Metrics: s.schedulerStatusMetrics()}
 }
 
 // Close stops the listener and the synchronization loop. It is idempotent.

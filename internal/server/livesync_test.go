@@ -163,6 +163,13 @@ func TestSyncChaosBreakerDefersWithoutStall(t *testing.T) {
 		t.Errorf("dead table's freshness advanced %v → %v during the outage",
 			frozen.LastSyncMinutes, after.LastSyncMinutes)
 	}
+	// The planner prices the fallback to this replica with the same frozen
+	// stamp, not with a scheduled sync that came and went unserved.
+	snap, err := dss.catalog.Snapshot([]core.TableID{"accounts"}, dss.now(), dss.cfg.PlannerHorizon)
+	if err != nil || snap[0].Replica == nil || snap[0].Replica.LastSync != frozen.LastSyncMinutes {
+		t.Errorf("planner's view of accounts during the outage = %+v (%v), the replica store holds the sync at %v",
+			snap, err, frozen.LastSyncMinutes)
+	}
 	healthyAfter, _ := replicaStatus(t, dssAddr, "orders")
 	if healthyAfter.LastSyncMinutes <= healthyBefore.LastSyncMinutes {
 		t.Errorf("healthy table stalled: last sync %v → %v",

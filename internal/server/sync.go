@@ -16,9 +16,11 @@ import (
 // full fault-tolerance stack (pool, retries, breaker), so a sync against a
 // site whose breaker is open surfaces faults.OpenError and the agent
 // defers the cycle instead of burning retries. The applier swaps replica
-// snapshots copy-on-write under the server lock, stamping the same instant
-// into the replication manager, so planner freshness and replica contents
-// never disagree.
+// snapshots copy-on-write under the server lock with the instant the agent
+// hands it; the agent enters that instant in its own ledger only once the
+// applier has returned, and the catalog reads replica freshness from that
+// ledger, so the planner never prices a replica fresher than the store
+// holds.
 
 // siteFetcher implements replsync.Fetcher over the wire.
 type siteFetcher struct{ s *DSSServer }
@@ -257,21 +259,16 @@ func (s *DSSServer) newSyncAgent() (*replsync.Agent, error) {
 	}
 	// Views are synchronized units too: same agent, same budget, same
 	// cadence controller — their cycles just ship projected deltas.
-	for _, def := range s.catalog.Views() {
-		vs, err := s.viewByID(def.ID)
-		if err != nil {
-			return nil, err
-		}
+	for _, id := range sortedKeys(s.views) {
 		tables = append(tables, replsync.TableConfig{
-			ID:     core.ViewUnit(def.ID),
-			Period: vs.period.Seconds() * s.cfg.TimeScale,
+			ID:     core.ViewUnit(id),
+			Period: s.views[id].period.Seconds() * s.cfg.TimeScale,
 		})
 	}
 	cfg := replsync.Config{
 		Clock:   s.clock,
 		Fetch:   siteFetcher{s},
 		Apply:   replicaApplier{s},
-		Manager: s.catalog.Replication(),
 		Context: s.baseCtx,
 		Tables:  tables,
 		// Bytes per wall-second → bytes per experiment minute.
@@ -284,32 +281,6 @@ func (s *DSSServer) newSyncAgent() (*replsync.Agent, error) {
 		cfg.Placer = advisorPlacer{s}
 	}
 	return replsync.New(cfg)
-}
-
-// syncStatuses maps the agent's per-table state into the wire status
-// shape, keyed by table.
-func (s *DSSServer) syncStatuses(now core.Time) map[core.TableID]netproto.ReplicaStatus {
-	if s.sync == nil {
-		return nil
-	}
-	out := make(map[core.TableID]netproto.ReplicaStatus)
-	for _, st := range s.sync.Status() {
-		rs := netproto.ReplicaStatus{
-			Table:              string(st.Table),
-			PeriodMinutes:      st.Period,
-			Cursor:             st.Cursor,
-			LastSyncAgeMinutes: -1,
-			NextSyncMinutes:    -1,
-		}
-		if st.LastSync >= 0 {
-			rs.LastSyncAgeMinutes = now - st.LastSync
-		}
-		if st.NextAt >= 0 {
-			rs.NextSyncMinutes = st.NextAt - now
-		}
-		out[st.Table] = rs
-	}
-	return out
 }
 
 // syncLossObserver feeds the cadence controller: the erosion of the

@@ -8,7 +8,6 @@ import (
 	"ivdss/internal/core"
 	"ivdss/internal/netproto"
 	"ivdss/internal/relation"
-	"ivdss/internal/replication"
 	"ivdss/internal/replsync"
 	"ivdss/internal/sqlmini"
 )
@@ -50,19 +49,20 @@ type viewState struct {
 	cursor   uint64 // base rows the state reflects
 }
 
-// registerViews validates each configured view, registers its definition
-// with the catalog and its sync unit with the replication manager, and
-// builds the server-side state. Called during construction, before the
-// sync agent exists.
-func (s *DSSServer) registerViews() error {
+// compileViews parses each configured view and builds the server-side
+// state, returning the definitions in configuration order. Called during
+// construction before the sync agent, whose units the views are, and so
+// before the catalog, which registers the definitions.
+func (s *DSSServer) compileViews() ([]core.ViewDef, error) {
+	var defs []core.ViewDef
 	for _, spec := range s.cfg.Views {
 		stmt, err := sqlmini.Parse(spec.SQL)
 		if err != nil {
-			return fmt.Errorf("server: view %q: %w", spec.SQL, err)
+			return nil, fmt.Errorf("server: view %q: %w", spec.SQL, err)
 		}
 		table, filter, columns, err := sqlmini.ViewWire(stmt)
 		if err != nil {
-			return fmt.Errorf("server: view %q: %w", spec.SQL, err)
+			return nil, fmt.Errorf("server: view %q: %w", spec.SQL, err)
 		}
 		qid := queryID(spec.SQL)
 		id := core.ViewID("v" + strings.TrimPrefix(qid, "sql"))
@@ -72,21 +72,14 @@ func (s *DSSServer) registerViews() error {
 			Table:   core.TableID(strings.ToLower(table)),
 			SQL:     spec.SQL,
 		}
-		if err := s.catalog.RegisterView(def); err != nil {
-			return err
-		}
-		// Registered bare, like replicas: the sync agent mirrors its live
-		// cadence and completions into the manager as it runs.
-		if err := s.catalog.Replication().Register(core.ViewUnit(id), replication.Schedule{}); err != nil {
-			return err
-		}
 		period := spec.Period
 		if period <= 0 {
 			period = 10 * time.Second
 		}
 		s.views[id] = &viewState{def: def, stmt: stmt, filter: filter, columns: columns, period: period}
+		defs = append(defs, def)
 	}
-	return nil
+	return defs, nil
 }
 
 // viewByID returns the runtime state for one view.
@@ -173,8 +166,7 @@ func (s *DSSServer) dropView(id core.ViewID) {
 // viewStatuses maps every registered view into the wire status shape, in
 // ViewID order (s.views iteration is randomized, so sort by the catalog's
 // deterministic listing).
-func (s *DSSServer) viewStatuses(now core.Time) []netproto.ViewStatus {
-	syncStatus := s.syncStatuses(now)
+func (s *DSSServer) viewStatuses(now core.Time, agentRows map[core.ViewID]replsync.TableStatus) []netproto.ViewStatus {
 	var out []netproto.ViewStatus
 	for _, def := range s.catalog.Views() {
 		vs, err := s.viewByID(def.ID)
@@ -193,9 +185,11 @@ func (s *DSSServer) viewStatuses(now core.Time) []netproto.ViewStatus {
 			LastSyncMinutes: -1,
 			NextSyncMinutes: -1,
 		}
-		if agentView, ok := syncStatus[core.ViewUnit(def.ID)]; ok {
-			st.NextSyncMinutes = agentView.NextSyncMinutes
-			st.PeriodMinutes = agentView.PeriodMinutes
+		if row, ok := agentRows[def.ID]; ok {
+			st.PeriodMinutes = row.Period
+			if row.NextAt >= 0 {
+				st.NextSyncMinutes = row.NextAt - now
+			}
 		}
 		s.mu.RLock()
 		if vs.table != nil {

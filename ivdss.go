@@ -236,11 +236,17 @@ func ChooseReplicas(tables []TableID, k int, seed int64) ([]TableID, error) {
 
 // NewCatalog wires a placement to a replication manager.
 func NewCatalog(p *Placement, m *ReplicationManager) (*Catalog, error) {
+	if m == nil {
+		return federation.NewCatalog(p, nil) // not a non-nil interface holding a nil manager
+	}
 	return federation.NewCatalog(p, m)
 }
 
-// NewEngine builds an execution engine over the catalog.
-func NewEngine(catalog *Catalog) (*Engine, error) { return federation.NewEngine(catalog) }
+// NewEngine builds an execution engine over the catalog, refreshed by the
+// replication manager's sync events.
+func NewEngine(catalog *Catalog, m *ReplicationManager) (*Engine, error) {
+	return federation.NewEngine(catalog, m)
+}
 
 // NewSite returns an empty in-process remote site.
 func NewSite(id SiteID) *Site { return federation.NewSite(id) }
@@ -259,8 +265,8 @@ type (
 	GAConfig = scheduler.GAConfig
 	// Workload groups queries with overlapping execution ranges.
 	Workload = scheduler.Workload
-	// Dispatcher runs queries through DSS execution slots in a simulation.
-	Dispatcher = scheduler.Dispatcher
+	// SchedulingEngine runs queries through DSS execution slots.
+	SchedulingEngine = scheduler.Engine
 	// Strategy chooses an execution plan at dispatch time.
 	Strategy = scheduler.Strategy
 	// IVQPStrategy plans with the information-value-driven planner.
@@ -269,16 +275,17 @@ type (
 	FixedStrategy = scheduler.FixedStrategy
 )
 
-// Simulator is the discrete event simulator that drives Dispatcher runs
+// Simulator is the discrete event simulator that drives NewSimEngine runs
 // (and the benchmark harness).
 type Simulator = sim.Simulator
 
 // NewSimulator returns a simulator with the clock at zero.
 func NewSimulator() *Simulator { return sim.New() }
 
-// NewDispatcher returns an online dispatcher bound to the simulator.
-func NewDispatcher(s *Simulator, strategy Strategy, rates DiscountRates, slots int, aging Aging) (*Dispatcher, error) {
-	return scheduler.NewDispatcher(s, strategy, rates, slots, aging)
+// NewSimEngine returns the scheduling engine mounted on the simulator:
+// schedule each arrival's Submit on s, then run it.
+func NewSimEngine(s *Simulator, strategy Strategy, rates DiscountRates, slots int, aging Aging) (*SchedulingEngine, error) {
+	return scheduler.NewSimEngine(s, strategy, rates, slots, aging)
 }
 
 // ScheduleMQO orders overlapping workloads with the genetic algorithm.

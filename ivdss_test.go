@@ -156,7 +156,7 @@ func TestFacadeBreadth(t *testing.T) {
 	if sim.Now() != 0 {
 		t.Error("fresh simulator clock")
 	}
-	if _, err := ivdss.NewDispatcher(sim, nil, ivdss.DiscountRates{}, 1, ivdss.Aging{}); err == nil {
+	if _, err := ivdss.NewSimEngine(sim, nil, ivdss.DiscountRates{}, 1, ivdss.Aging{}); err == nil {
 		t.Error("nil strategy accepted")
 	}
 }
@@ -179,7 +179,7 @@ func TestFacadeEngineFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := ivdss.NewEngine(catalog)
+	engine, err := ivdss.NewEngine(catalog, mgr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,25 +1,31 @@
-// Asset exposure: the embedded federation engine with real query
-// execution and measured-cost calibration.
+// Asset exposure: information-value planning against replica staleness on
+// the live DSS.
 //
 // A bank computes per-desk asset exposure from positions (trading system,
 // site 1), market prices (market-data system, site 2) and desk limits
-// (risk system, site 2). Prices are replicated to the DSS on a fast cycle.
-// The example distributes live relation data across in-process sites,
-// calibrates the cost model by actually executing every base/replica
-// configuration (the paper's "compile the query once per configuration,
-// in advance"), then lets the planner pick plans at three moments of
-// replica staleness and runs each chosen plan for real.
+// (risk system, site 2). Both systems run as remote servers on loopback,
+// and the DSS replicates prices once per wall second. The market-data
+// system is slow to answer, so reading prices at the base costs
+// computational latency that the local replica does not. The example asks
+// the DSS for the exposure report at three points of the price replica's
+// staleness and prints the plan the planner chose, its CL/SL/IV and the
+// rows. The DSS calibrates its cost model online from every plan it runs,
+// and the example ends with those measurements.
 //
 //	go run ./examples/assetexposure
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"log"
+	"sort"
 	"strings"
 	"time"
 
 	"ivdss"
+	"ivdss/internal/netproto"
 	"ivdss/internal/relation"
 )
 
@@ -30,6 +36,10 @@ const exposureSQL = `
 	GROUP BY pos.po_desk
 	ORDER BY exposure DESC`
 
+// timeScale makes one wall second worth ten experiment minutes, so the
+// one-second price cycle ages the replica through ten minutes.
+const timeScale = 10
+
 func main() {
 	if err := run(); err != nil {
 		log.Fatal(err)
@@ -37,102 +47,116 @@ func main() {
 }
 
 func run() error {
-	// Placement: positions at the trading site, prices and limits at the
-	// market/risk site; prices replicated every 5 minutes.
-	placement, err := ivdss.NewPlacement(map[ivdss.TableID]ivdss.SiteID{
-		"positions": 1, "prices": 2, "limits": 2,
+	trading, tradingAddr, err := startSite(0, positionsTable())
+	if err != nil {
+		return err
+	}
+	defer trading.Close()
+	// Every request to the market-data system waits 100 ms (one experiment
+	// minute) before it is served: a base read of prices is not free.
+	market, marketAddr, err := startSite(100*time.Millisecond, pricesTable(), limitsTable())
+	if err != nil {
+		return err
+	}
+	defer market.Close()
+
+	dss, err := ivdss.NewDSSServer(ivdss.DSSConfig{
+		Remotes:   map[ivdss.SiteID]string{1: tradingAddr, 2: marketAddr},
+		Replicate: map[ivdss.TableID]time.Duration{"prices": time.Second},
+		Rates:     ivdss.DiscountRates{CL: .08, SL: .02},
+		TimeScale: timeScale,
 	})
 	if err != nil {
 		return err
 	}
-	mgr := ivdss.NewReplicationManager()
-	sched, err := ivdss.PeriodicSchedule(5, 0, 1000)
+	dssAddr, err := dss.Listen("127.0.0.1:0")
 	if err != nil {
 		return err
 	}
-	if err := mgr.Register("prices", sched); err != nil {
-		return err
-	}
-	catalog, err := ivdss.NewCatalog(placement, mgr)
-	if err != nil {
-		return err
-	}
-	engine, err := ivdss.NewEngine(catalog, mgr)
-	if err != nil {
-		return err
-	}
-	if err := engine.Distribute(map[string]*relation.Table{
-		"positions": positionsTable(),
-		"prices":    pricesTable(),
-		"limits":    limitsTable(),
-	}); err != nil {
-		return err
-	}
-	mgr.Advance(0) // first price sync materializes the replica
-	// Simulate the WAN: every remote base-table access costs 200 µs of
-	// "network", which the calibration below measures for real.
-	engine.SetNetworkDelay(200 * time.Microsecond)
+	defer dss.Close()
 
-	// Calibrate: execute the query once per base/replica configuration of
-	// its replicated tables and record measured processing costs. One
-	// wall microseconds (300) count as one experiment minute so the
-	// tiny demo tables produce visible latencies.
-	costs, err := ivdss.NewCalibratedModel(&ivdss.CountModel{LocalProcess: 1, PerBaseTable: 2, TransmitFlat: 1})
-	if err != nil {
-		return err
-	}
-	query := ivdss.Query{
-		ID:            "exposure",
-		Tables:        []ivdss.TableID{"positions", "prices", "limits"},
-		BusinessValue: 1,
-	}
-	measurements, err := engine.Calibrate(query, exposureSQL, costs, 300*time.Microsecond)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("calibrated %d plan configurations from live executions:\n", len(measurements))
-	for _, m := range measurements {
-		names := make([]string, len(m.Bases))
-		for i, b := range m.Bases {
-			names[i] = string(b)
-		}
-		fmt.Printf("  base tables %-26s  measured %v\n", strings.Join(names, ","), m.Elapsed.Round(time.Microsecond))
-	}
-
-	rates := ivdss.DiscountRates{CL: .05, SL: .08}
-	planner, err := ivdss.NewPlanner(costs, ivdss.PlannerConfig{Rates: rates, Horizon: 30})
-	if err != nil {
-		return err
-	}
-
-	// Ask for the exposure report at three staleness points of the price
-	// replica (synced at t=0, next syncs at 5, 10, ...).
-	fmt.Println("\nexposure report under the information-value planner:")
-	for _, submit := range []ivdss.Time{0.5, 3.0, 4.6} {
-		q := query
-		q.SubmitAt = submit
-		snapshot, err := catalog.Snapshot(q.Tables, submit, 30)
+	// The first report runs before any plan is calibrated, so the planner
+	// prices base reads with the server's fallback model, which thinks
+	// they are cheap. Later reports use what the DSS has measured since.
+	fmt.Println("exposure report under the information-value planner:")
+	for _, staleness := range []float64{0.5, 5, 8} {
+		at, err := waitForStaleness(dssAddr, "prices", staleness)
 		if err != nil {
 			return err
 		}
-		plan, _, err := planner.Best(q, snapshot, submit)
+		resp, err := netproto.Call(dssAddr, &netproto.Request{
+			Kind: netproto.KindExec, SQL: exposureSQL, BusinessValue: 1,
+		}, 10*time.Second)
 		if err != nil {
 			return err
 		}
-		result, err := engine.ExecutePlan(exposureSQL, plan)
-		if err != nil {
-			return err
-		}
-		lat := plan.Latencies()
-		fmt.Printf("\n  t=%.1f  plan: %s\n", submit, plan.Signature())
-		fmt.Printf("         CL=%.2f SL=%.2f IV=%.4f\n", lat.CL, lat.SL, plan.Value(rates))
-		for _, row := range result.Rows {
+		m := resp.Meta
+		fmt.Printf("\n  price replica %.1f min stale  plan: %s\n", at, m.PlanSignature)
+		fmt.Printf("         CL=%.2f SL=%.2f IV=%.4f\n", m.CLMinutes, m.SLMinutes, m.Value)
+		for _, row := range resp.Result.Rows {
 			breach := ""
 			if row[1].F > row[2].F {
 				breach = "  ** OVER LIMIT **"
 			}
 			fmt.Printf("         %-8s exposure=%10.2f cap=%10.2f%s\n", row[0].S, row[1].F, row[2].F, breach)
 		}
+	}
+	return printCalibration(dss)
+}
+
+// startSite serves the tables from a remote server on loopback that waits
+// delay before answering each request.
+func startSite(delay time.Duration, tables ...*relation.Table) (*ivdss.RemoteServer, string, error) {
+	srv := ivdss.NewRemoteServer()
+	srv.SetScanDelay(delay)
+	for _, t := range tables {
+		if err := srv.AddTable(t); err != nil {
+			return nil, "", err
+		}
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	return srv, addr, err
+}
+
+// waitForStaleness polls the DSS status until the table's replica is at
+// least `minutes` old but less than a minute older, and returns its age.
+func waitForStaleness(dssAddr, table string, minutes float64) (float64, error) {
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		status, err := netproto.Call(dssAddr, &netproto.Request{Kind: netproto.KindStatus}, time.Second)
+		if err != nil {
+			return 0, err
+		}
+		for _, r := range status.Replicas {
+			if r.Table == table && r.StalenessMinutes >= minutes && r.StalenessMinutes < minutes+1 {
+				return r.StalenessMinutes, nil
+			}
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	return 0, fmt.Errorf("replica %s never reached %.1f minutes of staleness", table, minutes)
+}
+
+// printCalibration lists the processing costs the DSS measured online, one
+// per data-source configuration its plans ran with.
+func printCalibration(dss *ivdss.DSSServer) error {
+	var buf bytes.Buffer
+	if err := dss.SaveCalibration(&buf); err != nil {
+		return err
+	}
+	var snap struct{ Entries map[string]ivdss.CostEstimate }
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		return err
+	}
+	keys := make([]string, 0, len(snap.Entries))
+	for k := range snap.Entries {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	fmt.Printf("\nonline calibration: %d plan configurations measured\n", dss.CalibrationLen())
+	for _, k := range keys {
+		_, bases, _ := strings.Cut(k, "|")
+		fmt.Printf("  base tables %-26s  measured %.2f min\n", bases, snap.Entries[k].Process)
 	}
 	return nil
 }

@@ -41,7 +41,6 @@ var ctxless = []struct {
 	names  map[string]bool
 }{
 	{"internal/netproto", map[string]bool{"Call": true, "Dial": true}},
-	{"internal/federation", map[string]bool{"ExecutePlan": true}},
 }
 
 // rootCtxFn classifies fn as context.Background or context.TODO.

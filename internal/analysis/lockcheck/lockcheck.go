@@ -8,7 +8,7 @@
 // methods resolved to the sync package count as lock operations — so a
 // type that merely embeds a mutex is tracked, and an unrelated Lock
 // method is not. Blocking callees are classified by their package's
-// import path (netproto/replsync/federation under any alias) or by a
+// import path (netproto/replsync under any alias) or by a
 // known round-trip method name. lockflowcheck extends the same walk
 // across function boundaries via the package call graph.
 package lockcheck
@@ -30,16 +30,15 @@ var Analyzer = &analysis.Analyzer{
 
 // blockingPkgs are import-path suffixes whose package-level calls may
 // block on the network.
-var blockingPkgs = [3]string{"internal/netproto", "internal/replsync", "internal/federation"}
+var blockingPkgs = [2]string{"internal/netproto", "internal/replsync"}
 
 // blockingMethods are method names that perform a remote round-trip
-// regardless of receiver (client pools, retriers, federation engines).
+// regardless of receiver (client pools, retriers).
 var blockingMethods = map[string]bool{
-	"CallContext":        true,
-	"RoundTripContext":   true,
-	"DoContext":          true,
-	"FetchContext":       true,
-	"ExecutePlanContext": true,
+	"CallContext":      true,
+	"RoundTripContext": true,
+	"DoContext":        true,
+	"FetchContext":     true,
 }
 
 // Blocking classifies call as a potential network round-trip and

@@ -2,11 +2,8 @@ package federation
 
 import (
 	"testing"
-	"time"
 
 	"ivdss/internal/core"
-	"ivdss/internal/costmodel"
-	"ivdss/internal/relation"
 	"ivdss/internal/replication"
 )
 
@@ -136,7 +133,7 @@ func TestChooseReplicas(t *testing.T) {
 	}
 }
 
-func buildTestWorld(t *testing.T) (*Catalog, *Engine, *replication.Manager) {
+func buildTestWorld(t *testing.T) (*Catalog, *replication.Manager) {
 	t.Helper()
 	placement, err := NewPlacement(map[core.TableID]core.SiteID{
 		"accounts": 1,
@@ -153,33 +150,11 @@ func buildTestWorld(t *testing.T) (*Catalog, *Engine, *replication.Manager) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := NewEngine(catalog, mgr)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	accounts := relation.NewTable("accounts", relation.MustSchema(
-		relation.Column{Name: "a_id", Type: relation.Int},
-		relation.Column{Name: "a_balance", Type: relation.Float},
-	))
-	accounts.MustInsert(relation.Row{relation.IntVal(1), relation.FloatVal(100)})
-	accounts.MustInsert(relation.Row{relation.IntVal(2), relation.FloatVal(250)})
-	trades := relation.NewTable("trades", relation.MustSchema(
-		relation.Column{Name: "t_account", Type: relation.Int},
-		relation.Column{Name: "t_amount", Type: relation.Float},
-	))
-	trades.MustInsert(relation.Row{relation.IntVal(1), relation.FloatVal(30)})
-	trades.MustInsert(relation.Row{relation.IntVal(2), relation.FloatVal(-70)})
-	trades.MustInsert(relation.Row{relation.IntVal(1), relation.FloatVal(5)})
-
-	if err := engine.Distribute(map[string]*relation.Table{"accounts": accounts, "trades": trades}); err != nil {
-		t.Fatal(err)
-	}
-	return catalog, engine, mgr
+	return catalog, mgr
 }
 
 func TestCatalogSnapshot(t *testing.T) {
-	catalog, _, _ := buildTestWorld(t)
+	catalog, _ := buildTestWorld(t)
 	snap, err := catalog.Snapshot([]core.TableID{"accounts", "trades"}, 12, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -216,128 +191,5 @@ func TestNewCatalogRejectsUnplacedReplica(t *testing.T) {
 	}
 	if _, err := NewCatalog(placement, mgr); err == nil {
 		t.Error("replicated-but-unplaced table accepted")
-	}
-}
-
-func TestEngineExecutePlanBaseAndReplica(t *testing.T) {
-	_, engine, mgr := buildTestWorld(t)
-	mgr.Advance(0) // first sync copies accounts into the replica store
-
-	q := core.Query{ID: "q", Tables: []core.TableID{"accounts", "trades"}, BusinessValue: 1}
-	sql := `SELECT a.a_id, a.a_balance + sum(tr.t_amount) AS exposure
-	        FROM accounts a, trades tr
-	        WHERE a.a_id = tr.t_account
-	        GROUP BY a.a_id, a.a_balance ORDER BY a.a_id`
-
-	plan := core.Plan{Query: q, Access: []core.TableAccess{
-		{Table: "accounts", Site: 1, Kind: core.AccessReplica, Freshness: 0},
-		{Table: "trades", Site: 2, Kind: core.AccessBase},
-	}}
-	out, err := engine.ExecutePlan(sql, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.NumRows() != 2 {
-		t.Fatalf("rows = %d", out.NumRows())
-	}
-	if out.Rows[0][1].F != 135 || out.Rows[1][1].F != 180 {
-		t.Errorf("exposures = %v, %v", out.Rows[0][1], out.Rows[1][1])
-	}
-}
-
-func TestEngineReplicaIsSnapshotNotLive(t *testing.T) {
-	_, engine, mgr := buildTestWorld(t)
-	mgr.Advance(0)
-
-	// Mutate the base table after the sync: the replica must not see it.
-	site := engine.sites[1]
-	base, _ := site.Table("accounts")
-	base.MustInsert(relation.Row{relation.IntVal(3), relation.FloatVal(999)})
-
-	replica, err := engine.Replica("accounts")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replica.NumRows() != 2 {
-		t.Errorf("replica rows = %d, want 2 (pre-mutation snapshot)", replica.NumRows())
-	}
-
-	// After the next sync the replica catches up.
-	mgr.Advance(10)
-	replica, _ = engine.Replica("accounts")
-	if replica.NumRows() != 3 {
-		t.Errorf("replica rows = %d, want 3 after sync", replica.NumRows())
-	}
-}
-
-func TestEngineExecutePlanErrors(t *testing.T) {
-	_, engine, _ := buildTestWorld(t)
-	q := core.Query{ID: "q", Tables: []core.TableID{"accounts"}, BusinessValue: 1}
-
-	// Replica access before any sync: no snapshot.
-	plan := core.Plan{Query: q, Access: []core.TableAccess{
-		{Table: "accounts", Site: 1, Kind: core.AccessReplica},
-	}}
-	if _, err := engine.ExecutePlan("SELECT a_id FROM accounts", plan); err == nil {
-		t.Error("replica access without snapshot accepted")
-	}
-
-	// Missing access decision.
-	if _, err := engine.ExecutePlan("SELECT a_id FROM accounts", core.Plan{Query: q}); err == nil {
-		t.Error("plan without access decisions accepted")
-	}
-
-	// Unknown site.
-	plan = core.Plan{Query: q, Access: []core.TableAccess{
-		{Table: "accounts", Site: 9, Kind: core.AccessBase},
-	}}
-	if _, err := engine.ExecutePlan("SELECT a_id FROM accounts", plan); err == nil {
-		t.Error("unknown site accepted")
-	}
-}
-
-func TestEngineDistributeErrors(t *testing.T) {
-	catalog, engine, _ := buildTestWorld(t)
-	_ = catalog
-	// Unplaced table.
-	ghost := relation.NewTable("ghost", relation.MustSchema(relation.Column{Name: "x", Type: relation.Int}))
-	if err := engine.Distribute(map[string]*relation.Table{"ghost": ghost}); err == nil {
-		t.Error("unplaced table distributed")
-	}
-	// Duplicate install.
-	acc := relation.NewTable("accounts", relation.MustSchema(relation.Column{Name: "x", Type: relation.Int}))
-	if err := engine.Distribute(map[string]*relation.Table{"accounts": acc}); err == nil {
-		t.Error("duplicate table install accepted")
-	}
-}
-
-func TestCalibrate(t *testing.T) {
-	_, engine, _ := buildTestWorld(t)
-	model, err := costmodel.NewCalibratedModel(&costmodel.CountModel{LocalProcess: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := core.Query{ID: "cal", Tables: []core.TableID{"accounts", "trades"}, BusinessValue: 1}
-	sql := `SELECT a.a_id FROM accounts a, trades tr WHERE a.a_id = tr.t_account`
-	// One replicated table (accounts) → 2 configurations.
-	ms, err := engine.Calibrate(q, sql, model, time.Nanosecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 2 {
-		t.Fatalf("measurements = %d, want 2", len(ms))
-	}
-	if model.Len() != 2 {
-		t.Errorf("model entries = %d, want 2", model.Len())
-	}
-	// Both configurations include the unreplicated trades as base.
-	if _, ok := model.Lookup("cal", []core.TableID{"trades"}); !ok {
-		t.Error("all-replica config (trades only base) not recorded")
-	}
-	if _, ok := model.Lookup("cal", []core.TableID{"trades", "accounts"}); !ok {
-		t.Error("all-base config not recorded")
-	}
-	if _, err := engine.Calibrate(q, sql, model, 0); err == nil {
-		t.Error("zero perMinute accepted")
 	}
 }

@@ -4,9 +4,8 @@
 //
 // It provides table placement (uniform and the paper's skewed 1/2, 1/4,
 // 1/8 ... distribution), the catalog the planner consumes (placement +
-// replication state), and an execution engine that evaluates a chosen plan
-// over live relation data — local replicas for replica accesses, per-site
-// fetches for base accesses.
+// replication state) and the registry of materialized views. Plans run on
+// the live DSS server (internal/server), the one executor.
 package federation
 
 import (

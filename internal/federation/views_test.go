@@ -4,12 +4,11 @@ import (
 	"testing"
 
 	"ivdss/internal/core"
-	"ivdss/internal/relation"
 	"ivdss/internal/replication"
 )
 
 func TestRegisterView(t *testing.T) {
-	catalog, _, _ := buildTestWorld(t)
+	catalog, _ := buildTestWorld(t)
 	def := core.ViewDef{
 		ID:      "exposure",
 		QueryID: "q-exposure",
@@ -52,7 +51,7 @@ func TestRegisterView(t *testing.T) {
 }
 
 func TestSnapshotAttachesViewStates(t *testing.T) {
-	catalog, _, mgr := buildTestWorld(t)
+	catalog, mgr := buildTestWorld(t)
 	if err := catalog.RegisterView(core.ViewDef{
 		ID:      "exposure",
 		QueryID: "q-exposure",
@@ -96,45 +95,5 @@ func TestSnapshotAttachesViewStates(t *testing.T) {
 	}
 	if err := (core.TableState{ID: "accounts", Views: snap[0].Views}).Validate(); err != nil {
 		t.Errorf("snapshot state invalid: %v", err)
-	}
-}
-
-func TestExecutePlanViewBypass(t *testing.T) {
-	_, engine, _ := buildTestWorld(t)
-	answer := relation.NewTable("result", relation.MustSchema(
-		relation.Column{Name: "t_account", Type: relation.Int},
-		relation.Column{Name: "sum(t_amount)", Type: relation.Float},
-	))
-	answer.MustInsert(relation.Row{relation.IntVal(1), relation.FloatVal(35)})
-	engine.InstallView("exposure", answer)
-
-	q := core.Query{ID: "q-exposure", Tables: []core.TableID{"trades"}, BusinessValue: 1}
-	plan := core.Plan{Query: q, Access: []core.TableAccess{
-		{Table: "trades", Site: 2, Kind: core.AccessView, Freshness: 3, View: "exposure"},
-	}}
-	// The SQL is deliberately unexecutable: a view plan must not re-run it.
-	out, err := engine.ExecutePlan("SELECT broken FROM nowhere", plan)
-	if err != nil {
-		t.Fatalf("view plan execution: %v", err)
-	}
-	if out != answer {
-		t.Error("view plan did not serve the installed answer table")
-	}
-
-	// A view access mixed into a multi-source plan is malformed.
-	mixed := core.Plan{Query: q, Access: []core.TableAccess{
-		{Table: "trades", Site: 2, Kind: core.AccessView, Freshness: 3, View: "exposure"},
-		{Table: "accounts", Site: 1, Kind: core.AccessBase},
-	}}
-	if _, err := engine.ExecutePlan("SELECT t_account FROM trades, accounts", mixed); err == nil {
-		t.Error("multi-source plan with a view access accepted")
-	}
-
-	// Unknown view.
-	missing := core.Plan{Query: q, Access: []core.TableAccess{
-		{Table: "trades", Site: 2, Kind: core.AccessView, View: "nope"},
-	}}
-	if _, err := engine.ExecutePlan("SELECT 1 FROM trades", missing); err == nil {
-		t.Error("uninstalled view served")
 	}
 }

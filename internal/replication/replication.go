@@ -90,10 +90,6 @@ type SyncEvent struct {
 type Manager struct {
 	mu     sync.Mutex
 	tables map[core.TableID]*tableSync
-	// onSync, when set, is invoked for each newly completed sync (in time
-	// order) so the owner can copy data into the replica store. It is
-	// called without the manager lock held.
-	onSync func(SyncEvent)
 }
 
 type tableSync struct {
@@ -104,13 +100,6 @@ type tableSync struct {
 // NewManager returns an empty manager.
 func NewManager() *Manager {
 	return &Manager{tables: make(map[core.TableID]*tableSync)}
-}
-
-// OnSync registers a callback invoked for each sync as Advance applies it.
-func (m *Manager) OnSync(fn func(SyncEvent)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.onSync = fn
 }
 
 // Register adds a replicated table with its schedule. Re-registering a
@@ -135,14 +124,6 @@ func (m *Manager) Register(id core.TableID, s Schedule) error {
 	return nil
 }
 
-// Replicated reports whether the table has a registered replica.
-func (m *Manager) Replicated(id core.TableID) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok := m.tables[id]
-	return ok
-}
-
 // Tables returns the registered table IDs, sorted.
 func (m *Manager) Tables() []core.TableID {
 	m.mu.Lock()
@@ -156,11 +137,10 @@ func (m *Manager) Tables() []core.TableID {
 }
 
 // Advance applies every scheduled sync with completion time <= now, in
-// global time order, invoking the OnSync callback for each, and returns
-// the newly applied events. Callbacks run outside the manager lock so they
-// may call back into the manager.
+// global time order, and returns the newly applied events.
 func (m *Manager) Advance(now core.Time) []SyncEvent {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	var events []SyncEvent
 	for id, ts := range m.tables {
 		for ts.applied < len(ts.schedule) && ts.schedule[ts.applied] <= now {
@@ -174,13 +154,6 @@ func (m *Manager) Advance(now core.Time) []SyncEvent {
 		}
 		return events[i].Table < events[j].Table
 	})
-	onSync := m.onSync
-	m.mu.Unlock()
-	if onSync != nil {
-		for _, ev := range events {
-			onSync(ev)
-		}
-	}
 	return events
 }
 

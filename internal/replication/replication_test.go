@@ -76,15 +76,13 @@ func TestRegisterErrors(t *testing.T) {
 	if err := m.Register("t", Schedule{Times: []core.Time{1}}); err == nil {
 		t.Error("duplicate registration accepted")
 	}
-	if !m.Replicated("t") || m.Replicated("other") {
-		t.Error("Replicated wrong")
+	if ids := m.Tables(); len(ids) != 1 || ids[0] != "t" {
+		t.Errorf("tables after a refused registration = %v", ids)
 	}
 }
 
-func TestAdvanceOrderAndCallback(t *testing.T) {
+func TestAdvanceOrder(t *testing.T) {
 	m := NewManager()
-	var seen []SyncEvent
-	m.OnSync(func(ev SyncEvent) { seen = append(seen, ev) })
 	mustRegister(t, m, "b", []core.Time{2, 8})
 	mustRegister(t, m, "a", []core.Time{2, 5})
 
@@ -98,9 +96,6 @@ func TestAdvanceOrderAndCallback(t *testing.T) {
 		if events[i] != want[i] {
 			t.Fatalf("events = %v, want %v", events, want)
 		}
-	}
-	if len(seen) != 3 {
-		t.Errorf("callback saw %d events", len(seen))
 	}
 
 	// Second advance only applies the remainder.

@@ -19,8 +19,7 @@
 //   - the IV model and the IVQP planner (internal/core)
 //   - cost models (internal/costmodel)
 //   - replication schedules and the replica manager (internal/replication)
-//   - placement, catalog and the embedded execution engine
-//     (internal/federation)
+//   - placement, catalog and the view registry (internal/federation)
 //   - workload scheduling: GA MQO, FIFO, the aging dispatcher
 //     (internal/scheduler)
 //   - the relational engine and SQL subset (internal/relation,
@@ -208,10 +207,6 @@ type (
 	Placement = federation.Placement
 	// Catalog combines placement and replication state for the planner.
 	Catalog = federation.Catalog
-	// Engine executes plans over live in-process data.
-	Engine = federation.Engine
-	// Site is an in-process remote server holding base tables.
-	Site = federation.Site
 )
 
 // NewPlacement builds a placement from an explicit assignment.
@@ -241,15 +236,6 @@ func NewCatalog(p *Placement, m *ReplicationManager) (*Catalog, error) {
 	}
 	return federation.NewCatalog(p, m)
 }
-
-// NewEngine builds an execution engine over the catalog, refreshed by the
-// replication manager's sync events.
-func NewEngine(catalog *Catalog, m *ReplicationManager) (*Engine, error) {
-	return federation.NewEngine(catalog, m)
-}
-
-// NewSite returns an empty in-process remote site.
-func NewSite(id SiteID) *Site { return federation.NewSite(id) }
 
 // Scheduling.
 type (

@@ -3,8 +3,10 @@ package ivdss_test
 import (
 	"math"
 	"testing"
+	"time"
 
 	"ivdss"
+	"ivdss/internal/netproto"
 )
 
 // TestFacadeEndToEnd exercises the whole public API surface the way a
@@ -134,9 +136,6 @@ func TestFacadeBreadth(t *testing.T) {
 	if _, err := ivdss.ExponentialSchedule(5, 1, 100); err != nil {
 		t.Error(err)
 	}
-	if site := ivdss.NewSite(3); site.ID() != 3 {
-		t.Error("NewSite id")
-	}
 	if _, err := ivdss.NewCalibratedModel(&ivdss.CountModel{}); err != nil {
 		t.Error(err)
 	}
@@ -161,53 +160,47 @@ func TestFacadeBreadth(t *testing.T) {
 	}
 }
 
-// TestFacadeEngineFlow drives the embedded engine through the facade.
-func TestFacadeEngineFlow(t *testing.T) {
-	placement, err := ivdss.NewPlacement(map[ivdss.TableID]ivdss.SiteID{"kv": 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr := ivdss.NewReplicationManager()
-	sched, err := ivdss.PeriodicSchedule(10, 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.Register("kv", sched); err != nil {
-		t.Fatal(err)
-	}
-	catalog, err := ivdss.NewCatalog(placement, mgr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine, err := ivdss.NewEngine(catalog, mgr)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestFacadeServerFlow drives the one DSS through the facade: a remote
+// site on loopback, a DSS replicating its table, and a query over the wire.
+func TestFacadeServerFlow(t *testing.T) {
+	remote := ivdss.NewRemoteServer()
 	kv := &ivdss.RelTable{
 		Name:   "kv",
 		Schema: ivdss.RelSchema{Cols: []ivdss.RelColumn{{Name: "k", Type: 1}, {Name: "v", Type: 1}}},
 		Rows:   []ivdss.RelRow{{{T: 1, I: 1}, {T: 1, I: 10}}, {{T: 1, I: 2}, {T: 1, I: 20}}},
 	}
-	if err := engine.Distribute(map[string]*ivdss.RelTable{"kv": kv}); err != nil {
+	if err := remote.AddTable(kv); err != nil {
 		t.Fatal(err)
 	}
-	mgr.Advance(0)
-	q := ivdss.Query{ID: "sum", Tables: []ivdss.TableID{"kv"}, BusinessValue: 1}
-	snap, err := catalog.Snapshot(q.Tables, 0, 0)
+	remoteAddr, err := remote.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := ivdss.FixedPlan(q, snap, 0, &ivdss.CountModel{LocalProcess: 1}, func(ivdss.TableState) ivdss.AccessKind {
-		return ivdss.AccessReplica
+	defer remote.Close()
+	dss, err := ivdss.NewDSSServer(ivdss.DSSConfig{
+		Remotes:   map[ivdss.SiteID]string{1: remoteAddr},
+		Replicate: map[ivdss.TableID]time.Duration{"kv": time.Hour},
+		Rates:     ivdss.DiscountRates{CL: .05, SL: .05},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := engine.ExecutePlan("SELECT sum(v) AS s FROM kv", plan)
+	dssAddr, err := dss.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Rows[0][0].F != 30 {
-		t.Errorf("sum = %v", out.Rows[0][0])
+	defer dss.Close()
+
+	resp, err := netproto.Call(dssAddr, &ivdss.Request{
+		Kind: netproto.KindExec, SQL: "SELECT sum(v) AS s FROM kv", BusinessValue: 1,
+	}, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resp.Result.Rows[0][0].F; got != 30 {
+		t.Errorf("sum = %v, want 30", got)
+	}
+	if resp.Meta.PlanSignature == "" || dss.CalibrationLen() != 1 {
+		t.Errorf("plan %q, %d calibrated configurations; want a plan and one", resp.Meta.PlanSignature, dss.CalibrationLen())
 	}
 }

@@ -142,7 +142,7 @@ func RunLoad(cfg LoadConfig) (LoadResult, error) {
 	// variant replays the stream through the scheduling engine on virtual
 	// time under one dispatch policy. Each variant gets a fresh deployment
 	// so no state leaks between runs.
-	variant := func(policy func(*scheduler.EngineConfig, *scheduler.IVQPStrategy)) ([]scheduler.Outcome, error) {
+	variant := func(policy func(*scheduler.EngineConfig)) ([]scheduler.Outcome, error) {
 		dep, err := BuildDeployment(depCfg)
 		if err != nil {
 			return nil, err
@@ -152,14 +152,14 @@ func RunLoad(cfg LoadConfig) (LoadResult, error) {
 			return nil, err
 		}
 		ecfg := scheduler.EngineConfig{Strategy: strategy, Rates: cfg.Rates, Slots: cfg.Slots, HaltOnPlanError: true}
-		policy(&ecfg, strategy.(*scheduler.IVQPStrategy))
+		policy(&ecfg)
 		outcomes, _, err := replay(ecfg, cfg.Epsilon, queries)
 		return outcomes, err
 	}
 
 	// The headline run: value-ranked dispatch with aging, one arrival at a
 	// time.
-	outcomes, err := variant(func(e *scheduler.EngineConfig, _ *scheduler.IVQPStrategy) { e.Aging = cfg.Aging })
+	outcomes, err := variant(func(e *scheduler.EngineConfig) { e.Aging = cfg.Aging })
 	if err != nil {
 		return res, err
 	}
@@ -188,16 +188,15 @@ func RunLoad(cfg LoadConfig) (LoadResult, error) {
 	// micro-batch MQO (window formation, GA ordering, value-ranked dispatch
 	// with aging).
 	if cfg.MQOWindow > 0 {
-		outcomes, err := variant(func(e *scheduler.EngineConfig, _ *scheduler.IVQPStrategy) { e.FIFO = true })
+		outcomes, err := variant(func(e *scheduler.EngineConfig) { e.FIFO = true })
 		if err != nil {
 			return res, err
 		}
 		fifo := summarize(outcomes)
-		outcomes, err = variant(func(e *scheduler.EngineConfig, ivqp *scheduler.IVQPStrategy) {
+		outcomes, err = variant(func(e *scheduler.EngineConfig) {
 			e.Aging = cfg.Aging
 			e.Window = cfg.MQOWindow
 			e.GA = cfg.GA
-			e.Evaluator = &scheduler.Evaluator{Planner: ivqp.Planner, Catalog: ivqp.Catalog, Horizon: cfg.PlannerHorizon}
 		})
 		if err != nil {
 			return res, err

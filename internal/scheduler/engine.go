@@ -80,12 +80,11 @@ type EngineConfig struct {
 	// Zero dispatches each arrival individually.
 	Window core.Duration
 	// GA parameterizes workload ordering; per-workload seeds derive from
-	// GA.Seed so concurrent engines stay deterministic.
+	// GA.Seed so concurrent engines stay deterministic. Formation scores
+	// candidate orders with the Strategy's planner and catalog view, so it
+	// needs an *IVQPStrategy: with any other strategy Window must be zero
+	// and submitted groups fall back to submission order.
 	GA GAConfig
-	// Evaluator scores candidate orders during workload formation. Required
-	// when Window > 0 or groups are submitted; formation falls back to
-	// submission order without it.
-	Evaluator *Evaluator
 	// FIFO dispatches strictly in submission order, planning only the
 	// chosen query — the "live path without IVQP dispatch" baseline.
 	FIFO bool
@@ -137,6 +136,7 @@ var ivGainBounds = []float64{.01, .02, .05, .1, .2, .5, 1, 2, 5, 10}
 // Executor so virtual and wall-clock drivers run identical decisions.
 type Engine struct {
 	cfg EngineConfig
+	ev  *Evaluator // formation's scorer over the IVQP strategy; nil for any other
 
 	mu      sync.Mutex
 	epsilon float64
@@ -186,10 +186,13 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if cfg.Window < 0 {
 		return nil, fmt.Errorf("scheduler: micro-batch window %v must be non-negative", cfg.Window)
 	}
-	if cfg.Window > 0 && cfg.Evaluator == nil {
-		return nil, fmt.Errorf("scheduler: a micro-batch window needs an evaluator")
-	}
 	e := &Engine{cfg: cfg}
+	if st, ok := cfg.Strategy.(*IVQPStrategy); ok {
+		e.ev = &Evaluator{Planner: st.Planner, Catalog: st.Catalog, Horizon: st.Horizon}
+	}
+	if cfg.Window > 0 && e.ev == nil {
+		return nil, fmt.Errorf("scheduler: a micro-batch window needs an IVQP strategy")
+	}
 	if cfg.Stats != nil {
 		// Pre-create the scheduling metrics so a dump shows them at zero.
 		cfg.Stats.Counter("workloads_formed_total")
@@ -350,21 +353,47 @@ func (e *Engine) closeWindow() {
 }
 
 // formLocked groups entries into workloads of range-overlapping queries
-// and GA-orders each one (Section 3.2). Any failure — missing evaluator,
-// planning error during range derivation, invalid GA config — falls back
-// to plain submission order for the whole group, marks every entry, and
+// and GA-orders each one (Section 3.2) through the shared formation loop:
+// every workload is evaluated from now on the serialized-coordinator
+// model, with GA seeds drawn in formation order. Any failure — a strategy
+// other than IVQP, a planning error during range derivation (say a member
+// only a downed site could answer), an invalid GA config — falls back to
+// plain submission order for the whole group, marks every entry, and
 // counts mqo_fallback_total: MQO is an optimization, never a correctness
 // gate.
 func (e *Engine) formLocked(entries []*entry) {
-	if len(entries) == 0 {
+	if len(entries) <= 1 {
+		e.flat = append(e.flat, entries...)
 		return
 	}
-	if len(entries) == 1 {
-		e.flat = append(e.flat, entries[0])
-		return
+	queries := make([]core.Query, len(entries))
+	for i, en := range entries {
+		queries[i] = en.q
 	}
-	newFlat, newRuns, err := e.formWorkloads(entries)
-	if err != nil {
+	var flat []*entry
+	var runs []*run
+	visit := func(o ordered) error {
+		if len(o.order) == 1 {
+			flat = append(flat, entries[o.Indices[0]])
+			return nil
+		}
+		r := &run{members: make([]*entry, len(o.order))}
+		for pos, local := range o.order {
+			r.members[pos] = entries[o.Indices[local]]
+		}
+		runs = append(runs, r)
+		if e.cfg.Stats != nil {
+			e.cfg.Stats.Counter("workloads_formed_total").Inc()
+			e.cfg.Stats.Histogram("workload_size", workloadSizeBounds).Observe(float64(len(o.order)))
+			// The GA seeds its population with the identity permutation, so
+			// the gain over FIFO is non-negative by construction.
+			e.cfg.Stats.Histogram("mqo_iv_gain", ivGainBounds).Observe(o.best - o.ga.Identity)
+		}
+		return nil
+	}
+	now := e.cfg.Clock.Now()
+	seed := func(int) int64 { e.workloadSeq++; return e.cfg.GA.Seed + e.workloadSeq - 1 }
+	if e.ev == nil || form(queries, e.ev, e.cfg.GA, func() core.Time { return now }, seed, visit) != nil {
 		if e.cfg.Stats != nil {
 			e.cfg.Stats.Counter("mqo_fallback_total").Inc()
 		}
@@ -374,74 +403,8 @@ func (e *Engine) formLocked(entries []*entry) {
 		e.flat = append(e.flat, entries...)
 		return
 	}
-	e.flat = append(e.flat, newFlat...)
-	e.runs = append(e.runs, newRuns...)
-}
-
-// formWorkloads does the fallible part of formation: derive candidate
-// execution ranges, merge overlapping ones into workloads, and order each
-// multi-member workload with the GA, maximizing total information value as
-// evaluated from now on the serialized-coordinator model.
-func (e *Engine) formWorkloads(entries []*entry) (flat []*entry, runs []*run, err error) {
-	ev := e.cfg.Evaluator
-	if ev == nil {
-		return nil, nil, fmt.Errorf("scheduler: no evaluator for workload formation")
-	}
-	queries := make([]core.Query, len(entries))
-	for i, en := range entries {
-		queries[i] = en.q
-	}
-	widths, err := PlanRanges(queries, ev, 1e6)
-	if err != nil {
-		return nil, nil, err
-	}
-	workloads, err := FormWorkloads(queries, widths)
-	if err != nil {
-		return nil, nil, err
-	}
-	now := e.cfg.Clock.Now()
-	for _, w := range workloads {
-		if len(w.Indices) == 1 {
-			flat = append(flat, entries[w.Indices[0]])
-			continue
-		}
-		members := make([]core.Query, len(w.Indices))
-		for j, qi := range w.Indices {
-			members[j] = queries[qi]
-		}
-		wcfg := e.cfg.GA
-		wcfg.Seed = e.cfg.GA.Seed + e.workloadSeq
-		e.workloadSeq++
-		order, best, _, err := OptimizeOrder(len(members), func(order []int) (float64, error) {
-			r, rerr := ev.RunSequence(members, order, now)
-			if rerr != nil {
-				return 0, rerr
-			}
-			return r.TotalValue, nil
-		}, wcfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		r := &run{members: make([]*entry, len(order))}
-		for pos, local := range order {
-			r.members[pos] = entries[w.Indices[local]]
-		}
-		runs = append(runs, r)
-		if e.cfg.Stats != nil {
-			e.cfg.Stats.Counter("workloads_formed_total").Inc()
-			e.cfg.Stats.Histogram("workload_size", workloadSizeBounds).Observe(float64(len(members)))
-			// The GA seeds its population with the identity permutation, so
-			// the gain over FIFO is non-negative by construction.
-			identity := make([]int, len(members))
-			for i := range identity {
-				identity[i] = i
-			}
-			if fifo, ferr := ev.RunSequence(members, identity, now); ferr == nil {
-				e.cfg.Stats.Histogram("mqo_iv_gain", ivGainBounds).Observe(best - fifo.TotalValue)
-			}
-		}
-	}
-	return flat, runs, nil
+	e.flat = append(e.flat, flat...)
+	e.runs = append(e.runs, runs...)
 }
 
 // action is scheduling work decided under the lock but performed outside

@@ -1,11 +1,15 @@
 package scheduler
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"ivdss/internal/core"
+	"ivdss/internal/costmodel"
+	"ivdss/internal/federation"
 	"ivdss/internal/metrics"
+	"ivdss/internal/replication"
 	"ivdss/internal/sim"
 )
 
@@ -139,7 +143,6 @@ func TestEngineMicroBatchFormsWorkloads(t *testing.T) {
 		Slots:          1,
 		Window:         5,
 		GA:             GAConfig{Seed: 1},
-		Evaluator:      &Evaluator{Planner: planner, Catalog: catalog, Horizon: 100},
 		RecordOutcomes: true,
 		Stats:          reg,
 	})
@@ -193,7 +196,6 @@ func TestEngineMQOFallbackMarksDispatches(t *testing.T) {
 		// Elite exceeding the population fails GAConfig validation inside
 		// OptimizeOrder — the formation failure this test wants.
 		GA:             GAConfig{Population: 2, Elite: 3},
-		Evaluator:      &Evaluator{Planner: planner, Catalog: catalog, Horizon: 100},
 		RecordOutcomes: true,
 		Stats:          reg,
 	})
@@ -269,4 +271,181 @@ func TestEngineFIFODispatchesInSubmissionOrder(t *testing.T) {
 			t.Errorf("outcome %d: %s, want %s", i, o.Query.ID, want)
 		}
 	}
+}
+
+// TestEngineFormationIsScheduleMQO ties the two callers of the formation
+// loop together: a group submitted at t=0 forms one workload, and a
+// one-slot engine dispatches it in exactly the order ScheduleMQO returns
+// for the same GA seed.
+func TestEngineFormationIsScheduleMQO(t *testing.T) {
+	rates := core.DiscountRates{CL: .15, SL: .15}
+	catalog, planner := testWorld(t, rates)
+	sets := [][]core.TableID{{"t1", "t2"}, {"t3"}, {"t1", "t3", "t4"}, {"t2"}, {"t1"}, {"t4", "t2"}}
+	queries := make([]core.Query, 10)
+	for i := range queries {
+		queries[i] = core.Query{
+			ID:            fmt.Sprintf("q%d", i+1),
+			Tables:        sets[i%len(sets)],
+			BusinessValue: .3 + .6*float64(7*i%10)/9,
+		}
+	}
+	orders := make(map[string]bool)
+	for seed := int64(1); seed <= 6; seed++ {
+		mqo, err := ScheduleMQO(queries, &Evaluator{Planner: planner, Catalog: catalog, Horizon: 100}, GAConfig{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(mqo.Workloads) != 1 {
+			t.Fatalf("seed %d: %d workloads, want one", seed, len(mqo.Workloads))
+		}
+		orders[fmt.Sprint(mqo.Order)] = true
+		clock := &ManualClock{}
+		eng, err := NewEngine(EngineConfig{
+			Clock:           clock,
+			Executor:        PlanExecutor{Clock: clock, Rates: rates},
+			Strategy:        &IVQPStrategy{Planner: planner, Catalog: catalog, Horizon: 100},
+			Rates:           rates,
+			Slots:           1,
+			GA:              GAConfig{Seed: seed},
+			HaltOnPlanError: true,
+			RecordOutcomes:  true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !eng.SubmitGroup(queries, make([]any, len(queries))) {
+			t.Fatal("group refused")
+		}
+		clock.Run()
+		if err := eng.Err(); err != nil {
+			t.Fatal(err)
+		}
+		out := eng.Outcomes()
+		if len(out) != len(queries) {
+			t.Fatalf("seed %d: %d outcomes, want %d", seed, len(out), len(queries))
+		}
+		for pos, qi := range mqo.Order {
+			if got, want := out[pos].Query.ID, queries[qi].ID; got != want {
+				t.Errorf("seed %d: dispatch %d is %s, ScheduleMQO orders %s", seed, pos, got, want)
+			}
+		}
+	}
+	// Seeds must matter, or a seed-derivation drift between the two callers
+	// would go unnoticed.
+	if len(orders) < 2 {
+		t.Errorf("every seed gave the same order: the scenario cannot tell seed derivations apart")
+	}
+}
+
+// TestEngineFormationNeedsIVQPStrategy: formation scores through the
+// dispatch strategy's planner, so an engine over any other strategy
+// refuses a micro-batch window and sends submitted groups to the flagged
+// submission-order fallback.
+func TestEngineFormationNeedsIVQPStrategy(t *testing.T) {
+	rates := core.DiscountRates{CL: .05, SL: .05}
+	catalog, _ := testWorld(t, rates)
+	clock := &ManualClock{}
+	reg := metrics.NewRegistry()
+	exec := &flagExecutor{inner: PlanExecutor{Clock: clock, Rates: rates}, flags: make(map[string]bool)}
+	cfg := EngineConfig{
+		Clock:          clock,
+		Executor:       exec,
+		Strategy:       &FixedStrategy{Catalog: catalog, Cost: &costmodel.CountModel{LocalProcess: 2, PerBaseTable: 2}, Kind: core.AccessBase},
+		Rates:          rates,
+		Slots:          1,
+		Window:         5,
+		RecordOutcomes: true,
+		Stats:          reg,
+	}
+	if _, err := NewEngine(cfg); err == nil {
+		t.Error("a micro-batch window over a fixed strategy was accepted")
+	}
+	cfg.Window = 0
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !eng.SubmitGroup(queriesAt([]core.Time{0, 0, 0}), make([]any, 3)) {
+		t.Fatal("group refused")
+	}
+	clock.Run()
+	if got := len(eng.Outcomes()); got != 3 {
+		t.Fatalf("outcomes = %d, want 3", got)
+	}
+	if flat := reg.Flatten(); flat["mqo_fallback_total"] != 1 {
+		t.Errorf("mqo_fallback_total = %v, want 1", flat["mqo_fallback_total"])
+	}
+	for id, fb := range exec.flags {
+		if !fb {
+			t.Errorf("query %s not flagged as MQO fallback", id)
+		}
+	}
+}
+
+// pricingCounter counts the plans a planner prices through it.
+type pricingCounter struct {
+	core.CostModel
+	n int
+}
+
+func (c *pricingCounter) Estimate(q core.Query, access []core.TableAccess, start core.Time) core.CostEstimate {
+	c.n++
+	return c.CostModel.Estimate(q, access, start)
+}
+
+// BenchmarkFormBatch times the GA layer on the shape of the batch_mqo
+// workload: one 16-query batch submitted at one instant over fully
+// replicated tables, formed and GA-ordered with the default 40×50 GA.
+func BenchmarkFormBatch(b *testing.B) {
+	tables := []core.TableID{"c", "o", "n", "r", "l", "s", "p", "ps"}
+	sites := make(map[core.TableID]core.SiteID, len(tables))
+	mgr := replication.NewManager()
+	for i, id := range tables {
+		sites[id] = core.SiteID(1 + i/4)
+		sched, err := replication.Periodic(60, 0, 10000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := mgr.Register(id, sched); err != nil {
+			b.Fatal(err)
+		}
+	}
+	placement, err := federation.NewPlacement(sites)
+	if err != nil {
+		b.Fatal(err)
+	}
+	catalog, err := federation.NewCatalog(placement, mgr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cost := &pricingCounter{CostModel: &costmodel.CountModel{LocalProcess: .02, PerBaseTable: .05, TransmitFlat: .02}}
+	// The live server's defaults: λCL .5 as batch_mqo runs, a 30-minute
+	// planner horizon.
+	planner, err := core.NewPlanner(cost, core.PlannerConfig{Rates: core.DiscountRates{CL: .5}, Horizon: 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev := &Evaluator{Planner: planner, Catalog: catalog, Horizon: 30}
+	queries := make([]core.Query, 16)
+	for i := range queries {
+		queries[i] = core.Query{
+			ID:            fmt.Sprintf("q%d", i),
+			Tables:        []core.TableID{tables[i%len(tables)], tables[(3*i+1)%len(tables)]},
+			BusinessValue: 1,
+			SubmitAt:      1,
+		}
+	}
+	evaluations := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		err := form(queries, ev, GAConfig{Seed: 1}, func() core.Time { return 1 },
+			func(int) int64 { return 1 },
+			func(o ordered) error { evaluations += o.ga.Evaluations; return nil })
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(cost.n)/float64(b.N), "plans/op")
+	b.ReportMetric(float64(evaluations)/float64(b.N), "evals/op")
 }

@@ -39,18 +39,6 @@ func (r SequenceResult) MeanValue() float64 {
 	return r.TotalValue / float64(len(r.Outcomes))
 }
 
-// MaxWait returns the largest queueing delay any query suffered — the
-// starvation statistic.
-func (r SequenceResult) MaxWait() core.Duration {
-	var maxWait core.Duration
-	for _, o := range r.Outcomes {
-		if o.Wait > maxWait {
-			maxWait = o.Wait
-		}
-	}
-	return maxWait
-}
-
 // Evaluator deterministically computes the information value of executing
 // a workload in a given order — the GA's evaluation function. The model
 // serializes queries on the DSS coordinator: each query is planned when it

@@ -56,6 +56,7 @@ func (c GAConfig) validate() error {
 type GAStats struct {
 	Evaluations int // distinct chromosomes evaluated (memoized)
 	Generations int
+	Identity    float64 // fitness of the identity (FIFO) order, always evaluated first
 }
 
 // OptimizeOrder searches permutations of [0, n) for the one maximizing
@@ -75,7 +76,7 @@ func OptimizeOrder(n int, fitness func(order []int) (float64, error), cfg GAConf
 	}
 	if n == 1 {
 		v, err := fitness([]int{0})
-		st.Evaluations = 1
+		st.Evaluations, st.Identity = 1, v
 		return []int{0}, v, st, err
 	}
 
@@ -108,6 +109,7 @@ func OptimizeOrder(n int, fitness func(order []int) (float64, error), cfg GAConf
 	if err != nil {
 		return nil, 0, st, err
 	}
+	st.Identity = fit
 	pop = append(pop, chromo{identity, fit})
 	for len(pop) < cfg.Population {
 		order := src.Perm(n)

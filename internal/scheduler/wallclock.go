@@ -53,11 +53,3 @@ func (c *WallClock) AfterFunc(d core.Duration, fn func()) {
 func (c *WallClock) WallDelay(d core.Duration) time.Duration {
 	return time.Duration(d / c.scale * float64(time.Second))
 }
-
-// WallNow returns the current wall-clock instant from the same reading
-// the experiment time is derived from.
-func (c *WallClock) WallNow() time.Time { return time.Now() }
-
-// Epoch returns the wall instant at which this clock's experiment time
-// was 0.
-func (c *WallClock) Epoch() time.Time { return c.epoch }

@@ -54,15 +54,8 @@ func FormWorkloads(queries []core.Query, widths []core.Duration) ([]Workload, er
 	if len(widths) != len(queries) {
 		return nil, fmt.Errorf("scheduler: %d widths for %d queries", len(widths), len(queries))
 	}
-	idx := make([]int, len(queries))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return queries[idx[a]].SubmitAt < queries[idx[b]].SubmitAt
-	})
 	var out []Workload
-	for _, i := range idx {
+	for _, i := range bySubmission(queries) {
 		q := queries[i]
 		end := q.SubmitAt + widths[i]
 		if len(out) > 0 && q.SubmitAt <= out[len(out)-1].End {
@@ -81,14 +74,18 @@ func FormWorkloads(queries []core.Query, widths []core.Duration) ([]Workload, er
 // ScheduleFIFO runs the whole query set in submission order — the paper's
 // "Without MQO" baseline.
 func ScheduleFIFO(queries []core.Query, ev *Evaluator) (SequenceResult, error) {
-	order := make([]int, len(queries))
-	for i := range order {
-		order[i] = i
+	return ev.RunSequence(queries, bySubmission(queries), 0)
+}
+
+// bySubmission returns the indices of queries in submission order, ties
+// in slice order.
+func bySubmission(queries []core.Query) []int {
+	idx := make([]int, len(queries))
+	for i := range idx {
+		idx[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return queries[order[a]].SubmitAt < queries[order[b]].SubmitAt
-	})
-	return ev.RunSequence(queries, order, 0)
+	sort.SliceStable(idx, func(a, b int) bool { return queries[idx[a]].SubmitAt < queries[idx[b]].SubmitAt })
+	return idx
 }
 
 // MQOResult is the outcome of multi-query optimization over a query set.
@@ -104,57 +101,78 @@ type MQOResult struct {
 // value. Workloads execute in time order on the shared coordinator, so a
 // long workload delays the next one's start.
 func ScheduleMQO(queries []core.Query, ev *Evaluator, cfg GAConfig) (MQOResult, error) {
-	widths, err := PlanRanges(queries, ev, 1e6)
+	res := MQOResult{SequenceResult: SequenceResult{Order: make([]int, 0, len(queries))}}
+	clock := core.Time(0)
+	err := form(queries, ev, cfg, func() core.Time { return clock },
+		func(wi int) int64 { return cfg.Seed + int64(wi) },
+		func(o ordered) error {
+			seq, err := ev.RunSequence(o.members, o.order, o.from)
+			if err != nil {
+				return err
+			}
+			res.Workloads = append(res.Workloads, o.Workload)
+			res.Evaluations += o.ga.Evaluations
+			for pos, local := range seq.Order {
+				res.Order = append(res.Order, o.Indices[local])
+				res.Outcomes = append(res.Outcomes, seq.Outcomes[pos])
+			}
+			res.TotalValue += seq.TotalValue
+			res.Makespan = math.Max(res.Makespan, seq.Makespan)
+			clock = math.Max(clock, seq.Makespan)
+			return nil
+		})
 	if err != nil {
 		return MQOResult{}, err
+	}
+	return res, nil
+}
+
+// ordered is one workload as formation left it.
+type ordered struct {
+	Workload
+	members []core.Query // the workload's queries, by submission
+	order   []int        // indices into members, in execution order
+	from    core.Time    // the instant the order was evaluated from
+	ga      GAStats      // zero for a singleton, which is not GA-ordered
+	best    float64      // the GA order's total IV (zero for a singleton)
+}
+
+// form is the one Section 3.2 formation loop, shared by ScheduleMQO and
+// the engine: derive candidate ranges, merge overlapping ones into
+// workloads, and GA-order each multi-member workload for the total
+// information value ev scores from start(). The two callers differ only
+// in start (a serial makespan clock, or now) and seed (the GA seed of
+// workload wi, drawn for multi-member workloads only). Workloads reach
+// visit in time order, each before the next is ordered, so start may
+// depend on what visit saw.
+func form(queries []core.Query, ev *Evaluator, ga GAConfig, start func() core.Time, seed func(wi int) int64, visit func(ordered) error) error {
+	widths, err := PlanRanges(queries, ev, 1e6)
+	if err != nil {
+		return err
 	}
 	workloads, err := FormWorkloads(queries, widths)
 	if err != nil {
-		return MQOResult{}, err
+		return err
 	}
-	res := MQOResult{Workloads: workloads}
-	res.Order = make([]int, 0, len(queries))
-	clock := core.Time(0)
 	for wi, w := range workloads {
-		members := make([]core.Query, len(w.Indices))
+		o := ordered{Workload: w, members: make([]core.Query, len(w.Indices)), order: []int{0}, from: start()}
 		for j, qi := range w.Indices {
-			members[j] = queries[qi]
+			o.members[j] = queries[qi]
 		}
-		startAt := clock
-		var seq SequenceResult
-		if len(members) == 1 {
-			seq, err = ev.RunSequence(members, []int{0}, startAt)
-			if err != nil {
-				return MQOResult{}, err
-			}
-		} else {
-			wcfg := cfg
-			wcfg.Seed = cfg.Seed + int64(wi)
-			order, _, st, gerr := OptimizeOrder(len(members), func(order []int) (float64, error) {
-				r, rerr := ev.RunSequence(members, order, startAt)
-				if rerr != nil {
-					return 0, rerr
-				}
-				return r.TotalValue, nil
+		if len(o.members) > 1 {
+			wcfg := ga
+			wcfg.Seed = seed(wi)
+			o.order, o.best, o.ga, err = OptimizeOrder(len(o.members), func(order []int) (float64, error) {
+				r, err := ev.RunSequence(o.members, order, o.from)
+				return r.TotalValue, err
 			}, wcfg)
-			if gerr != nil {
-				return MQOResult{}, gerr
-			}
-			res.Evaluations += st.Evaluations
-			seq, err = ev.RunSequence(members, order, startAt)
 			if err != nil {
-				return MQOResult{}, err
+				return err
 			}
 		}
-		for pos, local := range seq.Order {
-			res.Order = append(res.Order, w.Indices[local])
-			res.Outcomes = append(res.Outcomes, seq.Outcomes[pos])
+		if err := visit(o); err != nil {
+			return err
 		}
-		res.TotalValue += seq.TotalValue
-		if seq.Makespan > res.Makespan {
-			res.Makespan = seq.Makespan
-		}
-		clock = math.Max(clock, seq.Makespan)
 	}
-	return res, nil
+	return nil
 }

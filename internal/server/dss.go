@@ -223,7 +223,6 @@ type DSSServer struct {
 	cfg     DSSConfig
 	clock   *scheduler.WallClock
 	catalog *federation.Catalog
-	planner *core.Planner
 	costs   *costmodel.CalibratedModel
 	stats   *metrics.Registry
 
@@ -347,7 +346,6 @@ func NewDSSServer(cfg DSSConfig) (*DSSServer, error) {
 	s := &DSSServer{
 		cfg:       cfg,
 		clock:     scheduler.NewWallClock(cfg.TimeScale),
-		planner:   planner,
 		costs:     costs,
 		stats:     metrics.NewRegistry(),
 		pool:      netproto.NewPool(cfg.DialTimeout, cfg.DialTimeout),
@@ -388,7 +386,7 @@ func NewDSSServer(cfg DSSConfig) (*DSSServer, error) {
 		}
 		s.budgets = budgets
 	}
-	eng, err := s.newEngine(liveStrategy{s})
+	eng, err := s.newEngine(&scheduler.IVQPStrategy{Planner: planner, Catalog: breakerView{s}, Horizon: cfg.PlannerHorizon})
 	if err != nil {
 		return nil, err
 	}
@@ -488,11 +486,14 @@ func (s *DSSServer) callSite(ctx context.Context, site core.SiteID, req *netprot
 	return resp, nil
 }
 
-// openSites returns the sites whose breaker currently rejects calls.
+// openSites returns the sites whose breaker currently rejects calls, or
+// nil without allocating when none does: it runs on every snapshot the
+// planner takes, GA evaluations included.
 func (s *DSSServer) openSites() map[core.SiteID]bool {
 	var down map[core.SiteID]bool
-	for _, site := range sortedKeys(s.breakers) {
-		if s.breakers[site].State() == faults.Open {
+	for site, br := range s.breakers {
+		//lint:allow detordercheck(breaker reads commute and the result is a set)
+		if br.State() == faults.Open {
 			if down == nil {
 				down = make(map[core.SiteID]bool)
 			}

@@ -96,12 +96,11 @@ func (s *DSSServer) runOne(ctx context.Context, stmt *sqlmini.SelectStmt, q core
 	// and must not be calibrated into the plan's processing cost.
 	began := math.Max(plan.Start, s.now())
 	// A plan that touches a table whose base site is behind an open breaker
-	// was searched around the outage (liveStrategy.Plan): flag its answer.
+	// was searched around the outage (breakerView): flag its answer.
+	down := s.openSites()
 	degradedPlanning := false
-	if down := s.openSites(); down != nil {
-		for _, a := range plan.Access {
-			degradedPlanning = degradedPlanning || down[a.Site]
-		}
+	for _, a := range plan.Access {
+		degradedPlanning = degradedPlanning || down[a.Site]
 	}
 
 	// Honour a delayed plan, bounded by MaxDelay — and by the request

@@ -9,7 +9,6 @@ import (
 
 	"ivdss/internal/cluster"
 	"ivdss/internal/core"
-	"ivdss/internal/faults"
 	"ivdss/internal/netproto"
 	"ivdss/internal/sqlmini"
 )
@@ -34,22 +33,13 @@ func (s *DSSServer) shardDigest() cluster.Digest {
 		fresh[id] = snap.syncedAt
 	}
 	s.mu.RUnlock()
-	var open map[core.SiteID]bool
-	for _, site := range sortedKeys(s.breakers) {
-		if s.breakers[site].State() == faults.Open {
-			if open == nil {
-				open = make(map[core.SiteID]bool)
-			}
-			open[site] = true
-		}
-	}
 	return cluster.Digest{
 		Node:         cluster.ShardID(s.cfg.ShardID),
 		Version:      s.shardVersion.Add(1),
 		Clock:        now,
 		QueueDepth:   s.engine.QueueLen(),
 		Slots:        s.cfg.Workers,
-		OpenBreakers: open,
+		OpenBreakers: s.openSites(),
 		Freshness:    fresh,
 	}
 }

@@ -22,31 +22,32 @@ import (
 // (Section 3.3) and horizon shedding. The DES dispatcher drives the
 // identical engine on virtual time — one scheduling core, two drivers.
 
-// liveStrategy is the server's one plan chooser: full IVQP search over the
-// current catalog snapshot. The plan a query is ranked with is the plan
-// liveExecutor runs, as in the DES (scheduler.PlanExecutor).
-type liveStrategy struct{ s *DSSServer }
+// breakerView is the catalog the server plans from: the live twin of
+// bench.OutageView, with open breakers in place of an outage schedule. The
+// server's strategy is a plain scheduler.IVQPStrategy over it, so dispatch
+// and workload formation search the same plan space, and the plan a query
+// is ranked with is the plan liveExecutor runs, as in the DES
+// (scheduler.PlanExecutor).
+type breakerView struct{ s *DSSServer }
 
-var _ scheduler.Strategy = liveStrategy{}
+var _ scheduler.CatalogView = breakerView{}
 
-func (st liveStrategy) Plan(q core.Query, now core.Time) (core.Plan, error) {
-	snap, err := st.s.catalog.Snapshot(q.Tables, now, st.s.cfg.PlannerHorizon)
+func (v breakerView) Snapshot(tables []core.TableID, now core.Time, horizon core.Duration) ([]core.TableState, error) {
+	snap, err := v.s.catalog.Snapshot(tables, now, horizon)
 	if err != nil {
-		return core.Plan{}, err
+		return nil, err
 	}
 	// Degradation policy (planner-level): a site whose breaker is open is
 	// excluded from the plan space, so the search itself falls back to the
 	// freshest replica — pricing the true staleness into the IV — instead
 	// of the executor discovering the outage per call.
-	if down := st.s.openSites(); down != nil {
-		for i := range snap {
-			if down[snap[i].Site] {
-				snap[i].BaseDown = true
-			}
+	down := v.s.openSites()
+	for i := range snap {
+		if down[snap[i].Site] {
+			snap[i].BaseDown = true
 		}
 	}
-	plan, _, err := st.s.planner.Best(q, snap, now)
-	return plan, err
+	return snap, nil
 }
 
 // pendingQuery is the engine payload for one admitted query: the parsed
@@ -90,7 +91,7 @@ type batchCollector struct {
 }
 
 // newEngine wires the shared scheduling engine to this server: scaled
-// wall clock, real execution, dispatch planning by strategy (liveStrategy
+// wall clock, real execution, planning by strategy (IVQP over breakerView
 // outside tests), and the configured MQO window, GA, aging, and admission
 // bound.
 func (s *DSSServer) newEngine(strategy scheduler.Strategy) (*scheduler.Engine, error) {
@@ -103,11 +104,6 @@ func (s *DSSServer) newEngine(strategy scheduler.Strategy) (*scheduler.Engine, e
 		Aging:    s.cfg.Aging,
 		Window:   core.Duration(s.cfg.MQOWindow.Seconds() * s.cfg.TimeScale),
 		GA:       s.cfg.GA,
-		Evaluator: &scheduler.Evaluator{
-			Planner: s.planner,
-			Catalog: s.catalog,
-			Horizon: s.cfg.PlannerHorizon,
-		},
 		MaxQueue: s.cfg.QueueDepth,
 		Stats:    s.stats,
 		OnDrop:   s.onDrop,

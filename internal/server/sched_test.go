@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ivdss/internal/core"
+	"ivdss/internal/faults"
 	"ivdss/internal/netproto"
 	"ivdss/internal/scheduler"
 )
@@ -230,10 +231,10 @@ func (c *countingCost) Estimate(q core.Query, access []core.TableAccess, start c
 	return c.CostModel.Estimate(q, access, start)
 }
 
-// recordingStrategy is liveStrategy plus a log of what it returned and how
-// many plans the search priced on its behalf.
+// recordingStrategy is the server's strategy plus a log of what it
+// returned and how many plans the search priced on its behalf.
 type recordingStrategy struct {
-	inner liveStrategy
+	inner scheduler.Strategy
 	cost  *countingCost
 
 	mu     sync.Mutex
@@ -272,10 +273,14 @@ func TestDSSExecutesTheDispatchedPlan(t *testing.T) {
 	}
 	t.Cleanup(func() { dss.Close() })
 	cost := &countingCost{CostModel: dss.costs}
-	if dss.planner, err = core.NewPlanner(cost, core.PlannerConfig{Rates: dss.cfg.Rates, Horizon: dss.cfg.PlannerHorizon}); err != nil {
+	planner, err := core.NewPlanner(cost, core.PlannerConfig{Rates: dss.cfg.Rates, Horizon: dss.cfg.PlannerHorizon})
+	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &recordingStrategy{inner: liveStrategy{dss}, cost: cost}
+	rec := &recordingStrategy{
+		inner: &scheduler.IVQPStrategy{Planner: planner, Catalog: breakerView{dss}, Horizon: dss.cfg.PlannerHorizon},
+		cost:  cost,
+	}
 	dss.engine.Stop()
 	if dss.engine, err = dss.newEngine(rec); err != nil {
 		t.Fatal(err)
@@ -305,5 +310,125 @@ func TestDSSExecutesTheDispatchedPlan(t *testing.T) {
 		if total := cost.estimates.Load(); total != priced || priced == 0 {
 			t.Errorf("query %d: %d plans priced in all, %d inside the strategy: something searched a second time", i, total, priced)
 		}
+	}
+}
+
+// baseReadRecorder counts the plans a planner prices that read a base
+// table on one site.
+type baseReadRecorder struct {
+	core.CostModel
+	site  core.SiteID
+	reads atomic.Int64
+}
+
+func (r *baseReadRecorder) Estimate(q core.Query, access []core.TableAccess, start core.Time) core.CostEstimate {
+	for _, a := range access {
+		if a.Kind == core.AccessBase && a.Site == r.site {
+			r.reads.Add(1)
+			break
+		}
+	}
+	return r.CostModel.Estimate(q, access, start)
+}
+
+// TestDSSBatchFormationSeesOpenBreakers: batch formation plans through the
+// same breaker overlay as dispatch. With site 1's breaker open, (a) a
+// batch over its replicated table is formed and run without pricing one
+// base read there, and (b) a batch with a member only site 1's base table
+// can answer falls back to submission order: that member fails with the
+// site-unavailable error, the others answer.
+func TestDSSBatchFormationSeesOpenBreakers(t *testing.T) {
+	_, site1Addr := startRemote(t, accountsTable(t), tradesTable(t))
+	proxy := faults.NewProxy(site1Addr, 1)
+	if _, err := proxy.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { proxy.Close() })
+	_, site2Addr := startRemote(t, ordersTable(t))
+	dss, err := NewDSSServer(DSSConfig{
+		Remotes:            map[core.SiteID]string{1: proxy.Addr(), 2: site2Addr},
+		Replicate:          map[core.TableID]time.Duration{"accounts": 150 * time.Millisecond},
+		Rates:              core.DiscountRates{CL: .05, SL: .05},
+		TimeScale:          10,
+		MaxDelay:           200 * time.Millisecond,
+		DialTimeout:        200 * time.Millisecond,
+		RetryAttempts:      2,
+		RetryBaseDelay:     5 * time.Millisecond,
+		RetryBudget:        50 * time.Millisecond,
+		BreakerFailures:    2,
+		BreakerOpenTimeout: time.Hour, // open for the rest of the test
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dss.Close() })
+	rec := &baseReadRecorder{CostModel: dss.costs, site: 1}
+	planner, err := core.NewPlanner(rec, core.PlannerConfig{Rates: dss.cfg.Rates, Horizon: dss.cfg.PlannerHorizon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dss.engine.Stop()
+	if dss.engine, err = dss.newEngine(&scheduler.IVQPStrategy{Planner: planner, Catalog: breakerView{dss}, Horizon: dss.cfg.PlannerHorizon}); err != nil {
+		t.Fatal(err)
+	}
+	addr, err := dss.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Kill site 1: the failing replica pulls trip its breaker.
+	proxy.SetMode(faults.ModeBlackhole, 0)
+	proxy.Sever()
+	eventually(t, 10*time.Second, "site 1 breaker opens", func() bool { return dss.openSites()[1] })
+
+	batch := func(sqls ...string) *netproto.Response {
+		t.Helper()
+		req := &netproto.Request{Kind: netproto.KindBatch}
+		for _, sql := range sqls {
+			req.Batch = append(req.Batch, netproto.BatchQuery{SQL: sql, BusinessValue: 1})
+		}
+		resp, err := netproto.Call(addr, req, 10*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	const (
+		accountsSQL = "SELECT a.a_id, a.a_balance FROM accounts a ORDER BY a.a_id"
+		countSQL    = "SELECT count(*) AS n FROM accounts"
+		ordersSQL   = "SELECT o.o_id, o.o_qty FROM orders o ORDER BY o.o_id"
+		tradesSQL   = "SELECT tr.t_account, tr.t_amount FROM trades tr ORDER BY tr.t_account"
+	)
+
+	// (a) Site 1's tables in the batch are all replicated.
+	rec.reads.Store(0)
+	resp := batch(accountsSQL, countSQL, ordersSQL)
+	if n := rec.reads.Load(); n != 0 {
+		t.Errorf("(a) %d plans priced reading base on site 1 behind its open breaker", n)
+	}
+	if resp.MQOFallback {
+		t.Error("(a) batch over replicas flagged as MQO fallback")
+	}
+	for i, item := range resp.Batch {
+		if item.Err != "" || item.Result == nil {
+			t.Errorf("(a) member %d: err %q, result %v", i, item.Err, item.Result)
+		}
+	}
+
+	// (b) One member reads a table only site 1's base holds.
+	resp = batch(tradesSQL, accountsSQL, ordersSQL)
+	if !resp.MQOFallback {
+		t.Error("(b) batch with an unplannable member not flagged as MQO fallback")
+	}
+	if item := resp.Batch[0]; item.Err == "" || !item.Degraded {
+		t.Errorf("(b) trades member: err %q, degraded %v; want the site-unavailable error", item.Err, item.Degraded)
+	}
+	for i, item := range resp.Batch[1:] {
+		if item.Err != "" || item.Result == nil {
+			t.Errorf("(b) member %d: err %q, result %v", i+1, item.Err, item.Result)
+		}
+	}
+	if m := metricsOf(t, addr); m["mqo_fallback_total"] != 1 {
+		t.Errorf("mqo_fallback_total = %v, want 1", m["mqo_fallback_total"])
 	}
 }

@@ -2,7 +2,9 @@ package scheduler
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"ivdss/internal/core"
 	"ivdss/internal/metrics"
@@ -97,7 +99,8 @@ type EngineConfig struct {
 	// the index of the one to evict in the arrival's favor — or -1 to
 	// refuse the arrival as usual. The evicted query leaves as an expired
 	// outcome through OnDrop. Group submissions never evict; they stay
-	// all-or-nothing. Victim runs under the engine lock and must not call
+	// all-or-nothing. Queries still being formed count against MaxQueue but
+	// are not offered. Victim runs under the engine lock and must not call
 	// back into the engine.
 	Victim func(arriving core.Query, queued []core.Query) int
 	// HaltOnPlanError stops the engine at the first planning failure,
@@ -149,8 +152,13 @@ type Engine struct {
 	flat []*entry
 	runs []*run
 	busy int
-	// workloadSeq derives per-workload GA seeds.
-	workloadSeq int64
+	// forming counts admitted queries whose formation runs outside the
+	// lock: they hold queue space but are in no list, so Victim never sees
+	// them.
+	forming int
+	// workloadSeq derives per-workload GA seeds; formations draw from it
+	// concurrently.
+	workloadSeq atomic.Int64
 	outcomes    []core.Outcome
 	expired     int
 	halted      error
@@ -279,21 +287,13 @@ func (e *Engine) queuedEntriesLocked() []*entry {
 // evictLocked removes one waiting entry in favor of a new arrival,
 // recording it as an expired (shed) outcome.
 func (e *Engine) evictLocked(victim *entry, acts *[]action) {
-	remove := func(list []*entry) ([]*entry, bool) {
-		for i, en := range list {
-			if en == victim {
-				return append(list[:i], list[i+1:]...), true
-			}
-		}
-		return list, false
-	}
 	var found bool
-	if e.pending, found = remove(e.pending); !found {
-		if e.flat, found = remove(e.flat); !found {
-			for i, r := range e.runs {
-				if r.members, found = remove(r.members); found {
+	if e.pending, found = without(e.pending, victim); !found {
+		if e.flat, found = without(e.flat, victim); !found {
+			for _, r := range e.runs {
+				if r.members, found = without(r.members, victim); found {
 					if len(r.members) == 0 {
-						e.runs = append(e.runs[:i], e.runs[i+1:]...)
+						e.runs, _ = without(e.runs, r)
 					}
 					break
 				}
@@ -324,14 +324,13 @@ func (e *Engine) SubmitGroup(queries []core.Query, payloads []any) bool {
 		e.mu.Unlock()
 		return false
 	}
+	e.forming += len(queries)
+	e.mu.Unlock()
 	entries := make([]*entry, len(queries))
 	for i, q := range queries {
 		entries[i] = &entry{q: q, payload: payloads[i]}
 	}
-	e.formLocked(entries)
-	acts := e.decideLocked()
-	e.mu.Unlock()
-	e.perform(acts)
+	e.formAndCommit(entries)
 	return true
 }
 
@@ -346,32 +345,44 @@ func (e *Engine) closeWindow() {
 		e.mu.Unlock()
 		return
 	}
-	e.formLocked(batch)
+	e.forming += len(batch)
+	e.mu.Unlock()
+	e.formAndCommit(batch)
+}
+
+// formAndCommit forms entries already counted in forming without holding
+// the lock — the GA prices hundreds of plans — then queues the result and
+// dispatches. Concurrent formations commit in the order they finish. The
+// order is not re-validated against the catalog: dispatch re-plans every
+// run head at its own instant anyway.
+func (e *Engine) formAndCommit(entries []*entry) {
+	flat, runs := e.formGroup(entries)
+	e.mu.Lock()
+	e.forming -= len(entries)
+	e.flat = append(e.flat, flat...)
+	e.runs = append(e.runs, runs...)
 	acts := e.decideLocked()
 	e.mu.Unlock()
 	e.perform(acts)
 }
 
-// formLocked groups entries into workloads of range-overlapping queries
-// and GA-orders each one (Section 3.2) through the shared formation loop:
+// formGroup groups entries into workloads of range-overlapping queries and
+// GA-orders each one (Section 3.2) through the shared formation loop:
 // every workload is evaluated from now on the serialized-coordinator
 // model, with GA seeds drawn in formation order. Any failure — a strategy
 // other than IVQP, a planning error during range derivation (say a member
 // only a downed site could answer), an invalid GA config — falls back to
 // plain submission order for the whole group, marks every entry, and
 // counts mqo_fallback_total: MQO is an optimization, never a correctness
-// gate.
-func (e *Engine) formLocked(entries []*entry) {
+// gate. It runs outside the lock, so it reads nothing the lock guards.
+func (e *Engine) formGroup(entries []*entry) (flat []*entry, runs []*run) {
 	if len(entries) <= 1 {
-		e.flat = append(e.flat, entries...)
-		return
+		return entries, nil
 	}
 	queries := make([]core.Query, len(entries))
 	for i, en := range entries {
 		queries[i] = en.q
 	}
-	var flat []*entry
-	var runs []*run
 	visit := func(o ordered) error {
 		if len(o.order) == 1 {
 			flat = append(flat, entries[o.Indices[0]])
@@ -392,7 +403,7 @@ func (e *Engine) formLocked(entries []*entry) {
 		return nil
 	}
 	now := e.cfg.Clock.Now()
-	seed := func(int) int64 { e.workloadSeq++; return e.cfg.GA.Seed + e.workloadSeq - 1 }
+	seed := func(int) int64 { return e.cfg.GA.Seed + e.workloadSeq.Add(1) - 1 }
 	if e.ev == nil || form(queries, e.ev, e.cfg.GA, func() core.Time { return now }, seed, visit) != nil {
 		if e.cfg.Stats != nil {
 			e.cfg.Stats.Counter("mqo_fallback_total").Inc()
@@ -400,11 +411,9 @@ func (e *Engine) formLocked(entries []*entry) {
 		for _, en := range entries {
 			en.fallback = true
 		}
-		e.flat = append(e.flat, entries...)
-		return
+		return entries, nil
 	}
-	e.flat = append(e.flat, flat...)
-	e.runs = append(e.runs, runs...)
+	return flat, runs
 }
 
 // action is scheduling work decided under the lock but performed outside
@@ -462,24 +471,21 @@ func (e *Engine) candidatesLocked() []candidate {
 
 // removeLocked takes a candidate out of its queue.
 func (e *Engine) removeLocked(c candidate) {
-	if c.r != nil {
-		c.r.members = c.r.members[1:]
-		if len(c.r.members) == 0 {
-			for i, r := range e.runs {
-				if r == c.r {
-					e.runs = append(e.runs[:i], e.runs[i+1:]...)
-					break
-				}
-			}
-		}
+	if c.r == nil {
+		e.flat, _ = without(e.flat, c.en)
 		return
 	}
-	for i, en := range e.flat {
-		if en == c.en {
-			e.flat = append(e.flat[:i], e.flat[i+1:]...)
-			return
-		}
+	if c.r.members = c.r.members[1:]; len(c.r.members) == 0 {
+		e.runs, _ = without(e.runs, c.r)
 	}
+}
+
+// without removes x from list, reporting whether it was there.
+func without[T comparable](list []T, x T) ([]T, bool) {
+	if i := slices.Index(list, x); i >= 0 {
+		return slices.Delete(list, i, i+1), true
+	}
+	return list, false
 }
 
 // decideLocked is the dispatch loop: shed expired queries, then fill free
@@ -606,33 +612,19 @@ func (e *Engine) shedExpiredLocked(acts *[]action) {
 		*acts = append(*acts, action{drop: &o, dropPl: en.payload})
 		return true
 	}
-	kept := e.flat[:0]
-	for _, en := range e.flat {
-		if !shed(en) {
-			kept = append(kept, en)
-		}
-	}
-	e.flat = kept
-	keptRuns := e.runs[:0]
-	for _, r := range e.runs {
-		keptMembers := r.members[:0]
-		for _, en := range r.members {
-			if !shed(en) {
-				keptMembers = append(keptMembers, en)
-			}
-		}
-		r.members = keptMembers
-		if len(r.members) > 0 {
-			keptRuns = append(keptRuns, r)
-		}
-	}
-	e.runs = keptRuns
+	// DeleteFunc asks about each element once, in order, so drops keep
+	// their queue order.
+	e.flat = slices.DeleteFunc(e.flat, shed)
+	e.runs = slices.DeleteFunc(e.runs, func(r *run) bool {
+		r.members = slices.DeleteFunc(r.members, shed)
+		return len(r.members) == 0
+	})
 }
 
-// queuedLocked counts queries waiting (not executing): window buffer, flat
-// queue, and unfinished run members.
+// queuedLocked counts queries waiting (not executing): window buffer,
+// members being formed, flat queue, and unfinished run members.
 func (e *Engine) queuedLocked() int {
-	n := len(e.pending) + len(e.flat)
+	n := len(e.pending) + e.forming + len(e.flat)
 	for _, r := range e.runs {
 		n += len(r.members)
 	}

@@ -396,7 +396,20 @@ func (c *pricingCounter) Estimate(q core.Query, access []core.TableAccess, start
 // BenchmarkFormBatch times the GA layer on the shape of the batch_mqo
 // workload: one 16-query batch submitted at one instant over fully
 // replicated tables, formed and GA-ordered with the default 40×50 GA.
+// /uniform gives every member one processing cost, so the instants members
+// reach the head collapse onto a few values; /weighted gives them ten
+// distinct per-query weights, as the ten light templates have, which is
+// what a formation really prices.
 func BenchmarkFormBatch(b *testing.B) {
+	b.Run("uniform", func(b *testing.B) { benchmarkFormBatch(b, nil) })
+	weights := make(map[string]float64)
+	for i := 0; i < 16; i++ {
+		weights[fmt.Sprintf("q%d", i)] = .5 + .25*float64(i%10)
+	}
+	b.Run("weighted", func(b *testing.B) { benchmarkFormBatch(b, weights) })
+}
+
+func benchmarkFormBatch(b *testing.B, weights map[string]float64) {
 	tables := []core.TableID{"c", "o", "n", "r", "l", "s", "p", "ps"}
 	sites := make(map[core.TableID]core.SiteID, len(tables))
 	mgr := replication.NewManager()
@@ -418,7 +431,7 @@ func BenchmarkFormBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cost := &pricingCounter{CostModel: &costmodel.CountModel{LocalProcess: .02, PerBaseTable: .05, TransmitFlat: .02}}
+	cost := &pricingCounter{CostModel: &costmodel.CountModel{LocalProcess: .02, PerBaseTable: .05, TransmitFlat: .02, QueryWeights: weights}}
 	// The live server's defaults: λCL .5 as batch_mqo runs, a 30-minute
 	// planner horizon.
 	planner, err := core.NewPlanner(cost, core.PlannerConfig{Rates: core.DiscountRates{CL: .5}, Horizon: 30})

@@ -72,45 +72,68 @@ func (e *Evaluator) RunSequence(queries []core.Query, order []int, startAt core.
 		Order:    append([]int{}, order...),
 		Outcomes: make([]Outcome, 0, len(order)),
 	}
-	clock := startAt
-	rates := e.Planner.Rates()
-	for _, idx := range order {
-		q := queries[idx]
-		decision := math.Max(clock, q.SubmitAt)
-		if e.Epsilon > 0 && decision-q.SubmitAt >= q.ValueHorizon(rates, e.Epsilon) {
-			// Shedding frees the coordinator immediately: the clock does not
-			// advance, so later queries in the order benefit from the drop.
-			res.Outcomes = append(res.Outcomes, Outcome{
-				Query:   q,
-				Wait:    decision - q.SubmitAt,
-				Expired: true,
-			})
-			continue
-		}
-		snap, err := e.Catalog.Snapshot(q.Tables, decision, e.Horizon)
-		if err != nil {
-			return SequenceResult{}, fmt.Errorf("scheduler: snapshot for %s: %w", q.ID, err)
-		}
-		plan, _, err := e.Planner.Best(q, snap, decision)
-		if err != nil {
-			return SequenceResult{}, fmt.Errorf("scheduler: plan %s: %w", q.ID, err)
-		}
-		lat := plan.Latencies()
-		value := core.InformationValue(q.BusinessValue, lat, rates)
-		res.Outcomes = append(res.Outcomes, Outcome{
-			Query:     q,
-			Plan:      plan,
-			Latencies: lat,
-			Value:     value,
-			Wait:      plan.Start - q.SubmitAt,
-		})
-		res.TotalValue += value
-		clock = plan.ResultAt()
-		if clock > res.Makespan {
-			res.Makespan = clock
-		}
+	var err error
+	res.TotalValue, res.Makespan, err = walk(queries, order, startAt, func(idx int, decision core.Time) (step, error) {
+		o, err := e.head(queries[idx], decision)
+		res.Outcomes = append(res.Outcomes, o)
+		return step{o.Value, o.Plan.ResultAt(), o.Expired}, err
+	})
+	if err != nil {
+		return SequenceResult{}, err
 	}
 	return res, nil
+}
+
+// step is one query's turn at the head of the sequence: its value and when
+// its report arrives, or that it expired there.
+type step struct {
+	value    float64
+	resultAt core.Time
+	expired  bool
+}
+
+// walk is the serialized coordinator behind RunSequence and the GA fitness:
+// at prices queries[idx] reaching the head at decision, and the total and
+// the makespan accumulate in order.
+func walk(queries []core.Query, order []int, startAt core.Time, at func(idx int, decision core.Time) (step, error)) (total float64, makespan core.Time, err error) {
+	clock := startAt
+	for _, idx := range order {
+		s, err := at(idx, math.Max(clock, queries[idx].SubmitAt))
+		if err != nil {
+			return 0, 0, err
+		}
+		if s.expired {
+			// Shedding frees the coordinator immediately: the clock does not
+			// advance, so later queries in the order benefit from the drop.
+			continue
+		}
+		total += s.value
+		clock = s.resultAt
+		if clock > makespan {
+			makespan = clock
+		}
+	}
+	return total, makespan, nil
+}
+
+// head is q's outcome at the head of the sequence at decision: expired when
+// its best-case value is already below Epsilon, else its best plan there.
+func (e *Evaluator) head(q core.Query, decision core.Time) (Outcome, error) {
+	rates := e.Planner.Rates()
+	if e.Epsilon > 0 && decision-q.SubmitAt >= q.ValueHorizon(rates, e.Epsilon) {
+		return Outcome{Query: q, Wait: decision - q.SubmitAt, Expired: true}, nil
+	}
+	snap, err := e.Catalog.Snapshot(q.Tables, decision, e.Horizon)
+	if err != nil {
+		return Outcome{}, fmt.Errorf("scheduler: snapshot for %s: %w", q.ID, err)
+	}
+	plan, _, err := e.Planner.Best(q, snap, decision)
+	if err != nil {
+		return Outcome{}, fmt.Errorf("scheduler: plan %s: %w", q.ID, err)
+	}
+	lat := plan.Latencies()
+	value := core.InformationValue(q.BusinessValue, lat, rates)
+	return Outcome{Query: q, Plan: plan, Latencies: lat, Value: value, Wait: plan.Start - q.SubmitAt}, nil
 }
 
 func validateOrder(n int, order []int) error {

@@ -137,6 +137,13 @@ type ordered struct {
 	best    float64      // the GA order's total IV (zero for a singleton)
 }
 
+// stepKey names one member's turn within a formation: its index and the
+// bits of the instant it reaches the head.
+type stepKey struct {
+	member   int
+	decision uint64
+}
+
 // form is the one Section 3.2 formation loop, shared by ScheduleMQO and
 // the engine: derive candidate ranges, merge overlapping ones into
 // workloads, and GA-order each multi-member workload for the total
@@ -162,9 +169,27 @@ func form(queries []core.Query, ev *Evaluator, ga GAConfig, start func() core.Ti
 		if len(o.members) > 1 {
 			wcfg := ga
 			wcfg.Seed = seed(wi)
+			// A member's turn depends only on the member and the instant it
+			// reaches the head, so the GA prices each such pair once and
+			// scores a permutation as a walk over the priced turns. The memo
+			// dies with this workload: nothing priced outlives a formation.
+			memo := make(map[stepKey]step)
+			at := func(idx int, decision core.Time) (step, error) {
+				k := stepKey{idx, math.Float64bits(decision)}
+				if s, ok := memo[k]; ok {
+					return s, nil
+				}
+				h, err := ev.head(o.members[idx], decision)
+				if err != nil {
+					return step{}, err
+				}
+				s := step{h.Value, h.Plan.ResultAt(), h.Expired}
+				memo[k] = s
+				return s, nil
+			}
 			o.order, o.best, o.ga, err = OptimizeOrder(len(o.members), func(order []int) (float64, error) {
-				r, err := ev.RunSequence(o.members, order, o.from)
-				return r.TotalValue, err
+				total, _, err := walk(o.members, order, o.from, at)
+				return total, err
 			}, wcfg)
 			if err != nil {
 				return err

@@ -84,7 +84,7 @@ func run() error {
 		(rec.FinalIV()-rec.BaselineIV)/rec.BaselineIV*100)
 
 	// Register the hottest dashboard with the router: its plans are now a
-	// table lookup under the replication manager's QoS window.
+	// table lookup for replicas within the router's QoS staleness window.
 	router, err := ivdss.NewRouter(ivdss.RouterConfig{Cost: cost, Rates: rates})
 	if err != nil {
 		return err

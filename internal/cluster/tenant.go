@@ -14,10 +14,8 @@ type BudgetConfig struct {
 	// Weights maps tenant names to budget weights: a tenant with twice the
 	// weight is entitled to twice the delivered IV before its queries
 	// become preferred shedding victims. Unlisted tenants (including the
-	// empty default tenant) get Default.
+	// empty default tenant) get weight 1.
 	Weights map[string]float64
-	// Default is the weight for unlisted tenants (default 1).
-	Default float64
 	// HalfLife is the decay half-life of charged spend, in experiment
 	// minutes (default 60): budgets measure recent consumption, not
 	// all-time totals, so a tenant that backs off recovers.
@@ -48,12 +46,6 @@ func NewBudgets(cfg BudgetConfig) (*Budgets, error) {
 	if cfg.Now == nil {
 		return nil, fmt.Errorf("cluster: budgets need a clock")
 	}
-	if cfg.Default == 0 {
-		cfg.Default = 1
-	}
-	if cfg.Default < 0 {
-		return nil, fmt.Errorf("cluster: default tenant weight %v must be positive", cfg.Default)
-	}
 	// Validate in sorted order so the reported offender is deterministic.
 	tenants := make([]string, 0, len(cfg.Weights))
 	for t := range cfg.Weights {
@@ -79,7 +71,7 @@ func (b *Budgets) Weight(tenant string) float64 {
 	if w, ok := b.cfg.Weights[tenant]; ok {
 		return w
 	}
-	return b.cfg.Default
+	return 1
 }
 
 // decayLocked rolls every spend account forward to now.

@@ -22,23 +22,11 @@ import (
 
 // Time is a point on the experiment clock, in minutes. The planner and the
 // discrete event simulator share one virtual clock; live deployments adapt
-// wall-clock time at the boundary with TimeOf.
+// wall-clock time at the boundary with scheduler.WallClock.
 type Time = float64
 
 // Duration is a span of experiment time, in minutes.
 type Duration = float64
-
-// TimeOf converts a wall-clock instant to experiment time, measured in
-// minutes since the supplied epoch. It is the adapter used by the live
-// servers, which run on time.Time.
-func TimeOf(t, epoch time.Time) Time {
-	return t.Sub(epoch).Minutes()
-}
-
-// WallClockOf converts experiment time back to a wall-clock instant.
-func WallClockOf(t Time, epoch time.Time) time.Time {
-	return epoch.Add(time.Duration(t * float64(time.Minute)))
-}
 
 // TableID names a base table in the federation catalog.
 type TableID string

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"testing"
-	"time"
 )
 
 func TestInformationValue(t *testing.T) {
@@ -130,19 +129,6 @@ func TestTableStateValidate(t *testing.T) {
 	}
 }
 
-func TestTimeConversionRoundTrip(t *testing.T) {
-	epoch := time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
-	wall := epoch.Add(90 * time.Second)
-	vt := TimeOf(wall, epoch)
-	if math.Abs(vt-1.5) > 1e-9 {
-		t.Errorf("TimeOf = %v, want 1.5 minutes", vt)
-	}
-	back := WallClockOf(vt, epoch)
-	if !back.Equal(wall) {
-		t.Errorf("round trip: %v != %v", back, wall)
-	}
-}
-
 func TestPlanLatenciesAllBase(t *testing.T) {
 	// Pure remote plan with no queue: SL equals CL (paper, Figure 1).
 	q := Query{ID: "q", Tables: []TableID{"a", "b"}, BusinessValue: 1, SubmitAt: 11}
@@ -232,10 +218,6 @@ func TestPlanHelpers(t *testing.T) {
 	bases := plan.BaseTables()
 	if len(bases) != 2 || bases[0] != "a" || bases[1] != "c" {
 		t.Errorf("BaseTables = %v", bases)
-	}
-	sites := plan.RemoteSites()
-	if len(sites) != 1 || sites[0] != 2 {
-		t.Errorf("RemoteSites = %v", sites)
 	}
 	sig := plan.Signature()
 	want := "a=base b=replica@3.0 c=base start=5.0"

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -223,22 +222,6 @@ func (p Plan) BaseTables() []TableID {
 		}
 	}
 	return ids
-}
-
-// RemoteSites returns the distinct remote sites the plan touches, sorted.
-func (p Plan) RemoteSites() []SiteID {
-	set := make(map[SiteID]bool)
-	for _, a := range p.Access {
-		if a.Kind == AccessBase {
-			set[a.Site] = true
-		}
-	}
-	sites := make([]SiteID, 0, len(set))
-	for s := range set {
-		sites = append(sites, s)
-	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
-	return sites
 }
 
 // Signature returns a compact description of the plan's shape, e.g.

@@ -1,20 +1,17 @@
 // Package costmodel provides implementations of core.CostModel — the
 // computational-latency estimators the IVQP planner consumes.
 //
-// Three estimators cover the paper's needs:
+// Two estimators cover the paper's needs:
 //
 //   - CountModel: processing cost depends on how many base tables execute
 //     remotely, matching the worked example in Figure 4 of the paper
 //     (2 time units for an all-replica plan, +2 per remote base table),
 //     plus a per-site coordination overhead that reproduces the fan-out
 //     effect of Figure 8.
-//   - WeightedModel: per-table remote costs, for workloads where tables
-//     differ in size. Under this model the planner's prefix pruning is a
-//     heuristic rather than exact, which the search ablation exercises.
 //   - CalibratedModel: a lookup table of measured costs keyed by query and
-//     base-table subset, following the paper's observation that a query
-//     only needs to be compiled once per table-version configuration and
-//     that this can be done in advance.
+//     data-source configuration, following the paper's observation that a
+//     query only needs to be compiled once per table-version configuration
+//     and that this can be done in advance.
 package costmodel
 
 import (
@@ -27,11 +24,6 @@ import (
 
 	"ivdss/internal/core"
 )
-
-// QueueEstimator predicts the queuing delay a plan will incur if released
-// at start. Implementations typically inspect current resource load; the
-// zero default assumes idle servers.
-type QueueEstimator func(q core.Query, access []core.TableAccess, start core.Time) core.Duration
 
 // CountModel estimates cost from the number of remote base tables and the
 // number of distinct remote sites involved.
@@ -46,34 +38,18 @@ type CountModel struct {
 	// expensive in the uniform-placement experiment (Figure 8b).
 	PerExtraSite core.Duration
 	// TransmitFlat is the result-transmission time paid once if any remote
-	// site participates, and TransmitPerBase adds per remote base table.
-	// The paper measures transmission "only for the queries running at
-	// remote servers".
-	TransmitFlat    core.Duration
-	TransmitPerBase core.Duration
-	// ViewProcess is the processing time of a plan answered entirely from a
-	// materialized view: the answer is pre-joined and pre-aggregated, so
-	// serving it skips local evaluation. It replaces LocalProcess for
-	// all-view plans. The zero default prices a view read as a free lookup.
-	ViewProcess core.Duration
+	// site participates. The paper measures transmission "only for the
+	// queries running at remote servers".
+	TransmitFlat core.Duration
 	// QueryWeights optionally scales processing per query ID (default 1),
 	// so a workload can mix cheap and expensive queries.
 	QueryWeights map[string]float64
-	// Queue optionally estimates queuing delay (default: zero).
-	Queue QueueEstimator
 }
 
 var _ core.CostModel = (*CountModel)(nil)
 
-// Figure4Model returns the exact cost shape of the paper's Figure 4 worked
-// example: computation time 2 with replicas only, and 4, 6, 8, 10 when 1-4
-// base tables participate.
-func Figure4Model() *CountModel {
-	return &CountModel{LocalProcess: 2, PerBaseTable: 2}
-}
-
 // Estimate implements core.CostModel.
-func (m *CountModel) Estimate(q core.Query, access []core.TableAccess, start core.Time) core.CostEstimate {
+func (m *CountModel) Estimate(q core.Query, access []core.TableAccess, _ core.Time) core.CostEstimate {
 	fp := sourceFootprint(access)
 	bases, sites := fp.Bases, fp.Sites
 	w := 1.0
@@ -82,74 +58,24 @@ func (m *CountModel) Estimate(q core.Query, access []core.TableAccess, start cor
 			w = qw
 		}
 	}
+	// A plan answered entirely from materialized views reads an answer
+	// that is pre-joined and pre-aggregated, so serving it skips local
+	// evaluation: it is priced as a free lookup.
 	local := m.LocalProcess
 	if fp.AllViews() {
-		local = m.ViewProcess
+		local = 0
 	}
 	est := core.CostEstimate{
 		Process: w * (local + m.PerBaseTable*core.Duration(bases) + m.PerExtraSite*core.Duration(max(0, sites-1))),
 	}
 	if bases > 0 {
-		est.Transmit = m.TransmitFlat + m.TransmitPerBase*core.Duration(bases)
-	}
-	if m.Queue != nil {
-		est.Queue = m.Queue(q, access, start)
-	}
-	return est
-}
-
-// WeightedModel estimates cost from per-table remote weights, so that
-// reading a big base table remotely costs more than a small one.
-type WeightedModel struct {
-	// LocalProcess is the processing time of an all-replica plan.
-	LocalProcess core.Duration
-	// TableWeights maps each base table to the processing time added when
-	// it is read remotely; DefaultWeight covers unlisted tables.
-	TableWeights  map[core.TableID]core.Duration
-	DefaultWeight core.Duration
-	// PerExtraSite, TransmitFlat, ViewProcess and Queue behave as in
-	// CountModel.
-	PerExtraSite core.Duration
-	TransmitFlat core.Duration
-	ViewProcess  core.Duration
-	Queue        QueueEstimator
-}
-
-var _ core.CostModel = (*WeightedModel)(nil)
-
-// Estimate implements core.CostModel.
-func (m *WeightedModel) Estimate(q core.Query, access []core.TableAccess, start core.Time) core.CostEstimate {
-	fp := sourceFootprint(access)
-	bases, sites := fp.Bases, fp.Sites
-	process := m.LocalProcess
-	if fp.AllViews() {
-		process = m.ViewProcess
-	}
-	for _, a := range access {
-		switch a.Kind {
-		case core.AccessBase:
-			if w, ok := m.TableWeights[a.Table]; ok {
-				process += w
-			} else {
-				process += m.DefaultWeight
-			}
-		case core.AccessReplica, core.AccessView:
-			// Served locally: no remote weight.
-		}
-	}
-	process += m.PerExtraSite * core.Duration(max(0, sites-1))
-	est := core.CostEstimate{Process: process}
-	if bases > 0 {
 		est.Transmit = m.TransmitFlat
 	}
-	if m.Queue != nil {
-		est.Queue = m.Queue(q, access, start)
-	}
 	return est
 }
 
-// CalibratedModel serves measured costs recorded per (query, base-table
-// subset) configuration, falling back to another model for configurations
+// CalibratedModel serves measured costs recorded per (query, data-source)
+// configuration, falling back to another model for configurations
 // not yet calibrated. It is safe for concurrent use.
 type CalibratedModel struct {
 	mu       sync.RWMutex
@@ -169,32 +95,6 @@ func NewCalibratedModel(fallback core.CostModel) (*CalibratedModel, error) {
 		entries:  make(map[string]core.CostEstimate),
 		fallback: fallback,
 	}, nil
-}
-
-// ConfigKey canonically names a (query, remote base tables) configuration.
-func ConfigKey(queryID string, baseTables []core.TableID) string {
-	names := make([]string, len(baseTables))
-	for i, t := range baseTables {
-		names[i] = string(t)
-	}
-	sort.Strings(names)
-	return queryID + "|" + strings.Join(names, ",")
-}
-
-// Record stores a measured cost for a configuration, overwriting any
-// previous measurement.
-func (m *CalibratedModel) Record(queryID string, baseTables []core.TableID, est core.CostEstimate) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.entries[ConfigKey(queryID, baseTables)] = est
-}
-
-// Lookup returns the recorded cost for a configuration, if any.
-func (m *CalibratedModel) Lookup(queryID string, baseTables []core.TableID) (core.CostEstimate, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	est, ok := m.entries[ConfigKey(queryID, baseTables)]
-	return est, ok
 }
 
 // Len returns the number of calibrated configurations.
@@ -219,8 +119,8 @@ func (m *CalibratedModel) Estimate(q core.Query, access []core.TableAccess, star
 // access set: remote base tables by name plus materialized views under
 // their namespaced unit ("view:<id>"). Replica reads don't enter the key —
 // a replica answers like its base table, only staler. For plans without
-// views the key equals ConfigKey over the plan's base tables, so existing
-// calibration snapshots keep matching.
+// views the key is "<query>|<sorted base tables>", the format calibration
+// snapshots were first keyed by, so existing snapshots keep matching.
 func ConfigKeyForAccess(queryID string, access []core.TableAccess) string {
 	var names []string
 	for _, a := range access {

@@ -21,7 +21,9 @@ func access(kinds ...core.AccessKind) []core.TableAccess {
 }
 
 func TestFigure4Model(t *testing.T) {
-	m := Figure4Model()
+	// The paper's Figure 4 worked example: computation time 2 with replicas
+	// only, and 4, 6, 8, 10 when 1-4 base tables participate.
+	m := &CountModel{LocalProcess: 2, PerBaseTable: 2}
 	q := core.Query{ID: "q"}
 	tests := []struct {
 		name  string
@@ -59,13 +61,13 @@ func TestCountModelSiteOverhead(t *testing.T) {
 }
 
 func TestCountModelTransmission(t *testing.T) {
-	m := &CountModel{LocalProcess: 1, PerBaseTable: 1, TransmitFlat: 3, TransmitPerBase: 2}
+	m := &CountModel{LocalProcess: 1, PerBaseTable: 1, TransmitFlat: 3}
 	q := core.Query{ID: "q"}
 	if got := m.Estimate(q, access(core.AccessReplica), 0).Transmit; got != 0 {
 		t.Errorf("local plan transmit = %v, want 0", got)
 	}
-	if got := m.Estimate(q, access(core.AccessBase, core.AccessBase), 0).Transmit; got != 7 {
-		t.Errorf("remote plan transmit = %v, want 3+2*2", got)
+	if got := m.Estimate(q, access(core.AccessBase, core.AccessBase), 0).Transmit; got != 3 {
+		t.Errorf("remote plan transmit = %v, want 3 (paid once)", got)
 	}
 }
 
@@ -79,45 +81,6 @@ func TestCountModelQueryWeights(t *testing.T) {
 	}
 	if got := m.Estimate(light, acc, 0).Process; got != 4 {
 		t.Errorf("light process = %v, want 4", got)
-	}
-}
-
-func TestCountModelQueueEstimator(t *testing.T) {
-	m := &CountModel{LocalProcess: 1, Queue: func(_ core.Query, _ []core.TableAccess, start core.Time) core.Duration {
-		return start / 2
-	}}
-	if got := m.Estimate(core.Query{ID: "q"}, access(core.AccessReplica), 10).Queue; got != 5 {
-		t.Errorf("queue = %v, want 5", got)
-	}
-}
-
-func TestWeightedModel(t *testing.T) {
-	m := &WeightedModel{
-		LocalProcess:  1,
-		TableWeights:  map[core.TableID]core.Duration{"a": 10},
-		DefaultWeight: 3,
-		TransmitFlat:  2,
-	}
-	q := core.Query{ID: "q"}
-	acc := access(core.AccessBase, core.AccessBase) // tables "a" and "b"
-	est := m.Estimate(q, acc, 0)
-	if est.Process != 14 { // 1 + 10 + 3
-		t.Errorf("process = %v, want 14", est.Process)
-	}
-	if est.Transmit != 2 {
-		t.Errorf("transmit = %v, want 2", est.Transmit)
-	}
-	local := m.Estimate(q, access(core.AccessReplica, core.AccessReplica), 0)
-	if local.Process != 1 || local.Transmit != 0 {
-		t.Errorf("all-replica estimate = %+v", local)
-	}
-}
-
-func TestWeightedModelSiteOverhead(t *testing.T) {
-	m := &WeightedModel{LocalProcess: 1, DefaultWeight: 1, PerExtraSite: 4}
-	est := m.Estimate(core.Query{ID: "q"}, access(core.AccessBase, core.AccessBase, core.AccessBase), 0)
-	if est.Process != 1+3+4*2 {
-		t.Errorf("process = %v, want 12", est.Process)
 	}
 }
 
@@ -135,7 +98,9 @@ func TestCalibratedModel(t *testing.T) {
 		t.Errorf("fallback process = %v, want 2", got)
 	}
 
-	m.Record("q7", []core.TableID{"a"}, core.CostEstimate{Process: 9, Transmit: 1})
+	// Replica reads do not enter the key: a measurement of the one-base
+	// plan prices every plan reading table "a" remotely.
+	m.RecordAccess("q7", access(core.AccessBase), core.CostEstimate{Process: 9, Transmit: 1})
 	est := m.Estimate(q, acc, 0)
 	if est.Process != 9 || est.Transmit != 1 {
 		t.Errorf("calibrated estimate = %+v, want recorded value", est)
@@ -152,8 +117,10 @@ func TestCalibratedModel(t *testing.T) {
 }
 
 func TestCalibratedModelKeyOrderInsensitive(t *testing.T) {
-	if ConfigKey("q", []core.TableID{"b", "a"}) != ConfigKey("q", []core.TableID{"a", "b"}) {
-		t.Error("ConfigKey depends on table order")
+	ab := access(core.AccessBase, core.AccessBase)
+	ba := []core.TableAccess{ab[1], ab[0]}
+	if ConfigKeyForAccess("q", ab) != ConfigKeyForAccess("q", ba) {
+		t.Error("ConfigKeyForAccess depends on access order")
 	}
 }
 
@@ -172,7 +139,7 @@ func TestCalibratedModelConcurrentAccess(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 1000; i++ {
-			m.Record("q", []core.TableID{"a"}, core.CostEstimate{Process: core.Duration(i)})
+			m.RecordAccess("q", access(core.AccessBase), core.CostEstimate{Process: core.Duration(i)})
 		}
 	}()
 	q := core.Query{ID: "q"}
@@ -188,12 +155,17 @@ func TestCalibrationJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Record("q1", []core.TableID{"a", "b"}, core.CostEstimate{Process: 3.5, Transmit: 1})
-	m.Record("q2", nil, core.CostEstimate{Process: .5})
+	ab := access(core.AccessBase, core.AccessBase)
+	m.RecordAccess("q1", ab, core.CostEstimate{Process: 3.5, Transmit: 1})
+	m.RecordAccess("q2", nil, core.CostEstimate{Process: .5})
 
 	var buf bytes.Buffer
 	if err := m.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
+	}
+	// The key format saved snapshots carry: query, then sorted base tables.
+	if !strings.Contains(buf.String(), `"q1|a,b"`) {
+		t.Errorf("snapshot lacks key q1|a,b:\n%s", buf.String())
 	}
 	fresh, err := NewCalibratedModel(&CountModel{LocalProcess: 1})
 	if err != nil {
@@ -205,9 +177,9 @@ func TestCalibrationJSONRoundTrip(t *testing.T) {
 	if fresh.Len() != 2 {
 		t.Fatalf("entries = %d", fresh.Len())
 	}
-	got, ok := fresh.Lookup("q1", []core.TableID{"b", "a"}) // order-insensitive
-	if !ok || got.Process != 3.5 || got.Transmit != 1 {
-		t.Errorf("lookup = %+v, %v", got, ok)
+	got := fresh.Estimate(core.Query{ID: "q1"}, []core.TableAccess{ab[1], ab[0]}, 0) // order-insensitive
+	if got.Process != 3.5 || got.Transmit != 1 {
+		t.Errorf("estimate after reload = %+v, want the recorded cost", got)
 	}
 }
 

@@ -26,7 +26,7 @@ const (
 // Scaled returns a copy of the model with its processing-side constants
 // multiplied by scale. Transmission constants are untouched — a faster
 // local executor does not move bytes across the network any faster — and
-// the queue estimator and per-query weights carry over unchanged.
+// the per-query weights carry over unchanged.
 func (m *CountModel) Scaled(scale float64) *CountModel {
 	out := *m
 	out.LocalProcess = core.Duration(float64(m.LocalProcess) * scale)

@@ -66,8 +66,3 @@ func (c *Catalog) Snapshot(tables []core.TableID, now core.Time, horizon core.Du
 	}
 	return out, nil
 }
-
-// SnapshotAll returns the planner view of every placed table.
-func (c *Catalog) SnapshotAll(now core.Time, horizon core.Duration) ([]core.TableState, error) {
-	return c.Snapshot(c.placement.Tables(), now, horizon)
-}

@@ -177,9 +177,9 @@ func TestCatalogSnapshot(t *testing.T) {
 	if _, err := catalog.Snapshot([]core.TableID{"missing"}, 0, 0); err == nil {
 		t.Error("unknown table accepted")
 	}
-	all, err := catalog.SnapshotAll(12, 0)
+	all, err := catalog.Snapshot(catalog.Placement().Tables(), 12, 0)
 	if err != nil || len(all) != 2 {
-		t.Errorf("SnapshotAll = %v, %v", all, err)
+		t.Errorf("Snapshot of every placed table = %v, %v", all, err)
 	}
 }
 

@@ -63,25 +63,6 @@ func (c *Catalog) RegisterView(def core.ViewDef) error {
 	return nil
 }
 
-// DropView removes a view definition (no-op when absent). The caller also
-// unregisters the view's sync unit from the replication manager.
-func (c *Catalog) DropView(id core.ViewID) {
-	c.views.mu.Lock()
-	defer c.views.mu.Unlock()
-	def, ok := c.views.defs[id]
-	if !ok {
-		return
-	}
-	delete(c.views.defs, id)
-	ids := c.views.byBase[def.Table]
-	for i, v := range ids {
-		if v == id {
-			c.views.byBase[def.Table] = append(ids[:i], ids[i+1:]...)
-			break
-		}
-	}
-}
-
 // View returns one view definition.
 func (c *Catalog) View(id core.ViewID) (core.ViewDef, bool) {
 	c.views.mu.RLock()

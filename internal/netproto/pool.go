@@ -23,15 +23,18 @@ type Pool struct {
 	// no per-call deadline (not recommended — a hung peer then stalls the
 	// caller).
 	CallTimeout time.Duration
-	// MaxIdlePerKey caps idle connections kept per address. Default 4.
-	MaxIdlePerKey int
-	// IdleExpiry discards idle connections older than this. Default 30s.
-	IdleExpiry time.Duration
 
 	mu     sync.Mutex
 	idle   map[string][]pooledConn
 	closed bool
 }
+
+const (
+	// maxIdlePerKey caps idle connections kept per address.
+	maxIdlePerKey = 4
+	// idleExpiry discards idle connections older than this.
+	idleExpiry = 30 * time.Second
+)
 
 type pooledConn struct {
 	conn  *Conn
@@ -45,20 +48,6 @@ func NewPool(dialTimeout, callTimeout time.Duration) *Pool {
 		CallTimeout: callTimeout,
 		idle:        make(map[string][]pooledConn),
 	}
-}
-
-func (p *Pool) maxIdle() int {
-	if p.MaxIdlePerKey <= 0 {
-		return 4
-	}
-	return p.MaxIdlePerKey
-}
-
-func (p *Pool) idleExpiry() time.Duration {
-	if p.IdleExpiry <= 0 {
-		return 30 * time.Second
-	}
-	return p.IdleExpiry
 }
 
 // get returns a healthy idle connection for addr, or reused=false when the
@@ -78,7 +67,7 @@ func (p *Pool) get(addr string) (c *Conn, reused bool) {
 		pc := conns[len(conns)-1]
 		p.idle[addr] = conns[:len(conns)-1]
 		p.mu.Unlock()
-		if wall.Since(pc.since) > p.idleExpiry() || !healthy(pc.conn) {
+		if wall.Since(pc.since) > idleExpiry || !healthy(pc.conn) {
 			_ = pc.conn.Close() // discarding a stale conn; nothing to salvage
 			continue
 		}
@@ -110,7 +99,7 @@ func healthy(c *Conn) bool {
 // full or closed.
 func (p *Pool) put(addr string, c *Conn) {
 	p.mu.Lock()
-	if p.closed || len(p.idle[addr]) >= p.maxIdle() {
+	if p.closed || len(p.idle[addr]) >= maxIdlePerKey {
 		p.mu.Unlock()
 		_ = c.Close() // surplus conn; the call it served already succeeded
 		return

@@ -127,8 +127,8 @@ func TestPoolConcurrentCallers(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got := p.IdleLen(addr); got > p.maxIdle() {
-		t.Errorf("idle connections = %d, want ≤ %d", got, p.maxIdle())
+	if got := p.IdleLen(addr); got > maxIdlePerKey {
+		t.Errorf("idle connections = %d, want ≤ %d", got, maxIdlePerKey)
 	}
 }
 

@@ -10,10 +10,11 @@ import (
 	"ivdss/internal/wall"
 )
 
-// Retrier retries an operation under exponential backoff with jitter,
-// capped by both an attempt count and a cumulative sleep budget. The zero
-// value is usable and takes the defaults documented per field. Sleep and
-// Rand are injectable so tests run deterministically without waiting.
+// Retrier retries an operation under exponential backoff with jitter — the
+// delay doubles per retry — capped by both an attempt count and a
+// cumulative sleep budget. The zero value is usable and takes the defaults
+// documented per field. Sleep and Rand are injectable so tests run
+// deterministically without waiting.
 type Retrier struct {
 	// MaxAttempts is the total number of tries, including the first.
 	// Default 3.
@@ -22,8 +23,6 @@ type Retrier struct {
 	BaseDelay time.Duration
 	// MaxDelay caps a single backoff step. Default 1s.
 	MaxDelay time.Duration
-	// Multiplier grows the backoff per retry. Default 2.
-	Multiplier float64
 	// Jitter perturbs each delay by ±Jitter fraction. Default 0.2; set
 	// negative for none.
 	Jitter float64
@@ -102,10 +101,6 @@ func (r Retrier) DoContext(ctx context.Context, op func(attempt int) error) erro
 	if maxDelay <= 0 {
 		maxDelay = time.Second
 	}
-	mult := r.Multiplier
-	if mult <= 1 {
-		mult = 2
-	}
 	jitter := r.Jitter
 	if jitter == 0 {
 		jitter = .2
@@ -162,7 +157,7 @@ func (r Retrier) DoContext(ctx context.Context, op func(attempt int) error) erro
 			return &RetryError{Attempts: a + 1, Err: err}
 		}
 		slept += d
-		delay = time.Duration(float64(delay) * mult)
+		delay *= 2
 		if delay > maxDelay {
 			delay = maxDelay
 		}

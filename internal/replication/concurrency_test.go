@@ -9,10 +9,11 @@ import (
 	"ivdss/internal/core"
 )
 
-// The manager may be mutated (Advance, RecordSync, Reschedule, Register)
-// while planners read StateFor and Staleness concurrently. This test
-// hammers every combination under -race.
-func TestManagerConcurrentAdvanceStateFor(t *testing.T) {
+// The manager may be mutated (RecordSync, Reschedule, Register) while
+// planners read StateFor through the catalog concurrently, as the
+// wall-clock benchmark's replay does. This test hammers every combination
+// under -race and checks each answer is a valid planner state.
+func TestManagerConcurrentRecordSyncStateFor(t *testing.T) {
 	m := NewManager()
 	tables := []core.TableID{"a", "b", "c", "d"}
 	for i, id := range tables {
@@ -27,57 +28,52 @@ func TestManagerConcurrentAdvanceStateFor(t *testing.T) {
 
 	const iters = 400
 	var wg sync.WaitGroup
-	// Writer: walks the clock forward applying scheduled syncs.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			m.Advance(core.Time(i))
-		}
-	}()
-	// Writer: records live completions and rewrites the future schedule of
-	// its own table.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := m.Register("live", Schedule{}); err != nil {
-			t.Error(err)
-			return
-		}
-		// Its clock runs past the Advance writer's last instant: Advance
-		// applying this table's pending entries first would make the
-		// ordering errors below depend on the interleaving.
-		at := core.Time(iters)
-		for i := 0; i < iters; i++ {
-			at += .5
-			if err := m.RecordSync("live", at); err != nil {
-				t.Error(err)
-				return
+	// Writers: one per table, recording live completions and rewriting the
+	// table's future schedule; one more registers a table mid-run.
+	for _, id := range append([]core.TableID{"live"}, tables...) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if id == "live" {
+				if err := m.Register(id, Schedule{}); err != nil {
+					t.Error(err)
+					return
+				}
 			}
-			if err := m.Reschedule("live", []core.Time{at + 1, at + 2}); err != nil {
-				t.Error(err)
-				return
+			at := core.Time(0)
+			for i := 0; i < iters; i++ {
+				at += .5
+				if err := m.RecordSync(id, at); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := m.Reschedule(id, []core.Time{at + 1, at + 2}); err != nil {
+					t.Error(err)
+					return
+				}
 			}
-		}
-	}()
-	// Readers: the planner's view, staleness, and enumeration.
+		}()
+	}
+	// Readers: the planner's view and enumeration.
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				now := core.Time(i)
+				now := core.Time(i) / 2
 				for _, id := range tables {
-					if rs := m.StateFor(id, now, 10); rs == nil {
+					rs := m.StateFor(id, now, 10)
+					if rs == nil {
 						t.Errorf("StateFor(%s) = nil", id)
 						return
 					}
-					m.Staleness(id, now)
+					if err := (core.TableState{ID: id, Site: 1, Replica: rs}).Validate(); err != nil {
+						t.Errorf("StateFor(%s, %v): %v", id, now, err)
+						return
+					}
 				}
 				m.StateFor("live", now, 10) // may be nil mid-register: fine
 				m.Tables()
-				m.NextSyncAt()
-				m.QoSViolations(now, 3)
 			}
 		}()
 	}
@@ -100,9 +96,6 @@ func TestRecordSyncSupersedesPendingEntries(t *testing.T) {
 	if len(rs.NextSyncs) != 1 || rs.NextSyncs[0] != 30 {
 		t.Fatalf("NextSyncs = %v, want [30]", rs.NextSyncs)
 	}
-	if s, ok := m.Staleness("t", 25); !ok || s != 4 {
-		t.Fatalf("Staleness = %v,%v, want 4,true", s, ok)
-	}
 	// Recording the same instant again is a no-op; going backwards errors.
 	if err := m.RecordSync("t", 21); err != nil {
 		t.Fatalf("idempotent re-record: %v", err)
@@ -119,8 +112,7 @@ func TestRecordSyncSupersedesPendingEntries(t *testing.T) {
 // 10 000 cycles — each completion recorded, the next four rescheduled, with
 // drift and the occasional late cycle. The stored schedule must stay at one
 // completion plus the pending entries, and for instants at or after the last
-// completion StateFor and Staleness must answer exactly what the full
-// history implies.
+// completion StateFor must answer exactly what the full history implies.
 func TestRecordSyncKeepsScheduleBounded(t *testing.T) {
 	m := NewManager()
 	if err := m.Register("t", Schedule{}); err != nil {
@@ -147,9 +139,6 @@ func TestRecordSyncKeepsScheduleBounded(t *testing.T) {
 			t.Fatalf("cycle %d: schedule holds %d entries, want at most %d", i, n, 1+mirrored)
 		}
 		for _, now := range []core.Time{at, at + .5, at + period, at + 2.5*period} {
-			if s, ok := m.Staleness("t", now); !ok || s != now-lastAtOrBefore(at, future, now) {
-				t.Fatalf("cycle %d: Staleness(%v) = %v,%v, want %v", i, now, s, ok, now-lastAtOrBefore(at, future, now))
-			}
 			rs := m.StateFor("t", now, 3*period)
 			if rs.LastSync != lastAtOrBefore(at, future, now) {
 				t.Fatalf("cycle %d: StateFor(%v).LastSync = %v, want %v", i, now, rs.LastSync, lastAtOrBefore(at, future, now))
@@ -184,7 +173,9 @@ func TestRescheduleReplacesFuture(t *testing.T) {
 	if err := m.Register("t", Schedule{Times: []core.Time{5, 10, 15}}); err != nil {
 		t.Fatal(err)
 	}
-	m.Advance(6) // the sync at 5 completes
+	if err := m.RecordSync("t", 5); err != nil { // the sync at 5 completes
+		t.Fatal(err)
+	}
 	if err := m.Reschedule("t", []core.Time{8, 11}); err != nil {
 		t.Fatal(err)
 	}

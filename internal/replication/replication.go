@@ -1,14 +1,13 @@
 // Package replication manages the local replicas of remote base tables:
-// per-table synchronization schedules, the completed/upcoming sync state
-// the planner consumes, and QoS staleness checks.
+// per-table synchronization schedules and the completed/upcoming sync state
+// the planner consumes.
 //
 // The paper's setup has "a small set of frequently accessed base tables ...
 // replicated from the remote servers to the local server", each on its own
-// synchronization cycle, with a QoS-aware replication manager ensuring
-// updates propagate within a predefined window. Schedules here are
-// materialized in advance (periodic or drawn from an exponential stream,
-// as in the paper's simulator), which is exactly what lets the planner
-// reason about *future* replica versions.
+// synchronization cycle. Schedules here are materialized in advance
+// (periodic or drawn from an exponential stream, as in the paper's
+// simulator), which is exactly what lets the planner reason about *future*
+// replica versions.
 //
 // A materialized schedule is a model: every scheduled sync is taken to
 // complete at its instant. That is the DES's and the examples' world. The
@@ -19,7 +18,6 @@ package replication
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -78,12 +76,6 @@ func Exponential(mean core.Duration, seed int64, until core.Time) (Schedule, err
 	}
 }
 
-// SyncEvent records one completed synchronization.
-type SyncEvent struct {
-	Table core.TableID
-	At    core.Time
-}
-
 // Manager tracks the synchronization state of every replicated table. All
 // methods are safe for concurrent use: the manager carries its own lock
 // rather than relying on a single driving goroutine.
@@ -94,7 +86,7 @@ type Manager struct {
 
 type tableSync struct {
 	schedule []core.Time
-	applied  int // schedule[:applied] have completed
+	applied  int // schedule[:applied] is the completion RecordSync stored (0 or 1 entry)
 }
 
 // NewManager returns an empty manager.
@@ -136,62 +128,19 @@ func (m *Manager) Tables() []core.TableID {
 	return ids
 }
 
-// Advance applies every scheduled sync with completion time <= now, in
-// global time order, and returns the newly applied events.
-func (m *Manager) Advance(now core.Time) []SyncEvent {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var events []SyncEvent
-	for id, ts := range m.tables {
-		for ts.applied < len(ts.schedule) && ts.schedule[ts.applied] <= now {
-			events = append(events, SyncEvent{Table: id, At: ts.schedule[ts.applied]})
-			ts.applied++
-		}
-	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].At != events[j].At {
-			return events[i].At < events[j].At
-		}
-		return events[i].Table < events[j].Table
-	})
-	return events
-}
-
-// NextSyncAt returns the completion time of the earliest not-yet-applied
-// sync across all tables, or core.Time infinity substitute (ok=false) when
-// none remain.
-func (m *Manager) NextSyncAt() (core.Time, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	// A pure min-fold: the earliest pending instant is the same whatever
-	// order the tables are visited in.
-	best := core.Time(math.Inf(1))
-	found := false
-	for _, ts := range m.tables {
-		if ts.applied < len(ts.schedule) {
-			best = min(best, ts.schedule[ts.applied])
-			found = true
-		}
-	}
-	if !found {
-		return 0, false
-	}
-	return best, true
-}
-
 // RecordSync records an out-of-schedule completed synchronization at `at`
 // — an actual completion instant, which drifts from the materialized
-// schedule under deferrals and transfer time. Scheduled
-// entries at or before `at` that have not completed are dropped (the
-// completed sync supersedes them) and `at` becomes the latest completed
-// sync, so StateFor and Staleness reflect exactly what the replica store
-// holds. `at` must not precede the last completed sync.
+// schedule under deferrals and transfer time. Scheduled entries at or
+// before `at` that have not completed are dropped (the completed sync
+// supersedes them) and `at` becomes the latest completed sync, so StateFor
+// reflects exactly what the replica store holds. `at` must not precede the
+// last completed sync.
 //
 // Earlier completions are forgotten: the replica store holds the version
-// synchronized at `at` and nothing older, so StateFor and Staleness answer
-// for instants at or after `at` only. That keeps a table's schedule at one
-// completion plus its pending entries however long the caller runs, so the
-// lock every StateFor takes is never held across a growing copy.
+// synchronized at `at` and nothing older, so StateFor answers for instants
+// at or after `at` only. That keeps a table's schedule at one completion
+// plus its pending entries however long the caller runs, so the lock every
+// StateFor takes is never held across a growing copy.
 func (m *Manager) RecordSync(id core.TableID, at core.Time) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -246,8 +195,9 @@ func (m *Manager) Reschedule(id core.TableID, future []core.Time) error {
 // the last completed sync and the scheduled syncs within the horizon
 // (horizon 0 means all remaining). It returns nil for unreplicated tables.
 //
-// The state is derived from the schedule rather than the applied counter,
-// so callers may ask about any `now` at or after the last Advance.
+// The state is derived from the schedule alone: every scheduled sync at or
+// before now counts as completed, so callers may ask about any `now` at or
+// after the last RecordSync.
 func (m *Manager) StateFor(id core.TableID, now core.Time, horizon core.Duration) *core.ReplicaState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -290,38 +240,4 @@ func finishState(rs *core.ReplicaState, seenPast bool, now core.Time) *core.Repl
 		return &core.ReplicaState{LastSync: now + 1e18}
 	}
 	return &core.ReplicaState{LastSync: rs.NextSyncs[0], NextSyncs: rs.NextSyncs[1:]}
-}
-
-// Staleness returns now minus the last completed sync of the table, the
-// quantity a QoS window bounds. The second result is false when the table
-// is unreplicated or has never synchronized by `now`.
-func (m *Manager) Staleness(id core.TableID, now core.Time) (core.Duration, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ts, ok := m.tables[id]
-	if !ok {
-		return 0, false
-	}
-	cut := sort.SearchFloat64s(ts.schedule, now)
-	for cut < len(ts.schedule) && ts.schedule[cut] <= now {
-		cut++
-	}
-	if cut == 0 {
-		return 0, false
-	}
-	return now - ts.schedule[cut-1], true
-}
-
-// QoSViolations lists the replicated tables whose staleness at `now`
-// exceeds the window — the monitoring hook a QoS-aware replication manager
-// exposes.
-func (m *Manager) QoSViolations(now core.Time, window core.Duration) []core.TableID {
-	var out []core.TableID
-	for _, id := range m.Tables() {
-		s, ok := m.Staleness(id, now)
-		if ok && s > window {
-			out = append(out, id)
-		}
-	}
-	return out
 }

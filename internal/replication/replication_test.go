@@ -81,53 +81,6 @@ func TestRegisterErrors(t *testing.T) {
 	}
 }
 
-func TestAdvanceOrder(t *testing.T) {
-	m := NewManager()
-	mustRegister(t, m, "b", []core.Time{2, 8})
-	mustRegister(t, m, "a", []core.Time{2, 5})
-
-	events := m.Advance(6)
-	if len(events) != 3 {
-		t.Fatalf("events = %v", events)
-	}
-	// Time order; ties broken by table ID.
-	want := []SyncEvent{{"a", 2}, {"b", 2}, {"a", 5}}
-	for i := range want {
-		if events[i] != want[i] {
-			t.Fatalf("events = %v, want %v", events, want)
-		}
-	}
-
-	// Second advance only applies the remainder.
-	events = m.Advance(10)
-	if len(events) != 1 || events[0] != (SyncEvent{"b", 8}) {
-		t.Errorf("second advance = %v", events)
-	}
-	if got := m.Advance(100); len(got) != 0 {
-		t.Errorf("third advance = %v", got)
-	}
-}
-
-func TestNextSyncAt(t *testing.T) {
-	m := NewManager()
-	if _, ok := m.NextSyncAt(); ok {
-		t.Error("empty manager reported a next sync")
-	}
-	mustRegister(t, m, "a", []core.Time{5, 9})
-	mustRegister(t, m, "b", []core.Time{7})
-	if at, ok := m.NextSyncAt(); !ok || at != 5 {
-		t.Errorf("next = %v, %v", at, ok)
-	}
-	m.Advance(6)
-	if at, ok := m.NextSyncAt(); !ok || at != 7 {
-		t.Errorf("next after advance = %v, %v", at, ok)
-	}
-	m.Advance(100)
-	if _, ok := m.NextSyncAt(); ok {
-		t.Error("exhausted manager reported a next sync")
-	}
-}
-
 func TestStateFor(t *testing.T) {
 	m := NewManager()
 	mustRegister(t, m, "a", []core.Time{5, 9, 14, 30})
@@ -178,30 +131,6 @@ func TestStateForNoSyncsAtAll(t *testing.T) {
 	}
 	if rs.LastSync <= 10 {
 		t.Errorf("LastSync = %v should be unusable (far future)", rs.LastSync)
-	}
-}
-
-func TestStaleness(t *testing.T) {
-	m := NewManager()
-	mustRegister(t, m, "a", []core.Time{5, 15})
-	if s, ok := m.Staleness("a", 12); !ok || s != 7 {
-		t.Errorf("staleness = %v, %v; want 7", s, ok)
-	}
-	if _, ok := m.Staleness("a", 3); ok {
-		t.Error("staleness before first sync should be unavailable")
-	}
-	if _, ok := m.Staleness("missing", 10); ok {
-		t.Error("staleness for unreplicated table should be unavailable")
-	}
-}
-
-func TestQoSViolations(t *testing.T) {
-	m := NewManager()
-	mustRegister(t, m, "fresh", []core.Time{95})
-	mustRegister(t, m, "stale", []core.Time{10})
-	got := m.QoSViolations(100, 30)
-	if len(got) != 1 || got[0] != "stale" {
-		t.Errorf("violations = %v", got)
 	}
 }
 

@@ -56,9 +56,6 @@ type Config struct {
 	// the fastest configured period, and four times the slowest.
 	MinPeriod core.Duration
 	MaxPeriod core.Duration
-	// DecayHalfLife is the half-life of the loss accounting, so stale
-	// demand fades. Default 2×AdjustEvery.
-	DecayHalfLife core.Duration
 	// Placer, when set (and Adaptive), is consulted every PlaceEvery
 	// adjustments: tables it recommends that are not replicated are
 	// promoted (snapshot first), replicated tables it omits are demoted.
@@ -163,9 +160,6 @@ func New(cfg Config) (*Agent, error) {
 	}
 	if cfg.AdjustEvery < 0 {
 		return nil, fmt.Errorf("replsync: negative adjust interval %v", cfg.AdjustEvery)
-	}
-	if cfg.DecayHalfLife == 0 {
-		cfg.DecayHalfLife = 2 * cfg.AdjustEvery
 	}
 	if cfg.PlaceEvery == 0 {
 		cfg.PlaceEvery = 3

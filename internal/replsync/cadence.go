@@ -39,15 +39,15 @@ func (a *Agent) ObserveLoss(tables []core.TableID, loss float64) {
 	}
 }
 
-// decayLocked ages the loss accounting to now with the configured
-// half-life, so demand that stopped materializing fades out.
+// decayLocked ages the loss accounting to now with a half-life of two
+// controller intervals, so demand that stopped materializing fades out.
 func (a *Agent) decayLocked(now core.Time) {
 	dt := float64(now - a.lossAt)
 	if dt <= 0 {
 		return
 	}
 	a.lossAt = now
-	f := math.Pow(0.5, dt/float64(a.cfg.DecayHalfLife))
+	f := math.Pow(0.5, dt/float64(2*a.cfg.AdjustEvery))
 	for id, l := range a.losses {
 		l *= f
 		if l < 1e-12 {

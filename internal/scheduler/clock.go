@@ -1,8 +1,6 @@
 package scheduler
 
 import (
-	"container/heap"
-
 	"ivdss/internal/core"
 	"ivdss/internal/sim"
 )
@@ -42,82 +40,30 @@ func (c SimClock) AfterFunc(d core.Duration, fn func()) {
 }
 
 // ManualClock is a hand-stepped clock for driving the engine in tests
-// without a simulator: callbacks queue in (time, insertion) order and run
-// when the test calls Run or RunUntil. Not safe for concurrent use.
+// without a simulator of their own: callbacks queue on a sim.Simulator in
+// (time, insertion) order and run when the test calls Run or RunUntil. The
+// zero value is ready to use. Not safe for concurrent use.
 type ManualClock struct {
-	now   core.Time
-	seq   uint64
-	queue manualQueue
+	sim sim.Simulator
 }
 
 var _ Clock = (*ManualClock)(nil)
 
 // Now implements Clock.
-func (c *ManualClock) Now() core.Time { return c.now }
+func (c *ManualClock) Now() core.Time { return c.sim.Now() }
 
 // AfterFunc implements Clock.
 func (c *ManualClock) AfterFunc(d core.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	heap.Push(&c.queue, &manualEvent{at: c.now + d, seq: c.seq, fn: fn})
-	c.seq++
+	SimClock{Sim: &c.sim}.AfterFunc(d, fn)
 }
 
 // Run executes queued callbacks in time order until none remain,
 // advancing the clock to each callback's instant.
-func (c *ManualClock) Run() {
-	for len(c.queue) > 0 {
-		ev := heap.Pop(&c.queue).(*manualEvent)
-		c.now = ev.at
-		ev.fn()
-	}
-}
+func (c *ManualClock) Run() { c.sim.Run() }
 
 // RunUntil executes callbacks due at or before t, then advances the clock
 // to t.
-func (c *ManualClock) RunUntil(t core.Time) {
-	for len(c.queue) > 0 && c.queue[0].at <= t {
-		ev := heap.Pop(&c.queue).(*manualEvent)
-		c.now = ev.at
-		ev.fn()
-	}
-	if c.now < t {
-		c.now = t
-	}
-}
+func (c *ManualClock) RunUntil(t core.Time) { c.sim.RunUntil(t) }
 
 // Pending returns the number of callbacks still queued.
-func (c *ManualClock) Pending() int { return len(c.queue) }
-
-type manualEvent struct {
-	at  core.Time
-	seq uint64
-	fn  func()
-}
-
-// manualQueue is a min-heap over (at, seq), matching the simulator's FIFO
-// tie-break among simultaneous events.
-type manualQueue []*manualEvent
-
-func (q manualQueue) Len() int { return len(q) }
-
-func (q manualQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q manualQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-
-func (q *manualQueue) Push(x any) { *q = append(*q, x.(*manualEvent)) }
-
-func (q *manualQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
-}
+func (c *ManualClock) Pending() int { return c.sim.Pending() }

@@ -1,31 +1,25 @@
 // Package sim is a small event-scheduling discrete event simulator.
 //
-// It replaces the JavaSim package the paper uses for its evaluation: a
-// virtual clock, an event list ordered by activation time, and FIFO
-// resources for modelling servers with queueing. Time is a float64 in
-// arbitrary units (the experiments use minutes, matching the paper's
-// figures).
+// It replaces the part of JavaSim the paper uses for its evaluation: an
+// event heap ordered by activation time over a virtual clock. Time is a
+// float64 in arbitrary units (the experiments use minutes, matching the
+// paper's figures).
 package sim
 
 import (
 	"container/heap"
 	"fmt"
-	"math"
 )
 
 // Time is a point on the simulator's virtual clock.
 type Time = float64
 
-// End is a sentinel Time later than every schedulable event.
-const End Time = math.MaxFloat64
-
 // Event is a scheduled callback. The callback runs exactly once, at its
 // activation time, with the simulator clock already advanced.
 type event struct {
-	at    Time
-	seq   uint64 // tie-breaker: FIFO among simultaneous events
-	fn    func()
-	index int // heap index, -1 once popped or cancelled
+	at  Time
+	seq uint64 // tie-breaker: FIFO among simultaneous events
+	fn  func()
 }
 
 // eventQueue is a min-heap over (at, seq).
@@ -40,37 +34,27 @@ func (q eventQueue) Less(i, j int) bool {
 	return q[i].seq < q[j].seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
+func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
+func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
 
 func (q *eventQueue) Pop() any {
 	old := *q
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
-	ev.index = -1
 	*q = old[:n-1]
 	return ev
 }
 
-// Simulator owns a virtual clock and an event list. The zero value is not
-// usable; construct with New. A Simulator is not safe for concurrent use:
-// like all event-scheduling DES kernels it is strictly single-threaded,
-// which is what makes runs deterministic.
+// Simulator owns a virtual clock and an event list. The zero value is ready
+// to use, with the clock at zero and no events. A Simulator is not safe for
+// concurrent use: like all event-scheduling DES kernels it is strictly
+// single-threaded, which is what makes runs deterministic.
 type Simulator struct {
-	now    Time
-	nexts  uint64
-	queue  eventQueue
-	events int // total events executed, for instrumentation
+	now   Time
+	nexts uint64
+	queue eventQueue
 }
 
 // New returns a simulator with the clock at zero and an empty event list.
@@ -81,45 +65,24 @@ func New() *Simulator {
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Executed returns the number of events executed so far.
-func (s *Simulator) Executed() int { return s.events }
-
-// Handle identifies a scheduled event so it can be cancelled.
-type Handle struct {
-	ev *event
-}
-
 // Schedule registers fn to run after delay. A negative delay is a
 // programming error and panics; a zero delay runs fn after all events
 // already scheduled for the current instant (FIFO order).
-func (s *Simulator) Schedule(delay Time, fn func()) Handle {
+func (s *Simulator) Schedule(delay Time, fn func()) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
-	return s.ScheduleAt(s.now+delay, fn)
+	s.ScheduleAt(s.now+delay, fn)
 }
 
 // ScheduleAt registers fn to run at absolute time at, which must not be in
 // the simulator's past.
-func (s *Simulator) ScheduleAt(at Time, fn func()) Handle {
+func (s *Simulator) ScheduleAt(at Time, fn func()) {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, s.now))
 	}
-	ev := &event{at: at, seq: s.nexts, fn: fn}
+	heap.Push(&s.queue, &event{at: at, seq: s.nexts, fn: fn})
 	s.nexts++
-	heap.Push(&s.queue, ev)
-	return Handle{ev: ev}
-}
-
-// Cancel removes a scheduled event. Cancelling an already-executed or
-// already-cancelled event is a no-op and returns false.
-func (s *Simulator) Cancel(h Handle) bool {
-	if h.ev == nil || h.ev.index < 0 {
-		return false
-	}
-	heap.Remove(&s.queue, h.ev.index)
-	h.ev.index = -1
-	return true
 }
 
 // Step executes the single next event, advancing the clock to it. It
@@ -130,7 +93,6 @@ func (s *Simulator) Step() bool {
 	}
 	ev := heap.Pop(&s.queue).(*event)
 	s.now = ev.at
-	s.events++
 	ev.fn()
 	return true
 }
@@ -154,12 +116,3 @@ func (s *Simulator) RunUntil(until Time) {
 
 // Pending returns the number of events still scheduled.
 func (s *Simulator) Pending() int { return len(s.queue) }
-
-// NextAt returns the activation time of the next scheduled event, or End if
-// the event list is empty.
-func (s *Simulator) NextAt() Time {
-	if len(s.queue) == 0 {
-		return End
-	}
-	return s.queue[0].at
-}

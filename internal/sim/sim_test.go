@@ -76,31 +76,6 @@ func TestNegativeDelayPanics(t *testing.T) {
 	New().Schedule(-1, func() {})
 }
 
-func TestCancel(t *testing.T) {
-	s := New()
-	ran := false
-	h := s.Schedule(1, func() { ran = true })
-	if !s.Cancel(h) {
-		t.Fatal("Cancel returned false for pending event")
-	}
-	if s.Cancel(h) {
-		t.Error("second Cancel should return false")
-	}
-	s.Run()
-	if ran {
-		t.Error("cancelled event ran")
-	}
-}
-
-func TestCancelExecutedEvent(t *testing.T) {
-	s := New()
-	h := s.Schedule(1, func() {})
-	s.Run()
-	if s.Cancel(h) {
-		t.Error("Cancel after execution should return false")
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	s := New()
 	var ran []Time
@@ -128,17 +103,6 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 	}
 }
 
-func TestNextAt(t *testing.T) {
-	s := New()
-	if s.NextAt() != End {
-		t.Error("NextAt on empty list should be End")
-	}
-	s.Schedule(7, func() {})
-	if s.NextAt() != 7 {
-		t.Errorf("NextAt = %v, want 7", s.NextAt())
-	}
-}
-
 func TestEventTimesNonDecreasing(t *testing.T) {
 	f := func(delays []float64) bool {
 		s := New()
@@ -160,197 +124,33 @@ func TestEventTimesNonDecreasing(t *testing.T) {
 	}
 }
 
-func TestResourceSingleServerQueueing(t *testing.T) {
-	s := New()
-	r := NewResource(s, "db", 1)
-	var waits []Time
-	// Three jobs of service time 10 arrive together: waits 0, 10, 20.
-	for i := 0; i < 3; i++ {
-		r.Submit(10, func(w Time) { waits = append(waits, w) })
-	}
-	s.Run()
-	want := []Time{0, 10, 20}
-	for i := range want {
-		if waits[i] != want[i] {
-			t.Fatalf("waits = %v, want %v", waits, want)
-		}
-	}
-	if s.Now() != 30 {
-		t.Errorf("clock = %v, want 30", s.Now())
-	}
-}
-
-func TestResourceParallelServers(t *testing.T) {
-	s := New()
-	r := NewResource(s, "db", 2)
-	var done int
-	for i := 0; i < 4; i++ {
-		r.Submit(10, func(Time) { done++ })
-	}
-	s.Run()
-	if done != 4 {
-		t.Fatalf("done = %d, want 4", done)
-	}
-	// With 2 servers, 4 jobs of 10 finish at t=20.
-	if s.Now() != 20 {
-		t.Errorf("clock = %v, want 20", s.Now())
-	}
-}
-
-func TestResourceFIFO(t *testing.T) {
-	s := New()
-	r := NewResource(s, "db", 1)
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		r.Submit(1, func(Time) { order = append(order, i) })
-	}
-	s.Run()
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("completion order %v not FIFO", order)
-		}
-	}
-}
-
-func TestResourceStats(t *testing.T) {
-	s := New()
-	r := NewResource(s, "db", 1)
-	for i := 0; i < 3; i++ {
-		r.Submit(10, nil)
-	}
-	s.Run()
-	st := r.Stats()
-	if st.Served != 3 {
-		t.Errorf("Served = %d, want 3", st.Served)
-	}
-	if st.TotalWait != 30 { // 0 + 10 + 20
-		t.Errorf("TotalWait = %v, want 30", st.TotalWait)
-	}
-	if got := st.MeanWait(); got != 10 {
-		t.Errorf("MeanWait = %v, want 10", got)
-	}
-	if st.MaxQueueDepth != 2 {
-		t.Errorf("MaxQueueDepth = %d, want 2", st.MaxQueueDepth)
-	}
-}
-
-func TestResourceStatsEmpty(t *testing.T) {
-	s := New()
-	r := NewResource(s, "db", 1)
-	if got := r.Stats().MeanWait(); got != 0 {
-		t.Errorf("MeanWait on empty = %v, want 0", got)
-	}
-}
-
-func TestResourceLateArrival(t *testing.T) {
-	s := New()
-	r := NewResource(s, "db", 1)
-	var wait Time = -1
-	s.Schedule(0, func() { r.Submit(10, nil) })
-	// Arrives at t=5, server busy until t=10, so waits 5.
-	s.Schedule(5, func() { r.Submit(3, func(w Time) { wait = w }) })
-	s.Run()
-	if wait != 5 {
-		t.Errorf("wait = %v, want 5", wait)
-	}
-	if s.Now() != 13 {
-		t.Errorf("clock = %v, want 13", s.Now())
-	}
-}
-
-func TestResourceInvalidCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewResource(New(), "x", 0)
-}
-
-func TestResourceNegativeServicePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewResource(New(), "x", 1).Submit(-1, nil)
-}
-
-// TestResourceConservation checks a work-conservation invariant: with a
-// single server and jobs all submitted at t=0, the makespan equals the sum
-// of service times.
-func TestResourceConservation(t *testing.T) {
-	f := func(raw []uint8) bool {
-		s := New()
-		r := NewResource(s, "db", 1)
-		var total Time
-		for _, d := range raw {
-			svc := Time(d)
-			total += svc
-			r.Submit(svc, nil)
-		}
-		s.Run()
-		return s.Now() == total
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestHeapStress drives the event queue with random schedule/cancel
-// operations and checks execution matches a reference model.
+// TestHeapStress drives a zero-value simulator's event queue with random
+// schedules and checks execution matches a reference model: events in
+// (time, insertion) order.
 func TestHeapStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 50; trial++ {
-		s := New()
+		var s Simulator
 		type planned struct {
-			at        Time
-			seq       int
-			cancelled bool
+			at  Time
+			seq int
 		}
-		var model []*planned
+		var model []planned
 		var executed []int
-		var handles []Handle
 		n := 1 + rng.Intn(100)
 		for i := 0; i < n; i++ {
 			at := Time(rng.Intn(50))
-			p := &planned{at: at, seq: i}
-			model = append(model, p)
-			idx := i
-			handles = append(handles, s.ScheduleAt(at, func() {
-				executed = append(executed, idx)
-			}))
-		}
-		// Cancel a random subset.
-		for i := range handles {
-			if rng.Intn(4) == 0 {
-				if s.Cancel(handles[i]) {
-					model[i].cancelled = true
-				}
-			}
+			model = append(model, planned{at: at, seq: i})
+			s.ScheduleAt(at, func() { executed = append(executed, i) })
 		}
 		s.Run()
 
-		// Reference: events sorted by (at, seq), cancelled ones removed.
-		var want []int
-		ordered := append([]*planned{}, model...)
-		sort.SliceStable(ordered, func(a, b int) bool {
-			if ordered[a].at != ordered[b].at {
-				return ordered[a].at < ordered[b].at
-			}
-			return ordered[a].seq < ordered[b].seq
-		})
-		for _, p := range ordered {
-			if !p.cancelled {
-				want = append(want, p.seq)
-			}
+		sort.SliceStable(model, func(a, b int) bool { return model[a].at < model[b].at })
+		if len(executed) != len(model) {
+			t.Fatalf("trial %d: executed %d events, want %d", trial, len(executed), len(model))
 		}
-		if len(executed) != len(want) {
-			t.Fatalf("trial %d: executed %d events, want %d", trial, len(executed), len(want))
-		}
-		for i := range want {
-			if executed[i] != want[i] {
+		for i, p := range model {
+			if executed[i] != p.seq {
 				t.Fatalf("trial %d: order mismatch at %d", trial, i)
 			}
 		}

@@ -1,22 +1,19 @@
 // Package stats provides the deterministic random streams used by the
-// simulator and the workload generators.
+// simulator and the workload generators — exponential and Zipf streams,
+// plus a seeded source of primitive draws — and the summary statistics the
+// experiments report.
 //
-// It is the substitute for the JavaSim stream classes the paper relies on
-// (notably ExponentialStream): every stream is seeded explicitly so that a
-// whole experiment is reproducible bit-for-bit from its seed.
+// It is the substitute for the JavaSim stream class the paper relies on
+// (ExponentialStream): every stream is seeded explicitly so that a whole
+// experiment is reproducible bit-for-bit from its seed.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
-
-// Stream produces an endless sequence of float64 samples.
-type Stream interface {
-	// Next returns the next sample from the stream.
-	Next() float64
-}
 
 // ExponentialStream draws exponentially distributed samples with a fixed
 // mean. It mirrors JavaSim's ExponentialStream, which the paper uses to
@@ -25,8 +22,6 @@ type ExponentialStream struct {
 	mean float64
 	rng  *rand.Rand
 }
-
-var _ Stream = (*ExponentialStream)(nil)
 
 // NewExponentialStream returns a stream with the given mean inter-sample
 // value, seeded deterministically. It panics if mean is not positive; a
@@ -44,28 +39,6 @@ func (s *ExponentialStream) Mean() float64 { return s.mean }
 // Next returns the next exponentially distributed sample.
 func (s *ExponentialStream) Next() float64 {
 	return s.rng.ExpFloat64() * s.mean
-}
-
-// UniformStream draws samples uniformly from [low, high).
-type UniformStream struct {
-	low, high float64
-	rng       *rand.Rand
-}
-
-var _ Stream = (*UniformStream)(nil)
-
-// NewUniformStream returns a uniform stream over [low, high). It panics if
-// high <= low.
-func NewUniformStream(low, high float64, seed int64) *UniformStream {
-	if high <= low {
-		panic(fmt.Sprintf("stats: uniform bounds inverted: [%v, %v)", low, high))
-	}
-	return &UniformStream{low: low, high: high, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Next returns the next uniformly distributed sample.
-func (s *UniformStream) Next() float64 {
-	return s.low + s.rng.Float64()*(s.high-s.low)
 }
 
 // Zipf draws integers in [0, n) with a Zipfian (skewed) distribution. The
@@ -106,9 +79,6 @@ func NewSource(seed int64) *Source {
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (s *Source) Intn(n int) int { return s.rng.Intn(n) }
 
-// Int63 returns a non-negative uniform 63-bit integer.
-func (s *Source) Int63() int64 { return s.rng.Int63() }
-
 // Float64 returns a uniform sample from [0, 1).
 func (s *Source) Float64() float64 { return s.rng.Float64() }
 
@@ -118,9 +88,6 @@ func (s *Source) Expo(mean float64) float64 { return s.rng.ExpFloat64() * mean }
 // Perm returns a random permutation of [0, n).
 func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
 
-// Shuffle randomly reorders n elements using the provided swap function.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
-
 // PickN returns k distinct integers sampled uniformly from [0, n), in random
 // order. It panics if k > n or k < 0.
 func (s *Source) PickN(n, k int) []int {
@@ -128,13 +95,6 @@ func (s *Source) PickN(n, k int) []int {
 		panic(fmt.Sprintf("stats: PickN(%d, %d) out of range", n, k))
 	}
 	return s.rng.Perm(n)[:k]
-}
-
-// Fork derives a child source whose stream is a deterministic function of
-// the parent state plus the supplied label, so that adding a new consumer
-// does not perturb unrelated streams.
-func (s *Source) Fork(label int64) *Source {
-	return NewSource(s.rng.Int63() ^ label)
 }
 
 // FNV1a hashes a string (FNV-1a, 64-bit). It is the repo's canonical way
@@ -168,20 +128,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. The input need not be sorted; xs is
 // not modified. It returns 0 for an empty slice.
@@ -189,9 +135,8 @@ func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sortFloats(sorted)
+	sorted := slices.Clone(xs)
+	slices.Sort(sorted)
 	if p <= 0 {
 		return sorted[0]
 	}
@@ -206,14 +151,4 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-func sortFloats(xs []float64) {
-	// Insertion sort is sufficient here: Percentile is used on small
-	// per-experiment result sets, never on hot paths.
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -167,8 +167,6 @@ func FixedPlan(q Query, snapshot []TableState, now Time, cost CostModel, choose 
 type (
 	// CountModel charges by the number of remote base tables and sites.
 	CountModel = costmodel.CountModel
-	// WeightedModel charges per-table remote weights.
-	WeightedModel = costmodel.WeightedModel
 	// CalibratedModel serves measured per-configuration costs.
 	CalibratedModel = costmodel.CalibratedModel
 )
@@ -184,8 +182,6 @@ type (
 	SyncSchedule = replication.Schedule
 	// ReplicationManager tracks every replicated table's sync state.
 	ReplicationManager = replication.Manager
-	// SyncEvent records one completed synchronization.
-	SyncEvent = replication.SyncEvent
 )
 
 // NewReplicationManager returns an empty replication manager.

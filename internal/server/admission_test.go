@@ -19,7 +19,7 @@ import (
 
 // startDSSWith starts a DSS with the caller's config (Remotes filled in)
 // and returns it with its bound address.
-func startDSSWith(t *testing.T, cfg DSSConfig) (*DSSServer, string) {
+func startDSSWith(t testing.TB, cfg DSSConfig) (*DSSServer, string) {
 	t.Helper()
 	dss, err := NewDSSServer(cfg)
 	if err != nil {

@@ -220,10 +220,10 @@ func (s *DSSServer) executePlan(ctx context.Context, stmt *sqlmini.SelectStmt, p
 			oldest = math.Min(oldest, snap.syncedAt)
 		case core.AccessBase:
 			fetchedAt := s.now()
-			// Query decomposition: push the table's single-alias filter
-			// conjuncts to the remote site so only matching rows travel.
-			// The residual WHERE still runs locally, so a refused or
-			// failed pushdown only costs transfer, never correctness.
+			// Query decomposition: the remote runs the table's column-pruned,
+			// filtered fetch (sqlmini.PushdownFor) over its cached image. The
+			// full statement still runs locally, so a refused pushdown (a
+			// whole-table scan) only costs transfer, never correctness.
 			req := &netproto.Request{Kind: netproto.KindScan, Table: string(a.Table)}
 			if pushSQL, ok := sqlmini.PushdownFor(stmt, string(a.Table)); ok {
 				req = &netproto.Request{Kind: netproto.KindExec, SQL: pushSQL}

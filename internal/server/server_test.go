@@ -35,7 +35,7 @@ func tradesTable(t *testing.T) *relation.Table {
 	return tbl
 }
 
-func startRemote(t *testing.T, tables ...*relation.Table) (*RemoteServer, string) {
+func startRemote(t testing.TB, tables ...*relation.Table) (*RemoteServer, string) {
 	t.Helper()
 	s := NewRemoteServer()
 	for _, tbl := range tables {

@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"ivdss/internal/relation"
@@ -37,6 +38,15 @@ func (l *Literal) String() string {
 		return "'" + strings.ReplaceAll(l.Val.S, "'", "''") + "'"
 	case relation.Date:
 		return "DATE '" + l.Val.String() + "'"
+	case relation.Float:
+		// The shortest digits that reparse to the same Float (so with a
+		// decimal point): rendered SQL ships to remotes, where four decimals
+		// would turn `o_total = 0.12345` into a different predicate.
+		s := strconv.FormatFloat(l.Val.F, 'f', -1, 64)
+		if !strings.Contains(s, ".") {
+			s += ".0"
+		}
+		return s
 	default:
 		return l.Val.String()
 	}
@@ -89,7 +99,7 @@ type LikeExpr struct {
 }
 
 func (e *LikeExpr) String() string {
-	return fmt.Sprintf("(%s LIKE '%s')", e.Subject, e.Pattern)
+	return fmt.Sprintf("(%s LIKE '%s')", e.Subject, strings.ReplaceAll(e.Pattern, "'", "''"))
 }
 
 // AggExpr is an aggregate call. Star marks COUNT(*).

@@ -554,16 +554,8 @@ func project(ctx context.Context, stmt *SelectStmt, working *relation.Table, en 
 	outCols := make([]relation.Column, 0, len(stmt.Items)+len(stmt.OrderBy))
 	exprs := make([]Expr, 0, cap(outCols))
 	for i, it := range stmt.Items {
-		name := it.Alias
-		if name == "" {
-			if ref, ok := it.Expr.(*ColumnRef); ok {
-				name = ref.Name
-			} else {
-				name = it.Expr.String()
-			}
-		}
 		// Guard duplicate output names (permitted in SQL, not in Schema).
-		name = dedupeName(outCols, name, i)
+		name := dedupeName(outCols, itemName(it), i)
 		outCols = append(outCols, relation.Column{Name: name, Type: inferType(it.Expr, en)})
 		exprs = append(exprs, it.Expr)
 	}
@@ -648,6 +640,18 @@ func dedupeRows(t *relation.Table, visible int) {
 		kept = append(kept, row)
 	}
 	*t = relation.Table{Name: t.Name, Schema: t.Schema, Rows: kept}
+}
+
+// itemName names a SELECT item's output column: its alias, else a bare
+// column's name, else the rendered expression.
+func itemName(it SelectItem) string {
+	if it.Alias != "" {
+		return it.Alias
+	}
+	if ref, ok := it.Expr.(*ColumnRef); ok {
+		return ref.Name
+	}
+	return it.Expr.String()
 }
 
 func dedupeName(existing []relation.Column, name string, i int) string {

@@ -283,15 +283,7 @@ func planProject(stmt *SelectStmt, schema relation.Schema) projPlan {
 	outCols := make([]relation.Column, 0, len(stmt.Items)+len(stmt.OrderBy))
 	exprs := make([]Expr, 0, cap(outCols))
 	for i, it := range stmt.Items {
-		name := it.Alias
-		if name == "" {
-			if ref, ok := it.Expr.(*ColumnRef); ok {
-				name = ref.Name
-			} else {
-				name = it.Expr.String()
-			}
-		}
-		name = dedupeName(outCols, name, i)
+		name := dedupeName(outCols, itemName(it), i)
 		outCols = append(outCols, relation.Column{Name: name, Type: inferType(it.Expr, en)})
 		exprs = append(exprs, it.Expr)
 	}

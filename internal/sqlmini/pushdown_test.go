@@ -1,8 +1,9 @@
 package sqlmini
 
 import (
-	"strings"
 	"testing"
+
+	"ivdss/internal/relation"
 )
 
 func TestPushdownForBasic(t *testing.T) {
@@ -17,18 +18,11 @@ func TestPushdownForBasic(t *testing.T) {
 	if !ok {
 		t.Fatal("no pushdown for orders")
 	}
-	if !strings.HasPrefix(sql, "SELECT * FROM orders WHERE ") {
-		t.Errorf("sql = %q", sql)
-	}
-	if strings.Contains(sql, "o.") {
-		t.Errorf("qualifier not stripped: %q", sql)
-	}
-	if !strings.Contains(sql, "o_total > 25") || !strings.Contains(sql, "DATE '2020-03-01'") {
-		t.Errorf("predicates missing: %q", sql)
-	}
-	// The join conjunct (two qualifiers) must not be pushed.
-	if strings.Contains(sql, "o_cust") {
-		t.Errorf("join predicate pushed: %q", sql)
+	// The columns orders contributes, in first-appearance order (o_cust only
+	// through the join conjunct), and its own conjuncts unqualified; the
+	// join conjunct (two qualifiers) stays local.
+	if want := "SELECT o_total, o_cust, o_date FROM orders WHERE (o_total > 25) AND (o_date >= DATE '2020-03-01')"; sql != want {
+		t.Errorf("sql = %q\nwant  %q", sql, want)
 	}
 
 	// Pushed SQL must run against the bare table.
@@ -37,7 +31,7 @@ func TestPushdownForBasic(t *testing.T) {
 		t.Fatalf("pushed sql %q: %v", sql, err)
 	}
 	// Only order 103 ($80, 2020-04-10) passes both filters.
-	if out.NumRows() != 1 || out.Rows[0][0].I != 103 {
+	if out.NumRows() != 1 || out.Rows[0][0].F != 80 || out.Rows[0][1].I != 3 {
 		t.Errorf("pushed rows = %d: %v", out.NumRows(), out.Rows)
 	}
 }
@@ -89,18 +83,17 @@ func TestPushdownEquivalence(t *testing.T) {
 	}
 }
 
+// A table read under two aliases ships the union of their columns and no
+// filter: one row set serves both, and each alias's filter would drop rows
+// the other needs.
 func TestPushdownSkipsMultiAliasTables(t *testing.T) {
-	cat := testCatalog(t)
-	dup := cat["orders"].Clone()
-	dup.Name = "orders2"
 	stmt, err := Parse(`SELECT a.o_id FROM orders a, orders b
 		WHERE a.o_id = b.o_id AND a.o_total > 10 AND b.o_total > 10`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = dup
-	if _, ok := PushdownFor(stmt, "orders"); ok {
-		t.Error("pushed down a multi-alias table")
+	if sql, ok := PushdownFor(stmt, "orders"); !ok || sql != "SELECT o_id, o_total FROM orders" {
+		t.Errorf("self-join pushdown = %q, %v; want the aliases' columns and no filter", sql, ok)
 	}
 }
 
@@ -109,8 +102,9 @@ func TestPushdownNothingPushable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := PushdownFor(stmt, "orders"); ok {
-		t.Error("join-only predicate pushed")
+	// No filter of its own, but orders still ships only its join key.
+	if sql, ok := PushdownFor(stmt, "orders"); !ok || sql != "SELECT o_cust FROM orders" {
+		t.Errorf("join-only pushdown = %q, %v; want the join key and no filter", sql, ok)
 	}
 	if _, ok := PushdownFor(stmt, "ghost"); ok {
 		t.Error("unknown table pushed")
@@ -147,5 +141,44 @@ func TestPushdownComplexPredicates(t *testing.T) {
 	// Orders: 100(50✓), 101(30 but excluded), 102(20 excluded), 103(80✓), 104(10✓).
 	if out.NumRows() != 3 {
 		t.Errorf("rows = %d: %v", out.NumRows(), out.Rows)
+	}
+}
+
+// A pushed predicate must select at the remote what it selects locally:
+// a float literal keeps every digit (four decimals shipped o_total =
+// 0.1235, which no row matches) and a quote inside a LIKE pattern stays
+// escaped (unescaped, the remote could not parse the pushdown).
+func TestPushdownLiteralsSurviveRendering(t *testing.T) {
+	cat := testCatalog(t)
+	cat["orders"].MustInsert(relation.Row{relation.IntVal(105), relation.IntVal(4), relation.FloatVal(0.12345), relation.DateOf(2020, 6, 1)})
+	cat["customers"].MustInsert(relation.Row{relation.IntVal(4), relation.StrVal("O'Brien"), relation.StrVal("IE")})
+	for _, tc := range []struct{ name, table, q string }{
+		{"float", "orders", "SELECT c.c_name FROM customers c, orders o WHERE c.c_id = o.o_cust AND o.o_total = 0.12345"},
+		{"like quote", "customers", "SELECT c.c_name FROM customers c, orders o WHERE c.c_id = o.o_cust AND c.c_name LIKE 'O''B%'"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stmt, err := Parse(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sql, ok := PushdownFor(stmt, tc.table)
+			if !ok {
+				t.Fatalf("no pushdown for %s", tc.table)
+			}
+			fetched, err := Run(sql, cat)
+			if err != nil {
+				t.Fatalf("pushed %q: %v", sql, err)
+			}
+			if fetched.NumRows() != 1 {
+				t.Fatalf("pushed %q fetched %d rows, want the one that matches", sql, fetched.NumRows())
+			}
+			fetched.Name = tc.table
+			narrowed := MapCatalog{"orders": cat["orders"], "customers": cat["customers"]}
+			narrowed[tc.table] = fetched
+			out, err := Execute(stmt, narrowed)
+			if err != nil || out.NumRows() != 1 || out.Rows[0][0].S != "O'Brien" {
+				t.Fatalf("over the pushed fetch: %v %v", err, out)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -53,69 +54,13 @@ func ViewWire(stmt *SelectStmt) (table, filter string, columns []string, err err
 	}
 	ref := stmt.From[0]
 	alias := ref.EffectiveAlias()
-
-	// Output column names, as project derives them: an unqualified ORDER BY
-	// reference matching one is a sort over the result, not a base column.
-	outNames := make(map[string]bool)
-	for _, it := range stmt.Items {
-		if it.Star {
-			continue
-		}
-		name := it.Alias
-		if name == "" {
-			if ref, ok := it.Expr.(*ColumnRef); ok {
-				name = ref.Name
-			} else {
-				name = it.Expr.String()
-			}
-		}
-		outNames[strings.ToLower(name)] = true
+	columns, err = readSet(stmt, ref.Name)
+	if errors.Is(err, errReadsStar) {
+		columns, err = nil, nil
 	}
-
-	var refs []*ColumnRef
-	for _, it := range stmt.Items {
-		if !it.Star {
-			collectColumnRefs(it.Expr, &refs)
-		}
+	if err != nil {
+		return "", "", nil, fmt.Errorf("sqlmini: view over %s: %w", ref.Name, err)
 	}
-	collectColumnRefs(stmt.Where, &refs)
-	for _, g := range stmt.GroupBy {
-		collectColumnRefs(g, &refs)
-	}
-	collectColumnRefs(stmt.Having, &refs)
-	for _, o := range stmt.OrderBy {
-		if ref, ok := o.Expr.(*ColumnRef); ok && ref.Qualifier == "" && outNames[strings.ToLower(ref.Name)] {
-			continue
-		}
-		collectColumnRefs(o.Expr, &refs)
-	}
-	for _, r := range refs {
-		if r.Qualifier != "" && !strings.EqualFold(r.Qualifier, alias) {
-			return "", "", nil, fmt.Errorf("sqlmini: view over %s: column %s qualified by unknown alias", ref.Name, r)
-		}
-	}
-
-	star := false
-	for _, it := range stmt.Items {
-		if it.Star {
-			star = true
-			break
-		}
-	}
-	if !star {
-		seen := make(map[string]bool)
-		for _, r := range refs {
-			key := strings.ToLower(r.Name)
-			if !seen[key] {
-				seen[key] = true
-				columns = append(columns, r.Name)
-			}
-		}
-	}
-	if len(columns) == 0 {
-		columns = nil
-	}
-
 	if stmt.Where != nil {
 		filter = stripQualifier(stmt.Where, alias).String()
 	}

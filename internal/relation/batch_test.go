@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -48,6 +49,43 @@ func TestToTableAllocatesAConstantNumberOfObjects(t *testing.T) {
 	}
 	if a, b := allocs(small), allocs(large); a != b || a > 3 {
 		t.Errorf("ToTable allocates %v objects for 500 rows and %v for 2000; want the same, at most 3", a, b)
+	}
+}
+
+// The hash kernels allocate per call, not per row: a build plus a
+// foreign-key probe, and a grouped count over a fixed number of groups,
+// allocate as many objects over 100k rows as over 1k.
+func TestKeyKernelsAllocateAConstantNumberOfObjects(t *testing.T) {
+	ctx := context.Background()
+	allocs := func(n int) (join, group float64) {
+		ct := mixedColTable(n)
+		ids, count := ct.Refs([]int{0}), []AggSpec{{Fn: Count, As: "n"}}
+		for i := range ct.Cols[1].Floats {
+			ct.Cols[1].Floats[i] = float64(i % 3)
+		}
+		join = testing.AllocsPerRun(3, func() {
+			idx, err := BuildJoinIndex(ctx, ids, n)
+			if err == nil {
+				_, _, err = idx.Probe(ctx, ids, n)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		})
+		group = testing.AllocsPerRun(3, func() {
+			if _, err := ColAggregateContext(ctx, ct, []int{2, 1}, count); err != nil {
+				t.Error(err)
+			}
+		})
+		return join, group
+	}
+	j1, g1 := allocs(1000)
+	j2, g2 := allocs(100_000)
+	if j1 != j2 || j1 > 10 {
+		t.Errorf("build plus probe allocates %v objects over 1k rows and %v over 100k; want the same, at most 10", j1, j2)
+	}
+	if g1 != g2 {
+		t.Errorf("a grouped count allocates %v objects over 1k rows and %v over 100k; want the same", g1, g2)
 	}
 }
 

@@ -3,6 +3,7 @@ package relation
 import (
 	"context"
 	"fmt"
+	"hash/maphash"
 	"math"
 )
 
@@ -42,72 +43,155 @@ func (c *ColTable) Refs(cols []int) []ColRef {
 	return refs
 }
 
-// appendColKey appends the composite key bytes for position i over the
-// given columns — byte-identical to the row-major joinKey, so columnar and
-// row-major operators group and join identically (numerically equal
-// Int/Float cells share a key, Dates stay distinct from numbers).
-func appendColKey(b []byte, keys []ColRef, i int) []byte {
-	for _, k := range keys {
-		v, r := k.V, i
-		if k.Rows != nil {
-			r = int(k.Rows[i])
-		}
-		switch v.T {
-		case Int:
-			bits := math.Float64bits(float64(v.Ints[r]))
-			b = append(b, 'n')
-			for shift := 56; shift >= 0; shift -= 8 {
-				b = append(b, byte(bits>>shift))
-			}
-		case Float:
-			bits := math.Float64bits(v.Floats[r])
-			b = append(b, 'n')
-			for shift := 56; shift >= 0; shift -= 8 {
-				b = append(b, byte(bits>>shift))
-			}
-		case Date:
-			b = append(b, 'd')
-			u := uint64(v.Ints[r])
-			for shift := 56; shift >= 0; shift -= 8 {
-				b = append(b, byte(u>>shift))
-			}
-		case Str:
-			s := v.Strs[r]
-			b = append(b, 's')
-			n := uint64(len(s))
-			for shift := 56; shift >= 0; shift -= 8 {
-				b = append(b, byte(n>>shift))
-			}
-			b = append(b, s...)
-		default:
-			b = append(b, '?')
-		}
+// row maps position i to the vector index it reads.
+func (c ColRef) row(i int) int {
+	if c.Rows != nil {
+		return int(c.Rows[i])
 	}
-	return b
+	return i
 }
 
-// JoinIndex is a reusable hash-join build: key bytes to positions of the
-// indexed (build-side) input. Because it depends only on the build
-// input's vectors and key positions, a micro-batch workload that joins
-// the same replica snapshot repeatedly can build it once and reuse it
-// (sqlmini's ExecCache does exactly that).
+// strSeed hashes Str key cells, one seed per process as Go maps do.
+var strSeed = maphash.MakeSeed()
+
+// keyWord is the word a key cell hashes and compares by: the float64 bits
+// of an Int or Float (so 3 and 3.0 are one key), a Date's day number, or a
+// hash of a Str's bytes.
+func keyWord(c ColRef, i int) uint64 {
+	v, r := c.V, c.row(i)
+	switch v.T {
+	case Int:
+		return floatWord(float64(v.Ints[r]))
+	case Float:
+		return floatWord(v.Floats[r])
+	case Date:
+		return uint64(v.Ints[r])
+	case Str:
+		return maphash.String(strSeed, v.Strs[r])
+	}
+	return 0
+}
+
+// floatWord is f's bit pattern with −0 folded into +0, which = equates.
+func floatWord(f float64) uint64 {
+	if f == 0 {
+		return 0
+	}
+	return math.Float64bits(f)
+}
+
+// keyHash mixes each word with murmur3's fmix64 finalizer. Small integers'
+// float bits have all-zero low bits; full avalanche keeps the masked slot
+// index from colliding on them.
+func keyHash(cols []ColRef, i int) uint64 {
+	h := uint64(len(cols))
+	for _, c := range cols {
+		h ^= keyWord(c, i)
+		h = (h ^ h>>33) * 0xff51afd7ed558ccd
+		h = (h ^ h>>33) * 0xc4ceb9fe1a85ec53
+		h ^= h >> 33
+	}
+	return h
+}
+
+// keyTable numbers the distinct key tuples over its columns. Two tuples
+// are one key exactly when each column pair is of one class (Int and
+// Float are numbers; Date, Str) and their words agree, strings byte for
+// byte. Slots are open-addressed and linearly probed; no output order
+// depends on the hash.
+type keyTable struct {
+	cols   []ColRef
+	exact  bool     // one non-Str column: fmix64 is a bijection, so equal hashes are equal keys
+	slots  []int32  // id+1, or 0 when empty; a power of two long
+	hashes []uint64 // per id
+	first  []int32  // per id, a position that carries it
+}
+
+// newKeyTable sizes the table for n keys; it grows past that.
+func newKeyTable(cols []ColRef, n int) keyTable {
+	size := 16
+	for size < 2*n {
+		size <<= 1
+	}
+	return keyTable{cols: cols, exact: len(cols) == 0 || len(cols) == 1 && cols[0].V.T != Str,
+		slots: make([]int32, size), hashes: make([]uint64, 0, size/2), first: make([]int32, 0, size/2)}
+}
+
+// lookup finds position i of cols, whose classes match the table's. It
+// returns the key's id, or -1 and the empty slot the key would take.
+func (t *keyTable) lookup(cols []ColRef, i int, h uint64) (id int32, slot int) {
+	mask := len(t.slots) - 1
+	for s := int(h) & mask; ; s = (s + 1) & mask {
+		if id = t.slots[s] - 1; id < 0 || t.hashes[id] == h && (t.exact || t.equal(id, cols, i)) {
+			return id, s
+		}
+	}
+}
+
+func (t *keyTable) equal(id int32, cols []ColRef, i int) bool {
+	j := int(t.first[id])
+	for k, c := range cols {
+		b := t.cols[k]
+		if c.V.T == Str { // a Str word is only a hash: compare the bytes
+			if b.V.Strs[b.row(j)] != c.V.Strs[c.row(i)] {
+				return false
+			}
+		} else if keyWord(b, j) != keyWord(c, i) {
+			return false
+		}
+	}
+	return true
+}
+
+// insert returns the id of position i of the table's own columns, adding
+// the key, in first-seen order, if it is new.
+func (t *keyTable) insert(i int) int32 {
+	h := keyHash(t.cols, i)
+	id, s := t.lookup(t.cols, i, h)
+	if id >= 0 {
+		return id
+	}
+	t.slots[s] = int32(len(t.first)) + 1
+	t.hashes, t.first = append(t.hashes, h), append(t.first, int32(i))
+	if 2*len(t.first) > len(t.slots) {
+		t.slots = make([]int32, 2*len(t.slots))
+		mask := len(t.slots) - 1
+		for id, h := range t.hashes {
+			s := int(h) & mask
+			for ; t.slots[s] != 0; s = (s + 1) & mask {
+			}
+			t.slots[s] = int32(id) + 1
+		}
+	}
+	return int32(len(t.first)) - 1
+}
+
+// JoinIndex is a reusable hash-join build: a key table over the indexed
+// (build-side) input, each key chaining its positions in ascending order.
+// Because it depends only on the build input's vectors and key positions,
+// a micro-batch workload that joins the same replica snapshot repeatedly
+// can build it once and reuse it (sqlmini's ExecCache does exactly that).
 type JoinIndex struct {
-	N      int // rows indexed, for cache staleness checks
-	groups map[string][]int32
+	N    int // rows indexed, for cache staleness checks
+	keys keyTable
+	next []int32 // the key's next position after this one, or -1
 }
 
 // BuildJoinIndex indexes the n positions of the build input by its key
-// columns.
+// columns. It inserts from the last position back, so each key's first
+// entry ends up its lowest position and its chain ascends.
 func BuildJoinIndex(ctx context.Context, keys []ColRef, n int) (*JoinIndex, error) {
-	idx := &JoinIndex{N: n, groups: make(map[string][]int32, n)}
+	idx := &JoinIndex{N: n, keys: newKeyTable(keys, n), next: make([]int32, n)}
 	tk := colTicker{ctx: ctx}
-	var buf []byte
-	for i := 0; i < n; i++ {
+	for i := n - 1; i >= 0; i-- {
 		if err := tk.tick(); err != nil {
 			return nil, err
 		}
-		buf = appendColKey(buf[:0], keys, i)
-		idx.groups[string(buf)] = append(idx.groups[string(buf)], int32(i))
+		id := idx.keys.insert(i)
+		if idx.next[i] = idx.keys.first[id]; idx.next[i] == int32(i) {
+			idx.next[i] = -1
+		}
+		idx.keys.first[id] = int32(i)
 	}
 	return idx, nil
 }
@@ -115,23 +199,31 @@ func BuildJoinIndex(ctx context.Context, keys []ColRef, n int) (*JoinIndex, erro
 // Probe looks the n positions of the probe input up by its key columns
 // and returns the matching (build position, probe position) pairs with
 // the semantics of the row-major HashJoinContext: probe in input order,
-// matches emitted in build insertion order. Callers pick the build side by
-// the same smaller-input rule (left on ties) to keep output order
-// identical to the row-major operator, and gather only the columns they
-// go on to read. The pair lists are never nil; they are sized for one
-// match per probe position, the foreign-key join's shape, so they seldom
-// regrow.
+// matches emitted in build insertion order. Int and Float key columns
+// match numerically; any other pair of differing types matches nothing.
+// Callers pick the build side by the same smaller-input rule (left on
+// ties) to keep output order identical to the row-major operator, and
+// gather only the columns they go on to read. The pair lists are never
+// nil; they are sized for one match per probe position, the foreign-key
+// join's shape, so they seldom regrow.
 func (idx *JoinIndex) Probe(ctx context.Context, keys []ColRef, n int) (build, probe []int32, err error) {
 	tk := colTicker{ctx: ctx}
 	tk.n = idx.N // index build already advanced the cadence
 	build, probe = make([]int32, 0, n), make([]int32, 0, n)
-	var buf []byte
+	for k, c := range keys {
+		if a, b := c.V.T, idx.keys.cols[k].V.T; a != b && (a > Float || b > Float) {
+			return build, probe, nil
+		}
+	}
 	for p := 0; p < n; p++ {
 		if err := tk.tick(); err != nil {
 			return nil, nil, err
 		}
-		buf = appendColKey(buf[:0], keys, p)
-		for _, b := range idx.groups[string(buf)] {
+		id, _ := idx.keys.lookup(keys, p, keyHash(keys, p))
+		if id < 0 {
+			continue
+		}
+		for b := idx.keys.first[id]; b >= 0; b = idx.next[b] {
 			if err := tk.tick(); err != nil {
 				return nil, nil, err
 			}
@@ -195,24 +287,15 @@ func ColAggregateContext(ctx context.Context, t *ColTable, groupBy []int, aggs [
 
 	// Pass 1: assign each row its group id in first-seen order.
 	tk := colTicker{ctx: ctx}
-	ids := make(map[string]int32, 64)
+	groups := newKeyTable(t.Refs(groupBy), 0)
 	gids := make([]int32, t.N)
-	var firstRow []int32
-	var buf []byte
-	keys := t.Refs(groupBy)
-	for i := 0; i < t.N; i++ {
+	for i := range gids {
 		if err := tk.tick(); err != nil {
 			return nil, err
 		}
-		buf = appendColKey(buf[:0], keys, i)
-		id, ok := ids[string(buf)]
-		if !ok {
-			id = int32(len(firstRow))
-			ids[string(buf)] = id
-			firstRow = append(firstRow, int32(i))
-		}
-		gids[i] = id
+		gids[i] = groups.insert(i)
 	}
+	firstRow := groups.first
 	ngroups := len(firstRow)
 
 	out := NewColTable(t.Name, Schema{Cols: outCols}, ngroups)
@@ -250,22 +333,22 @@ func ColAggregateContext(ctx context.Context, t *ColTable, groupBy []int, aggs [
 			for i := 0; i < t.N; i++ {
 				counts[gids[i]]++
 			}
-			for _, n := range counts {
-				dst.Ints = append(dst.Ints, n)
-			}
+			dst.Ints = append(dst.Ints, counts...)
 		case CountDistinct:
-			distinct := make([]map[any]bool, ngroups)
-			src := &t.Cols[a.Col]
-			for i := 0; i < t.N; i++ {
-				g := gids[i]
-				if distinct[g] == nil {
-					distinct[g] = make(map[any]bool)
+			// One key table over (group id, value): a key first seen at
+			// row i is a new distinct value of row i's group.
+			gv := Vector{T: Int, Ints: make([]int64, t.N)}
+			for i, g := range gids {
+				gv.Ints[i] = int64(g)
+			}
+			seen := newKeyTable([]ColRef{{V: &gv}, {V: &t.Cols[a.Col]}}, 0)
+			counts := make([]int64, ngroups)
+			for i, g := range gids {
+				if int(seen.first[seen.insert(i)]) == i {
+					counts[g]++
 				}
-				distinct[g][src.Value(i).Key()] = true
 			}
-			for _, m := range distinct {
-				dst.Ints = append(dst.Ints, int64(len(m)))
-			}
+			dst.Ints = append(dst.Ints, counts...)
 		case Sum, Avg:
 			src := &t.Cols[a.Col]
 			if src.T != Int && src.T != Float {

@@ -3,7 +3,6 @@ package relation
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -96,13 +95,13 @@ func HashJoinContext(ctx context.Context, l, r *Table, lk, rk []int) (*Table, er
 		if err := tick(); err != nil {
 			return nil, err
 		}
-		index[joinKey(row, bk)] = append(index[joinKey(row, bk)], row)
+		index[RowKey(row, bk)] = append(index[RowKey(row, bk)], row)
 	}
 	for _, prow := range probe.Rows {
 		if err := tick(); err != nil {
 			return nil, err
 		}
-		for _, brow := range index[joinKey(prow, pk)] {
+		for _, brow := range index[RowKey(prow, pk)] {
 			if err := tick(); err != nil {
 				return nil, err
 			}
@@ -121,14 +120,11 @@ func HashJoinContext(ctx context.Context, l, r *Table, lk, rk []int) (*Table, er
 }
 
 // RowKey returns a collision-free composite key over the given column
-// positions of the row — the canonical grouping/join/dedup key.
-func RowKey(r Row, cols []int) string { return joinKey(r, cols) }
-
-// joinKey serializes key cells into a composite map key. Each component
-// is tagged and length-prefixed so no byte sequence in one cell can
-// impersonate a column boundary, and numerically equal Int/Float cells
-// produce the same key (they must join).
-func joinKey(r Row, cols []int) string {
+// positions of the row — the canonical grouping/join/dedup/distinct key.
+// Each component is tagged and length-prefixed so no byte sequence in one
+// cell can impersonate a column boundary, and numerically equal Int/Float
+// cells produce the same key (they must join).
+func RowKey(r Row, cols []int) string {
 	var b []byte
 	for _, c := range cols {
 		b = appendKeyPart(b, r[c])
@@ -139,9 +135,10 @@ func joinKey(r Row, cols []int) string {
 func appendKeyPart(b []byte, v Value) []byte {
 	switch v.T {
 	case Int, Float:
-		// Normalize to the float64 bit pattern so 3 and 3.0 share a key.
+		// Normalize to the float64 bit pattern so 3 and 3.0 share a key,
+		// and −0 and +0 too.
 		f, _ := v.AsFloat()
-		bits := math.Float64bits(f)
+		bits := floatWord(f)
 		b = append(b, 'n')
 		for shift := 56; shift >= 0; shift -= 8 {
 			b = append(b, byte(bits>>shift))
@@ -248,13 +245,13 @@ func Aggregate(t *Table, groupBy []int, aggs []AggSpec) (*Table, error) {
 		counts   []int64
 		mins     []Value
 		maxs     []Value
-		distinct []map[any]bool
+		distinct []map[string]bool
 		n        int64
 	}
 	groups := make(map[string]*groupState)
 	var order []string // deterministic output: first-seen group order
 	for _, r := range t.Rows {
-		k := joinKey(r, groupBy)
+		k := RowKey(r, groupBy)
 		g, ok := groups[k]
 		if !ok {
 			g = &groupState{
@@ -262,7 +259,7 @@ func Aggregate(t *Table, groupBy []int, aggs []AggSpec) (*Table, error) {
 				counts:   make([]int64, len(aggs)),
 				mins:     make([]Value, len(aggs)),
 				maxs:     make([]Value, len(aggs)),
-				distinct: make([]map[any]bool, len(aggs)),
+				distinct: make([]map[string]bool, len(aggs)),
 			}
 			g.key = make(Row, len(groupBy))
 			for i, c := range groupBy {
@@ -278,9 +275,9 @@ func Aggregate(t *Table, groupBy []int, aggs []AggSpec) (*Table, error) {
 				g.counts[i]++
 			case CountDistinct:
 				if g.distinct[i] == nil {
-					g.distinct[i] = make(map[any]bool)
+					g.distinct[i] = make(map[string]bool)
 				}
-				g.distinct[i][r[a.Col].Key()] = true
+				g.distinct[i][RowKey(r, []int{a.Col})] = true
 			case Sum, Avg:
 				f, ok := r[a.Col].AsFloat()
 				if !ok {

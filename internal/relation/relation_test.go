@@ -77,15 +77,6 @@ func TestEqual(t *testing.T) {
 	}
 }
 
-func TestValueKeyDistinguishesDates(t *testing.T) {
-	if IntVal(5).Key() == DateVal(5).Key() {
-		t.Error("date key collides with int key")
-	}
-	if IntVal(5).Key() != FloatVal(5).Key() {
-		t.Error("numerically equal int/float keys differ")
-	}
-}
-
 func TestNewSchemaValidation(t *testing.T) {
 	if _, err := NewSchema(Column{Name: "a", Type: Int}, Column{Name: "A", Type: Str}); err == nil {
 		t.Error("case-insensitive duplicate accepted")

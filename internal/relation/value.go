@@ -137,26 +137,6 @@ func Equal(a, b Value) bool {
 	return err == nil && c == 0
 }
 
-// Key returns a map-key representation suitable for hash joins and group
-// keys: numerically equal Int and Float values map to the same key.
-func (v Value) Key() any {
-	switch v.T {
-	case Int:
-		return float64(v.I)
-	case Float:
-		return v.F
-	case Str:
-		return v.S
-	case Date:
-		return dateKey(v.I)
-	default:
-		return nil
-	}
-}
-
-// dateKey keeps Date keys from colliding with numeric keys.
-type dateKey int64
-
 func compareFloat(a, b float64) int {
 	switch {
 	case a < b:

@@ -118,7 +118,7 @@ type viewGroup struct {
 	counts   []int64
 	mins     []relation.Value
 	maxs     []relation.Value
-	distinct []map[any]bool
+	distinct []map[string]bool
 	n        int64
 }
 
@@ -298,7 +298,7 @@ func (p *ViewProgram) fold(row relation.Row) error {
 			counts:   make([]int64, len(p.specs)),
 			mins:     make([]relation.Value, len(p.specs)),
 			maxs:     make([]relation.Value, len(p.specs)),
-			distinct: make([]map[any]bool, len(p.specs)),
+			distinct: make([]map[string]bool, len(p.specs)),
 		}
 		g.key = make(relation.Row, len(p.groupCols))
 		for i, c := range p.groupCols {
@@ -314,9 +314,9 @@ func (p *ViewProgram) fold(row relation.Row) error {
 			g.counts[i]++
 		case relation.CountDistinct:
 			if g.distinct[i] == nil {
-				g.distinct[i] = make(map[any]bool)
+				g.distinct[i] = make(map[string]bool)
 			}
-			g.distinct[i][nr[a.Col].Key()] = true
+			g.distinct[i][relation.RowKey(nr, []int{a.Col})] = true
 		case relation.Sum, relation.Avg:
 			f, ok := nr[a.Col].AsFloat()
 			if !ok {

@@ -254,35 +254,14 @@ func CrossPairs(ctx context.Context, ln, rn int) (l, r []int32, err error) {
 }
 
 // ColAggregateContext groups t by the groupBy columns and computes the
-// aggregates, mirroring the row-major Aggregate exactly: first-seen group
-// order, float accumulation in row order, Count/CountDistinct as Int,
-// Sum/Avg as Float, Min/Max keeping the input column type, and a single
-// zero-valued row for a global aggregate over an empty input.
+// aggregates, column at a time, with the row-major Aggregate as its
+// oracle: the same AggSchema output, first-seen group order, float
+// accumulation in row order, and a single zero-valued row for a global
+// aggregate over an empty input.
 func ColAggregateContext(ctx context.Context, t *ColTable, groupBy []int, aggs []AggSpec) (*ColTable, error) {
-	for _, c := range groupBy {
-		if c < 0 || c >= t.Schema.Arity() {
-			return nil, fmt.Errorf("relation: group-by column %d out of range", c)
-		}
-	}
-	for _, a := range aggs {
-		if a.Fn != Count && (a.Col < 0 || a.Col >= t.Schema.Arity()) {
-			return nil, fmt.Errorf("relation: aggregate column %d out of range", a.Col)
-		}
-	}
-
-	outCols := make([]Column, 0, len(groupBy)+len(aggs))
-	for _, c := range groupBy {
-		outCols = append(outCols, t.Schema.Cols[c])
-	}
-	for _, a := range aggs {
-		typ := Float
-		if a.Fn == Count || a.Fn == CountDistinct {
-			typ = Int
-		}
-		if (a.Fn == Min || a.Fn == Max) && a.Col >= 0 && a.Col < t.Schema.Arity() {
-			typ = t.Schema.Cols[a.Col].Type
-		}
-		outCols = append(outCols, Column{Name: a.As, Type: typ})
+	outSchema, err := AggSchema(t.Schema, groupBy, aggs)
+	if err != nil {
+		return nil, err
 	}
 
 	// Pass 1: assign each row its group id in first-seen order.
@@ -298,7 +277,7 @@ func ColAggregateContext(ctx context.Context, t *ColTable, groupBy []int, aggs [
 	firstRow := groups.first
 	ngroups := len(firstRow)
 
-	out := NewColTable(t.Name, Schema{Cols: outCols}, ngroups)
+	out := NewColTable(t.Name, outSchema, ngroups)
 	if ngroups == 0 && len(groupBy) == 0 {
 		// Global aggregate over an empty input still yields one row.
 		for i, a := range aggs {

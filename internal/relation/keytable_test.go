@@ -149,36 +149,45 @@ func TestJoinIndexMatchesHashJoin(t *testing.T) {
 	}
 }
 
+// randAggCase draws a table of up to 40 rows grouped by zero to two
+// columns of any type, with every aggregate over every type it applies
+// to: COUNT, then COUNT DISTINCT, MIN and MAX of each type, and SUM and
+// AVG of the numeric ones.
+func randAggCase(rng *rand.Rand) (tb *Table, groupBy []int, aggs []AggSpec) {
+	all := []Type{Int, Float, Date, Str}
+	ng := rng.Intn(3)
+	types := make([]Type, 0, ng+len(all))
+	groupBy = make([]int, ng)
+	for g := range groupBy {
+		types = append(types, all[rng.Intn(len(all))])
+		groupBy[g] = g
+	}
+	types = append(types, all...)
+	tb = randKeyTable(rng, "t", types, rng.Intn(40))
+	aggs = []AggSpec{{Fn: Count, As: "n"}}
+	for i, ty := range all {
+		c := ng + i
+		aggs = append(aggs,
+			AggSpec{Fn: CountDistinct, Col: c, As: "d" + ty.String()},
+			AggSpec{Fn: Min, Col: c, As: "lo" + ty.String()},
+			AggSpec{Fn: Max, Col: c, As: "hi" + ty.String()})
+		if ty == Int || ty == Float {
+			aggs = append(aggs,
+				AggSpec{Fn: Sum, Col: c, As: "s" + ty.String()},
+				AggSpec{Fn: Avg, Col: c, As: "a" + ty.String()})
+		}
+	}
+	return tb, groupBy, aggs
+}
+
 // TestColAggregateMatchesAggregate: over random tables grouped by zero to
 // two columns of any type, every aggregate of ColAggregateContext equals
 // the row-major Aggregate's cell for cell, in the same group order.
 func TestColAggregateMatchesAggregate(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(2))
-	all := []Type{Int, Float, Date, Str}
 	for trial := 0; trial < 300; trial++ {
-		ng := rng.Intn(3)
-		types := make([]Type, 0, ng+len(all))
-		groupBy := make([]int, ng)
-		for g := range groupBy {
-			types = append(types, all[rng.Intn(len(all))])
-			groupBy[g] = g
-		}
-		types = append(types, all...)
-		tb := randKeyTable(rng, "t", types, rng.Intn(40))
-		aggs := []AggSpec{{Fn: Count, As: "n"}}
-		for i, ty := range all {
-			c := ng + i
-			aggs = append(aggs,
-				AggSpec{Fn: CountDistinct, Col: c, As: "d" + ty.String()},
-				AggSpec{Fn: Min, Col: c, As: "lo" + ty.String()},
-				AggSpec{Fn: Max, Col: c, As: "hi" + ty.String()})
-			if ty == Int || ty == Float {
-				aggs = append(aggs,
-					AggSpec{Fn: Sum, Col: c, As: "s" + ty.String()},
-					AggSpec{Fn: Avg, Col: c, As: "a" + ty.String()})
-			}
-		}
+		tb, groupBy, aggs := randAggCase(rng)
 		want, err := Aggregate(tb, groupBy, aggs)
 		if err != nil {
 			t.Fatal(err)
@@ -187,20 +196,26 @@ func TestColAggregateMatchesAggregate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotCT, err := ColAggregateContext(ctx, ct, groupBy, aggs)
+		got, err := ColAggregateContext(ctx, ct, groupBy, aggs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := gotCT.ToTable()
-		if len(got.Rows) != len(want.Rows) {
-			t.Fatalf("trial %d (group by %v): %d groups, Aggregate has %d", trial, types[:ng], len(got.Rows), len(want.Rows))
-		}
-		for i := range want.Rows {
-			for c := range want.Rows[i] {
-				if !sameCell(want.Rows[i][c], got.Rows[i][c]) || want.Schema.Cols[c] != got.Schema.Cols[c] {
-					t.Fatalf("trial %d (group by %v): row %d %s is %v, Aggregate has %v",
-						trial, types[:ng], i, want.Schema.Cols[c].Name, got.Rows[i][c], want.Rows[i][c])
-				}
+		requireSameAggregate(t, fmt.Sprintf("trial %d (group by %v)", trial, tb.Schema.Cols[:len(groupBy)]), want, got.ToTable())
+	}
+}
+
+// requireSameAggregate demands got equal want cell for cell, down to the
+// sign of a zero, with the same schema and group order.
+func requireSameAggregate(t *testing.T, label string, want, got *Table) {
+	t.Helper()
+	if len(got.Rows) != len(want.Rows) {
+		t.Fatalf("%s: %d groups, Aggregate has %d", label, len(got.Rows), len(want.Rows))
+	}
+	for i := range want.Rows {
+		for c := range want.Rows[i] {
+			if !sameCell(want.Rows[i][c], got.Rows[i][c]) || want.Schema.Cols[c] != got.Schema.Cols[c] {
+				t.Fatalf("%s: row %d %s is %v, Aggregate has %v",
+					label, i, want.Schema.Cols[c].Name, got.Rows[i][c], want.Rows[i][c])
 			}
 		}
 	}

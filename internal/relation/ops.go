@@ -206,134 +206,161 @@ type AggSpec struct {
 	As  string // output column name
 }
 
-// Aggregate groups t by the groupBy columns and computes the aggregates.
-// With an empty groupBy it produces a single global row (even for an empty
-// input, per SQL semantics for COUNT/SUM over empty sets: COUNT is 0, other
-// aggregates are 0-valued floats here rather than NULL, since the engine
-// has no NULLs).
-func Aggregate(t *Table, groupBy []int, aggs []AggSpec) (*Table, error) {
+// AggSchema is the output schema of grouping a relation of schema in by
+// the groupBy columns and computing aggs: the group columns as they are,
+// then one column per aggregate — COUNT and COUNT DISTINCT are Int, MIN
+// and MAX keep their input's type, SUM and AVG are Float. Every engine
+// takes its aggregate schema from here; it rejects out-of-range columns
+// (COUNT's column is ignored).
+func AggSchema(in Schema, groupBy []int, aggs []AggSpec) (Schema, error) {
+	cols := make([]Column, 0, len(groupBy)+len(aggs))
 	for _, c := range groupBy {
-		if c < 0 || c >= t.Schema.Arity() {
-			return nil, fmt.Errorf("relation: group-by column %d out of range", c)
+		if c < 0 || c >= in.Arity() {
+			return Schema{}, fmt.Errorf("relation: group-by column %d out of range", c)
 		}
+		cols = append(cols, in.Cols[c])
 	}
 	for _, a := range aggs {
-		if a.Fn != Count && (a.Col < 0 || a.Col >= t.Schema.Arity()) {
-			return nil, fmt.Errorf("relation: aggregate column %d out of range", a.Col)
+		if a.Fn != Count && (a.Col < 0 || a.Col >= in.Arity()) {
+			return Schema{}, fmt.Errorf("relation: aggregate column %d out of range", a.Col)
 		}
-	}
-
-	outCols := make([]Column, 0, len(groupBy)+len(aggs))
-	for _, c := range groupBy {
-		outCols = append(outCols, t.Schema.Cols[c])
-	}
-	for _, a := range aggs {
 		typ := Float
-		if a.Fn == Count || a.Fn == CountDistinct {
+		switch a.Fn {
+		case Count, CountDistinct:
 			typ = Int
+		case Min, Max:
+			typ = in.Cols[a.Col].Type
 		}
-		if (a.Fn == Min || a.Fn == Max) && a.Col >= 0 && a.Col < t.Schema.Arity() {
-			typ = t.Schema.Cols[a.Col].Type
-		}
-		outCols = append(outCols, Column{Name: a.As, Type: typ})
+		cols = append(cols, Column{Name: a.As, Type: typ})
 	}
-	out := &Table{Name: t.Name, Schema: Schema{Cols: outCols}}
+	return Schema{Cols: cols}, nil
+}
 
-	type groupState struct {
-		key      Row
-		sums     []float64
-		counts   []int64
-		mins     []Value
-		maxs     []Value
-		distinct []map[string]bool
-		n        int64
-	}
-	groups := make(map[string]*groupState)
-	var order []string // deterministic output: first-seen group order
-	for _, r := range t.Rows {
-		k := RowKey(r, groupBy)
-		g, ok := groups[k]
-		if !ok {
-			g = &groupState{
-				sums:     make([]float64, len(aggs)),
-				counts:   make([]int64, len(aggs)),
-				mins:     make([]Value, len(aggs)),
-				maxs:     make([]Value, len(aggs)),
-				distinct: make([]map[string]bool, len(aggs)),
-			}
-			g.key = make(Row, len(groupBy))
-			for i, c := range groupBy {
-				g.key[i] = r[c]
-			}
-			groups[k] = g
-			order = append(order, k)
-		}
-		g.n++
-		for i, a := range aggs {
-			switch a.Fn {
-			case Count:
-				g.counts[i]++
-			case CountDistinct:
-				if g.distinct[i] == nil {
-					g.distinct[i] = make(map[string]bool)
-				}
-				g.distinct[i][RowKey(r, []int{a.Col})] = true
-			case Sum, Avg:
-				f, ok := r[a.Col].AsFloat()
-				if !ok {
-					return nil, fmt.Errorf("relation: %s over non-numeric column %s", a.Fn, t.Schema.Cols[a.Col].Name)
-				}
-				g.sums[i] += f
-				g.counts[i]++
-			case Min, Max:
-				v := r[a.Col]
-				cur := g.mins[i]
-				if a.Fn == Max {
-					cur = g.maxs[i]
-				}
-				if cur.T == 0 {
-					g.mins[i], g.maxs[i] = v, v
-					continue
-				}
-				c, err := Compare(v, cur)
-				if err != nil {
-					return nil, err
-				}
-				if a.Fn == Min && c < 0 {
-					g.mins[i] = v
-				}
-				if a.Fn == Max && c > 0 {
-					g.maxs[i] = v
-				}
-			default:
-				return nil, fmt.Errorf("relation: unknown aggregate %d", int(a.Fn))
-			}
-		}
-	}
+// Aggregator is the row-at-a-time GROUP BY accumulator: Add folds one row
+// into its group, and Table renders the groups folded so far, at any
+// point. Aggregate is one fold over it; an incremental view keeps one
+// across deltas, so a view fed a table's rows in append order, in any
+// number of batches, answers exactly what Aggregate gives over the whole
+// table (row order matters to float sums and first-seen group order).
+type Aggregator struct {
+	in      Schema
+	groupBy []int
+	aggs    []AggSpec
+	out     Schema
+	groups  map[string]*aggGroup
+	order   []*aggGroup // deterministic output: first-seen group order
+}
 
-	if len(groups) == 0 && len(groupBy) == 0 {
-		// Global aggregate over an empty input still yields one row.
-		row := make(Row, 0, len(aggs))
-		for _, a := range aggs {
-			switch a.Fn {
+// aggGroup is the running state of one group, one slot per aggregate.
+type aggGroup struct {
+	key      Row
+	sums     []float64
+	counts   []int64
+	best     []Value // the running MIN or MAX
+	distinct []map[string]bool
+}
+
+// NewAggregator returns an empty accumulator for grouping rows of schema
+// in by the groupBy columns; its output schema is AggSchema's.
+func NewAggregator(in Schema, groupBy []int, aggs []AggSpec) (*Aggregator, error) {
+	out, err := AggSchema(in, groupBy, aggs)
+	if err != nil {
+		return nil, err
+	}
+	a := &Aggregator{in: in, groupBy: groupBy, aggs: aggs, out: out}
+	a.Reset()
+	return a, nil
+}
+
+// Reset empties the accumulator, keeping its layout.
+func (a *Aggregator) Reset() {
+	a.groups = make(map[string]*aggGroup)
+	a.order = nil
+}
+
+// Add folds one row into its group. The row is not retained.
+func (a *Aggregator) Add(r Row) error {
+	k := RowKey(r, a.groupBy)
+	g, ok := a.groups[k]
+	if !ok {
+		n := len(a.aggs)
+		g = &aggGroup{
+			key:      make(Row, len(a.groupBy)),
+			sums:     make([]float64, n),
+			counts:   make([]int64, n),
+			best:     make([]Value, n),
+			distinct: make([]map[string]bool, n),
+		}
+		for i, c := range a.groupBy {
+			g.key[i] = r[c]
+		}
+		a.groups[k] = g
+		a.order = append(a.order, g)
+	}
+	for i, s := range a.aggs {
+		switch s.Fn {
+		case Count:
+			g.counts[i]++
+		case CountDistinct:
+			if g.distinct[i] == nil {
+				g.distinct[i] = make(map[string]bool)
+			}
+			g.distinct[i][string(appendKeyPart(nil, r[s.Col]))] = true
+		case Sum, Avg:
+			f, ok := r[s.Col].AsFloat()
+			if !ok {
+				return fmt.Errorf("relation: %s over non-numeric column %s", s.Fn, a.in.Cols[s.Col].Name)
+			}
+			g.sums[i] += f
+			g.counts[i]++
+		case Min, Max:
+			v := r[s.Col]
+			if g.best[i].T == 0 {
+				g.best[i] = v
+				continue
+			}
+			c, err := Compare(v, g.best[i])
+			if err != nil {
+				return err
+			}
+			if (s.Fn == Min && c < 0) || (s.Fn == Max && c > 0) {
+				g.best[i] = v
+			}
+		default:
+			return fmt.Errorf("relation: unknown aggregate %d", int(s.Fn))
+		}
+	}
+	return nil
+}
+
+// Table renders the groups folded so far as a fresh table named name, in
+// first-seen group order. With no group columns it is one global row even
+// before any Add, per SQL semantics for COUNT/SUM over empty sets: COUNT
+// is 0, other aggregates are 0-valued floats rather than NULL (the engine
+// has no NULLs), and MIN/MAX are their type's zero value. Later Adds never
+// touch a table returned earlier.
+func (a *Aggregator) Table(name string) *Table {
+	out := &Table{Name: name, Schema: Schema{Cols: append([]Column(nil), a.out.Cols...)}}
+	if len(a.order) == 0 && len(a.groupBy) == 0 {
+		row := make(Row, len(a.aggs))
+		for i, s := range a.aggs {
+			switch s.Fn {
 			case Count, CountDistinct:
-				row = append(row, IntVal(0))
+				row[i] = IntVal(0)
 			case Min, Max:
-				row = append(row, Value{T: out.Schema.Cols[len(groupBy)+len(row)].Type})
+				row[i] = Value{T: a.out.Cols[i].Type}
 			default:
-				row = append(row, FloatVal(0))
+				row[i] = FloatVal(0)
 			}
 		}
 		out.Rows = append(out.Rows, row)
-		return out, nil
+		return out
 	}
-
-	for _, k := range order {
-		g := groups[k]
-		row := make(Row, 0, out.Schema.Arity())
+	for _, g := range a.order {
+		row := make(Row, 0, a.out.Arity())
 		row = append(row, g.key...)
-		for i, a := range aggs {
-			switch a.Fn {
+		for i, s := range a.aggs {
+			switch s.Fn {
 			case Count:
 				row = append(row, IntVal(g.counts[i]))
 			case CountDistinct:
@@ -342,15 +369,29 @@ func Aggregate(t *Table, groupBy []int, aggs []AggSpec) (*Table, error) {
 				row = append(row, FloatVal(g.sums[i]))
 			case Avg:
 				row = append(row, FloatVal(g.sums[i]/float64(g.counts[i])))
-			case Min:
-				row = append(row, g.mins[i])
-			case Max:
-				row = append(row, g.maxs[i])
+			default:
+				row = append(row, g.best[i])
 			}
 		}
 		out.Rows = append(out.Rows, row)
 	}
-	return out, nil
+	return out
+}
+
+// Aggregate groups t by the groupBy columns and computes the aggregates:
+// one Aggregator fold over t's rows (see Aggregator.Table for the output,
+// including the global row over an empty input).
+func Aggregate(t *Table, groupBy []int, aggs []AggSpec) (*Table, error) {
+	a, err := NewAggregator(t.Schema, groupBy, aggs)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range t.Rows {
+		if err := a.Add(r); err != nil {
+			return nil, err
+		}
+	}
+	return a.Table(t.Name), nil
 }
 
 // SortKey orders by one column.

@@ -105,3 +105,42 @@ func BenchmarkVMTemplates(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkViewApply times and sizes one refresh of the Q1 view the way
+// the server's sync agent drives it: fold a 100-row lineitem delta into
+// the compiled view program, then render its answer. The program starts
+// warm, with all of lineitem (tpch scale 1) folded in.
+func BenchmarkViewApply(b *testing.B) {
+	tables, err := tpch.Generate(tpch.Config{Scale: 1, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lineitem := tables[tpch.LineItem]
+	q, err := tpch.QueryByID("Q1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	stmt, err := sqlmini.Parse(q.SQL)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := sqlmini.CompileView(stmt, lineitem.Schema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := prog.Apply(ctx, lineitem.Rows); err != nil {
+		b.Fatal(err)
+	}
+	delta := lineitem.Rows[:100]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := prog.Apply(ctx, delta); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := prog.Result(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

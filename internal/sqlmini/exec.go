@@ -127,22 +127,30 @@ func executeTree(ctx context.Context, stmt *SelectStmt, cat Catalog) (*relation.
 		return nil, err
 	}
 
-	if len(stmt.GroupBy) > 0 || containsAggregate(stmt) {
-		working, err = aggregate(ctx, stmt, working, en)
+	lay, err := layoutAggregate(stmt, en)
+	if err != nil {
+		return nil, err
+	}
+	if lay != nil {
+		working, err = aggregate(ctx, lay, working, en)
 		if err != nil {
 			return nil, err
 		}
 		en = newEnv(working.Schema)
-		if stmt.Having != nil {
-			working, err = filterTable(ctx, working, en, stmt.Having)
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else if stmt.Having != nil {
-		return nil, fmt.Errorf("sqlmini: HAVING without aggregation")
 	}
+	return havingProject(ctx, stmt, working, en)
+}
 
+// havingProject runs what follows grouping over the working table:
+// HAVING (which layoutAggregate admits only on a grouping statement), then
+// the projection. The tree walk and view programs share it.
+func havingProject(ctx context.Context, stmt *SelectStmt, working *relation.Table, en env) (*relation.Table, error) {
+	if stmt.Having != nil {
+		var err error
+		if working, err = filterTable(ctx, working, en, stmt.Having); err != nil {
+			return nil, err
+		}
+	}
 	return project(ctx, stmt, working, en)
 }
 
@@ -475,67 +483,96 @@ func collectAggs(stmt *SelectStmt) []*AggExpr {
 	return out
 }
 
-// aggregate materializes group keys and aggregate arguments as derived
-// columns, runs relation.Aggregate, and returns a table whose column names
-// are the rendered group-by and aggregate expressions — which is how later
-// phases (HAVING, SELECT, ORDER BY) refer back to them.
-func aggregate(ctx context.Context, stmt *SelectStmt, working *relation.Table, en env) (*relation.Table, error) {
-	aggs := collectAggs(stmt)
+// aggLayout is a grouping statement's derived-row layout, the one the
+// tree walk, the VM plan and view programs all group by: the group keys
+// (named by groupColName), then one argument column per distinct
+// aggregate ("arg:" + its rendering), with COUNT(*) counting a constant 1.
+// exprs computes a derived row from a working row, groupBy and specs
+// aggregate derived rows, and out is the grouped schema that HAVING,
+// SELECT and ORDER BY resolve against (aggregates by their rendering).
+// out follows derived's declared types, never the vector types a VM
+// program happens to emit, so every engine groups into one schema.
+type aggLayout struct {
+	exprs   []Expr
+	derived relation.Schema
+	groupBy []int
+	specs   []relation.AggSpec
+	out     relation.Schema
+}
 
-	// Derived input table: group-key columns then aggregate-arg columns.
-	derivedCols := make([]relation.Column, 0, len(stmt.GroupBy)+len(aggs))
-	exprs := make([]Expr, 0, cap(derivedCols))
-	for _, g := range stmt.GroupBy {
-		derivedCols = append(derivedCols, relation.Column{Name: groupColName(g), Type: inferType(g, en)})
-		exprs = append(exprs, g)
+// layoutAggregate lays out the statement's grouping over the working
+// schema. A statement with no GROUP BY and no aggregate call does not
+// group: the layout is nil, and HAVING on it is an error.
+func layoutAggregate(stmt *SelectStmt, en env) (*aggLayout, error) {
+	if len(stmt.GroupBy) == 0 && !containsAggregate(stmt) {
+		if stmt.Having != nil {
+			return nil, fmt.Errorf("sqlmini: HAVING without aggregation")
+		}
+		return nil, nil
+	}
+	aggs := collectAggs(stmt)
+	l := &aggLayout{
+		exprs:   make([]Expr, 0, len(stmt.GroupBy)+len(aggs)),
+		groupBy: make([]int, len(stmt.GroupBy)),
+		specs:   make([]relation.AggSpec, 0, len(aggs)),
+	}
+	cols := make([]relation.Column, 0, cap(l.exprs))
+	for i, g := range stmt.GroupBy {
+		cols = append(cols, relation.Column{Name: groupColName(g), Type: inferType(g, en)})
+		l.exprs = append(l.exprs, g)
+		l.groupBy[i] = i
 	}
 	for _, a := range aggs {
-		typ := relation.Float
-		if a.Star || a.Arg == nil {
-			typ = relation.Int
-		} else {
-			typ = inferType(a.Arg, en)
-		}
-		derivedCols = append(derivedCols, relation.Column{Name: "arg:" + a.String(), Type: typ})
+		spec := relation.AggSpec{Fn: a.Fn, Col: len(cols), As: a.String()}
+		col := relation.Column{Name: "arg:" + a.String(), Type: relation.Int}
 		if a.Star {
-			exprs = append(exprs, &Literal{Val: relation.IntVal(1)})
+			// COUNT(*) counts rows; point it at the constant column.
+			spec.Fn = relation.Count
+			l.exprs = append(l.exprs, &Literal{Val: relation.IntVal(1)})
 		} else {
-			exprs = append(exprs, a.Arg)
+			col.Type = inferType(a.Arg, en)
+			l.exprs = append(l.exprs, a.Arg)
 		}
+		cols = append(cols, col)
+		l.specs = append(l.specs, spec)
 	}
+	l.derived = relation.Schema{Cols: cols}
+	var err error
+	l.out, err = relation.AggSchema(l.derived, l.groupBy, l.specs)
+	return l, err
+}
 
-	derived := &relation.Table{Name: working.Name, Schema: relation.Schema{Cols: derivedCols}}
+// evalRow evaluates exprs over one row into a fresh row.
+func evalRow(exprs []Expr, en env, row relation.Row) (relation.Row, error) {
+	nr := make(relation.Row, len(exprs))
+	for i, e := range exprs {
+		v, err := eval(e, en, row)
+		if err != nil {
+			return nil, err
+		}
+		nr[i] = v
+	}
+	return nr, nil
+}
+
+// aggregate materializes l's derived rows over the working table, then
+// groups them with relation.Aggregate. Every row is derived before any is
+// grouped, so an evaluation error wins over an aggregation error, as in
+// the VM.
+func aggregate(ctx context.Context, l *aggLayout, working *relation.Table, en env) (*relation.Table, error) {
+	derived := &relation.Table{Name: working.Name, Schema: l.derived, Rows: make([]relation.Row, 0, len(working.Rows))}
 	cc := canceller{ctx: ctx}
 	for _, row := range working.Rows {
 		if err := cc.tick(); err != nil {
 			return nil, err
 		}
-		nr := make(relation.Row, len(exprs))
-		for i, e := range exprs {
-			v, err := eval(e, en, row)
-			if err != nil {
-				return nil, err
-			}
-			nr[i] = v
+		nr, err := evalRow(l.exprs, en, row)
+		if err != nil {
+			return nil, err
 		}
 		derived.Rows = append(derived.Rows, nr)
 	}
-
-	groupIdx := make([]int, len(stmt.GroupBy))
-	for i := range stmt.GroupBy {
-		groupIdx[i] = i
-	}
-	specs := make([]relation.AggSpec, len(aggs))
-	for i, a := range aggs {
-		col := len(stmt.GroupBy) + i
-		if a.Star {
-			// COUNT(*) counts rows; point it at the constant column.
-			specs[i] = relation.AggSpec{Fn: relation.Count, Col: col, As: a.String()}
-			continue
-		}
-		specs[i] = relation.AggSpec{Fn: a.Fn, Col: col, As: a.String()}
-	}
-	return relation.Aggregate(derived, groupIdx, specs)
+	return relation.Aggregate(derived, l.groupBy, l.specs)
 }
 
 // groupColName names a group-key column: plain column references keep
@@ -548,76 +585,97 @@ func groupColName(e Expr) string {
 	return e.String()
 }
 
-// project evaluates the SELECT items (plus hidden ORDER BY keys), sorts,
-// limits, and strips the hidden columns.
-func project(ctx context.Context, stmt *SelectStmt, working *relation.Table, en env) (*relation.Table, error) {
-	outCols := make([]relation.Column, 0, len(stmt.Items)+len(stmt.OrderBy))
-	exprs := make([]Expr, 0, cap(outCols))
+// projLayout is a statement's output layout, the one the tree walk and
+// the VM plan both project with: the SELECT items, named by itemName with
+// a repeated name suffixed "_N", then a hidden "sort:N" column for each
+// ORDER BY key that is not an output name. exprs computes a projected row
+// (visible then hidden columns), cols is the visible schema and all the
+// visible plus hidden one.
+type projLayout struct {
+	exprs    []Expr
+	cols     []relation.Column
+	all      []relation.Column
+	sortKeys []relation.SortKey
+	distinct bool
+	limit    int
+}
+
+// layoutProject lays out the statement's projection over the working
+// schema. ORDER BY resolves against output names first; any other key is
+// an expression over the working table.
+func layoutProject(stmt *SelectStmt, en env) projLayout {
+	l := projLayout{
+		exprs:    make([]Expr, 0, len(stmt.Items)+len(stmt.OrderBy)),
+		cols:     make([]relation.Column, 0, len(stmt.Items)),
+		sortKeys: make([]relation.SortKey, len(stmt.OrderBy)),
+		distinct: stmt.Distinct,
+		limit:    stmt.Limit,
+	}
 	for i, it := range stmt.Items {
 		// Guard duplicate output names (permitted in SQL, not in Schema).
-		name := dedupeName(outCols, itemName(it), i)
-		outCols = append(outCols, relation.Column{Name: name, Type: inferType(it.Expr, en)})
-		exprs = append(exprs, it.Expr)
+		name := dedupeName(l.cols, itemName(it), i)
+		l.cols = append(l.cols, relation.Column{Name: name, Type: inferType(it.Expr, en)})
+		l.exprs = append(l.exprs, it.Expr)
 	}
-
-	// Hidden sort keys: ORDER BY may reference an output alias or any
-	// expression over the working table.
-	outEnvCols := append([]relation.Column{}, outCols...)
-	sortKeys := make([]relation.SortKey, len(stmt.OrderBy))
+	l.all = append([]relation.Column{}, l.cols...)
 	for i, o := range stmt.OrderBy {
 		if ref, ok := o.Expr.(*ColumnRef); ok && ref.Qualifier == "" {
-			if idx := (relation.Schema{Cols: outCols}).ColIndex(ref.Name); idx >= 0 {
-				sortKeys[i] = relation.SortKey{Col: idx, Desc: o.Desc}
+			if idx := (relation.Schema{Cols: l.cols}).ColIndex(ref.Name); idx >= 0 {
+				l.sortKeys[i] = relation.SortKey{Col: idx, Desc: o.Desc}
 				continue
 			}
 		}
-		outEnvCols = append(outEnvCols, relation.Column{
-			Name: fmt.Sprintf("sort:%d", i),
-			Type: inferType(o.Expr, en),
-		})
-		sortKeys[i] = relation.SortKey{Col: len(outEnvCols) - 1, Desc: o.Desc}
-		exprs = append(exprs, o.Expr)
+		l.all = append(l.all, relation.Column{Name: fmt.Sprintf("sort:%d", i), Type: inferType(o.Expr, en)})
+		l.sortKeys[i] = relation.SortKey{Col: len(l.all) - 1, Desc: o.Desc}
+		l.exprs = append(l.exprs, o.Expr)
 	}
+	return l
+}
 
-	result := &relation.Table{Name: "result", Schema: relation.Schema{Cols: outEnvCols}}
-	cc := canceller{ctx: ctx}
-	for _, row := range working.Rows {
-		if err := cc.tick(); err != nil {
-			return nil, err
-		}
-		nr := make(relation.Row, len(exprs))
-		for i, e := range exprs {
-			v, err := eval(e, en, row)
-			if err != nil {
-				return nil, err
-			}
-			nr[i] = v
-		}
-		result.Rows = append(result.Rows, nr)
+// finish completes a table of projected rows laid out as l: DISTINCT over
+// the visible columns, ORDER BY, LIMIT, then the hidden columns stripped.
+func (l *projLayout) finish(result *relation.Table) (*relation.Table, error) {
+	if l.distinct {
+		dedupeRows(result, len(l.cols))
 	}
-
-	if stmt.Distinct {
-		dedupeRows(result, len(outCols))
-	}
-	if len(sortKeys) > 0 {
-		if err := relation.Sort(result, sortKeys); err != nil {
+	if len(l.sortKeys) > 0 {
+		if err := relation.Sort(result, l.sortKeys); err != nil {
 			return nil, err
 		}
 	}
-	if stmt.Limit >= 0 {
-		if err := relation.Limit(result, stmt.Limit); err != nil {
+	if l.limit >= 0 {
+		if err := relation.Limit(result, l.limit); err != nil {
 			return nil, err
 		}
 	}
-	if len(outEnvCols) > len(outCols) {
-		cols := make([]int, len(outCols))
+	if len(l.all) > len(l.cols) {
+		cols := make([]int, len(l.cols))
 		for i := range cols {
 			cols[i] = i
 		}
 		return relation.Project(result, cols)
 	}
-	result.Schema = relation.Schema{Cols: outCols}
+	result.Schema = relation.Schema{Cols: l.cols}
 	return result, nil
+}
+
+// project evaluates the statement's projected rows over the working table
+// and finishes them.
+func project(ctx context.Context, stmt *SelectStmt, working *relation.Table, en env) (*relation.Table, error) {
+	l := layoutProject(stmt, en)
+	result := &relation.Table{Name: "result", Schema: relation.Schema{Cols: l.all}}
+	cc := canceller{ctx: ctx}
+	for _, row := range working.Rows {
+		if err := cc.tick(); err != nil {
+			return nil, err
+		}
+		nr, err := evalRow(l.exprs, en, row)
+		if err != nil {
+			return nil, err
+		}
+		result.Rows = append(result.Rows, nr)
+	}
+	return l.finish(result)
 }
 
 // dedupeRows removes duplicate rows, comparing only the first visible

@@ -14,14 +14,16 @@ import (
 // contents, so a micro-batch workload parses and plans one time and
 // then only executes.
 //
-// Everything here mirrors decisions the tree-walk path makes at run
-// time. Join order for comma-FROM tables is greedy over WHERE equijoin
-// conjuncts — a pure function of the schemas, so hoisting it to prepare
-// time cannot change the chosen order. Structural errors the tree walk
-// raises before touching any row (no FROM, duplicate alias, unknown
-// table, JOIN without equijoin, HAVING without aggregation) surface at
-// Prepare; errors it raises per row compile to selection-guarded error
-// instructions instead (see compile.go).
+// The grouping and output layouts are the tree walk's own (layoutAggregate
+// and layoutProject in exec.go); what the plan adds is deciding at
+// prepare time what the tree walk decides at run time. Join order for
+// comma-FROM tables is greedy over WHERE equijoin conjuncts — a pure
+// function of the schemas, so hoisting it to prepare time cannot change
+// the chosen order. Structural errors the tree walk raises before
+// touching any row (no FROM, duplicate alias, unknown table, JOIN without
+// equijoin, HAVING without aggregation) surface at Prepare; errors it
+// raises per row compile to selection-guarded error instructions instead
+// (see compile.go).
 
 // loadSpec names one base-table scan of the plan.
 type loadSpec struct {
@@ -43,26 +45,19 @@ type joinStep struct {
 	residual   []*prog
 }
 
-// aggPlan materializes group keys and aggregate arguments, then groups.
+// aggPlan materializes the derived rows of the statement's aggLayout,
+// then groups them. A nil lay means the statement does not group.
 type aggPlan struct {
-	derived     *prog
-	derivedCols []relation.Column // declared schema of the derived input
-	progTypes   []relation.Type   // actual vector types the program emits
-	groupIdx    []int
-	specs       []relation.AggSpec
-	outSchema   relation.Schema // post-aggregation working schema
+	derived   *prog
+	progTypes []relation.Type // actual vector types the program emits
+	lay       *aggLayout
 }
 
-// projPlan evaluates SELECT items plus hidden sort keys and finishes the
-// statement (distinct, order, limit, hidden-column strip).
+// projPlan evaluates the projLayout's rows and finishes the statement.
 type projPlan struct {
-	prog       *prog
-	progTypes  []relation.Type
-	outCols    []relation.Column // visible result columns
-	outEnvCols []relation.Column // visible + hidden sort-key columns
-	sortKeys   []relation.SortKey
-	distinct   bool
-	limit      int
+	prog      *prog
+	progTypes []relation.Type
+	lay       projLayout
 }
 
 // Prepared is a compiled statement: resolved loads, an ordered join
@@ -76,7 +71,7 @@ type Prepared struct {
 	// join step and program up to the first value stage sees a prefix of it.
 	refs   []colRef
 	where  *prog
-	agg    *aggPlan
+	agg    aggPlan
 	having *prog
 	proj   projPlan
 }
@@ -188,133 +183,23 @@ func Prepare(stmt *SelectStmt, cat Catalog) (*Prepared, error) {
 		return nil, err
 	}
 
-	if len(stmt.GroupBy) > 0 || containsAggregate(stmt) {
-		p.agg = planAggregate(stmt, working)
-		working = p.agg.outSchema
+	lay, err := layoutAggregate(stmt, newEnv(working))
+	if err != nil {
+		return nil, err
+	}
+	if lay != nil {
+		pr, progTypes := compileValueProg(working, lay.exprs)
+		p.agg = aggPlan{derived: pr, progTypes: progTypes, lay: lay}
+		working = lay.out
 		if stmt.Having != nil {
 			p.having = compilePredProg(working, stmt.Having)
 		}
-	} else if stmt.Having != nil {
-		return nil, fmt.Errorf("sqlmini: HAVING without aggregation")
 	}
 
-	p.proj = planProject(stmt, working)
+	proj := layoutProject(stmt, newEnv(working))
+	pr, progTypes := compileValueProg(working, proj.exprs)
+	p.proj = projPlan{prog: pr, progTypes: progTypes, lay: proj}
 	return p, nil
-}
-
-// planAggregate compiles the derived-column program and aggregate specs,
-// mirroring aggregate(): group-key columns first (named by groupColName),
-// then one argument column per distinct aggregate ("arg:" + rendering),
-// with COUNT(*) counting a constant-1 column.
-func planAggregate(stmt *SelectStmt, schema relation.Schema) *aggPlan {
-	en := newEnv(schema)
-	aggs := collectAggs(stmt)
-
-	derivedCols := make([]relation.Column, 0, len(stmt.GroupBy)+len(aggs))
-	exprs := make([]Expr, 0, cap(derivedCols))
-	for _, g := range stmt.GroupBy {
-		derivedCols = append(derivedCols, relation.Column{Name: groupColName(g), Type: inferType(g, en)})
-		exprs = append(exprs, g)
-	}
-	for _, a := range aggs {
-		typ := relation.Float
-		if a.Star || a.Arg == nil {
-			typ = relation.Int
-		} else {
-			typ = inferType(a.Arg, en)
-		}
-		derivedCols = append(derivedCols, relation.Column{Name: "arg:" + a.String(), Type: typ})
-		if a.Star {
-			exprs = append(exprs, &Literal{Val: relation.IntVal(1)})
-		} else {
-			exprs = append(exprs, a.Arg)
-		}
-	}
-
-	pr, progTypes := compileValueProg(schema, exprs)
-
-	groupIdx := make([]int, len(stmt.GroupBy))
-	for i := range stmt.GroupBy {
-		groupIdx[i] = i
-	}
-	specs := make([]relation.AggSpec, len(aggs))
-	for i, a := range aggs {
-		col := len(stmt.GroupBy) + i
-		fn := a.Fn
-		if a.Star {
-			fn = relation.Count
-		}
-		specs[i] = relation.AggSpec{Fn: fn, Col: col, As: a.String()}
-	}
-
-	// Post-aggregation schema, as relation.Aggregate derives it from the
-	// derived input's declared column types.
-	outCols := make([]relation.Column, 0, len(groupIdx)+len(specs))
-	for _, c := range groupIdx {
-		outCols = append(outCols, derivedCols[c])
-	}
-	for _, a := range specs {
-		typ := relation.Float
-		if a.Fn == relation.Count || a.Fn == relation.CountDistinct {
-			typ = relation.Int
-		}
-		if (a.Fn == relation.Min || a.Fn == relation.Max) && a.Col >= 0 && a.Col < len(derivedCols) {
-			typ = derivedCols[a.Col].Type
-		}
-		outCols = append(outCols, relation.Column{Name: a.As, Type: typ})
-	}
-
-	return &aggPlan{
-		derived:     pr,
-		derivedCols: derivedCols,
-		progTypes:   progTypes,
-		groupIdx:    groupIdx,
-		specs:       specs,
-		outSchema:   relation.Schema{Cols: outCols},
-	}
-}
-
-// planProject compiles the SELECT list and ORDER BY keys, mirroring
-// project(): output names from alias / bare column name / rendered text,
-// deduplicated; ORDER BY resolves against output aliases first, else
-// becomes a hidden "sort:N" column stripped after sorting.
-func planProject(stmt *SelectStmt, schema relation.Schema) projPlan {
-	en := newEnv(schema)
-	outCols := make([]relation.Column, 0, len(stmt.Items)+len(stmt.OrderBy))
-	exprs := make([]Expr, 0, cap(outCols))
-	for i, it := range stmt.Items {
-		name := dedupeName(outCols, itemName(it), i)
-		outCols = append(outCols, relation.Column{Name: name, Type: inferType(it.Expr, en)})
-		exprs = append(exprs, it.Expr)
-	}
-
-	outEnvCols := append([]relation.Column{}, outCols...)
-	sortKeys := make([]relation.SortKey, len(stmt.OrderBy))
-	for i, o := range stmt.OrderBy {
-		if ref, ok := o.Expr.(*ColumnRef); ok && ref.Qualifier == "" {
-			if idx := (relation.Schema{Cols: outCols}).ColIndex(ref.Name); idx >= 0 {
-				sortKeys[i] = relation.SortKey{Col: idx, Desc: o.Desc}
-				continue
-			}
-		}
-		outEnvCols = append(outEnvCols, relation.Column{
-			Name: fmt.Sprintf("sort:%d", i),
-			Type: inferType(o.Expr, en),
-		})
-		sortKeys[i] = relation.SortKey{Col: len(outEnvCols) - 1, Desc: o.Desc}
-		exprs = append(exprs, o.Expr)
-	}
-
-	pr, progTypes := compileValueProg(schema, exprs)
-	return projPlan{
-		prog:       pr,
-		progTypes:  progTypes,
-		outCols:    outCols,
-		outEnvCols: outEnvCols,
-		sortKeys:   sortKeys,
-		distinct:   stmt.Distinct,
-		limit:      stmt.Limit,
-	}
 }
 
 // qualifySchema renames columns to "alias.col", the schema-only half of

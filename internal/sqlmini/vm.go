@@ -552,12 +552,12 @@ func (p *Prepared) ExecuteContext(ctx context.Context, cat Catalog, cache *ExecC
 		}
 	}
 
-	if p.agg != nil {
-		derived, err := runValueStage(ctx, w, p.agg.derived, "derived", p.agg.derivedCols, p.agg.progTypes)
+	if p.agg.lay != nil {
+		derived, err := runValueStage(ctx, w, p.agg.derived, "derived", p.agg.lay.derived.Cols, p.agg.progTypes)
 		if err != nil {
 			return nil, err
 		}
-		grouped, err := relation.ColAggregateContext(ctx, derived, p.agg.groupIdx, p.agg.specs)
+		grouped, err := relation.ColAggregateContext(ctx, derived, p.agg.lay.groupBy, p.agg.lay.specs)
 		if err != nil {
 			return nil, err
 		}
@@ -569,33 +569,11 @@ func (p *Prepared) ExecuteContext(ctx context.Context, cat Catalog, cache *ExecC
 		}
 	}
 
-	stage, err := runValueStage(ctx, w, p.proj.prog, "result", p.proj.outEnvCols, p.proj.progTypes)
+	stage, err := runValueStage(ctx, w, p.proj.prog, "result", p.proj.lay.all, p.proj.progTypes)
 	if err != nil {
 		return nil, err
 	}
-	result := stage.ToTable()
-	if p.proj.distinct {
-		dedupeRows(result, len(p.proj.outCols))
-	}
-	if len(p.proj.sortKeys) > 0 {
-		if err := relation.Sort(result, p.proj.sortKeys); err != nil {
-			return nil, err
-		}
-	}
-	if p.proj.limit >= 0 {
-		if err := relation.Limit(result, p.proj.limit); err != nil {
-			return nil, err
-		}
-	}
-	if len(p.proj.outEnvCols) > len(p.proj.outCols) {
-		cols := make([]int, len(p.proj.outCols))
-		for i := range cols {
-			cols[i] = i
-		}
-		return relation.Project(result, cols)
-	}
-	result.Schema = relation.Schema{Cols: p.proj.outCols}
-	return result, nil
+	return p.proj.lay.finish(stage.ToTable())
 }
 
 // filterCol narrows w to the rows a predicate program keeps, batch by

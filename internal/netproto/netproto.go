@@ -43,7 +43,8 @@ const (
 	// name → value map.
 	KindMetrics
 	// KindBatch submits a workload of queries together; the DSS orders it
-	// with the multi-query optimizer (Section 3.2) before executing.
+	// with the multi-query optimizer (Section 3.2) before executing. A
+	// remote site answers a batch of SELECTs item by item.
 	KindBatch
 	// KindSnapshot fetches a full, versioned copy of a base table — the
 	// sync agent's first pull for a newly registered replica, and its

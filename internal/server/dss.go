@@ -373,12 +373,14 @@ func NewDSSServer(cfg DSSConfig) (*DSSServer, error) {
 			return nil, err
 		}
 	}
-	// Pre-create the admission metrics so a -metrics dump shows them at
-	// zero before the first query is shed or cancelled.
+	// Pre-create the admission and fetch metrics so a -metrics dump shows
+	// them at zero before the first query is shed, cancelled or fetched.
 	s.stats.Counter("queries_shed_total")
 	s.stats.Counter("queries_cancelled_total")
 	s.stats.Counter("queries_deadline_exceeded_total")
 	s.stats.Gauge("admission_queue_depth").Set(0)
+	s.stats.Counter("pushdowns_total")
+	s.stats.Counter("whole_pushdowns_total")
 	if len(cfg.Tenants) > 0 {
 		budgets, err := cluster.NewBudgets(cluster.BudgetConfig{Weights: cfg.Tenants, Now: s.clock.Now})
 		if err != nil {

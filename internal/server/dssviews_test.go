@@ -142,7 +142,7 @@ func TestDSSViewMaterializesServesAndRefreshes(t *testing.T) {
 		Query:  core.Query{ID: queryID(exposureSQL), Tables: []core.TableID{"trades"}, BusinessValue: 1},
 		Access: []core.TableAccess{{Table: "trades", Site: 1, Kind: core.AccessView, View: id, Freshness: syncedAt}},
 	}
-	got, freshness, degraded, err := dss.executePlan(context.Background(), nil, plan)
+	got, freshness, degraded, err := dss.executePlan(context.Background(), nil, exposureSQL, plan)
 	if err != nil {
 		t.Fatal(err)
 	}

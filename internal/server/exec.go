@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"slices"
 	"strings"
+	"sync"
 
 	"ivdss/internal/core"
 	"ivdss/internal/netproto"
@@ -87,7 +89,7 @@ func (s *DSSServer) plannerQuery(stmt *sqlmini.SelectStmt, sql string, bv float6
 // delay, executes, and records calibration and metrics. The CL clock runs
 // from q.SubmitAt, so queries queued behind their workload predecessors pay
 // their waiting time.
-func (s *DSSServer) runOne(ctx context.Context, stmt *sqlmini.SelectStmt, q core.Query, plan core.Plan) (*relation.Table, *netproto.ReportMeta, error) {
+func (s *DSSServer) runOne(ctx context.Context, stmt *sqlmini.SelectStmt, sql string, q core.Query, plan core.Plan) (*relation.Table, *netproto.ReportMeta, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, context.Cause(ctx)
 	}
@@ -121,7 +123,7 @@ func (s *DSSServer) runOne(ctx context.Context, stmt *sqlmini.SelectStmt, q core
 		}
 	}
 
-	result, freshness, degradedExec, err := s.executePlan(ctx, stmt, plan)
+	result, freshness, degradedExec, err := s.executePlan(ctx, stmt, sql, plan)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -176,8 +178,9 @@ func (s *DSSServer) runOne(ctx context.Context, stmt *sqlmini.SelectStmt, q core
 // executePlan evaluates the statement with per-table data sources chosen
 // by the plan and returns the result, the oldest freshness timestamp
 // actually used, and whether the answer is degraded (a base read fell back
-// to a stale replica because the site was unreachable).
-func (s *DSSServer) executePlan(ctx context.Context, stmt *sqlmini.SelectStmt, plan core.Plan) (*relation.Table, core.Time, bool, error) {
+// to a stale replica because the site was unreachable). sql is stmt's
+// text as received, for a site that can answer it whole.
+func (s *DSSServer) executePlan(ctx context.Context, stmt *sqlmini.SelectStmt, sql string, plan core.Plan) (*relation.Table, core.Time, bool, error) {
 	// A view plan is the whole answer, already materialized and
 	// pre-aggregated: serve it without re-evaluating the statement. The
 	// copy-on-write refresh discipline makes the returned snapshot stable.
@@ -194,6 +197,17 @@ func (s *DSSServer) executePlan(ctx context.Context, stmt *sqlmini.SelectStmt, p
 			return nil, 0, false, fmt.Errorf("server: no materialized answer for view %s", va.View)
 		}
 		return table, syncedAt, false, nil
+	}
+	fetchedAt := s.now()
+	fetches := s.fetchSites(ctx, stmt, sql, plan)
+	if ctx.Err() != nil {
+		// The request's own deadline is the caller's answer — degrading to
+		// a replica would spend more time producing a report nobody is
+		// waiting for.
+		return nil, 0, false, context.Cause(ctx)
+	}
+	if len(fetches) == 1 && len(fetches[0].tables) == len(plan.Access) && fetches[0].err == nil {
+		return fetches[0].resp.Result, fetchedAt, false, nil // the site answered the whole statement
 	}
 	cat := make(sqlmini.MapCatalog, len(plan.Access))
 	oldest := math.Inf(1)
@@ -219,24 +233,8 @@ func (s *DSSServer) executePlan(ctx context.Context, stmt *sqlmini.SelectStmt, p
 			cat.Add(string(a.Table), snap.table)
 			oldest = math.Min(oldest, snap.syncedAt)
 		case core.AccessBase:
-			fetchedAt := s.now()
-			// Query decomposition: the remote runs the table's column-pruned,
-			// filtered fetch (sqlmini.PushdownFor) over its cached image. The
-			// full statement still runs locally, so a refused pushdown (a
-			// whole-table scan) only costs transfer, never correctness.
-			req := &netproto.Request{Kind: netproto.KindScan, Table: string(a.Table)}
-			if pushSQL, ok := sqlmini.PushdownFor(stmt, string(a.Table)); ok {
-				req = &netproto.Request{Kind: netproto.KindExec, SQL: pushSQL}
-				s.stats.Counter("pushdowns_total").Inc()
-			}
-			resp, err := s.callSite(ctx, a.Site, req)
+			result, err := siteResult(fetches, a)
 			if err != nil {
-				// A failure caused by the request's own deadline is the
-				// caller's answer — degrading to a replica would spend more
-				// time producing a report nobody is waiting for.
-				if ctx.Err() != nil {
-					return nil, 0, false, context.Cause(ctx)
-				}
 				// Availability degradation: an unreachable site is survivable
 				// when a replica snapshot exists — serve the stale copy and
 				// let the SL accounting price the staleness honestly.
@@ -259,7 +257,6 @@ func (s *DSSServer) executePlan(ctx context.Context, stmt *sqlmini.SelectStmt, p
 				oldest = math.Min(oldest, snap.syncedAt)
 				continue
 			}
-			result := resp.Result
 			result.Name = string(a.Table)
 			cat.Add(string(a.Table), result)
 			fetched = append(fetched, result)
@@ -280,4 +277,88 @@ func (s *DSSServer) executePlan(ctx context.Context, stmt *sqlmini.SelectStmt, p
 		oldest = s.now()
 	}
 	return out, oldest, degraded, nil
+}
+
+// siteFetch is one site's share of a plan's base reads: its tables, in
+// plan order, and the one request that fetches them all.
+type siteFetch struct {
+	site   core.SiteID
+	tables []core.TableID
+	req    *netproto.Request
+	resp   *netproto.Response
+	err    error
+}
+
+// fetchSites groups the plan's base reads by site and sends every site
+// its one request at once, under ctx (query decomposition). A site that
+// serves every table the plan reads gets sql, and its answer is the
+// report. Any other site gets its tables' sqlmini.PushdownFor SELECTs (a
+// KindExec for one, a KindBatch for several), SELECT * where a pushdown
+// is refused. A one-site plan calls inline, with no goroutine.
+func (s *DSSServer) fetchSites(ctx context.Context, stmt *sqlmini.SelectStmt, sql string, plan core.Plan) []siteFetch {
+	var fetches []siteFetch
+	for _, a := range plan.Access {
+		if a.Kind != core.AccessBase {
+			continue
+		}
+		j := slices.IndexFunc(fetches, func(f siteFetch) bool { return f.site == a.Site })
+		if j < 0 {
+			j, fetches = len(fetches), append(fetches, siteFetch{site: a.Site})
+		}
+		fetches[j].tables = append(fetches[j].tables, a.Table)
+	}
+	for j := range fetches {
+		f := &fetches[j]
+		s.stats.Counter("pushdowns_total").Inc()
+		if len(f.tables) == len(plan.Access) {
+			s.stats.Counter("whole_pushdowns_total").Inc()
+			f.req = &netproto.Request{Kind: netproto.KindExec, SQL: sql}
+			continue
+		}
+		f.req = &netproto.Request{Kind: netproto.KindBatch, Batch: make([]netproto.BatchQuery, len(f.tables))}
+		for k, t := range f.tables {
+			var ok bool
+			if f.req.Batch[k].SQL, ok = sqlmini.PushdownFor(stmt, string(t)); !ok {
+				f.req.Batch[k].SQL = "SELECT * FROM " + string(t)
+			}
+		}
+		if len(f.tables) == 1 {
+			f.req = &netproto.Request{Kind: netproto.KindExec, SQL: f.req.Batch[0].SQL}
+		}
+	}
+	if len(fetches) < 2 {
+		for j := range fetches {
+			fetches[j].resp, fetches[j].err = s.callSite(ctx, fetches[j].site, fetches[j].req)
+		}
+		return fetches
+	}
+	var wg sync.WaitGroup
+	for j := range fetches {
+		wg.Add(1)
+		go func(f *siteFetch) { defer wg.Done(); f.resp, f.err = s.callSite(ctx, f.site, f.req) }(&fetches[j])
+	}
+	wg.Wait()
+	return fetches
+}
+
+// siteResult returns what a's site request brought back for a's table,
+// or the request's failure, or its batch item's application error.
+func siteResult(fetches []siteFetch, a core.TableAccess) (*relation.Table, error) {
+	for _, f := range fetches {
+		k := slices.Index(f.tables, a.Table)
+		switch {
+		case k < 0:
+			continue
+		case f.err != nil:
+			return nil, f.err
+		case f.req.Kind == netproto.KindExec:
+			return f.resp.Result, nil
+		case len(f.resp.Batch) != len(f.tables):
+			return nil, fmt.Errorf("server: site %d answered %d of %d pushdowns", f.site, len(f.resp.Batch), len(f.tables))
+		case f.resp.Batch[k].Err != "":
+			return nil, &netproto.RemoteError{Msg: f.resp.Batch[k].Err}
+		}
+		return f.resp.Batch[k].Result, nil
+	}
+	return nil, fmt.Errorf("server: %s was not fetched from site %d", a.Table, a.Site)
 }

@@ -53,6 +53,9 @@ func mustParse(t *testing.T, sql string) *sqlmini.SelectStmt {
 	return stmt
 }
 
+// tradesSQL is the statement tradesBasePlan answers.
+const tradesSQL = "SELECT t_account FROM trades"
+
 // tradesBasePlan reads trades from its (black-holed) base site although a
 // replica exists, the shape a planner picks when freshness is worth a trip.
 var tradesBasePlan = core.Plan{
@@ -65,7 +68,7 @@ func TestDSSExecutePlanCancelledUpFront(t *testing.T) {
 	calls := dss.stats.Counter("remote_calls_total").Value()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, _, err := dss.executePlan(ctx, mustParse(t, "SELECT t_account FROM trades"), tradesBasePlan)
+	_, _, _, err := dss.executePlan(ctx, mustParse(t, tradesSQL), tradesSQL, tradesBasePlan)
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled plan: %v, want context.Canceled", err)
 	}
@@ -82,7 +85,7 @@ func TestDSSExecutePlanDeadlineDoesNotDegrade(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	out, _, degraded, err := dss.executePlan(ctx, mustParse(t, "SELECT t_account FROM trades"), tradesBasePlan)
+	out, _, degraded, err := dss.executePlan(ctx, mustParse(t, tradesSQL), tradesSQL, tradesBasePlan)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("error %v (result %v), want context.DeadlineExceeded", err, out)
@@ -102,7 +105,7 @@ func TestDSSExecutePlanCarriesCause(t *testing.T) {
 	defer cancel(nil)
 	fire := time.AfterFunc(20*time.Millisecond, func() { cancel(expired) })
 	defer fire.Stop()
-	_, _, _, err := dss.executePlan(ctx, mustParse(t, "SELECT t_account FROM trades"), tradesBasePlan)
+	_, _, _, err := dss.executePlan(ctx, mustParse(t, tradesSQL), tradesSQL, tradesBasePlan)
 	var vee *core.ValueExpiredError
 	if !errors.As(err, &vee) {
 		t.Fatalf("error %v, want the ValueExpiredError cause", err)
@@ -155,7 +158,7 @@ func TestDSSExecutePlanMalformed(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plan := core.Plan{Query: q, Access: tc.access}
-			out, _, degraded, err := dss.executePlan(context.Background(), mustParse(t, tc.sql), plan)
+			out, _, degraded, err := dss.executePlan(context.Background(), mustParse(t, tc.sql), tc.sql, plan)
 			if err == nil {
 				t.Fatalf("malformed plan answered %v", out)
 			}

@@ -12,18 +12,19 @@ import (
 
 	"ivdss/internal/core"
 	"ivdss/internal/netproto"
-	"ivdss/internal/relation"
 	"ivdss/internal/sqlmini"
 	"ivdss/internal/tpch"
 )
 
 // relay stands between the DSS and one remote site. It decodes and records
 // every request on its way to the site, copies the responses back byte for
-// byte, and counts the bytes that cross it both ways.
+// byte, and counts the bytes that cross it both ways. With hole set it
+// still records each request but forwards none: the site hangs.
 type relay struct {
 	target string
 	l      net.Listener
 	bytes  atomic.Int64
+	hole   atomic.Bool
 	wg     sync.WaitGroup
 
 	mu    sync.Mutex
@@ -93,6 +94,9 @@ func (r *relay) accept() {
 				r.mu.Lock()
 				r.reqs = append(r.reqs, req)
 				r.mu.Unlock()
+				if r.hole.Load() {
+					continue
+				}
 				if out.WriteRequest(req) != nil {
 					return
 				}
@@ -115,12 +119,14 @@ func (c meteredConn) Write(b []byte) (int, error) {
 
 // A federated query fetches each base table as a pushdown naming only the
 // columns the query reads from it, never a whole-table scan, and answers
-// what an all-replica DSS answers.
+// what an all-replica DSS answers. The two tables live on two sites, so
+// neither site can answer the statement whole.
 func TestFederatedReadsShipOnlyTheColumnsRead(t *testing.T) {
-	_, remoteAddr := startRemote(t, eventsTable(500), accountsTable(t))
-	rec := startRelay(t, remoteAddr)
+	_, eventsAddr := startRemote(t, eventsTable(500))
+	_, accountsAddr := startRemote(t, accountsTable(t))
+	eventsRec, accountsRec := startRelay(t, eventsAddr), startRelay(t, accountsAddr)
 	_, dssAddr := startDSSWith(t, DSSConfig{
-		Remotes:   map[core.SiteID]string{1: rec.addr()},
+		Remotes:   map[core.SiteID]string{1: eventsRec.addr(), 2: accountsRec.addr()},
 		Rates:     core.DiscountRates{CL: .05, SL: .05},
 		TimeScale: 10,
 	})
@@ -141,7 +147,7 @@ func TestFederatedReadsShipOnlyTheColumnsRead(t *testing.T) {
 		"accounts": "SELECT a_id FROM accounts",
 	}
 	got := make(map[string]string)
-	for _, req := range rec.requests() {
+	for _, req := range append(eventsRec.requests(), accountsRec.requests()...) {
 		switch req.Kind {
 		case netproto.KindTables, netproto.KindPing:
 			continue // discovery and probes read no table
@@ -160,7 +166,7 @@ func TestFederatedReadsShipOnlyTheColumnsRead(t *testing.T) {
 	}
 
 	_, replicaAddr := startDSSWith(t, DSSConfig{
-		Remotes:   map[core.SiteID]string{1: remoteAddr},
+		Remotes:   map[core.SiteID]string{1: eventsAddr, 2: accountsAddr},
 		Replicate: map[core.TableID]time.Duration{"events": time.Hour, "accounts": time.Hour},
 		Rates:     core.DiscountRates{CL: .05},
 		TimeScale: 10,
@@ -177,33 +183,12 @@ func TestFederatedReadsShipOnlyTheColumnsRead(t *testing.T) {
 }
 
 // BenchmarkFederatedTemplates is the fetch path's per-layer number: one op
-// is one pass over the 22 TPC-H templates through a DSS with no replicas
-// and two remote sites on loopback (dimension tables on one, fact tables
-// on the other), at tpch scale 1, so every table read is a remote fetch.
-// It reports the bytes the remotes' connections carried per op.
+// is one pass over the 22 TPC-H templates through startTemplateFederation's
+// two sites, so every table read is a remote fetch. It reports the bytes
+// the remotes' connections carried and the remote calls made per op.
 func BenchmarkFederatedTemplates(b *testing.B) {
-	tables, err := tpch.Generate(tpch.Config{Scale: 1, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sites := [][]string{
-		{tpch.Customer, tpch.Orders, tpch.Nation, tpch.Region},
-		{tpch.LineItem, tpch.Supplier, tpch.Part, tpch.PartSupp},
-	}
-	remotes := make(map[core.SiteID]string)
-	var relays []*relay
-	for i, names := range sites {
-		site := make([]*relation.Table, len(names))
-		for j, name := range names {
-			site[j] = tables[name]
-		}
-		_, addr := startRemote(b, site...)
-		r := startRelay(b, addr)
-		relays = append(relays, r)
-		remotes[core.SiteID(i+1)] = r.addr()
-	}
-	_, dssAddr := startDSSWith(b, DSSConfig{Remotes: remotes, Rates: core.DiscountRates{CL: .5}, TimeScale: 1})
-	conn, err := netproto.Dial(dssAddr, 5*time.Second)
+	f := startTemplateFederation(b)
+	conn, err := netproto.Dial(f.dssAddr, 5*time.Second)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -221,17 +206,19 @@ func BenchmarkFederatedTemplates(b *testing.B) {
 		}
 	}
 	wire := func() (n int64) {
-		for _, r := range relays {
+		for _, r := range f.relays {
 			n += r.bytes.Load()
 		}
 		return n
 	}
+	calls := f.dss.stats.Counter("remote_calls_total")
 	pass() // pools, remote caches, calibration
 	b.ReportAllocs()
 	b.ResetTimer()
-	before := wire()
+	bytesBefore, callsBefore := wire(), calls.Value()
 	for i := 0; i < b.N; i++ {
 		pass()
 	}
-	b.ReportMetric(float64(wire()-before)/float64(b.N), "wire-B/op")
+	b.ReportMetric(float64(wire()-bytesBefore)/float64(b.N), "wire-B/op")
+	b.ReportMetric(float64(calls.Value()-callsBefore)/float64(b.N), "calls/op")
 }

@@ -160,31 +160,26 @@ func (s *RemoteServer) handle(req *netproto.Request) *netproto.Response {
 	defer cancel()
 
 	switch req.Kind {
+	case netproto.KindScan, netproto.KindSnapshot, netproto.KindDelta, netproto.KindExec, netproto.KindBatch:
+		// Every read pays the simulated WAN distance first.
+		if err := s.waitScanDelay(ctx); err != nil {
+			return &netproto.Response{Err: err.Error(), Expired: true}
+		}
+	}
+	switch req.Kind {
 	case netproto.KindPing:
 		return &netproto.Response{}
 
 	case netproto.KindTables:
 		return &netproto.Response{Tables: s.Tables()}
 
-	case netproto.KindScan:
-		if err := s.waitScanDelay(ctx); err != nil {
-			return &netproto.Response{Err: err.Error(), Expired: true}
-		}
-		snapshot, _, ok := s.snapshot(req.Table, 0)
-		if !ok {
-			return &netproto.Response{Err: fmt.Sprintf("no table %q", req.Table)}
-		}
-		return &netproto.Response{Result: snapshot}
-
-	case netproto.KindSnapshot:
-		// A versioned full copy for replication: the version is the row
-		// count, which is a complete change cursor because base tables are
-		// append-only (Insert is the only mutation). A view pull carries a
-		// delta projection (Filter/Columns); the version still counts base
-		// rows so filtered and unfiltered pulls share one cursor space.
-		if err := s.waitScanDelay(ctx); err != nil {
-			return &netproto.Response{Err: err.Error(), Expired: true}
-		}
+	case netproto.KindScan, netproto.KindSnapshot:
+		// A versioned full copy (a scan is a snapshot whose version goes
+		// unread): the version is the row count, which is a complete change
+		// cursor because base tables are append-only (Insert is the only
+		// mutation). A view pull carries a delta projection
+		// (Filter/Columns); the version still counts base rows so filtered
+		// and unfiltered pulls share one cursor space.
 		snapshot, version, ok := s.snapshot(req.Table, 0)
 		if !ok {
 			return &netproto.Response{Err: fmt.Sprintf("no table %q", req.Table)}
@@ -202,9 +197,6 @@ func (s *RemoteServer) handle(req *netproto.Request) *netproto.Response {
 		// suffix. A cursor ahead of the table means the caller's history is
 		// no longer valid here (e.g. this site restarted with fewer rows) —
 		// answer Resync so it falls back to a full snapshot.
-		if err := s.waitScanDelay(ctx); err != nil {
-			return &netproto.Response{Err: err.Error(), Expired: true}
-		}
 		tail, version, ok := s.snapshot(req.Table, req.Cursor)
 		if !ok {
 			return &netproto.Response{Err: fmt.Sprintf("no table %q", req.Table)}
@@ -218,18 +210,30 @@ func (s *RemoteServer) handle(req *netproto.Request) *netproto.Response {
 		}
 		return &netproto.Response{DeltaRows: tail.Rows, Version: version, Resync: resync}
 
-	case netproto.KindExec:
-		if err := s.waitScanDelay(ctx); err != nil {
-			return &netproto.Response{Err: err.Error(), Expired: true}
+	case netproto.KindExec, netproto.KindBatch:
+		// A KindBatch is the DSS's one request for several of this site's
+		// tables: each SELECT answers in its own item, under one read lock.
+		batch := req.Batch
+		if req.Kind == netproto.KindExec {
+			batch = []netproto.BatchQuery{{SQL: req.SQL}}
 		}
+		items := make([]netproto.BatchItem, len(batch))
 		s.mu.RLock()
+		defer s.mu.RUnlock()
 		cat := sqlmini.NewMapCatalog(s.tables)
-		out, err := sqlmini.RunWith(ctx, req.SQL, cat, sqlmini.Options{Cache: s.execCache})
-		s.mu.RUnlock()
-		if err != nil {
-			return &netproto.Response{Err: err.Error(), Expired: ctx.Err() != nil}
+		for i, q := range batch {
+			out, err := sqlmini.RunWith(ctx, q.SQL, cat, sqlmini.Options{Cache: s.execCache})
+			if err != nil && ctx.Err() != nil {
+				return &netproto.Response{Err: err.Error(), Expired: true}
+			}
+			if items[i].Result = out; err != nil {
+				items[i].Err = err.Error()
+			}
 		}
-		return &netproto.Response{Result: out}
+		if req.Kind == netproto.KindExec {
+			return &netproto.Response{Err: items[0].Err, Result: items[0].Result}
+		}
+		return &netproto.Response{Batch: items}
 
 	case netproto.KindInsert:
 		s.mu.Lock()

@@ -56,6 +56,7 @@ func (v breakerView) Snapshot(tables []core.TableID, now core.Time, horizon core
 type pendingQuery struct {
 	ctx  context.Context
 	stmt *sqlmini.SelectStmt
+	sql  string // as received: what a site holding every table runs whole
 	// done receives the response for an ad hoc query (nil for batch
 	// members).
 	done chan *netproto.Response
@@ -133,7 +134,7 @@ func (x liveExecutor) Execute(d scheduler.Dispatch, done func(core.Outcome)) {
 		p := d.Payload.(*pendingQuery)
 		s.stats.Counter("queries_total").Inc()
 		start := wall.Now()
-		result, meta, err := s.runOne(p.ctx, p.stmt, d.Query, d.Plan)
+		result, meta, err := s.runOne(p.ctx, p.stmt, p.sql, d.Query, d.Plan)
 		var resp *netproto.Response
 		if err != nil {
 			resp = s.expiryResponse(err)
@@ -205,7 +206,7 @@ func (s *DSSServer) submitExec(ctx context.Context, req *netproto.Request, id st
 		return s.execError(err)
 	}
 	q.Tenant = req.Tenant
-	p := &pendingQuery{ctx: ctx, stmt: stmt, done: make(chan *netproto.Response, 1)}
+	p := &pendingQuery{ctx: ctx, stmt: stmt, sql: req.SQL, done: make(chan *netproto.Response, 1)}
 	if !s.engine.Submit(q, p) {
 		return s.shed(id, horizon, "queue-full")
 	}
@@ -254,7 +255,7 @@ func (s *DSSServer) submitBatch(ctx context.Context, req *netproto.Request, id s
 		q.Tenant = req.Tenant
 		col.wg.Add(1)
 		queries = append(queries, q)
-		payloads = append(payloads, &pendingQuery{ctx: ctx, stmt: stmt, batch: col, reqIdx: i})
+		payloads = append(payloads, &pendingQuery{ctx: ctx, stmt: stmt, sql: bq.SQL, batch: col, reqIdx: i})
 	}
 	if len(queries) == 0 {
 		return &netproto.Response{Batch: col.items}
@@ -279,7 +280,8 @@ func (s *DSSServer) submitBatch(ctx context.Context, req *netproto.Request, id s
 
 // schedulerStatusMetrics is the scheduling slice of the registry included
 // in KindStatus responses, so `ivqp -status` shows the live MQO engine
-// without a full metrics dump.
+// (and how many site requests carried whole statements) without a full
+// metrics dump.
 func (s *DSSServer) schedulerStatusMetrics() map[string]float64 {
 	out := make(map[string]float64)
 	for name, v := range s.stats.Flatten() {
@@ -288,7 +290,7 @@ func (s *DSSServer) schedulerStatusMetrics() map[string]float64 {
 			strings.HasPrefix(name, "mqo_") ||
 			strings.HasPrefix(name, "aging_") ||
 			strings.HasPrefix(name, "gossip_") ||
-			strings.HasPrefix(name, "steal") {
+			strings.HasPrefix(name, "steal") || strings.HasSuffix(name, "pushdowns_total") {
 			out[name] = v
 		}
 	}

@@ -16,15 +16,35 @@ import (
 // dispatch, micro-batch MQO on the ad hoc stream, and the degraded-MQO
 // fallback flag on the wire.
 
-// runStarvationScenario starts a one-slot DSS with the given aging policy,
-// occupies the slot, queues one cheap query and then a convoy of
-// full-value queries behind it, and returns the cheap query's completion
-// position among all seven (1 = finished first).
-func runStarvationScenario(t *testing.T, aging core.Aging) int {
+// The starvation scenario: a one-slot DSS whose remote holds every query
+// for 150 ms (1.5 experiment minutes at TimeScale 10). A blocker takes the
+// slot at 0; a cheap query (value .2) queues 100 ms later, and a convoy of
+// five full-value queries 30 ms after that.
+const (
+	starvationBlocker = "SELECT count(*) AS n FROM trades"
+	starvationCheap   = "SELECT sum(t_amount) AS s FROM trades"
+	starvationService = 150 * time.Millisecond
+)
+
+var starvationArrivals = []struct {
+	sql string
+	bv  float64
+	at  time.Duration
+}{
+	{starvationBlocker, 1, 0},
+	{starvationCheap, .2, 100 * time.Millisecond},
+	{starvationBlocker, 1, 130 * time.Millisecond},
+	{starvationBlocker, 1, 130 * time.Millisecond},
+	{starvationBlocker, 1, 130 * time.Millisecond},
+	{starvationBlocker, 1, 130 * time.Millisecond},
+	{starvationBlocker, 1, 130 * time.Millisecond},
+}
+
+func startStarvationDSS(t *testing.T, aging core.Aging) (*DSSServer, string) {
 	t.Helper()
 	remote, remoteAddr := startRemote(t, accountsTable(t), tradesTable(t))
-	remote.SetScanDelay(150 * time.Millisecond)
-	_, dssAddr := startDSSWith(t, DSSConfig{
+	remote.SetScanDelay(starvationService)
+	return startDSSWith(t, DSSConfig{
 		Remotes:   map[core.SiteID]string{1: remoteAddr},
 		Rates:     core.DiscountRates{CL: .05, SL: .05},
 		TimeScale: 10,
@@ -32,75 +52,118 @@ func runStarvationScenario(t *testing.T, aging core.Aging) int {
 		Epsilon:   -1, // no shedding: starvation must be visible, not masked
 		Aging:     aging,
 	})
-
-	type finish struct {
-		cheap bool
-		at    time.Time
-	}
-	finishes := make(chan finish, 7)
-	var wg sync.WaitGroup
-	call := func(sql string, bv float64, cheap bool) {
-		defer wg.Done()
-		_, err := netproto.Call(dssAddr, &netproto.Request{
-			Kind: netproto.KindExec, SQL: sql, BusinessValue: bv,
-		}, 30*time.Second)
-		if err != nil {
-			t.Errorf("query (cheap=%v) failed: %v", cheap, err)
-		}
-		finishes <- finish{cheap: cheap, at: time.Now()}
-	}
-
-	// The blocker takes the only slot.
-	wg.Add(1)
-	go call("SELECT count(*) AS n FROM trades", 1, false)
-	time.Sleep(100 * time.Millisecond)
-	// The cheap query queues first...
-	wg.Add(1)
-	go call("SELECT sum(t_amount) AS s FROM trades", .2, true)
-	time.Sleep(30 * time.Millisecond)
-	// ...then a convoy of full-value queries piles in behind it.
-	for i := 0; i < 5; i++ {
-		wg.Add(1)
-		go call("SELECT count(*) AS n FROM trades", 1, false)
-	}
-	wg.Wait()
-	close(finishes)
-
-	all := make([]finish, 0, 7)
-	for f := range finishes {
-		all = append(all, f)
-	}
-	if len(all) != 7 {
-		t.Fatalf("%d completions, want 7", len(all))
-	}
-	pos := 0
-	var cheapAt time.Time
-	for _, f := range all {
-		if f.cheap {
-			cheapAt = f.at
-		}
-	}
-	for _, f := range all {
-		if !f.at.After(cheapAt) {
-			pos++
-		}
-	}
-	return pos
 }
 
-// TestDSSAgingPreventsStarvationLive: under pure value-maximizing dispatch
+// serviceExecutor stands in for the remote on a hand-stepped clock: every
+// dispatch holds its slot for one service time and is then calibrated,
+// as runOne records a measured cost.
+type serviceExecutor struct {
+	clock   *scheduler.ManualClock
+	dss     *DSSServer
+	service core.Duration
+}
+
+func (x serviceExecutor) Execute(d scheduler.Dispatch, done func(core.Outcome)) {
+	x.clock.AfterFunc(x.service, func() {
+		x.dss.costs.RecordAccess(d.Query.ID, d.Plan.Access, core.CostEstimate{Process: x.service})
+		done(core.Outcome{Query: d.Query, Plan: d.Plan})
+	})
+}
+
+// starvationPosition replays the starvation scenario on the DSS's own
+// planner, cost model and engine configuration, driven by a ManualClock,
+// and returns the cheap query's completion position among all seven
+// (1 = finished first).
+func starvationPosition(t *testing.T, aging core.Aging) int {
+	t.Helper()
+	dss, _ := startStarvationDSS(t, aging)
+	planner, err := core.NewPlanner(dss.costs, core.PlannerConfig{Rates: dss.cfg.Rates, Horizon: dss.cfg.PlannerHorizon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	minutes := func(d time.Duration) core.Duration { return core.Duration(d.Seconds() * dss.cfg.TimeScale) }
+	clock := &scheduler.ManualClock{}
+	eng, err := scheduler.NewEngine(scheduler.EngineConfig{
+		Clock:           clock,
+		Executor:        serviceExecutor{clock: clock, dss: dss, service: minutes(starvationService)},
+		Strategy:        &scheduler.IVQPStrategy{Planner: planner, Catalog: breakerView{dss}, Horizon: dss.cfg.PlannerHorizon},
+		Rates:           dss.cfg.Rates,
+		Slots:           dss.cfg.Workers,
+		Aging:           dss.cfg.Aging,
+		HaltOnPlanError: true,
+		RecordOutcomes:  true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetEpsilon(dss.cfg.Epsilon)
+	for _, a := range starvationArrivals {
+		q, err := dss.plannerQuery(mustParse(t, a.sql), a.sql, a.bv, minutes(a.at))
+		if err != nil {
+			t.Fatal(err)
+		}
+		clock.AfterFunc(minutes(a.at), func() { eng.Submit(q, nil) })
+	}
+	clock.Run()
+	if err := eng.Err(); err != nil {
+		t.Fatal(err)
+	}
+	outcomes := eng.Outcomes()
+	if len(outcomes) != len(starvationArrivals) {
+		t.Fatalf("%d completions, want %d", len(outcomes), len(starvationArrivals))
+	}
+	for i, o := range outcomes {
+		if o.Query.ID == queryID(starvationCheap) {
+			return i + 1
+		}
+	}
+	t.Fatal("the cheap query never completed")
+	return 0
+}
+
+// TestDSSAgingPreventsStarvation: under pure value-maximizing dispatch
 // a cheap query starves behind a convoy of full-value queries; with the
 // Section 3.3 aging boost its accumulated wait wins it a slot within a
-// bounded number of dispatches. This is the DES dispatcher's starvation
-// guarantee holding on the wall-clock driver.
-func TestDSSAgingPreventsStarvationLive(t *testing.T) {
-	if pos := runStarvationScenario(t, core.Aging{}); pos != 7 {
+// bounded number of dispatches. The DSS's planner and engine decide the
+// order on a ManualClock, so wall-clock jitter cannot reorder a dispatch.
+func TestDSSAgingPreventsStarvation(t *testing.T) {
+	if pos := starvationPosition(t, core.Aging{}); pos != 7 {
 		t.Errorf("aging off: cheap query finished %d of 7, want dead last (starved)", pos)
 	}
-	pos := runStarvationScenario(t, core.Aging{Coefficient: 1, Exponent: 1.5})
+	pos := starvationPosition(t, core.Aging{Coefficient: 1, Exponent: 1.5})
 	if pos > 3 {
 		t.Errorf("aging on: cheap query finished %d of 7, want within the first 3", pos)
 	}
+}
+
+// TestDSSAgingPreventsStarvationLive runs the starvation scenario over the
+// wire on an aging DSS: all seven queries queue behind one slot, and every
+// report comes back answered, undegraded, unexpired and carrying its plan.
+// The order they finish in is TestDSSAgingPreventsStarvation's to pin.
+func TestDSSAgingPreventsStarvationLive(t *testing.T) {
+	_, dssAddr := startStarvationDSS(t, core.Aging{Coefficient: 1, Exponent: 1.5})
+	var wg sync.WaitGroup
+	start := time.Now()
+	for _, a := range starvationArrivals {
+		time.Sleep(time.Until(start.Add(a.at)))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := netproto.Call(dssAddr, &netproto.Request{Kind: netproto.KindExec, SQL: a.sql, BusinessValue: a.bv}, 30*time.Second)
+			if err == nil {
+				err = resp.ErrOrNil()
+			}
+			switch {
+			case err != nil:
+				t.Errorf("%q (value %v): %v", a.sql, a.bv, err)
+			case resp.Degraded || resp.MQOFallback || resp.Meta == nil || resp.Result.NumRows() != 1:
+				t.Errorf("%q: degraded %v, MQO fallback %v, meta %+v, %d rows", a.sql, resp.Degraded, resp.MQOFallback, resp.Meta, resp.Result.NumRows())
+			case resp.Meta.PlanSignature == "" || resp.Meta.Value <= 0 || resp.Meta.Value >= a.bv:
+				t.Errorf("%q: plan %q value %v, want a discounted value in (0, %v)", a.sql, resp.Meta.PlanSignature, resp.Meta.Value, a.bv)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestDSSBatchMQOFallbackOnWire: a GA configuration that cannot run (elite

@@ -98,6 +98,30 @@ func TestRemoteServerExec(t *testing.T) {
 	}
 }
 
+// A KindBatch of SELECTs is answered item by item: an item that fails
+// carries its own error, and the others still answer.
+func TestRemoteServerBatchAnswersItemByItem(t *testing.T) {
+	_, addr := startRemote(t, accountsTable(t), tradesTable(t))
+	resp, err := netproto.Call(addr, &netproto.Request{Kind: netproto.KindBatch, Batch: []netproto.BatchQuery{
+		{SQL: "SELECT a_id FROM accounts"}, {SQL: "SELECT x FROM nope"}, {SQL: "SELECT t_amount FROM trades WHERE (t_amount > 0)"},
+	}}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Batch) != 3 {
+		t.Fatalf("%d items, want 3", len(resp.Batch))
+	}
+	if it := resp.Batch[0]; it.Err != "" || it.Result.NumRows() != 2 {
+		t.Errorf("item 0: %q, %v", it.Err, it.Result)
+	}
+	if it := resp.Batch[1]; it.Err == "" || it.Result != nil {
+		t.Errorf("item 1 over a missing table answered %v", it.Result)
+	}
+	if it := resp.Batch[2]; it.Err != "" || it.Result.NumRows() != 1 || it.Result.Rows[0][0].F != 30 {
+		t.Errorf("item 2: %q, %v", it.Err, it.Result)
+	}
+}
+
 func TestRemoteServerInsert(t *testing.T) {
 	_, addr := startRemote(t, accountsTable(t))
 	_, err := netproto.Call(addr, &netproto.Request{

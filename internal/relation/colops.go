@@ -197,19 +197,22 @@ func BuildJoinIndex(ctx context.Context, keys []ColRef, n int) (*JoinIndex, erro
 }
 
 // Probe looks the n positions of the probe input up by its key columns
-// and returns the matching (build position, probe position) pairs with
-// the semantics of the row-major HashJoinContext: probe in input order,
-// matches emitted in build insertion order. Int and Float key columns
-// match numerically; any other pair of differing types matches nothing.
-// Callers pick the build side by the same smaller-input rule (left on
-// ties) to keep output order identical to the row-major operator, and
-// gather only the columns they go on to read. The pair lists are never
-// nil; they are sized for one match per probe position, the foreign-key
-// join's shape, so they seldom regrow.
+// and returns the matching (build position, probe position) pairs in
+// probe-major order: probe positions ascending, each one's matches in
+// build order. Built over the right input and probed with the left, that
+// is HashJoinContext's left-major order (ProbeBuildMajor serves a left
+// build). Int and Float key columns match numerically; any other pair of
+// differing types matches nothing. The pair lists are never nil. They are
+// sized for the index's mean chain length (N ÷ distinct keys, rounded up)
+// per probe position, capped at n + N so the reservation stays linear in
+// the inputs when the probe keys miss or the build keys are skewed; a key
+// or a many-per-key build seldom regrows them.
 func (idx *JoinIndex) Probe(ctx context.Context, keys []ColRef, n int) (build, probe []int32, err error) {
 	tk := colTicker{ctx: ctx}
 	tk.n = idx.N // index build already advanced the cadence
-	build, probe = make([]int32, 0, n), make([]int32, 0, n)
+	d := max(len(idx.keys.first), 1)
+	size := min(n*((idx.N+d-1)/d), n+idx.N)
+	build, probe = make([]int32, 0, size), make([]int32, 0, size)
 	for k, c := range keys {
 		if a, b := c.V.T, idx.keys.cols[k].V.T; a != b && (a > Float || b > Float) {
 			return build, probe, nil
@@ -232,6 +235,36 @@ func (idx *JoinIndex) Probe(ctx context.Context, keys []ColRef, n int) (build, p
 		}
 	}
 	return build, probe, nil
+}
+
+// ProbeBuildMajor is Probe with the pairs in build-major order: build
+// positions ascending, each one's matches in probe order. Built over the
+// left input and probed with the right, that is HashJoinContext's
+// left-major order again. A stable counting sort over the N build
+// positions restores it from Probe's pairs.
+func (idx *JoinIndex) ProbeBuildMajor(ctx context.Context, keys []ColRef, n int) (build, probe []int32, err error) {
+	build, probe, err = idx.Probe(ctx, keys, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	end := make([]int32, idx.N+1) // counts, then each position's run start, then its run end
+	for _, b := range build {
+		end[b+1]++
+	}
+	for b := 1; b <= idx.N; b++ {
+		end[b] += end[b-1]
+	}
+	sorted := make([]int32, len(probe))
+	for i, b := range build {
+		sorted[end[b]] = probe[i]
+		end[b]++
+	}
+	for b, j := 0, 0; b < idx.N; b++ {
+		for ; j < int(end[b]); j++ {
+			build[j] = int32(b)
+		}
+	}
+	return build, sorted, nil
 }
 
 // CrossPairs enumerates the (left, right) position pairs of an ln × rn

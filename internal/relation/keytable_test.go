@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -79,9 +80,11 @@ func sameCell(a, b Value) bool {
 
 // TestJoinIndexMatchesHashJoin: over random tables with composite,
 // duplicated keys of every type pairing (Int against Float matches
-// numerically, Date against Int never), BuildJoinIndex plus Probe on the
-// smaller side, with keys read through row ids, yields exactly
-// HashJoinContext's rows in HashJoinContext's order.
+// numerically, Date against Int never), BuildJoinIndex over the right
+// input plus Probe with the left, keys read through row ids, yields
+// HashJoinContext's rows pair for pair, in its left-major order. So does
+// the other build side: an index over the left probed with the right by
+// ProbeBuildMajor.
 func TestJoinIndexMatchesHashJoin(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(1))
@@ -106,34 +109,33 @@ func TestJoinIndexMatchesHashJoin(t *testing.T) {
 			t.Fatal(err)
 		}
 		lrefs, rrefs := indirectRefs(t, rng, l, lt), indirectRefs(t, rng, r, rt)
-		var lp, rp []int32
-		if len(r.Rows) >= len(l.Rows) {
-			idx, err := BuildJoinIndex(ctx, lrefs, len(l.Rows))
-			if err != nil {
-				t.Fatal(err)
-			}
-			lp, rp, err = idx.Probe(ctx, rrefs, len(r.Rows))
-			if err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			idx, err := BuildJoinIndex(ctx, rrefs, len(r.Rows))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rp, lp, err = idx.Probe(ctx, lrefs, len(l.Rows))
-			if err != nil {
-				t.Fatal(err)
-			}
+		ridx, err := BuildJoinIndex(ctx, rrefs, len(r.Rows))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(lp) != len(want.Rows) || len(rp) != len(want.Rows) {
-			t.Fatalf("trial %d (%v ⋈ %v): %d pairs, HashJoin has %d rows", trial, lt, rt, len(lp), len(want.Rows))
+		rp, lp, err := ridx.Probe(ctx, lrefs, len(l.Rows))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, row := range want.Rows {
-			got := append(l.Rows[lp[i]].Clone(), r.Rows[rp[i]]...)
-			for c := range row {
-				if !sameCell(row[c], got[c]) {
-					t.Fatalf("trial %d (%v ⋈ %v): pair %d is %v, HashJoin row is %v", trial, lt, rt, i, got, row)
+		lidx, err := BuildJoinIndex(ctx, lrefs, len(l.Rows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lp2, rp2, err := lidx.ProbeBuildMajor(ctx, rrefs, len(r.Rows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for side, pairs := range [][2][]int32{{lp, rp}, {lp2, rp2}} {
+			lp, rp := pairs[0], pairs[1]
+			if len(lp) != len(want.Rows) || len(rp) != len(want.Rows) {
+				t.Fatalf("trial %d (%v ⋈ %v), build %s: %d pairs, HashJoin has %d rows", trial, lt, rt, []string{"right", "left"}[side], len(lp), len(want.Rows))
+			}
+			for i, row := range want.Rows {
+				got := append(l.Rows[lp[i]].Clone(), r.Rows[rp[i]]...)
+				for c := range row {
+					if !sameCell(row[c], got[c]) {
+						t.Fatalf("trial %d (%v ⋈ %v), build %s: pair %d is %v, HashJoin row is %v", trial, lt, rt, []string{"right", "left"}[side], i, got, row)
+					}
 				}
 			}
 		}
@@ -146,6 +148,50 @@ func TestJoinIndexMatchesHashJoin(t *testing.T) {
 	}
 	if mixedMatches == 0 || empty == 0 {
 		t.Fatalf("the draw never matched across Int and Float (%d) or never had an empty side (%d)", mixedMatches, empty)
+	}
+}
+
+// TestProbeReservationLinear: a join of two disjoint low-cardinality key
+// domains (3 build keys, 2 probe keys, 6,000 rows a side) matches nothing,
+// and Probe and ProbeBuildMajor allocate O(n + N) bytes for it, not the
+// n × N/3 pairs a mean-chain-length reservation alone would reserve.
+func TestProbeReservationLinear(t *testing.T) {
+	ctx := context.Background()
+	const n = 6000
+	keyed := func(domain ...string) []ColRef {
+		tb := NewTable("t", MustSchema(Column{Name: "k", Type: Str}))
+		for i := 0; i < n; i++ {
+			tb.MustInsert(Row{StrVal(domain[i%len(domain)])})
+		}
+		ct, err := Columnar(tb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ct.Refs([]int{0})
+	}
+	build, probe := keyed("R", "A", "N"), keyed("O", "F")
+	idx, err := BuildJoinIndex(ctx, build, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := uint64(16 * (n + n))
+	for _, run := range []struct {
+		name  string
+		probe func(context.Context, []ColRef, int) ([]int32, []int32, error)
+	}{{"Probe", idx.Probe}, {"ProbeBuildMajor", idx.ProbeBuildMajor}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b, p, err := run.probe(ctx, probe, n)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) != 0 || len(p) != 0 {
+			t.Fatalf("%s: %d pairs across disjoint key domains", run.name, len(b))
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			t.Errorf("%s allocated %d bytes for a join matching nothing, over the linear bound %d", run.name, got, limit)
+		}
 	}
 }
 

@@ -40,7 +40,10 @@ func Project(t *Table, cols []int) (*Table, error) {
 // HashJoin equijoins l and r on the given key column positions (pairwise:
 // l.Rows[lk[i]] == r.Rows[rk[i]] for all i). The output schema is l's
 // columns followed by r's columns; callers that need unambiguous names
-// qualify them beforehand (internal/sqlmini does).
+// qualify them beforehand (internal/sqlmini does). The output is
+// left-major: l's rows in order, each one's matches in r's order. It is
+// the one join order of the repository, so filtering l first keeps exactly
+// the subsequence of the output that filtering afterwards would.
 func HashJoin(l, r *Table, lk, rk []int) (*Table, error) {
 	return HashJoinContext(context.Background(), l, r, lk, rk)
 }
@@ -69,11 +72,7 @@ func HashJoinContext(ctx context.Context, l, r *Table, lk, rk []int) (*Table, er
 	outSchema.Cols = append(outSchema.Cols, r.Schema.Cols...)
 	out := &Table{Name: l.Name + "⨝" + r.Name, Schema: outSchema}
 
-	// Build on the smaller input.
-	build, probe, bk, pk, buildLeft := l, r, lk, rk, true
-	if r.NumRows() < l.NumRows() {
-		build, probe, bk, pk, buildLeft = r, l, rk, lk, false
-	}
+	// Build r, probe l in order: the left-major order, whatever the sizes.
 	// Checkpoint cadence for context checks: build rows, probe rows, and
 	// emitted rows all advance the counter, so a skewed key whose single
 	// probe emits millions of rows still notices cancellation in-batch.
@@ -90,29 +89,25 @@ func HashJoinContext(ctx context.Context, l, r *Table, lk, rk []int) (*Table, er
 		return nil
 	}
 
-	index := make(map[string][]Row, build.NumRows())
-	for _, row := range build.Rows {
+	index := make(map[string][]Row, r.NumRows())
+	for _, row := range r.Rows {
 		if err := tick(); err != nil {
 			return nil, err
 		}
-		index[RowKey(row, bk)] = append(index[RowKey(row, bk)], row)
+		k := RowKey(row, rk)
+		index[k] = append(index[k], row)
 	}
-	for _, prow := range probe.Rows {
+	for _, lrow := range l.Rows {
 		if err := tick(); err != nil {
 			return nil, err
 		}
-		for _, brow := range index[RowKey(prow, pk)] {
+		for _, rrow := range index[RowKey(lrow, lk)] {
 			if err := tick(); err != nil {
 				return nil, err
 			}
 			nr := make(Row, 0, outSchema.Arity())
-			if buildLeft {
-				nr = append(nr, brow...)
-				nr = append(nr, prow...)
-			} else {
-				nr = append(nr, prow...)
-				nr = append(nr, brow...)
-			}
+			nr = append(nr, lrow...)
+			nr = append(nr, rrow...)
 			out.Rows = append(out.Rows, nr)
 		}
 	}

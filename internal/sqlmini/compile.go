@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"ivdss/internal/relation"
@@ -122,26 +123,26 @@ type compiler struct {
 	loaded map[int]int
 }
 
-func newCompiler(schema relation.Schema) *compiler {
+func newCompiler(en env) *compiler {
 	return &compiler{
-		en:     newEnv(schema),
+		en:     en,
 		p:      &prog{outSel: -1, nsel: 1},
 		loaded: make(map[int]int),
 	}
 }
 
-// compilePredProg compiles a predicate over the schema: output is the
-// surviving subset of the input selection.
-func compilePredProg(schema relation.Schema, pred Expr) *prog {
-	c := newCompiler(schema)
+// compilePredProg compiles a predicate over the env's schema: output is
+// the surviving subset of the input selection.
+func compilePredProg(en env, pred Expr) *prog {
+	c := newCompiler(en)
 	c.p.outSel = c.compilePred(pred, 0)
 	return c.p
 }
 
 // compileValueProg compiles a list of value expressions evaluated over
 // the full input selection, one output register each.
-func compileValueProg(schema relation.Schema, exprs []Expr) (*prog, []relation.Type) {
-	c := newCompiler(schema)
+func compileValueProg(en env, exprs []Expr) (*prog, []relation.Type) {
+	c := newCompiler(en)
 	types := make([]relation.Type, len(exprs))
 	for i, e := range exprs {
 		r, t := c.compileValue(e, 0)
@@ -149,6 +150,12 @@ func compileValueProg(schema relation.Schema, exprs []Expr) (*prog, []relation.T
 		types[i] = t
 	}
 	return c.p, types
+}
+
+// fallible reports whether the program can fail on a row it is given: an
+// error op, a division, or a date parse.
+func (p *prog) fallible() bool {
+	return slices.ContainsFunc(p.ins, func(in instr) bool { return in.op == opError || in.op == opDivF || in.op == opParseDate })
 }
 
 func (c *compiler) dataReg(t relation.Type) int {

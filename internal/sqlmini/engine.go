@@ -93,7 +93,7 @@ const execCacheCap = 128
 // contents; a row-count check additionally invalidates entries for
 // append-mutated tables. A micro-batch workload that scans and joins the
 // same snapshots repeatedly pays the columnar conversion and the join
-// build once.
+// build once. A nil build marks a pair joined without one (buildsRight).
 type ExecCache struct {
 	mu     sync.Mutex
 	cols   map[*relation.Table]*relation.ColTable
@@ -141,6 +141,28 @@ func (c *ExecCache) columnar(t *relation.Table) (*relation.ColTable, error) {
 	return ct, nil
 }
 
+// buildsRight picks a join's build side, which moves cost, never order:
+// the right load t (keys sig, n rows) when its build is cached, when it
+// is no bigger than the working relation (wn rows), or when the pair was
+// joined before. A first join leaves a mark, so a replica snapshot joined
+// twice earns a cached build and a one-shot fetch never pays for one.
+func (c *ExecCache) buildsRight(t *relation.Table, sig string, n, wn int) bool {
+	if n <= wn {
+		return true
+	}
+	if c == nil {
+		return false
+	}
+	key := buildKey{t: t, sig: sig}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, seen := c.builds[key]; seen {
+		return true
+	}
+	c.putBuild(key, nil)
+	return false
+}
+
 // joinIndex returns the cached build index over the n rows of t's columnar
 // image, keyed by the identity key columns keys (rendered as sig), building
 // on miss (always, on a nil cache).
@@ -150,7 +172,7 @@ func (c *ExecCache) joinIndex(ctx context.Context, t *relation.Table, keys []rel
 	}
 	key := buildKey{t: t, sig: sig}
 	c.mu.Lock()
-	if idx, ok := c.builds[key]; ok && idx.N == n {
+	if idx := c.builds[key]; idx != nil && idx.N == n {
 		c.mu.Unlock()
 		return idx, nil
 	}
@@ -160,18 +182,23 @@ func (c *ExecCache) joinIndex(ctx context.Context, t *relation.Table, keys []rel
 		return nil, err
 	}
 	c.mu.Lock()
+	c.putBuild(key, idx)
+	c.mu.Unlock()
+	return idx, nil
+}
+
+// putBuild stores a build, or a mark (nil); the caller holds mu.
+func (c *ExecCache) putBuild(key buildKey, idx *relation.JoinIndex) {
 	if c.builds == nil || len(c.builds) >= execCacheCap {
 		c.builds = make(map[buildKey]*relation.JoinIndex)
 	}
 	c.builds[key] = idx
-	c.mu.Unlock()
-	return idx, nil
 }
 
 // Forget drops everything cached for t. Entries are keyed by pointer, so
 // a table its owner will never execute against again (a one-shot remote
 // fetch, unlike a replica snapshot) would otherwise stay pinned, together
-// with its columnar image and join builds, until the map fills.
+// with its columnar image, join builds and marks, until the map fills.
 func (c *ExecCache) Forget(t *relation.Table) {
 	if c == nil {
 		return
@@ -187,7 +214,7 @@ func (c *ExecCache) Forget(t *relation.Table) {
 }
 
 // keySig renders key column positions ("3,7"); Prepare calls it once per
-// join step.
+// join step, for the right side's keys.
 func keySig(keys []int) string {
 	var b []byte
 	for i, k := range keys {

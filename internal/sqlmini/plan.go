@@ -19,11 +19,13 @@ import (
 // prepare time what the tree walk decides at run time. Join order for
 // comma-FROM tables is greedy over WHERE equijoin conjuncts — a pure
 // function of the schemas, so hoisting it to prepare time cannot change
-// the chosen order. Structural errors the tree walk raises before
-// touching any row (no FROM, duplicate alias, unknown table, JOIN without
-// equijoin, HAVING without aggregation) surface at Prepare; errors it
-// raises per row compile to selection-guarded error instructions instead
-// (see compile.go).
+// the chosen order. Joins emit the tree walk's left-major order, so WHERE
+// conjuncts can run as early as their tables are bound (placeWhere).
+// Structural errors the tree walk raises before touching any row (no
+// FROM, duplicate alias, unknown table, JOIN without equijoin, HAVING
+// without aggregation) surface at Prepare; errors it raises per row
+// compile to selection-guarded error instructions instead (see
+// compile.go).
 
 // loadSpec names one base-table scan of the plan.
 type loadSpec struct {
@@ -36,13 +38,14 @@ type loadSpec struct {
 // colRef places one working-schema column: column col of loads[load].
 type colRef struct{ load, col int }
 
-// joinStep joins the working relation with one loaded table.
+// joinStep joins the working relation with one loaded table, then runs
+// its filters: the ON residuals, then the WHERE conjuncts placed here.
 type joinStep struct {
-	cross      bool
-	right      int    // index into loads
-	lk, rk     []int  // equijoin key positions (working side, right side)
-	lsig, rsig string // lk and rk rendered once, the ExecCache build keys
-	residual   []*prog
+	cross   bool
+	right   int    // index into loads
+	lk, rk  []int  // equijoin key positions (working side, right side)
+	rsig    string // rk rendered once, the ExecCache build key
+	filters []*prog
 }
 
 // aggPlan materializes the derived rows of the statement's aggLayout,
@@ -70,7 +73,7 @@ type Prepared struct {
 	// always load0 ++ right1 ++ right2 …, to its load and column. Every
 	// join step and program up to the first value stage sees a prefix of it.
 	refs   []colRef
-	where  *prog
+	where  *prog // the WHERE conjuncts placed before the first join step
 	agg    aggPlan
 	having *prog
 	proj   projPlan
@@ -135,7 +138,7 @@ func Prepare(stmt *SelectStmt, cat Catalog) (*Prepared, error) {
 			if len(lk) == 0 {
 				continue
 			}
-			p.steps = append(p.steps, joinStep{right: idx, lk: lk, rk: rk, lsig: keySig(lk), rsig: keySig(rk)})
+			p.steps = append(p.steps, joinStep{right: idx, lk: lk, rk: rk, rsig: keySig(rk)})
 			join(idx)
 			pending = append(pending[:i], pending[i+1:]...)
 			joined = true
@@ -161,7 +164,7 @@ func Prepare(stmt *SelectStmt, cat Catalog) (*Prepared, error) {
 		if len(lk) == 0 {
 			return nil, fmt.Errorf("sqlmini: JOIN %s ON clause has no equijoin predicate", jc.Table.Name)
 		}
-		step := joinStep{right: idx, lk: lk, rk: rk, lsig: keySig(lk), rsig: keySig(rk)}
+		step := joinStep{right: idx, lk: lk, rk: rk, rsig: keySig(rk)}
 		join(idx)
 		// Non-equijoin residue of the ON clause filters the join output,
 		// one conjunct at a time, in clause order.
@@ -169,13 +172,14 @@ func Prepare(stmt *SelectStmt, cat Catalog) (*Prepared, error) {
 			if isEquijoin(c) {
 				continue
 			}
-			step.residual = append(step.residual, compilePredProg(working, c))
+			step.filters = append(step.filters, compilePredProg(newEnv(working), c))
 		}
 		p.steps = append(p.steps, step)
 	}
 
+	en := newEnv(working) // one resolution memo for every program over it
 	if stmt.Where != nil {
-		p.where = compilePredProg(working, stmt.Where)
+		p.placeWhere(stmt.Where, conjuncts, en)
 	}
 
 	stmt, err := expandStars(stmt, working)
@@ -183,23 +187,96 @@ func Prepare(stmt *SelectStmt, cat Catalog) (*Prepared, error) {
 		return nil, err
 	}
 
-	lay, err := layoutAggregate(stmt, newEnv(working))
+	lay, err := layoutAggregate(stmt, en)
 	if err != nil {
 		return nil, err
 	}
 	if lay != nil {
-		pr, progTypes := compileValueProg(working, lay.exprs)
+		pr, progTypes := compileValueProg(en, lay.exprs)
 		p.agg = aggPlan{derived: pr, progTypes: progTypes, lay: lay}
-		working = lay.out
+		en = newEnv(lay.out)
 		if stmt.Having != nil {
-			p.having = compilePredProg(working, stmt.Having)
+			p.having = compilePredProg(en, stmt.Having)
 		}
 	}
 
-	proj := layoutProject(stmt, newEnv(working))
-	pr, progTypes := compileValueProg(working, proj.exprs)
+	proj := layoutProject(stmt, en)
+	pr, progTypes := compileValueProg(en, proj.exprs)
 	p.proj = projPlan{prog: pr, progTypes: progTypes, lay: proj}
 	return p, nil
+}
+
+// placeWhere runs each WHERE conjunct as early as its tables are bound:
+// before the first join step if it reads only load 0 (or nothing), else
+// after the ON residuals of the step joining its last table. Conjuncts
+// meeting at one point compile as one AND program, in clause order. Under
+// left-major joins an input filtered early keeps the subsequence of rows
+// filtering late keeps, so the answer is the tree walk's. The whole WHERE
+// runs after the last step when a conjunct or ON residual can fail on a
+// row (moving a filter changes which rows reach it) or the plan has a
+// cross step (maxCrossRows reads the unfiltered row count).
+func (p *Prepared) placeWhere(where Expr, conjuncts []Expr, en env) {
+	at, ok := p.wherePoints(conjuncts, en)
+	filters := make([]*prog, len(p.steps)+1)
+	for pt := 0; ok && pt < len(filters); pt++ {
+		var c *compiler
+		sel := 0
+		for i, cj := range conjuncts {
+			if at[i] == pt {
+				if c == nil {
+					c = newCompiler(en)
+				}
+				sel = c.compilePred(cj, sel)
+			}
+		}
+		if c != nil {
+			c.p.outSel, filters[pt] = sel, c.p
+			ok = !c.p.fallible()
+		}
+	}
+	if !ok {
+		clear(filters)
+		filters[len(p.steps)] = compilePredProg(en, where)
+	}
+	p.where = filters[0]
+	for s, f := range filters[1:] {
+		if f != nil {
+			p.steps[s].filters = append(p.steps[s].filters, f)
+		}
+	}
+}
+
+// wherePoints places each conjunct by resolving its column references
+// through refs: 0 before the first join step, s+1 after step s. ok is
+// false when nothing may move: a cross step, a fallible ON residual, or
+// an unresolved reference.
+func (p *Prepared) wherePoints(conjuncts []Expr, en env) (at []int, ok bool) {
+	bound := make([]int, len(p.loads)) // load → the point it is bound at
+	for s, st := range p.steps {
+		if st.cross {
+			return nil, false
+		}
+		for _, f := range st.filters {
+			if f.fallible() {
+				return nil, false
+			}
+		}
+		bound[st.right] = s + 1
+	}
+	at = make([]int, len(conjuncts))
+	var refs []*ColumnRef
+	for i, c := range conjuncts {
+		refs = refs[:0]
+		collectColumnRefs(c, &refs)
+		for _, r := range refs {
+			pos, err := en.resolve(r)
+			if err != nil {
+				return nil, false
+			}
+			at[i] = max(at[i], bound[p.refs[pos].load])
+		}
+	}
+	return at, true
 }
 
 // qualifySchema renames columns to "alias.col", the schema-only half of

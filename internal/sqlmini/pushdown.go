@@ -145,32 +145,17 @@ func aliasesOf(stmt *SelectStmt, table string) []string {
 // expression with no column references (a constant predicate) also
 // qualifies. Aggregates never push down.
 func allRefsQualifiedBy(e Expr, alias string) bool {
-	switch x := e.(type) {
-	case *Literal:
-		return true
-	case *ColumnRef:
-		return strings.EqualFold(x.Qualifier, alias)
-	case *BinaryExpr:
-		return allRefsQualifiedBy(x.Left, alias) && allRefsQualifiedBy(x.Right, alias)
-	case *NotExpr:
-		return allRefsQualifiedBy(x.Inner, alias)
-	case *BetweenExpr:
-		return allRefsQualifiedBy(x.Subject, alias) && allRefsQualifiedBy(x.Lo, alias) && allRefsQualifiedBy(x.Hi, alias)
-	case *InExpr:
-		if !allRefsQualifiedBy(x.Subject, alias) {
-			return false
-		}
-		for _, o := range x.Options {
-			if !allRefsQualifiedBy(o, alias) {
-				return false
-			}
-		}
-		return true
-	case *LikeExpr:
-		return allRefsQualifiedBy(x.Subject, alias)
-	default:
+	if hasAgg(e) {
 		return false
 	}
+	var refs []*ColumnRef
+	collectColumnRefs(e, &refs)
+	for _, r := range refs {
+		if !strings.EqualFold(r.Qualifier, alias) {
+			return false
+		}
+	}
+	return true
 }
 
 // stripQualifier returns a copy of the expression with the alias qualifier

@@ -499,39 +499,32 @@ func (p *Prepared) ExecuteContext(ctx context.Context, cat Catalog, cache *ExecC
 	}
 	w.n = w.loads[0].N
 
+	if p.where != nil {
+		if err := filterCol(ctx, w, p.where); err != nil {
+			return nil, err
+		}
+	}
 	for _, st := range p.steps {
 		right := w.loads[st.right]
 		var lrows, rrows []int32
+		var idx *relation.JoinIndex
 		var err error
-		if st.cross {
+		switch {
+		case st.cross:
 			if int64(w.n)*int64(right.N) > maxCrossRows {
 				return nil, fmt.Errorf("sqlmini: cross product of %d rows and %s (%d rows) exceeds limit",
 					w.n, p.loads[st.right].alias, right.N)
 			}
 			lrows, rrows, err = relation.CrossPairs(ctx, w.n, right.N)
-		} else {
-			// Build the smaller side, like HashJoinContext (ties build
-			// left). When the chosen build side is a bare base-table scan,
-			// the build index is cacheable across executions — the heart
-			// of hash-join reuse under a micro-batch workload.
-			lkeys, rkeys := w.keys(st.lk), right.Refs(st.rk)
-			buildLeft := right.N >= w.n
-			var idx *relation.JoinIndex
-			switch {
-			case !buildLeft:
-				idx, err = cache.joinIndex(ctx, ptrs[st.right], rkeys, right.N, st.rsig)
-			case w.rows[0] == nil:
-				idx, err = cache.joinIndex(ctx, ptrs[0], lkeys, w.n, st.lsig)
-			default:
-				idx, err = relation.BuildJoinIndex(ctx, lkeys, w.n)
+		case cache.buildsRight(ptrs[st.right], st.rsig, right.N, w.n):
+			// A right build indexes a base table, so it is cacheable across
+			// executions; probing it in working order is left-major.
+			if idx, err = cache.joinIndex(ctx, ptrs[st.right], right.Refs(st.rk), right.N, st.rsig); err == nil {
+				rrows, lrows, err = idx.Probe(ctx, w.keys(st.lk), w.n)
 			}
-			if err != nil {
-				return nil, err
-			}
-			if buildLeft {
-				lrows, rrows, err = idx.Probe(ctx, rkeys, right.N)
-			} else {
-				rrows, lrows, err = idx.Probe(ctx, lkeys, w.n)
+		default:
+			if idx, err = relation.BuildJoinIndex(ctx, w.keys(st.lk), w.n); err == nil {
+				lrows, rrows, err = idx.ProbeBuildMajor(ctx, right.Refs(st.rk), right.N)
 			}
 		}
 		if err != nil {
@@ -539,16 +532,10 @@ func (p *Prepared) ExecuteContext(ctx context.Context, cat Catalog, cache *ExecC
 		}
 		w.take(lrows, false)
 		w.rows[st.right] = rrows
-		for _, rp := range st.residual {
-			if err := filterCol(ctx, w, rp); err != nil {
+		for _, f := range st.filters {
+			if err := filterCol(ctx, w, f); err != nil {
 				return nil, err
 			}
-		}
-	}
-
-	if p.where != nil {
-		if err := filterCol(ctx, w, p.where); err != nil {
-			return nil, err
 		}
 	}
 

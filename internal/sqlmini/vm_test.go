@@ -3,8 +3,10 @@ package sqlmini
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"ivdss/internal/relation"
 )
@@ -23,7 +25,8 @@ func execBoth(t *testing.T, cat Catalog, q string) (tree, vm *relation.Table, tr
 }
 
 // requireSameTable demands byte-identical answers: same column names and
-// types, same rows in the same order.
+// types, same rows in the same order, each cell of the same type and each
+// float to the bit (the sign of a zero included).
 func requireSameTable(t *testing.T, q string, tree, vm *relation.Table) {
 	t.Helper()
 	if len(tree.Schema.Cols) != len(vm.Schema.Cols) {
@@ -39,7 +42,8 @@ func requireSameTable(t *testing.T, q string, tree, vm *relation.Table) {
 	}
 	for i := range tree.Rows {
 		for j := range tree.Rows[i] {
-			if !relation.Equal(tree.Rows[i][j], vm.Rows[i][j]) {
+			a, b := tree.Rows[i][j], vm.Rows[i][j]
+			if a.T != b.T || !relation.Equal(a, b) || math.Float64bits(a.F) != math.Float64bits(b.F) {
 				t.Fatalf("%q: row %d col %d: tree %v vs vm %v", q, i, j, tree.Rows[i][j], vm.Rows[i][j])
 			}
 		}
@@ -281,7 +285,9 @@ func TestExecCacheSeesAppends(t *testing.T) {
 // TestExecCacheForget plays the federated read path: every execution runs
 // over freshly fetched tables whose pointers never come back, and the
 // owner forgets them afterwards. Nothing may stay pinned in either map,
-// while a long-lived table executed alongside stays cached.
+// the joined-before marks included (a one-shot join leaves a mark, never
+// a build), while a long-lived table executed alongside stays cached and
+// earns its build on its second join.
 func TestExecCacheForget(t *testing.T) {
 	cache := NewExecCache()
 	opts := Options{Engine: EngineVM, Cache: cache}
@@ -294,6 +300,11 @@ func TestExecCacheForget(t *testing.T) {
 		if len(cache.cols) != 2 || len(cache.builds) != 1 {
 			t.Fatalf("run %d cached %d tables and %d builds, want 2 and 1", i, len(cache.cols), len(cache.builds))
 		}
+		for _, idx := range cache.builds {
+			if idx != nil {
+				t.Fatalf("run %d built over a one-shot table, want only a joined-before mark", i)
+			}
+		}
 		for _, tbl := range cat {
 			cache.Forget(tbl)
 		}
@@ -302,12 +313,17 @@ func TestExecCacheForget(t *testing.T) {
 		}
 	}
 	replica := testCatalog(t)
-	if _, err := RunWith(context.Background(), q, replica, opts); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, err := RunWith(context.Background(), q, replica, opts); err != nil {
+			t.Fatal(err)
+		}
 	}
 	cache.Forget(testCatalog(t)["orders"]) // some other table: a no-op
 	if len(cache.cols) != 2 || len(cache.builds) != 1 {
 		t.Fatalf("forgetting an unrelated table dropped live entries: %d tables, %d builds", len(cache.cols), len(cache.builds))
+	}
+	if cache.builds[buildKey{t: replica["orders"], sig: "1"}] == nil {
+		t.Fatal("a table joined twice holds no cached build")
 	}
 }
 
@@ -371,5 +387,187 @@ func TestSchemaViolatingRowsFailTheQuery(t *testing.T) {
 				t.Fatalf("want an error containing %q, got %v", tc.want, err)
 			}
 		})
+	}
+}
+
+// agreeAcrossBuilds runs q on the tree walk, then three ways on the VM:
+// with no cache (the size rule picks every build side), and twice on one
+// fresh cache (the first run marks each right input it did not build
+// over; the second builds over every right input). Each VM run must
+// answer the tree walk's table byte for byte, or fail where it fails. It
+// returns the tree walk's error and how many marks each cached run left.
+func agreeAcrossBuilds(t *testing.T, cat Catalog, q string) (treeErr error, coldMarks, warmMarks int) {
+	t.Helper()
+	stmt, err := Parse(q)
+	if err != nil {
+		t.Fatalf("parse %q: %v", q, err)
+	}
+	ctx := context.Background()
+	tree, treeErr := ExecuteWith(ctx, stmt, cat, Options{Engine: EngineTreeWalk})
+	cache := NewExecCache()
+	marks := func() (n int) {
+		for _, idx := range cache.builds {
+			if idx == nil {
+				n++
+			}
+		}
+		return n
+	}
+	for run, c := range []*ExecCache{nil, cache, cache} {
+		vm, vmErr := ExecuteWith(ctx, stmt, cat, Options{Cache: c})
+		switch {
+		case treeErr != nil && vmErr == nil:
+			t.Fatalf("%q, run %d: vm succeeded where the tree walk failed with %v", q, run, treeErr)
+		case treeErr == nil && vmErr != nil:
+			t.Fatalf("%q, run %d: vm failed where the tree walk succeeded: %v", q, run, vmErr)
+		case treeErr == nil:
+			requireSameTable(t, q, tree, vm)
+		}
+		switch run {
+		case 1:
+			coldMarks = marks()
+		case 2:
+			warmMarks = marks()
+		}
+	}
+	return treeErr, coldMarks, warmMarks
+}
+
+// placementCatalog is testCatalog plus events, whose e_cust 9 names no
+// customer and no order: that row alone carries a zero divisor and a
+// malformed date string, so only a row the join removes could raise them.
+func placementCatalog(t *testing.T) MapCatalog {
+	t.Helper()
+	cat := testCatalog(t)
+	events := relation.NewTable("events", relation.MustSchema(
+		relation.Column{Name: "e_id", Type: relation.Int},
+		relation.Column{Name: "e_cust", Type: relation.Int},
+		relation.Column{Name: "e_when", Type: relation.Str},
+		relation.Column{Name: "e_div", Type: relation.Int},
+	))
+	for _, r := range []relation.Row{
+		{relation.IntVal(1), relation.IntVal(1), relation.StrVal("2020-01-15"), relation.IntVal(2)},
+		{relation.IntVal(2), relation.IntVal(2), relation.StrVal("2020-03-01"), relation.IntVal(1)},
+		{relation.IntVal(3), relation.IntVal(9), relation.StrVal("notadate"), relation.IntVal(0)},
+		{relation.IntVal(4), relation.IntVal(3), relation.StrVal("2020-02-20"), relation.IntVal(4)},
+		{relation.IntVal(5), relation.IntVal(1), relation.StrVal("2020-06-30"), relation.IntVal(3)},
+	} {
+		events.MustInsert(r)
+	}
+	cat.Add("events", events)
+	return cat
+}
+
+// TestEngineDifferentialPlacement holds WHERE placement to the tree walk:
+// conjuncts that run before the first join, after the join of their last
+// table, or (fallible, or behind a cross step) after the last one, under
+// either build side. fails says whether the tree walk errors.
+func TestEngineDifferentialPlacement(t *testing.T) {
+	cat := placementCatalog(t)
+	for _, c := range []struct {
+		q     string
+		fails bool
+	}{
+		// one conjunct on load 0, one on a right input only, and one
+		// spanning two loads that lands mid-pipeline, before d joins
+		{"SELECT c.c_name, o.o_id, d.c_name FROM customers c, orders o, customers d WHERE c.c_id = o.o_cust AND d.c_nation = c.c_nation AND c.c_nation = 'DE' AND o.o_total > 20 AND o.o_total > c.c_id * 10 AND d.c_name <> 'alice'", false},
+		{"SELECT o.o_id, c.c_name FROM orders o, customers c, events e WHERE o.o_cust = c.c_id AND e.e_cust = c.c_id AND o.o_date < '2020-05-01' AND o.o_total * 2 > e.e_div + c.c_id", false},
+		// constant conjuncts, on a join and on a global aggregate
+		{"SELECT c_name, o_id FROM customers, orders WHERE 1 = 1 AND c_id = o_cust", false},
+		{"SELECT c_name, o_id FROM customers, orders WHERE c_id = o_cust AND 1 = 0", false},
+		{"SELECT count(*), sum(o_total) FROM customers, orders WHERE 1 = 0 AND c_id = o_cust", false},
+		// OR across tables, Q19's shape
+		{"SELECT c_name, o_id, o_total FROM customers, orders WHERE c_id = o_cust AND (c_nation = 'FR' OR o_total > 60)", false},
+		{"SELECT c_nation, sum(o_total) FROM orders, customers WHERE o_cust = c_id AND (c_name LIKE 'a%' AND o_total < 40 OR c_nation = 'DE' AND o_date BETWEEN '2020-04-01' AND '2020-12-31') GROUP BY c_nation", false},
+		// explicit JOIN ... ON with residuals, plus WHERE
+		{"SELECT c.c_name, o.o_id FROM customers c JOIN orders o ON c.c_id = o.o_cust AND o.o_total > 15 WHERE c.c_nation = 'DE' AND o.o_date < '2020-05-01'", false},
+		{"SELECT c.c_name, o.o_id, e.e_id FROM customers c JOIN orders o ON c.c_id = o.o_cust AND o.o_total <> 30 JOIN events e ON e.e_cust = c.c_id AND e.e_div > 1 WHERE c.c_nation = 'DE' AND o.o_total + e.e_div > 12", false},
+		// a zero divisor and a malformed date that only the row failing
+		// the join carries: a filter moved ahead of the join would raise them
+		{"SELECT c_name, e_id FROM events, customers WHERE e_cust = c_id AND 10 / e_div > 2", false},
+		{"SELECT c_name, e_id FROM events, customers WHERE e_cust = c_id AND e_when > DATE '2020-02-01'", false},
+		{"SELECT e_id, o_id FROM events, orders WHERE e_cust = o_cust AND e_when > o_date", false},
+		// a zero divisor a joined row reaches before a filter that would
+		// have removed it, had the filter moved ahead of the join
+		{"SELECT c_name FROM events, customers WHERE e_cust = c_id AND 10 / (c_id - 2) > 0 AND e_div <> 1", true},
+		// the same through a fallible ON residual
+		{"SELECT c.c_name FROM events e, customers c JOIN orders o ON o.o_cust = c.c_id AND 100 / (o.o_id - 102) > 0 WHERE e.e_cust = c.c_id AND e.e_div > 1", true},
+		// a malformed date string (every c_name) that joined rows reach,
+		// though a filter moved ahead of the join would leave none
+		{"SELECT c_name FROM events, customers WHERE e_cust = c_id AND c_name > DATE '2020-01-01' AND e_div > 5", true},
+	} {
+		treeErr, _, _ := agreeAcrossBuilds(t, cat, c.q)
+		if (treeErr != nil) != c.fails {
+			t.Errorf("%q: tree walk error %v, want failure %v", c.q, treeErr, c.fails)
+		}
+	}
+}
+
+// placementBigCatalog is bigCatalog plus sales, a second table wider than
+// two batches whose s_item references items.
+func placementBigCatalog(t *testing.T) MapCatalog {
+	t.Helper()
+	cat := bigCatalog(t, 3*relation.BatchRows+17)
+	nItems := cat["items"].NumRows()
+	sales := relation.NewTable("sales", relation.MustSchema(
+		relation.Column{Name: "s_id", Type: relation.Int},
+		relation.Column{Name: "s_item", Type: relation.Int},
+		relation.Column{Name: "s_qty", Type: relation.Float},
+		relation.Column{Name: "s_day", Type: relation.Date},
+	))
+	for i := 0; i < 2*relation.BatchRows+9; i++ {
+		sales.MustInsert(relation.Row{
+			relation.IntVal(int64(i)),
+			relation.IntVal(int64(i * 7919 % nItems)),
+			relation.FloatVal(float64(i%53) * 0.75),
+			relation.DateOf(2020, time.Month(1+i%4), 1+i%28),
+		})
+	}
+	cat.Add("sales", sales)
+	return cat
+}
+
+// TestEngineDifferentialPlacementMultiBatch runs the placement shapes over
+// inputs wider than two batches, each once with the working side built
+// (the cold runs leave marks) and once with every right side built (the
+// warm run leaves none).
+func TestEngineDifferentialPlacementMultiBatch(t *testing.T) {
+	cat := placementBigCatalog(t)
+	for _, q := range []string{
+		// load 0 and right-only conjuncts
+		"SELECT k_name, sum(i_price), count(*) FROM cats, items WHERE k_id = i_cat AND k_name <> 'cat3' AND i_price > 10 GROUP BY k_name",
+		"SELECT i_id, s_id, s_qty FROM items, sales WHERE i_id = s_item AND i_tag = 'tag2' AND s_qty < 40",
+		// OR across tables and a BETWEEN on the last input
+		"SELECT k_name, sum(s_qty * i_price) FROM cats, items, sales WHERE k_id = i_cat AND i_id = s_item AND k_id IN (1, 2) AND (i_price > 20 OR s_qty < 5) AND s_day BETWEEN '2020-01-10' AND '2020-03-01' GROUP BY k_name",
+		// explicit JOIN with a residual, plus WHERE
+		"SELECT i_tag, count(*), sum(s_qty) FROM items JOIN sales ON s_item = i_id AND s_qty > 3 WHERE i_cat = 2 AND i_tag LIKE 'tag%' GROUP BY i_tag",
+		// constant conjuncts
+		"SELECT count(*), sum(s_qty) FROM items, sales WHERE i_id = s_item AND 1 = 1 AND i_id < 3000",
+		"SELECT i_id, s_id FROM items, sales WHERE i_id = s_item AND i_id < 3000 AND 1 = 0",
+		// a conjunct spanning two loads, landing before cats joins
+		"SELECT s_id, k_name FROM items, sales, cats WHERE i_id = s_item AND i_cat = k_id AND s_qty > i_price AND i_cat < 3",
+		// a zero divisor and malformed date strings (every i_tag) that an
+		// earlier conjunct keeps every row from reaching
+		"SELECT count(*) FROM cats, items WHERE k_id = i_cat AND k_id = 1 AND i_price / (i_cat - 2) > 0",
+		"SELECT count(*) FROM cats, items WHERE k_id = i_cat AND k_name = 'nope' AND i_tag > DATE '2020-01-01'",
+	} {
+		treeErr, cold, warm := agreeAcrossBuilds(t, cat, q)
+		if treeErr != nil {
+			t.Fatalf("%q: tree walk failed: %v", q, treeErr)
+		}
+		if cold == 0 || warm != 0 {
+			t.Errorf("%q: cold run left %d marks (want some: a working side built), warm run %d (want none)", q, cold, warm)
+		}
+	}
+	for _, q := range []string{
+		// a zero divisor past the join, and a selective filter on a cross
+		// product past maxCrossRows: both must still fail
+		"SELECT count(*) FROM cats, items WHERE k_id = i_cat AND i_price / (i_id - 5000) > 0 AND k_id = 1",
+		"SELECT count(*) FROM items a, items b WHERE a.i_id < 10",
+		"SELECT count(*) FROM items a, items b, cats WHERE a.i_cat = k_id AND k_name = 'cat1' AND b.i_id < 10",
+	} {
+		if treeErr, _, _ := agreeAcrossBuilds(t, cat, q); treeErr == nil {
+			t.Errorf("%q: tree walk succeeded, want an error", q)
+		}
 	}
 }

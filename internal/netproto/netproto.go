@@ -98,9 +98,14 @@ type SiteStatus struct {
 // Request is the client-to-server message.
 type Request struct {
 	Kind  RequestKind
-	Table string         // KindScan, KindInsert
-	SQL   string         // KindExec
-	Rows  []relation.Row // KindInsert
+	Table string // KindScan, KindInsert
+	SQL   string // KindExec
+	// Attach, on a KindExec to a remote site, binds these tables beside
+	// the site's own under their names for the one statement: the other
+	// sites' pushdown results, when the DSS ships a cross-site statement
+	// to the site holding most of its rows. No other kind carries them.
+	Attach []*relation.Table
+	Rows   []relation.Row // KindInsert
 	// BusinessValue applies to KindExec on the DSS; zero means 1.
 	BusinessValue float64
 	// Batch carries the workload for KindBatch.
@@ -235,13 +240,17 @@ type Response struct {
 	// submission order instead. The reports themselves are still correct.
 	MQOFallback bool
 	Tables      []string
-	Result      *relation.Table
-	Meta        *ReportMeta
-	Replicas    []ReplicaStatus
-	Views       []ViewStatus
-	Sites       []SiteStatus
-	Metrics     map[string]float64
-	Batch       []BatchItem
+	// TableRows, on a KindTables answer, is each table's row count,
+	// aligned with Tables: the DSS's discovery-time size hint for
+	// choosing where a cross-site statement runs.
+	TableRows []int
+	Result    *relation.Table
+	Meta      *ReportMeta
+	Replicas  []ReplicaStatus
+	Views     []ViewStatus
+	Sites     []SiteStatus
+	Metrics   map[string]float64
+	Batch     []BatchItem
 	// Version is the table version accompanying KindSnapshot and KindDelta
 	// responses: the count of rows ever inserted into the base table.
 	Version uint64

@@ -25,7 +25,7 @@ import (
 // varints, length-prefixed strings, raw IEEE-754 floats and column-major
 // tables.
 const (
-	frameMagic    = 0xD1 // 0xD0 | format version 1
+	frameMagic    = 0xD2 // 0xD0 | format version 2
 	frameHeader   = 20
 	frameResponse = 0x80
 
@@ -233,6 +233,7 @@ func opt[T any](w *wire, p **T, fields func(*T)) {
 func (w *wire) request(r *Request) {
 	w.str(&r.Table)
 	w.str(&r.SQL)
+	list(w, &r.Attach, 1, w.table)
 	w.rows(&r.Rows)
 	w.f64(&r.BusinessValue)
 	list(w, &r.Batch, 9, func(q *BatchQuery) {
@@ -249,6 +250,7 @@ func (w *wire) request(r *Request) {
 func (w *wire) response(r *Response) {
 	w.str(&r.Err)
 	list(w, &r.Tables, 1, w.str)
+	list(w, &r.TableRows, 1, w.int)
 	w.table(&r.Result)
 	opt(w, &r.Meta, w.meta)
 	list(w, &r.Replicas, 43, func(x *ReplicaStatus) {

@@ -66,6 +66,9 @@ func goldenMessages() []message {
 		Freshness:    map[string]float64{"orders": 11.5, "lineitem": 12},
 	}
 	edge := edgeTable()
+	accounts := relation.NewTable("accounts", relation.MustSchema(relation.Column{Name: "a_id", Type: relation.Int}))
+	accounts.MustInsert(relation.Row{relation.IntVal(1)})
+	accounts.MustInsert(relation.Row{relation.IntVal(2)})
 	return []message{
 		{"ping", &Request{Kind: KindPing}, &Response{}},
 		{"tables", &Request{Kind: KindTables}, &Response{Tables: []string{"accounts", "trades"}}},
@@ -86,6 +89,9 @@ func goldenMessages() []message {
 		{"delta_resync", &Request{Kind: KindDelta, Table: "edge", Cursor: 99}, &Response{Version: 6, Resync: true}},
 		{"gossip", &Request{Kind: KindGossip, Gossip: gossip}, &Response{Gossip: gossip}},
 		{"expired", &Request{Kind: KindExec, SQL: "SELECT 1"}, &Response{Err: "value expired", Expired: true, Degraded: true}},
+		{"exec_attached", &Request{Kind: KindExec, SQL: "SELECT count(*) AS n FROM edge, accounts", Attach: []*relation.Table{edge, withoutImage(accounts)}},
+			&Response{Result: edge}},
+		{"tables_rows", &Request{Kind: KindTables}, &Response{Tables: []string{"accounts", "edge"}, TableRows: []int{2, 6}}},
 	}
 }
 
@@ -464,6 +470,7 @@ func hostileFrames(tb testing.TB) []hostileFrame {
 		e := &raw{wire{enc: true, b: make([]byte, frameHeader)}}
 		e.str("")     // Err
 		e.uvarint(0)  // Tables
+		e.uvarint(0)  // TableRows
 		e.bool(true)  // Result present
 		e.str("t")    // name
 		table(e)      // columns, N, vectors
@@ -494,8 +501,8 @@ func hostileFrames(tb testing.TB) []hostileFrame {
 	flipped[bytes.Index(flipped, binary.LittleEndian.AppendUint64(nil, math.Float64bits(2.5)))+6] ^= 1 // 2.5 becomes 2.75
 	add("one bit flipped in a float vector", flipped, true)
 	badMagic := append([]byte(nil), ping...)
-	badMagic[0] = 0xD2
-	add("unknown format version", badMagic, false)
+	badMagic[0] = frameMagic - 1
+	add("the previous format version", badMagic, false)
 	reserved := append([]byte(nil), ping...)
 	reserved[3] = 1
 	add("reserved header byte set", reserved, false)

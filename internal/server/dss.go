@@ -225,6 +225,10 @@ type DSSServer struct {
 	catalog *federation.Catalog
 	costs   *costmodel.CalibratedModel
 	stats   *metrics.Registry
+	// tableRows is each remote table's row count as discovery found it:
+	// a size hint that picks the site a cross-site statement runs at
+	// (exec.go), never an answer. Immutable after construction.
+	tableRows map[core.TableID]int
 
 	// Remote I/O fault tolerance: pooled connections with per-round-trip
 	// deadlines, budget-capped retries, and a circuit breaker per site.
@@ -294,6 +298,7 @@ func NewDSSServer(cfg DSSConfig) (*DSSServer, error) {
 	// Discover which tables each remote serves, in site order so the
 	// first configuration error surfaced is the same on every run.
 	siteOf := make(map[core.TableID]core.SiteID)
+	tableRows := make(map[core.TableID]int)
 	for _, site := range sortedKeys(cfg.Remotes) {
 		addr := cfg.Remotes[site]
 		if site < 1 {
@@ -302,15 +307,18 @@ func NewDSSServer(cfg DSSConfig) (*DSSServer, error) {
 		discoverCtx, cancel := context.WithTimeout(cfg.BaseContext, cfg.DialTimeout)
 		resp, err := netproto.CallContext(discoverCtx, addr, &netproto.Request{Kind: netproto.KindTables}, cfg.DialTimeout)
 		cancel()
+		if err == nil && len(resp.TableRows) != len(resp.Tables) {
+			err = fmt.Errorf("%d row counts for %d tables", len(resp.TableRows), len(resp.Tables))
+		}
 		if err != nil {
 			return nil, fmt.Errorf("server: discover site %d at %s: %w", site, addr, err)
 		}
-		for _, name := range resp.Tables {
+		for i, name := range resp.Tables {
 			id := core.TableID(strings.ToLower(name))
 			if prev, ok := siteOf[id]; ok {
 				return nil, fmt.Errorf("server: table %s served by both site %d and site %d", id, prev, site)
 			}
-			siteOf[id] = site
+			siteOf[id], tableRows[id] = site, resp.TableRows[i]
 		}
 	}
 	placement, err := federation.NewPlacement(siteOf)
@@ -345,6 +353,7 @@ func NewDSSServer(cfg DSSConfig) (*DSSServer, error) {
 
 	s := &DSSServer{
 		cfg:       cfg,
+		tableRows: tableRows,
 		clock:     scheduler.NewWallClock(cfg.TimeScale),
 		costs:     costs,
 		stats:     metrics.NewRegistry(),
@@ -381,6 +390,7 @@ func NewDSSServer(cfg DSSConfig) (*DSSServer, error) {
 	s.stats.Gauge("admission_queue_depth").Set(0)
 	s.stats.Counter("pushdowns_total")
 	s.stats.Counter("whole_pushdowns_total")
+	s.stats.Counter("attached_tables_total")
 	if len(cfg.Tenants) > 0 {
 		budgets, err := cluster.NewBudgets(cluster.BudgetConfig{Weights: cfg.Tenants, Now: s.clock.Now})
 		if err != nil {

@@ -179,7 +179,16 @@ func (s *DSSServer) runOne(ctx context.Context, stmt *sqlmini.SelectStmt, sql st
 // by the plan and returns the result, the oldest freshness timestamp
 // actually used, and whether the answer is degraded (a base read fell back
 // to a stale replica because the site was unreachable). sql is stmt's
-// text as received, for a site that can answer it whole.
+// text as received, for the site a plan that reads only base tables is
+// shipped to.
+//
+// Such a plan runs at its heaviest site, the one whose tables hold the
+// most rows (siteFetches): the other sites' pushdowns come back first,
+// all at once, and go out again attached to that site's one KindExec
+// carrying the statement, whose answer is the report. A plan that reads
+// any replica runs here, over every base site's pushdowns. Either way a
+// site gets one request per plan, and a failed request degrades exactly
+// that site's tables to their replicas.
 func (s *DSSServer) executePlan(ctx context.Context, stmt *sqlmini.SelectStmt, sql string, plan core.Plan) (*relation.Table, core.Time, bool, error) {
 	// A view plan is the whole answer, already materialized and
 	// pre-aggregated: serve it without re-evaluating the statement. The
@@ -199,15 +208,13 @@ func (s *DSSServer) executePlan(ctx context.Context, stmt *sqlmini.SelectStmt, s
 		return table, syncedAt, false, nil
 	}
 	fetchedAt := s.now()
-	fetches := s.fetchSites(ctx, stmt, sql, plan)
+	fetches, ship := s.siteFetches(stmt, sql, plan)
+	s.callSites(ctx, fetches, ship)
 	if ctx.Err() != nil {
 		// The request's own deadline is the caller's answer — degrading to
 		// a replica would spend more time producing a report nobody is
 		// waiting for.
 		return nil, 0, false, context.Cause(ctx)
-	}
-	if len(fetches) == 1 && len(fetches[0].tables) == len(plan.Access) && fetches[0].err == nil {
-		return fetches[0].resp.Result, fetchedAt, false, nil // the site answered the whole statement
 	}
 	cat := make(sqlmini.MapCatalog, len(plan.Access))
 	oldest := math.Inf(1)
@@ -221,20 +228,32 @@ func (s *DSSServer) executePlan(ctx context.Context, stmt *sqlmini.SelectStmt, s
 			s.execCache.Forget(t)
 		}
 	}()
-	for _, a := range plan.Access {
-		switch a.Kind {
-		case core.AccessReplica:
-			s.mu.RLock()
-			snap, ok := s.replicas[a.Table]
-			s.mu.RUnlock()
-			if !ok {
-				return nil, 0, false, fmt.Errorf("server: no replica snapshot for %s", a.Table)
+	// bind adds to cat the tables the plan reads at the shipped site, or
+	// those it reads anywhere else, which then ride the shipped request.
+	bind := func(shipped bool) error {
+		for _, a := range plan.Access {
+			if (ship != nil && a.Site == ship.site) != shipped {
+				continue
 			}
-			cat.Add(string(a.Table), snap.table)
-			oldest = math.Min(oldest, snap.syncedAt)
-		case core.AccessBase:
-			result, err := siteResult(fetches, a)
-			if err != nil {
+			switch a.Kind {
+			case core.AccessReplica:
+				s.mu.RLock()
+				snap, ok := s.replicas[a.Table]
+				s.mu.RUnlock()
+				if !ok {
+					return fmt.Errorf("server: no replica snapshot for %s", a.Table)
+				}
+				cat.Add(string(a.Table), snap.table)
+				oldest = math.Min(oldest, snap.syncedAt)
+			case core.AccessBase:
+				result, err := siteResult(fetches, a)
+				if err == nil {
+					result.Name = string(a.Table)
+					cat.Add(string(a.Table), result)
+					fetched = append(fetched, result)
+					oldest = math.Min(oldest, fetchedAt)
+					break
+				}
 				// Availability degradation: an unreachable site is survivable
 				// when a replica snapshot exists — serve the stale copy and
 				// let the SL accounting price the staleness honestly.
@@ -246,27 +265,45 @@ func (s *DSSServer) executePlan(ctx context.Context, stmt *sqlmini.SelectStmt, s
 					if errors.As(err, &remote) {
 						// The site answered: an application error, not an
 						// outage — surface it undecorated.
-						return nil, 0, false, fmt.Errorf("server: site %d: %w", a.Site, err)
+						return fmt.Errorf("server: site %d: %w", a.Site, err)
 					}
-					return nil, 0, false, &core.SiteUnavailableError{Table: a.Table, Site: a.Site, Cause: err}
+					return &core.SiteUnavailableError{Table: a.Table, Site: a.Site, Cause: err}
 				}
 				log.Printf("server: site %d unreachable for %s, degrading to replica (synced %.2f): %v", a.Site, a.Table, snap.syncedAt, err)
 				s.stats.Counter("degraded_reads_total").Inc()
 				degraded = true
 				cat.Add(string(a.Table), snap.table)
 				oldest = math.Min(oldest, snap.syncedAt)
-				continue
+			case core.AccessView:
+				// A view materializes a whole answer; the bypass above is the
+				// only valid shape. The planner never emits mixed view plans.
+				return fmt.Errorf("server: view %s cannot serve table %s inside a multi-source plan", a.View, a.Table)
+			default:
+				return fmt.Errorf("server: invalid access kind %d", int(a.Kind))
 			}
-			result.Name = string(a.Table)
-			cat.Add(string(a.Table), result)
-			fetched = append(fetched, result)
-			oldest = math.Min(oldest, fetchedAt)
-		case core.AccessView:
-			// A view materializes a whole answer; the bypass above is the
-			// only valid shape. The planner never emits mixed view plans.
-			return nil, 0, false, fmt.Errorf("server: view %s cannot serve table %s inside a multi-source plan", a.View, a.Table)
-		default:
-			return nil, 0, false, fmt.Errorf("server: invalid access kind %d", int(a.Kind))
+			if ship != nil && !shipped {
+				ship.req.Attach = append(ship.req.Attach, cat[string(a.Table)])
+			}
+		}
+		return nil
+	}
+	if err := bind(false); err != nil {
+		return nil, 0, false, err
+	}
+	if ship != nil {
+		s.stats.Counter("whole_pushdowns_total").Inc()
+		s.stats.Counter("attached_tables_total").Add(int64(len(ship.req.Attach)))
+		s.callFetch(ctx, ship)
+		if ctx.Err() != nil {
+			return nil, 0, false, context.Cause(ctx)
+		}
+		if ship.err == nil {
+			return ship.resp.Result, math.Min(oldest, fetchedAt), degraded, nil
+		}
+		// The heaviest site failed: its tables come from replicas, and the
+		// statement runs here over them and the attachments.
+		if err := bind(true); err != nil {
+			return nil, 0, false, err
 		}
 	}
 	out, err := sqlmini.ExecuteWith(ctx, stmt, cat, sqlmini.Options{Cache: s.execCache})
@@ -280,25 +317,29 @@ func (s *DSSServer) executePlan(ctx context.Context, stmt *sqlmini.SelectStmt, s
 }
 
 // siteFetch is one site's share of a plan's base reads: its tables, in
-// plan order, and the one request that fetches them all.
+// plan order, their discovered row counts summed, and the one request
+// that fetches them all.
 type siteFetch struct {
 	site   core.SiteID
 	tables []core.TableID
+	rows   int
 	req    *netproto.Request
 	resp   *netproto.Response
 	err    error
 }
 
-// fetchSites groups the plan's base reads by site and sends every site
-// its one request at once, under ctx (query decomposition). A site that
-// serves every table the plan reads gets sql, and its answer is the
-// report. Any other site gets its tables' sqlmini.PushdownFor SELECTs (a
-// KindExec for one, a KindBatch for several), SELECT * where a pushdown
-// is refused. A one-site plan calls inline, with no goroutine.
-func (s *DSSServer) fetchSites(ctx context.Context, stmt *sqlmini.SelectStmt, sql string, plan core.Plan) []siteFetch {
-	var fetches []siteFetch
+// siteFetches groups the plan's base reads by site, in plan order, and
+// builds each site's one request (query decomposition). When the plan
+// reads every table from base, ship is the site whose tables hold the
+// most rows (ties to the lowest site ID), and its request carries sql:
+// the statement runs there, over the other sites' fetches attached. Any
+// other site gets its tables' sqlmini.PushdownFor SELECTs (a KindExec for
+// one, a KindBatch for several), SELECT * where a pushdown is refused.
+func (s *DSSServer) siteFetches(stmt *sqlmini.SelectStmt, sql string, plan core.Plan) (fetches []siteFetch, ship *siteFetch) {
+	allBase := true
 	for _, a := range plan.Access {
 		if a.Kind != core.AccessBase {
+			allBase = false
 			continue
 		}
 		j := slices.IndexFunc(fetches, func(f siteFetch) bool { return f.site == a.Site })
@@ -306,12 +347,17 @@ func (s *DSSServer) fetchSites(ctx context.Context, stmt *sqlmini.SelectStmt, sq
 			j, fetches = len(fetches), append(fetches, siteFetch{site: a.Site})
 		}
 		fetches[j].tables = append(fetches[j].tables, a.Table)
+		fetches[j].rows += s.tableRows[a.Table]
 	}
 	for j := range fetches {
 		f := &fetches[j]
-		s.stats.Counter("pushdowns_total").Inc()
-		if len(f.tables) == len(plan.Access) {
-			s.stats.Counter("whole_pushdowns_total").Inc()
+		if allBase && (ship == nil || f.rows > ship.rows || f.rows == ship.rows && f.site < ship.site) {
+			ship = f
+		}
+	}
+	for j := range fetches {
+		f := &fetches[j]
+		if f == ship {
 			f.req = &netproto.Request{Kind: netproto.KindExec, SQL: sql}
 			continue
 		}
@@ -326,19 +372,35 @@ func (s *DSSServer) fetchSites(ctx context.Context, stmt *sqlmini.SelectStmt, sq
 			f.req = &netproto.Request{Kind: netproto.KindExec, SQL: f.req.Batch[0].SQL}
 		}
 	}
-	if len(fetches) < 2 {
+	return fetches, ship
+}
+
+// callSites sends the request of every fetch but skip, all at once,
+// under ctx. A lone request calls inline, with no goroutine.
+func (s *DSSServer) callSites(ctx context.Context, fetches []siteFetch, skip *siteFetch) {
+	if n := len(fetches); n < 2 || n == 2 && skip != nil {
 		for j := range fetches {
-			fetches[j].resp, fetches[j].err = s.callSite(ctx, fetches[j].site, fetches[j].req)
+			if f := &fetches[j]; f != skip {
+				s.callFetch(ctx, f)
+			}
 		}
-		return fetches
+		return
 	}
 	var wg sync.WaitGroup
 	for j := range fetches {
-		wg.Add(1)
-		go func(f *siteFetch) { defer wg.Done(); f.resp, f.err = s.callSite(ctx, f.site, f.req) }(&fetches[j])
+		if f := &fetches[j]; f != skip {
+			wg.Add(1)
+			go func(f *siteFetch) { defer wg.Done(); s.callFetch(ctx, f) }(f)
+		}
 	}
 	wg.Wait()
-	return fetches
+}
+
+// callFetch sends f's request. Every site request carries SQL, so each
+// counts as a pushdown, the shipped statement included.
+func (s *DSSServer) callFetch(ctx context.Context, f *siteFetch) {
+	s.stats.Counter("pushdowns_total").Inc()
+	f.resp, f.err = s.callSite(ctx, f.site, f.req)
 }
 
 // siteResult returns what a's site request brought back for a's table,

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -81,12 +80,7 @@ func (s *RemoteServer) AddTable(t *relation.Table) error {
 func (s *RemoteServer) Tables() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.tables))
-	for n := range s.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return sortedKeys(s.tables)
 }
 
 // Listen binds the server to addr (use "127.0.0.1:0" for an ephemeral
@@ -159,6 +153,9 @@ func (s *RemoteServer) handle(req *netproto.Request) *netproto.Response {
 	ctx, cancel := req.BudgetContext(base)
 	defer cancel()
 
+	if req.Attach != nil && req.Kind != netproto.KindExec {
+		return &netproto.Response{Err: fmt.Sprintf("request kind %d carries attached tables; only KindExec binds them", int(req.Kind))}
+	}
 	switch req.Kind {
 	case netproto.KindScan, netproto.KindSnapshot, netproto.KindDelta, netproto.KindExec, netproto.KindBatch:
 		// Every read pays the simulated WAN distance first.
@@ -171,7 +168,13 @@ func (s *RemoteServer) handle(req *netproto.Request) *netproto.Response {
 		return &netproto.Response{}
 
 	case netproto.KindTables:
-		return &netproto.Response{Tables: s.Tables()}
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		resp := &netproto.Response{Tables: sortedKeys(s.tables)}
+		for _, name := range resp.Tables {
+			resp.TableRows = append(resp.TableRows, len(s.tables[name].Rows))
+		}
+		return resp
 
 	case netproto.KindScan, netproto.KindSnapshot:
 		// A versioned full copy (a scan is a snapshot whose version goes
@@ -213,6 +216,9 @@ func (s *RemoteServer) handle(req *netproto.Request) *netproto.Response {
 	case netproto.KindExec, netproto.KindBatch:
 		// A KindBatch is the DSS's one request for several of this site's
 		// tables: each SELECT answers in its own item, under one read lock.
+		// A KindExec's attachments are the other sites' pushdowns for a
+		// statement the DSS shipped here: bound beside this site's tables
+		// for the one run, then forgotten, like the DSS forgets a fetch.
 		batch := req.Batch
 		if req.Kind == netproto.KindExec {
 			batch = []netproto.BatchQuery{{SQL: req.SQL}}
@@ -221,6 +227,17 @@ func (s *RemoteServer) handle(req *netproto.Request) *netproto.Response {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
 		cat := sqlmini.NewMapCatalog(s.tables)
+		defer func() {
+			for _, t := range req.Attach {
+				s.execCache.Forget(t)
+			}
+		}()
+		for i, t := range req.Attach {
+			if t == nil || cat[strings.ToLower(t.Name)] != nil {
+				return &netproto.Response{Err: fmt.Sprintf("attached table %d is missing or shadows a table already bound here", i)}
+			}
+			cat.Add(t.Name, t)
+		}
 		for i, q := range batch {
 			out, err := sqlmini.RunWith(ctx, q.SQL, cat, sqlmini.Options{Cache: s.execCache})
 			if err != nil && ctx.Err() != nil {

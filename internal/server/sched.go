@@ -280,8 +280,8 @@ func (s *DSSServer) submitBatch(ctx context.Context, req *netproto.Request, id s
 
 // schedulerStatusMetrics is the scheduling slice of the registry included
 // in KindStatus responses, so `ivqp -status` shows the live MQO engine
-// (and how many site requests carried whole statements) without a full
-// metrics dump.
+// (and how many site requests carried whole statements, and how many
+// tables rode along attached) without a full metrics dump.
 func (s *DSSServer) schedulerStatusMetrics() map[string]float64 {
 	out := make(map[string]float64)
 	for name, v := range s.stats.Flatten() {
@@ -290,7 +290,8 @@ func (s *DSSServer) schedulerStatusMetrics() map[string]float64 {
 			strings.HasPrefix(name, "mqo_") ||
 			strings.HasPrefix(name, "aging_") ||
 			strings.HasPrefix(name, "gossip_") ||
-			strings.HasPrefix(name, "steal") || strings.HasSuffix(name, "pushdowns_total") {
+			strings.HasPrefix(name, "steal") || strings.HasSuffix(name, "pushdowns_total") ||
+			name == "attached_tables_total" {
 			out[name] = v
 		}
 	}

@@ -213,6 +213,22 @@ func (c *ExecCache) Forget(t *relation.Table) {
 	}
 }
 
+// Holds reports whether c keeps anything for t: a columnar image, a join
+// build or a mark. It is how a table's owner checks that Forget ran.
+func (c *ExecCache) Holds(t *relation.Table) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.cols[t]; ok {
+		return true
+	}
+	for k := range c.builds {
+		if k.t == t {
+			return true
+		}
+	}
+	return false
+}
+
 // keySig renders key column positions ("3,7"); Prepare calls it once per
 // join step, for the right side's keys.
 func keySig(keys []int) string {

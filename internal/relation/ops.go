@@ -273,8 +273,18 @@ func (a *Aggregator) Reset() {
 	a.order = nil
 }
 
-// Add folds one row into its group. The row is not retained.
+// Add folds one row into its group, whole or not at all: a SUM or AVG
+// cell that is not numeric fails the row before anything is folded. The
+// row is not retained.
 func (a *Aggregator) Add(r Row) error {
+	for _, s := range a.aggs {
+		if s.Fn != Sum && s.Fn != Avg {
+			continue
+		}
+		if _, ok := r[s.Col].AsFloat(); !ok {
+			return fmt.Errorf("relation: %s over non-numeric column %s", s.Fn, a.in.Cols[s.Col].Name)
+		}
+	}
 	k := RowKey(r, a.groupBy)
 	g, ok := a.groups[k]
 	if !ok {
@@ -302,10 +312,7 @@ func (a *Aggregator) Add(r Row) error {
 			}
 			g.distinct[i][string(appendKeyPart(nil, r[s.Col]))] = true
 		case Sum, Avg:
-			f, ok := r[s.Col].AsFloat()
-			if !ok {
-				return fmt.Errorf("relation: %s over non-numeric column %s", s.Fn, a.in.Cols[s.Col].Name)
-			}
+			f, _ := r[s.Col].AsFloat()
 			g.sums[i] += f
 			g.counts[i]++
 		case Min, Max:

@@ -80,24 +80,9 @@ func (f siteFetcher) Delta(ctx context.Context, id core.TableID, cursor uint64) 
 	return replsync.Delta{
 		Rows:    resp.DeltaRows,
 		Version: resp.Version,
-		Bytes:   rowsBytes(resp.DeltaRows),
+		Bytes:   (&relation.Table{Rows: resp.DeltaRows}).SizeBytes(),
 		Resync:  resp.Resync,
 	}, nil
-}
-
-// rowsBytes prices a row slice the way Table.SizeBytes prices a table.
-func rowsBytes(rows []relation.Row) int64 {
-	var size int64
-	for _, r := range rows {
-		for _, v := range r {
-			if v.T == relation.Str {
-				size += int64(len(v.S))
-			} else {
-				size += 8
-			}
-		}
-	}
-	return size
 }
 
 // replicaApplier implements replsync.Applier over the server's replica

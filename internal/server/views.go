@@ -32,10 +32,13 @@ type ViewSpec struct {
 }
 
 // viewState is the server's runtime state for one materialized view.
-// Definition fields are immutable after registration; prog, table, and
-// syncedAt are guarded by s.mu. The answer table is copy-on-write: every
-// refresh installs a fresh render, so in-flight queries keep a stable
-// snapshot.
+// Definition fields are immutable after registration. prog is touched only
+// by the sync agent's Apply* and Drop calls for the view's unit, which the
+// agent serializes under Agent.mu (perform in replsync/agent.go,
+// reviewPlacement in cadence.go), so both view paths fold and render
+// without s.mu and then publish table, syncedAt and cursor under it. The
+// answer table is copy-on-write: every refresh installs a fresh render,
+// so in-flight queries keep a stable snapshot.
 type viewState struct {
 	def     core.ViewDef
 	stmt    *sqlmini.SelectStmt
@@ -129,25 +132,24 @@ func (ap replicaApplier) applyViewDelta(id core.ViewID, delta replsync.Delta, at
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if vs.prog == nil {
 		return fmt.Errorf("server: delta for view %s before its first snapshot", id)
 	}
-	if len(delta.Rows) == 0 {
-		// Nothing relevant changed upstream: same answer, fresher stamp.
-		vs.syncedAt, vs.cursor = at, delta.Version
-		return nil
+	// No rows means nothing relevant changed upstream: same answer,
+	// fresher stamp.
+	out := vs.table
+	if len(delta.Rows) > 0 {
+		if err := vs.prog.Apply(s.baseCtx, delta.Rows); err != nil {
+			return fmt.Errorf("server: view %s: %w", id, err)
+		}
+		if out, err = vs.prog.Result(s.baseCtx); err != nil {
+			return fmt.Errorf("server: view %s: %w", id, err)
+		}
+		out.Name = string(id)
 	}
-	if err := vs.prog.Apply(s.baseCtx, delta.Rows); err != nil {
-		return fmt.Errorf("server: view %s: %w", id, err)
-	}
-	out, err := vs.prog.Result(s.baseCtx)
-	if err != nil {
-		return fmt.Errorf("server: view %s: %w", id, err)
-	}
-	out.Name = string(id)
+	s.mu.Lock()
 	vs.table, vs.syncedAt, vs.cursor = out, at, delta.Version
+	s.mu.Unlock()
 	return nil
 }
 

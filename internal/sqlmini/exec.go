@@ -137,18 +137,11 @@ func executeTree(ctx context.Context, stmt *SelectStmt, cat Catalog) (*relation.
 			return nil, err
 		}
 		en = newEnv(working.Schema)
-	}
-	return havingProject(ctx, stmt, working, en)
-}
-
-// havingProject runs what follows grouping over the working table:
-// HAVING (which layoutAggregate admits only on a grouping statement), then
-// the projection. The tree walk and view programs share it.
-func havingProject(ctx context.Context, stmt *SelectStmt, working *relation.Table, en env) (*relation.Table, error) {
-	if stmt.Having != nil {
-		var err error
-		if working, err = filterTable(ctx, working, en, stmt.Having); err != nil {
-			return nil, err
+		// layoutAggregate admits HAVING only on a grouping statement.
+		if stmt.Having != nil {
+			if working, err = filterTable(ctx, working, en, stmt.Having); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return project(ctx, stmt, working, en)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ivdss/internal/relation"
@@ -248,4 +249,128 @@ func TestViewProgramUnfilteredInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameTable(t, q, oracle, got)
+}
+
+// TestViewApplyIsAllOrNothing feeds a delta whose last row fails
+// evaluation, in the derived row, in the WHERE and in a detail view: Apply
+// must return the error and leave Result and Folded as they were, so a
+// retry of the same delta does not fold its earlier rows twice.
+func TestViewApplyIsAllOrNothing(t *testing.T) {
+	queries := []string{
+		"SELECT o_region, count(*), sum(10 / o_qty) FROM orders GROUP BY o_region",
+		"SELECT o_region, count(*), sum(o_amount) FROM orders WHERE 10 / o_qty > 1 GROUP BY o_region",
+		"SELECT o_id, o_amount FROM orders WHERE 10 / o_qty > 1",
+	}
+	row := func(id int64, qty int64) relation.Row {
+		return relation.Row{relation.IntVal(id), relation.StrVal("east"), relation.FloatVal(2.5), relation.IntVal(qty)}
+	}
+	ctx := context.Background()
+	for _, q := range queries {
+		stmt, err := Parse(q)
+		if err != nil {
+			t.Fatalf("parse %q: %v", q, err)
+		}
+		prog, err := CompileView(stmt, viewBaseSchema())
+		if err != nil {
+			t.Fatalf("%q: CompileView: %v", q, err)
+		}
+		if err := prog.Apply(ctx, []relation.Row{row(0, 2)}); err != nil {
+			t.Fatalf("%q: first Apply: %v", q, err)
+		}
+		before, err := prog.Result(ctx)
+		if err != nil {
+			t.Fatalf("%q: Result: %v", q, err)
+		}
+		folded := prog.Folded()
+
+		bad := []relation.Row{row(1, 2), row(2, 5), row(3, 0)}
+		if err := prog.Apply(ctx, bad); err == nil {
+			t.Fatalf("%q: Apply of a delta ending in o_qty = 0 succeeded", q)
+		}
+		after, err := prog.Result(ctx)
+		if err != nil {
+			t.Fatalf("%q: Result after a failed Apply: %v", q, err)
+		}
+		requireIdentical(t, q+" after a failed Apply", before, after)
+		if prog.Folded() != folded {
+			t.Errorf("%q: Folded %d after a failed Apply, want %d", q, prog.Folded(), folded)
+		}
+
+		// The state is still the rows before the failure: the delta's good
+		// rows fold once, as a full run over them answers.
+		if err := prog.Apply(ctx, bad[:2]); err != nil {
+			t.Fatalf("%q: Apply of the good rows: %v", q, err)
+		}
+		got, err := prog.Result(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := &relation.Table{Name: "orders", Schema: viewBaseSchema(), Rows: []relation.Row{row(0, 2), bad[0], bad[1]}}
+		want, err := ExecuteContext(ctx, stmt, MapCatalog{"orders": base})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, q+" after the retry", want, got)
+	}
+
+	// A SUM over a string column fails every non-empty batch at its first
+	// row, after that row's COUNT(*) is reached: nothing may be folded.
+	stmt, err := Parse("SELECT count(*), sum(o_region) FROM orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := CompileView(stmt, viewBaseSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := prog.Apply(ctx, []relation.Row{row(0, 2)}); err == nil {
+		t.Fatal("Apply of a SUM over a string column succeeded")
+	}
+	got, err := prog.Result(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ExecuteContext(ctx, stmt, MapCatalog{"orders": relation.NewTable("orders", viewBaseSchema())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, "SUM over a string column after a failed Apply", want, got)
+}
+
+// TestViewApplyRejectsConfusedDelta feeds a delta row whose cell type
+// contradicts the shipped schema: Apply must fail naming the row and the
+// column, and fold nothing, rather than serve the confused cell.
+func TestViewApplyRejectsConfusedDelta(t *testing.T) {
+	ctx := context.Background()
+	good := relation.Row{relation.IntVal(1), relation.StrVal("east"), relation.FloatVal(4), relation.IntVal(3)}
+	confused := relation.Row{relation.IntVal(2), relation.StrVal("west"), relation.StrVal("not a float"), relation.IntVal(3)}
+	for _, q := range []string{
+		"SELECT o_region, max(o_amount) FROM orders GROUP BY o_region",
+		"SELECT o_id, o_amount FROM orders",
+	} {
+		stmt, err := Parse(q)
+		if err != nil {
+			t.Fatalf("parse %q: %v", q, err)
+		}
+		prog, err := CompileView(stmt, viewBaseSchema())
+		if err != nil {
+			t.Fatalf("%q: CompileView: %v", q, err)
+		}
+		err = prog.Apply(ctx, []relation.Row{good, confused})
+		if err == nil || !strings.Contains(err.Error(), "row 1") || !strings.Contains(err.Error(), "o_amount") {
+			t.Fatalf("%q: Apply of a confused delta: error %v, want one naming row 1 and o_amount", q, err)
+		}
+		if prog.Folded() != 0 {
+			t.Errorf("%q: Folded %d after a rejected delta, want 0", q, prog.Folded())
+		}
+		got, err := prog.Result(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ExecuteContext(ctx, stmt, MapCatalog{"orders": relation.NewTable("orders", viewBaseSchema())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, q+" after a rejected delta", want, got)
+	}
 }

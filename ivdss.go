@@ -75,21 +75,14 @@ type (
 	PlannerConfig = core.PlannerConfig
 	// SearchMode selects the plan-space exploration strategy.
 	SearchMode = core.SearchMode
-	// SearchStats instruments one planning episode.
-	SearchStats = core.SearchStats
 	// Plan is a fully specified way to evaluate one query.
 	Plan = core.Plan
-	// TableAccess is one table-level decision inside a plan.
-	TableAccess = core.TableAccess
 	// AccessKind says where a plan reads one table from.
 	AccessKind = core.AccessKind
 	// TableState is the catalog snapshot the planner receives per table.
 	TableState = core.TableState
 	// ReplicaState describes the local replica of one table.
 	ReplicaState = core.ReplicaState
-	// DataSource is one way a plan can read a table: remote base,
-	// synchronized replica, or materialized view.
-	DataSource = core.DataSource
 	// CostEstimate decomposes a plan's computational latency.
 	CostEstimate = core.CostEstimate
 	// CostModel estimates computational-latency components.
@@ -116,31 +109,6 @@ const (
 	// the local DSS server.
 	AccessView = core.AccessView
 )
-
-// Materialized views.
-type (
-	// ViewID names a materialized view.
-	ViewID = core.ViewID
-	// ViewDef is a view's registered definition: the covered query and the
-	// base table it folds.
-	ViewDef = core.ViewDef
-	// ViewState describes one synchronized view to the planner.
-	ViewState = core.ViewState
-	// ViewSpec configures one materialized view on a live DSS server.
-	ViewSpec = server.ViewSpec
-	// ViewCandidate offers a view to the placement advisor.
-	ViewCandidate = advisor.ViewCandidate
-)
-
-// ViewUnit namespaces a view ID into the synchronized-unit ("view:<id>")
-// space shared with replicated tables.
-func ViewUnit(id ViewID) TableID { return core.ViewUnit(id) }
-
-// ViewOfUnit reports whether a synchronized unit is a view, and which.
-func ViewOfUnit(id TableID) (ViewID, bool) { return core.ViewOfUnit(id) }
-
-// LocalSite is the DSS (federation) server itself.
-const LocalSite = core.LocalSite
 
 // InformationValue computes BusinessValue × (1−λCL)^CL × (1−λSL)^SL.
 func InformationValue(businessValue float64, lat Latencies, r DiscountRates) float64 {
@@ -253,8 +221,6 @@ type (
 	Strategy = scheduler.Strategy
 	// IVQPStrategy plans with the information-value-driven planner.
 	IVQPStrategy = scheduler.IVQPStrategy
-	// FixedStrategy always uses one access kind (the paper's baselines).
-	FixedStrategy = scheduler.FixedStrategy
 )
 
 // Simulator is the discrete event simulator that drives NewSimEngine runs
@@ -292,8 +258,6 @@ type (
 	Advisor = advisor.Advisor
 	// AdvisorConfig parameterizes the advisor.
 	AdvisorConfig = advisor.Config
-	// Recommendation is the advisor's output.
-	Recommendation = advisor.Recommendation
 )
 
 // NewAdvisor validates the config and returns an Advisor.
@@ -320,8 +284,6 @@ type (
 	RelColumn = relation.Column
 	// RelRow is one tuple.
 	RelRow = relation.Row
-	// RelValue is one typed cell.
-	RelValue = relation.Value
 	// SQLCatalog supplies the SQL executor with tables by name.
 	SQLCatalog = sqlmini.Catalog
 )

@@ -68,7 +68,8 @@ func (c CostEstimate) Total() Duration { return c.Queue + c.Process + c.Transmit
 // query with a particular set of table accesses starting at a given time.
 // Implementations live in internal/costmodel; core defines the interface it
 // consumes. Estimates must be non-negative and deterministic for a fixed
-// (query, access, start) triple within one planning episode.
+// (query, access, start) triple within one planning episode. Estimate must
+// not keep access: the planner builds the next candidate in it.
 type CostModel interface {
 	Estimate(q Query, access []TableAccess, start Time) CostEstimate
 }

@@ -5,13 +5,12 @@ import (
 	"strings"
 )
 
-// The data-source abstraction: every way a plan can answer one table
-// access — the remote base table, a synchronized local replica, or an
-// incrementally maintained materialized view — implements DataSource, and
-// the planner enumerates plans over sources rather than branching on the
-// {base, replica} pair. Replicas and views share their versioning model
-// (a last completed synchronization plus scheduled future completions),
-// so both wrap the same timeline arithmetic.
+// The data sources: a plan answers one table access from the remote base
+// table, a synchronized local replica, or an incrementally maintained
+// materialized view. Replicas and views share their versioning model (a
+// last completed synchronization plus scheduled future completions), so
+// the planner reads both as one localSource over the same timeline
+// arithmetic.
 
 // ViewID names a materialized view.
 type ViewID string
@@ -72,182 +71,68 @@ func (d ViewDef) Validate() error {
 	return nil
 }
 
-// DataSource is one way to answer a table access. Implementations are
-// immutable snapshots taken at planning time.
-type DataSource interface {
-	// Kind is the access kind plans built from this source carry.
-	Kind() AccessKind
-	// VersionAt returns the freshness timestamp of the newest version
-	// available at t, and whether one exists. Base tables are always
-	// current; replicas and views have the versions their sync timelines
-	// say they have.
-	VersionAt(t Time) (Time, bool)
-	// EarliestAt returns the earliest instant ≥ now at which any version
-	// exists (now itself when one already does).
-	EarliestAt(now Time) (Time, bool)
-	// EventsWithin lists the future version-completion times in
-	// (after, until], ascending.
-	EventsWithin(after, until Time) []Time
-	// Access builds the plan's table access for the version with
-	// freshness v.
-	Access(v Time) TableAccess
+// localSource is a data source served from the DSS itself — the table's
+// replica or a view covering the query — as the planner reads it: a sync
+// timeline (a view's is shaped exactly like a replica's) and the access
+// each of its versions builds.
+type localSource struct {
+	timeline ReplicaState
+	access   TableAccess // Freshness is set per version
 }
 
-// BaseSource is the authoritative remote base table.
-type BaseSource struct {
-	Table TableID
-	Site  SiteID
+// versionAt returns the freshness of the newest version available at t.
+func (s *localSource) versionAt(t Time) (Time, bool) { return replicaVersionAt(&s.timeline, t) }
+
+// at builds the access reading the version with freshness v.
+func (s *localSource) at(v Time) TableAccess {
+	a := s.access
+	a.Freshness = v
+	return a
 }
 
-// Kind returns AccessBase.
-func (s BaseSource) Kind() AccessKind { return AccessBase }
-
-// VersionAt reports the base table current at every instant.
-func (s BaseSource) VersionAt(t Time) (Time, bool) { return t, true }
-
-// EarliestAt reports the base table available immediately.
-func (s BaseSource) EarliestAt(now Time) (Time, bool) { return now, true }
-
-// EventsWithin returns nothing: the base table has no sync timeline.
-func (s BaseSource) EventsWithin(after, until Time) []Time { return nil }
-
-// Access builds a base access; base freshness is derived at evaluation
-// time, so v is ignored.
-func (s BaseSource) Access(Time) TableAccess {
-	return TableAccess{Table: s.Table, Site: s.Site, Kind: AccessBase}
-}
-
-// ReplicaSource is a synchronized local replica.
-type ReplicaSource struct {
-	Table TableID
-	Site  SiteID // site of the base table the replica mirrors
-	State *ReplicaState
-}
-
-// Kind returns AccessReplica.
-func (s ReplicaSource) Kind() AccessKind { return AccessReplica }
-
-// VersionAt returns the newest replica version synchronized at or before t.
-func (s ReplicaSource) VersionAt(t Time) (Time, bool) { return replicaVersionAt(s.State, t) }
-
-// EarliestAt returns the earliest instant ≥ now a replica version exists.
-func (s ReplicaSource) EarliestAt(now Time) (Time, bool) { return earliestReplicaAt(s.State, now) }
-
-// EventsWithin lists the replica's scheduled completions in (after, until].
-func (s ReplicaSource) EventsWithin(after, until Time) []Time {
-	if s.State == nil {
-		return nil
-	}
-	return eventsWithin(s.State.NextSyncs, after, until)
-}
-
-// Access builds a replica access at version v.
-func (s ReplicaSource) Access(v Time) TableAccess {
-	return TableAccess{Table: s.Table, Site: s.Site, Kind: AccessReplica, Freshness: v}
-}
-
-// ViewSource is an incrementally maintained materialized view covering one
-// query over the table.
-type ViewSource struct {
-	Table TableID
-	Site  SiteID // site of the base table the view is maintained over
-	State ViewState
-}
-
-// Kind returns AccessView.
-func (s ViewSource) Kind() AccessKind { return AccessView }
-
-// VersionAt returns the newest view version refreshed at or before t.
-func (s ViewSource) VersionAt(t Time) (Time, bool) {
-	rs := ReplicaState{LastSync: s.State.LastSync, NextSyncs: s.State.NextSyncs}
-	return replicaVersionAt(&rs, t)
-}
-
-// EarliestAt returns the earliest instant ≥ now a view version exists.
-func (s ViewSource) EarliestAt(now Time) (Time, bool) {
-	rs := ReplicaState{LastSync: s.State.LastSync, NextSyncs: s.State.NextSyncs}
-	return earliestReplicaAt(&rs, now)
-}
-
-// EventsWithin lists the view's scheduled refresh completions in
-// (after, until].
-func (s ViewSource) EventsWithin(after, until Time) []Time {
-	return eventsWithin(s.State.NextSyncs, after, until)
-}
-
-// Access builds a view access at version v.
-func (s ViewSource) Access(v Time) TableAccess {
-	return TableAccess{Table: s.Table, Site: s.Site, Kind: AccessView, Freshness: v, View: s.State.ID}
-}
-
-// eventsWithin filters an ascending timeline to (after, until].
-func eventsWithin(times []Time, after, until Time) []Time {
-	var out []Time
-	for _, n := range times {
-		if n > after && n <= until {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// Sources enumerates the table's data sources usable by query q, in
-// canonical order: the base table, the replica (when one is registered),
-// then every view covering q (snapshot order, which the catalog keeps
-// sorted by ViewID). BaseDown filtering is the planner's job: the base
-// source is always listed so callers see the full registry.
-func (ts TableState) Sources(q Query) []DataSource {
-	out := []DataSource{BaseSource{Table: ts.ID, Site: ts.Site}}
+// localSources appends the table's local sources usable by q to dst, in
+// canonical order: the replica (when one is registered), then every view
+// covering q (snapshot order, which the catalog keeps sorted by ViewID).
+// These are the fallbacks a BaseDown table can degrade to and the units
+// whose syncs are the planner's time points.
+func (ts *TableState) localSources(dst []localSource, q Query) []localSource {
 	if ts.Replica != nil {
-		out = append(out, ReplicaSource{Table: ts.ID, Site: ts.Site, State: ts.Replica})
+		dst = append(dst, localSource{*ts.Replica, TableAccess{Table: ts.ID, Site: ts.Site, Kind: AccessReplica}})
 	}
 	for _, vs := range ts.Views {
 		if vs.QueryID == q.ID {
-			out = append(out, ViewSource{Table: ts.ID, Site: ts.Site, State: vs})
+			dst = append(dst, localSource{ReplicaState{vs.LastSync, vs.NextSyncs}, TableAccess{Table: ts.ID, Site: ts.Site, Kind: AccessView, View: vs.ID}})
 		}
 	}
-	return out
+	return dst
 }
 
-// LocalSources lists the sources served from the DSS itself — everything
-// except the base table. These are the fallbacks a BaseDown table can
-// degrade to and the units the sync agent maintains.
-func (ts TableState) LocalSources(q Query) []DataSource {
-	var out []DataSource
-	for _, s := range ts.Sources(q) {
-		if s.Kind() != AccessBase {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// bestLocalAt picks the freshest local version available at t across the
+// bestLocal picks the freshest local version available at t across the
 // given sources; on a freshness tie the earlier-listed source wins (the
-// replica, given Sources order). It is what BaseDown pinning uses.
-func bestLocalAt(sources []DataSource, t Time) (TableAccess, bool) {
+// replica, given localSources order). It is what BaseDown pinning uses.
+func bestLocal(sources []localSource, t Time) (TableAccess, bool) {
 	var best TableAccess
 	bestV := Time(0)
 	found := false
-	for _, s := range sources {
-		v, ok := s.VersionAt(t)
+	for i := range sources {
+		v, ok := sources[i].versionAt(t)
 		if !ok {
 			continue
 		}
 		if !found || v > bestV {
-			best, bestV, found = s.Access(v), v, true
+			best, bestV, found = sources[i].at(v), v, true
 		}
 	}
 	return best, found
 }
 
-// earliestLocalAt returns the earliest instant ≥ now at which any of the
+// earliestLocal returns the earliest instant ≥ now at which any of the
 // given sources has a version.
-func earliestLocalAt(sources []DataSource, now Time) (Time, bool) {
+func earliestLocal(sources []localSource, now Time) (Time, bool) {
 	best := Time(0)
 	found := false
-	for _, s := range sources {
-		at, ok := s.EarliestAt(now)
+	for i := range sources {
+		at, ok := earliestReplicaAt(&sources[i].timeline, now)
 		if !ok {
 			continue
 		}

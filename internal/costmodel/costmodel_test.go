@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -121,6 +122,65 @@ func TestCalibratedModelKeyOrderInsensitive(t *testing.T) {
 	ba := []core.TableAccess{ab[1], ab[0]}
 	if ConfigKeyForAccess("q", ab) != ConfigKeyForAccess("q", ba) {
 		t.Error("ConfigKeyForAccess depends on access order")
+	}
+	// The literal keys saved calibration snapshots carry.
+	base := func(table string) core.TableAccess {
+		return core.TableAccess{Table: core.TableID(table), Kind: core.AccessBase}
+	}
+	replica := func(table string) core.TableAccess {
+		return core.TableAccess{Table: core.TableID(table), Kind: core.AccessReplica, Freshness: 3}
+	}
+	view := func(id string) core.TableAccess {
+		return core.TableAccess{Table: "lineitem", Kind: core.AccessView, View: core.ViewID(id), Freshness: 3}
+	}
+	for _, c := range []struct {
+		access []core.TableAccess
+		want   string
+	}{
+		{[]core.TableAccess{base("orders"), replica("part"), base("customer"), base("lineitem")}, "q|customer,lineitem,orders"},
+		{[]core.TableAccess{base("nation"), base("nation"), replica("nation")}, "q|nation,nation"},
+		{[]core.TableAccess{view("v-Q1")}, "q|view:v-Q1"},
+		{[]core.TableAccess{base("zeta"), view("v"), base("alpha"), base("view")}, "q|alpha,view,view:v,zeta"},
+		{[]core.TableAccess{replica("a"), replica("b")}, "q|"},
+		{nil, "q|"},
+	} {
+		if got := ConfigKeyForAccess("q", c.access); got != c.want {
+			t.Errorf("ConfigKeyForAccess(%v) = %q, want %q", c.access, got, c.want)
+		}
+	}
+	// A cost recorded under one order of an access set is found under any
+	// other.
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		kinds := []core.AccessKind{core.AccessBase, core.AccessReplica, core.AccessView}
+		acc := make([]core.TableAccess, 1+rng.Intn(6))
+		for i := range acc {
+			acc[i] = core.TableAccess{Table: core.TableID(rune('a' + rng.Intn(4))), Kind: kinds[rng.Intn(3)], View: core.ViewID(rune('a' + rng.Intn(4)))}
+		}
+		m, err := NewCalibratedModel(&CountModel{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.RecordAccess("q", acc, core.CostEstimate{Process: 7})
+		rng.Shuffle(len(acc), func(i, j int) { acc[i], acc[j] = acc[j], acc[i] })
+		if got := m.Estimate(core.Query{ID: "q"}, acc, 0).Process; got != 7 {
+			t.Fatalf("trial %d: recorded cost not found under %v (key %q)", trial, acc, ConfigKeyForAccess("q", acc))
+		}
+	}
+}
+
+// TestCalibratedModelHitAllocs: the planner asks for an estimate per
+// candidate plan, so a calibrated hit must not allocate.
+func TestCalibratedModelHitAllocs(t *testing.T) {
+	m, err := NewCalibratedModel(&CountModel{LocalProcess: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := access(core.AccessBase, core.AccessReplica, core.AccessBase, core.AccessReplica)
+	m.RecordAccess("q", acc, core.CostEstimate{Process: 2})
+	q := core.Query{ID: "q"}
+	if n := testing.AllocsPerRun(100, func() { m.Estimate(q, acc, 0) }); n != 0 {
+		t.Errorf("a calibrated hit allocates %v times, want 0", n)
 	}
 }
 

@@ -328,7 +328,7 @@ func (m syncModel) run() (syncRun, error) {
 			// The staleness the report finds is the agent's own account of
 			// the unit's last applied payload.
 			sl := now
-			if st := agent.StateFor(unit, now, 0); st != nil {
+			if st, ok := agent.StateFor(unit, now, 0); ok {
 				sl = now - st.LastSync
 			}
 			// The report's SL also includes its own processing time: the

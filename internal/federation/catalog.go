@@ -11,9 +11,9 @@ import (
 // (the DES, the paper's simulator setup) or the live server's sync agent
 // answering from the cycles it actually ran.
 type ReplicaStates interface {
-	// StateFor is the planner's view of one unit at time now, nil when it
-	// is not replicated.
-	StateFor(id core.TableID, now core.Time, horizon core.Duration) *core.ReplicaState
+	// StateFor is the planner's view of one unit at time now, false when
+	// it is not replicated.
+	StateFor(id core.TableID, now core.Time, horizon core.Duration) (core.ReplicaState, bool)
 	// Tables lists the units with state, sorted.
 	Tables() []core.TableID
 }
@@ -49,19 +49,23 @@ func NewCatalog(p *Placement, m ReplicaStates) (*Catalog, error) {
 func (c *Catalog) Placement() *Placement { return c.placement }
 
 // Snapshot returns the planner view of the given tables at time now,
-// including scheduled syncs within the horizon (0 = unbounded).
+// including scheduled syncs within the horizon (0 = unbounded). The
+// tables' replica states share one array.
 func (c *Catalog) Snapshot(tables []core.TableID, now core.Time, horizon core.Duration) ([]core.TableState, error) {
 	out := make([]core.TableState, len(tables))
+	var replicas []core.ReplicaState
 	for i, id := range tables {
 		site, err := c.placement.SiteOf(id)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = core.TableState{
-			ID:      id,
-			Site:    site,
-			Replica: c.replicas.StateFor(id, now, horizon),
-			Views:   c.viewStatesFor(id, now, horizon),
+		out[i] = core.TableState{ID: id, Site: site, Views: c.viewStatesFor(id, now, horizon)}
+		if rs, ok := c.replicas.StateFor(id, now, horizon); ok {
+			if replicas == nil {
+				replicas = make([]core.ReplicaState, len(tables))
+			}
+			replicas[i] = rs
+			out[i].Replica = &replicas[i]
 		}
 	}
 	return out, nil

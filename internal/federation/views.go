@@ -97,8 +97,8 @@ func (c *Catalog) viewStatesFor(table core.TableID, now core.Time, horizon core.
 
 	var out []core.ViewState
 	for _, def := range defs {
-		rs := c.replicas.StateFor(core.ViewUnit(def.ID), now, horizon)
-		if rs == nil {
+		rs, ok := c.replicas.StateFor(core.ViewUnit(def.ID), now, horizon)
+		if !ok {
 			continue
 		}
 		out = append(out, core.ViewState{

@@ -193,17 +193,18 @@ func (m *Manager) Reschedule(id core.TableID, future []core.Time) error {
 
 // StateFor returns the planner's view of one replicated table at time now:
 // the last completed sync and the scheduled syncs within the horizon
-// (horizon 0 means all remaining). It returns nil for unreplicated tables.
+// (horizon 0 means all remaining). It reports false for unreplicated
+// tables.
 //
 // The state is derived from the schedule alone: every scheduled sync at or
 // before now counts as completed, so callers may ask about any `now` at or
 // after the last RecordSync.
-func (m *Manager) StateFor(id core.TableID, now core.Time, horizon core.Duration) *core.ReplicaState {
+func (m *Manager) StateFor(id core.TableID, now core.Time, horizon core.Duration) (core.ReplicaState, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ts, ok := m.tables[id]
 	if !ok {
-		return nil
+		return core.ReplicaState{}, false
 	}
 	end := now + horizon
 	if horizon == 0 {
@@ -214,7 +215,7 @@ func (m *Manager) StateFor(id core.TableID, now core.Time, horizon core.Duration
 	for cut < len(ts.schedule) && ts.schedule[cut] <= now {
 		cut++
 	}
-	rs := &core.ReplicaState{LastSync: -1}
+	rs := core.ReplicaState{LastSync: -1}
 	seenPast := cut > 0
 	if seenPast {
 		rs.LastSync = ts.schedule[cut-1]
@@ -225,19 +226,19 @@ func (m *Manager) StateFor(id core.TableID, now core.Time, horizon core.Duration
 		}
 		rs.NextSyncs = append(rs.NextSyncs, t)
 	}
-	return finishState(rs, seenPast, now)
+	return finishState(rs, seenPast, now), true
 }
 
 // finishState encodes "never synchronized yet" so the planner's
 // replicaVersionAt sees no usable current version: LastSync is pushed past
 // now onto the first future sync (or left unusable when none exist).
-func finishState(rs *core.ReplicaState, seenPast bool, now core.Time) *core.ReplicaState {
+func finishState(rs core.ReplicaState, seenPast bool, now core.Time) core.ReplicaState {
 	if seenPast {
 		return rs
 	}
 	if len(rs.NextSyncs) == 0 {
 		// No sync ever: model as a replica that never becomes usable.
-		return &core.ReplicaState{LastSync: now + 1e18}
+		return core.ReplicaState{LastSync: now + 1e18}
 	}
-	return &core.ReplicaState{LastSync: rs.NextSyncs[0], NextSyncs: rs.NextSyncs[1:]}
+	return core.ReplicaState{LastSync: rs.NextSyncs[0], NextSyncs: rs.NextSyncs[1:]}
 }

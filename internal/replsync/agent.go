@@ -255,18 +255,18 @@ func (a *Agent) tablesLocked() []core.TableID {
 // after now, at most lookahead of them and within the horizon (0 =
 // unbounded). A table not replicated, or with no payload applied yet, has
 // no state.
-func (a *Agent) StateFor(id core.TableID, now core.Time, horizon core.Duration) *core.ReplicaState {
+func (a *Agent) StateFor(id core.TableID, now core.Time, horizon core.Duration) (core.ReplicaState, bool) {
 	a.fmu.RLock()
 	ts, ok := a.tables[id]
 	if !ok || ts.lastSync < 0 {
 		a.fmu.RUnlock()
-		return nil
+		return core.ReplicaState{}, false
 	}
 	period, lastSync, next := ts.period, ts.lastSync, ts.nextAt
 	a.fmu.RUnlock()
-	rs := &core.ReplicaState{LastSync: lastSync}
+	rs := core.ReplicaState{LastSync: lastSync}
 	if next < 0 {
-		return rs
+		return rs, true
 	}
 	// A cycle still in flight (or its timer late) leaves nextAt behind now:
 	// step over the periods already missed.
@@ -288,7 +288,7 @@ func (a *Agent) StateFor(id core.TableID, now core.Time, horizon core.Duration) 
 		}
 		rs.NextSyncs = append(rs.NextSyncs, t)
 	}
-	return rs
+	return rs, true
 }
 
 // Status reports every table's sync state, sorted by table ID.

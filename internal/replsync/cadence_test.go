@@ -148,11 +148,11 @@ func TestPlacementReviewPromotesAndDemotes(t *testing.T) {
 	if len(apply.drops) != 1 || apply.drops[0] != "cold" {
 		t.Fatalf("dropped replicas = %v, want [cold]", apply.drops)
 	}
-	if st := a.StateFor("cold", 45, 0); st != nil {
+	if st, ok := a.StateFor("cold", 45, 0); ok {
 		t.Fatalf("cold is still in the planner's view: %+v", st)
 	}
 	// The promoted table snapshotted and is on a cadence.
-	if st := a.StateFor("fresh", 45, 0); st == nil || len(st.NextSyncs) == 0 {
+	if st, ok := a.StateFor("fresh", 45, 0); !ok || len(st.NextSyncs) == 0 {
 		t.Fatalf("fresh in the planner's view = %+v: promoted table never synced", st)
 	}
 	if reg.Counter("replicas_promoted_total").Value() != 1 ||

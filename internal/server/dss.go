@@ -597,6 +597,12 @@ func (s *DSSServer) handleConn(conn *netproto.Conn) {
 		case netproto.KindGossip:
 			resp = s.handleGossip(req)
 		case netproto.KindBatch, netproto.KindExec:
+			if req.Attach != nil {
+				// Only the DSS attaches tables, to the statements it ships
+				// to its sites; a client's would be silently ignored.
+				resp = &netproto.Response{Err: fmt.Sprintf("DSS does not bind attached tables (request kind %d): it answers from its sites and replicas", int(req.Kind))}
+				break
+			}
 			// Execution goes through admission control and the scheduling
 			// engine: bounded queue, micro-batch MQO, value-ranked dispatch,
 			// value-horizon shedding.

@@ -399,17 +399,21 @@ func (c *pricingCounter) Estimate(q core.Query, access []core.TableAccess, start
 // /uniform gives every member one processing cost, so the instants members
 // reach the head collapse onto a few values; /weighted gives them ten
 // distinct per-query weights, as the ten light templates have, which is
-// what a formation really prices.
+// what a formation really prices. /calibrated prices /uniform's plans
+// through a CalibratedModel warmed with every configuration they read, as
+// the live server's model is, so each estimate builds and looks up a
+// configuration key.
 func BenchmarkFormBatch(b *testing.B) {
-	b.Run("uniform", func(b *testing.B) { benchmarkFormBatch(b, nil) })
+	b.Run("uniform", func(b *testing.B) { benchmarkFormBatch(b, nil, false) })
 	weights := make(map[string]float64)
 	for i := 0; i < 16; i++ {
 		weights[fmt.Sprintf("q%d", i)] = .5 + .25*float64(i%10)
 	}
-	b.Run("weighted", func(b *testing.B) { benchmarkFormBatch(b, weights) })
+	b.Run("weighted", func(b *testing.B) { benchmarkFormBatch(b, weights, false) })
+	b.Run("calibrated", func(b *testing.B) { benchmarkFormBatch(b, nil, true) })
 }
 
-func benchmarkFormBatch(b *testing.B, weights map[string]float64) {
+func benchmarkFormBatch(b *testing.B, weights map[string]float64, calibrated bool) {
 	tables := []core.TableID{"c", "o", "n", "r", "l", "s", "p", "ps"}
 	sites := make(map[core.TableID]core.SiteID, len(tables))
 	mgr := replication.NewManager()
@@ -431,14 +435,8 @@ func benchmarkFormBatch(b *testing.B, weights map[string]float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cost := &pricingCounter{CostModel: &costmodel.CountModel{LocalProcess: .02, PerBaseTable: .05, TransmitFlat: .02, QueryWeights: weights}}
-	// The live server's defaults: λCL .5 as batch_mqo runs, a 30-minute
-	// planner horizon.
-	planner, err := core.NewPlanner(cost, core.PlannerConfig{Rates: core.DiscountRates{CL: .5}, Horizon: 30})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ev := &Evaluator{Planner: planner, Catalog: catalog, Horizon: 30}
+	count := &costmodel.CountModel{LocalProcess: .02, PerBaseTable: .05, TransmitFlat: .02, QueryWeights: weights}
+	cost := &pricingCounter{CostModel: count}
 	queries := make([]core.Query, 16)
 	for i := range queries {
 		queries[i] = core.Query{
@@ -448,6 +446,32 @@ func benchmarkFormBatch(b *testing.B, weights map[string]float64) {
 			SubmitAt:      1,
 		}
 	}
+	if calibrated {
+		cal, err := costmodel.NewCalibratedModel(count)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, q := range queries {
+			for mask := 0; mask < 1<<len(q.Tables); mask++ {
+				access := make([]core.TableAccess, len(q.Tables))
+				for i, id := range q.Tables {
+					access[i] = core.TableAccess{Table: id, Site: sites[id], Kind: core.AccessReplica}
+					if mask&(1<<i) != 0 {
+						access[i].Kind = core.AccessBase
+					}
+				}
+				cal.RecordAccess(q.ID, access, count.Estimate(q, access, 0))
+			}
+		}
+		cost.CostModel = cal
+	}
+	// The live server's defaults: λCL .5 as batch_mqo runs, a 30-minute
+	// planner horizon.
+	planner, err := core.NewPlanner(cost, core.PlannerConfig{Rates: core.DiscountRates{CL: .5}, Horizon: 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev := &Evaluator{Planner: planner, Catalog: catalog, Horizon: 30}
 	evaluations := 0
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -66,7 +66,7 @@ func TestKeyKernelsAllocateAConstantNumberOfObjects(t *testing.T) {
 		join = testing.AllocsPerRun(3, func() {
 			idx, err := BuildJoinIndex(ctx, ids, n)
 			if err == nil {
-				_, _, err = idx.Probe(ctx, ids, n)
+				_, _, err = idx.Probe(ctx, ids, n, nil, nil)
 			}
 			if err != nil {
 				t.Error(err)

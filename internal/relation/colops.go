@@ -196,23 +196,41 @@ func BuildJoinIndex(ctx context.Context, keys []ColRef, n int) (*JoinIndex, erro
 	return idx, nil
 }
 
+// PairCap is the pair-list capacity Probe reserves for n probe positions:
+// the index's mean chain length (N ÷ distinct keys, rounded up) per
+// position, capped at n + N so the reservation stays linear in the inputs
+// when the probe keys miss or the build keys are skewed. A key or a
+// many-per-key build seldom outgrows it.
+func (idx *JoinIndex) PairCap(n int) int {
+	d := max(len(idx.keys.first), 1)
+	return min(n*((idx.N+d-1)/d), n+idx.N)
+}
+
+// reserve returns dst emptied, or a fresh slice when dst is nil or holds
+// fewer than n: pair lists are never nil, since a nil row-id vector means
+// the identity to their callers.
+func reserve(dst []int32, n int) []int32 {
+	if dst == nil || cap(dst) < n {
+		return make([]int32, 0, n)
+	}
+	return dst[:0]
+}
+
 // Probe looks the n positions of the probe input up by its key columns
-// and returns the matching (build position, probe position) pairs in
-// probe-major order: probe positions ascending, each one's matches in
-// build order. Built over the right input and probed with the left, that
-// is HashJoinContext's left-major order (ProbeBuildMajor serves a left
-// build). Int and Float key columns match numerically; any other pair of
-// differing types matches nothing. The pair lists are never nil. They are
-// sized for the index's mean chain length (N ÷ distinct keys, rounded up)
-// per probe position, capped at n + N so the reservation stays linear in
-// the inputs when the probe keys miss or the build keys are skewed; a key
-// or a many-per-key build seldom regrows them.
-func (idx *JoinIndex) Probe(ctx context.Context, keys []ColRef, n int) (build, probe []int32, err error) {
+// and appends the matching (build position, probe position) pairs to
+// build[:0] and probe[:0] in probe-major order: probe positions
+// ascending, each one's matches in build order. Built over the right
+// input and probed with the left, that is HashJoinContext's left-major
+// order (ProbeBuildMajor serves a left build). Int and Float key columns
+// match numerically; any other pair of differing types matches nothing.
+// A destination with less room than PairCap(n), nil included, is
+// replaced by a fresh one of that capacity, so callers that own their
+// buffers pass them in and others pass nil.
+func (idx *JoinIndex) Probe(ctx context.Context, keys []ColRef, n int, build, probe []int32) ([]int32, []int32, error) {
 	tk := colTicker{ctx: ctx}
 	tk.n = idx.N // index build already advanced the cadence
-	d := max(len(idx.keys.first), 1)
-	size := min(n*((idx.N+d-1)/d), n+idx.N)
-	build, probe = make([]int32, 0, size), make([]int32, 0, size)
+	size := idx.PairCap(n)
+	build, probe = reserve(build, size), reserve(probe, size)
 	for k, c := range keys {
 		if a, b := c.V.T, idx.keys.cols[k].V.T; a != b && (a > Float || b > Float) {
 			return build, probe, nil
@@ -241,9 +259,10 @@ func (idx *JoinIndex) Probe(ctx context.Context, keys []ColRef, n int) (build, p
 // positions ascending, each one's matches in probe order. Built over the
 // left input and probed with the right, that is HashJoinContext's
 // left-major order again. A stable counting sort over the N build
-// positions restores it from Probe's pairs.
-func (idx *JoinIndex) ProbeBuildMajor(ctx context.Context, keys []ColRef, n int) (build, probe []int32, err error) {
-	build, probe, err = idx.Probe(ctx, keys, n)
+// positions restores it from Probe's pairs, into build and probe as
+// Probe fills them; its own scratch is allocated.
+func (idx *JoinIndex) ProbeBuildMajor(ctx context.Context, keys []ColRef, n int, build, probe []int32) ([]int32, []int32, error) {
+	build, pairs, err := idx.Probe(ctx, keys, n, build, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -254,9 +273,9 @@ func (idx *JoinIndex) ProbeBuildMajor(ctx context.Context, keys []ColRef, n int)
 	for b := 1; b <= idx.N; b++ {
 		end[b] += end[b-1]
 	}
-	sorted := make([]int32, len(probe))
+	sorted := reserve(probe, len(pairs))[:len(pairs)]
 	for i, b := range build {
-		sorted[end[b]] = probe[i]
+		sorted[end[b]] = pairs[i]
 		end[b]++
 	}
 	for b, j := 0, 0; b < idx.N; b++ {
@@ -267,13 +286,14 @@ func (idx *JoinIndex) ProbeBuildMajor(ctx context.Context, keys []ColRef, n int)
 	return build, sorted, nil
 }
 
-// CrossPairs enumerates the (left, right) position pairs of an ln × rn
-// cross product in the same left-major order as the row-major crossJoin.
-// The caller guards against blow-up before calling.
-func CrossPairs(ctx context.Context, ln, rn int) (l, r []int32, err error) {
+// CrossPairs appends the (left, right) position pairs of an ln × rn cross
+// product to l[:0] and r[:0], in the same left-major order as the
+// row-major crossJoin; a destination short of ln × rn, nil included, is
+// replaced by a fresh one. The caller guards against blow-up before
+// calling.
+func CrossPairs(ctx context.Context, ln, rn int, l, r []int32) ([]int32, []int32, error) {
 	tk := colTicker{ctx: ctx}
-	l = make([]int32, 0, ln*rn)
-	r = make([]int32, 0, ln*rn)
+	l, r = reserve(l, ln*rn), reserve(r, ln*rn)
 	for li := 0; li < ln; li++ {
 		for ri := 0; ri < rn; ri++ {
 			if err := tk.tick(); err != nil {

@@ -34,7 +34,7 @@ func BenchmarkJoinIndex(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		build, _, err := idx.Probe(ctx, pkeys, lineitem.N)
+		build, _, err := idx.Probe(ctx, pkeys, lineitem.N, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

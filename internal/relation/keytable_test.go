@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -113,7 +114,7 @@ func TestJoinIndexMatchesHashJoin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rp, lp, err := ridx.Probe(ctx, lrefs, len(l.Rows))
+		rp, lp, err := ridx.Probe(ctx, lrefs, len(l.Rows), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +122,7 @@ func TestJoinIndexMatchesHashJoin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lp2, rp2, err := lidx.ProbeBuildMajor(ctx, rrefs, len(r.Rows))
+		lp2, rp2, err := lidx.ProbeBuildMajor(ctx, rrefs, len(r.Rows), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,11 +178,11 @@ func TestProbeReservationLinear(t *testing.T) {
 	limit := uint64(16 * (n + n))
 	for _, run := range []struct {
 		name  string
-		probe func(context.Context, []ColRef, int) ([]int32, []int32, error)
+		probe func(context.Context, []ColRef, int, []int32, []int32) ([]int32, []int32, error)
 	}{{"Probe", idx.Probe}, {"ProbeBuildMajor", idx.ProbeBuildMajor}} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		b, p, err := run.probe(ctx, probe, n)
+		b, p, err := run.probe(ctx, probe, n, nil, nil)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -192,6 +193,78 @@ func TestProbeReservationLinear(t *testing.T) {
 		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
 			t.Errorf("%s allocated %d bytes for a join matching nothing, over the linear bound %d", run.name, got, limit)
 		}
+	}
+}
+
+// TestProbeFillsCallerBuffers: handed destinations, Probe,
+// ProbeBuildMajor and CrossPairs return the pairs they return for nil
+// ones, in the caller's arrays when those have room, so a unique-key probe
+// into PairCap-sized buffers allocates nothing. A destination with too
+// little room is replaced, never written.
+func TestProbeFillsCallerBuffers(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(2))
+	l, err := Columnar(randKeyTable(rng, "l", []Type{Int}, 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Columnar(randKeyTable(rng, "r", []Type{Int}, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, name := range []string{"repeated keys", "unique ids"} {
+		lk := l.Refs([]int{key})
+		idx, err := BuildJoinIndex(ctx, r.Refs([]int{key}), r.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := idx.PairCap(l.N)
+		bb, pb := make([]int32, size), make([]int32, size)
+		for _, run := range []struct {
+			name  string
+			probe func(context.Context, []ColRef, int, []int32, []int32) ([]int32, []int32, error)
+		}{{"Probe", idx.Probe}, {"ProbeBuildMajor", idx.ProbeBuildMajor}} {
+			wb, wp, err := run.probe(ctx, lk, l.N, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gb, gp, err := run.probe(ctx, lk, l.N, bb, pb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(wb) == 0 || !slices.Equal(gb, wb) || !slices.Equal(gp, wp) {
+				t.Fatalf("%s, %s: pairs into caller buffers %v %v, into nil %v %v", name, run.name, gb, gp, wb, wp)
+			}
+		}
+		short := []int32{-7}
+		if gb, _, err := idx.Probe(ctx, lk, l.N, short[:0], nil); err != nil || short[0] != -7 || cap(gb) < size {
+			t.Fatalf("%s: a one-slot destination was written (%d) or not replaced by PairCap %d (cap %d, err %v)", name, short[0], size, cap(gb), err)
+		}
+		if key == 1 {
+			allocs := testing.AllocsPerRun(5, func() {
+				gb, _, err := idx.Probe(ctx, lk, l.N, bb, pb)
+				if err != nil || &gb[0] != &bb[0] {
+					t.Fatalf("unique-key probe left the caller's buffer (err %v)", err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("unique-key probe into PairCap buffers allocates %v objects", allocs)
+			}
+		}
+	}
+	wl, wr, err := CrossPairs(ctx, 3, 4, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb, rb := make([]int32, 12), make([]int32, 12)
+	allocs := testing.AllocsPerRun(5, func() {
+		gl, gr, err := CrossPairs(ctx, 3, 4, lb, rb)
+		if err != nil || &gl[0] != &lb[0] || !slices.Equal(gl, wl) || !slices.Equal(gr, wr) {
+			t.Fatalf("cross pairs into caller buffers %v %v, into nil %v %v (err %v)", gl, gr, wl, wr, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("cross pairs into buffers of room allocate %v objects", allocs)
 	}
 }
 

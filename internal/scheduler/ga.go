@@ -63,7 +63,8 @@ type GAStats struct {
 // permutation (the FIFO order), so the GA never returns a schedule worse
 // than first-come-first-served. Fitness values are memoized per
 // permutation, which matters because the evaluation function re-plans
-// every query in the workload.
+// every query in the workload. fitness must not keep order past its
+// call: the slices of chromosomes that leave the population are reused.
 func OptimizeOrder(n int, fitness func(order []int) (float64, error), cfg GAConfig) ([]int, float64, GAStats, error) {
 	var st GAStats
 	cfg = cfg.withDefaults()
@@ -140,9 +141,11 @@ func OptimizeOrder(n int, fitness func(order []int) (float64, error), cfg GAConf
 	rank()
 
 	// Generations alternate between two population buffers; taken is
-	// orderCrossover's scratch.
+	// orderCrossover's scratch and spare the orders of chromosomes that
+	// left the population, which children are written into.
 	next := make([]chromo, 0, cfg.Population)
 	taken := make([]bool, n)
+	var spare [][]int
 	for gen := 0; gen < cfg.Generations; gen++ {
 		st.Generations++
 		// The best chromosomes are the parents (rank selection).
@@ -151,7 +154,13 @@ func OptimizeOrder(n int, fitness func(order []int) (float64, error), cfg GAConf
 		for len(next) < cfg.Population {
 			a := parents[src.Intn(len(parents))]
 			b := parents[src.Intn(len(parents))]
-			child := orderCrossover(a.order, b.order, src, taken)
+			var child []int
+			if k := len(spare); k > 0 {
+				child, spare = spare[k-1], spare[:k-1]
+			} else {
+				child = make([]int, n)
+			}
+			orderCrossover(a.order, b.order, src, taken, child)
 			if src.Float64() < cfg.MutationRate {
 				swapMutate(child, src)
 			}
@@ -161,7 +170,12 @@ func OptimizeOrder(n int, fitness func(order []int) (float64, error), cfg GAConf
 			}
 			next = append(next, chromo{child, fit})
 		}
+		// The new population holds the old elites by reference and fresh
+		// children, so every other old chromosome's order is free.
 		pop, next = next, pop
+		for _, c := range next[cfg.Elite:] {
+			spare = append(spare, c.order)
+		}
 		rank()
 	}
 	best := pop[0]
@@ -172,9 +186,9 @@ func OptimizeOrder(n int, fitness func(order []int) (float64, error), cfg GAConf
 // contiguous subsection of the first parent is copied to the child, and
 // then all remaining items in the second parent (that have not already
 // been taken from the first parent's subsection) are then copied to the
-// child in order of appearance." taken is scratch of len(a); the child is
-// the one allocation.
-func orderCrossover(a, b []int, src *stats.Source, taken []bool) []int {
+// child in order of appearance." taken is scratch of len(a); every gene of
+// child, len(a) long, is written.
+func orderCrossover(a, b []int, src *stats.Source, taken []bool, child []int) {
 	n := len(a)
 	lo := src.Intn(n)
 	hi := lo + src.Intn(n-lo) + 1 // [lo, hi) non-empty
@@ -182,7 +196,6 @@ func orderCrossover(a, b []int, src *stats.Source, taken []bool) []int {
 	for _, g := range a[lo:hi] {
 		taken[g] = true
 	}
-	child := make([]int, n)
 	copy(child[lo:hi], a[lo:hi])
 	// Items from b fill positions before and after the copied subsection,
 	// preserving the subsection's position in the child.
@@ -197,7 +210,6 @@ func orderCrossover(a, b []int, src *stats.Source, taken []bool) []int {
 		child[pos] = g
 		pos++
 	}
-	return child
 }
 
 // swapMutate exchanges two random genes in place.

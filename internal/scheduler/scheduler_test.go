@@ -255,11 +255,12 @@ func TestOrderCrossoverProducesPermutations(t *testing.T) {
 		a := []int{0, 1, 2, 3, 4, 5, 6}
 		b := []int{6, 5, 4, 3, 2, 1, 0}
 		src := newTestSource(seed)
+		child := make([]int, len(a))
 		for trial := 0; trial < 200; trial++ {
-			child := orderCrossover(a, b, src, make([]bool, len(a)))
-			if len(child) != len(a) {
-				t.Fatalf("child length %d", len(child))
+			for i := range child {
+				child[i] = -1 // a gene left unwritten shows
 			}
+			orderCrossover(a, b, src, make([]bool, len(a)), child)
 			seen := make([]bool, len(a))
 			for _, g := range child {
 				if g < 0 || g >= len(a) || seen[g] {

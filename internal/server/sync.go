@@ -128,9 +128,14 @@ func (ap replicaApplier) ApplyDelta(id core.TableID, delta replsync.Delta, at co
 		// Nothing changed upstream: same contents, fresher stamp.
 		s.replicas[id] = replicaSnapshot{table: cur.table, syncedAt: at}
 	} else {
-		// Copy-on-write: in-flight queries hold the old pointer; the
-		// appended copy swaps in whole.
-		next := cur.table.Clone()
+		// Copy-on-write: in-flight queries hold the old table; the next
+		// one is a new row slice over the same rows plus the delta's, and
+		// swaps in whole. A replica row is never written once applied
+		// (RemoteServer.snapshot relies on the same rule), so the two
+		// snapshots share rows; Insert type-checks each delta row.
+		old := cur.table
+		next := &relation.Table{Name: old.Name, Schema: old.Schema,
+			Rows: append(make([]relation.Row, 0, len(old.Rows)+len(delta.Rows)), old.Rows...)}
 		for i, row := range delta.Rows {
 			if err := next.Insert(row); err != nil {
 				return fmt.Errorf("server: delta row %d for %s: %w", i, id, err)

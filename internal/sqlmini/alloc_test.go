@@ -89,6 +89,60 @@ func TestVMAllocBudget(t *testing.T) {
 	}
 }
 
+// preFrameAllocBytes is what one warm execution of each template
+// allocated (MemStats.TotalAlloc delta, scale 1, seed 1) while every stage
+// still allocated its own register files, selections, row-id vectors,
+// pair lists and derived columns, before executions drew them from a
+// scratch frame of the ExecCache.
+var preFrameAllocBytes = map[string]uint64{
+	"Q1":  1_092_888,
+	"Q2":  36_104,
+	"Q3":  81_984,
+	"Q4":  65_072,
+	"Q5":  213_616,
+	"Q6":  155_216,
+	"Q7":  708_656,
+	"Q8":  11_768,
+	"Q9":  346_984,
+	"Q10": 172_608,
+	"Q11": 119_608,
+	"Q12": 399_184,
+	"Q13": 197_472,
+	"Q14": 59_496,
+	"Q15": 221_920,
+	"Q16": 339_248,
+	"Q17": 109_560,
+	"Q18": 1_304_960,
+	"Q19": 990_520,
+	"Q20": 28_152,
+	"Q21": 640_584,
+	"Q22": 27_360,
+}
+
+// TestVMWarmFrameBudget guards the executions' scratch frames: with the
+// cache warm, the 22 templates together must allocate at most half of
+// what they did when every stage allocated its own buffers.
+func TestVMWarmFrameBudget(t *testing.T) {
+	cat, cache, queries, preps := tpchPrepared(t)
+	var total, before uint64
+	var ms runtime.MemStats
+	for i, q := range queries {
+		runtime.ReadMemStats(&ms)
+		start := ms.TotalAlloc
+		if _, err := preps[i].ExecuteContext(context.Background(), cat, cache); err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		runtime.ReadMemStats(&ms)
+		got := ms.TotalAlloc - start
+		t.Logf("%-4s %9d B (before frames %9d B)", q.ID, got, preFrameAllocBytes[q.ID])
+		total += got
+		before += preFrameAllocBytes[q.ID]
+	}
+	if budget := before / 2; total > budget {
+		t.Fatalf("22 templates allocate %d B per warm pass, budget %d B (half of the %d B before frames)", total, budget, before)
+	}
+}
+
 // BenchmarkVMTemplates times and sizes one warm execution per template,
 // the per-layer twin of the ledger's sqlmini.exec_* counters.
 func BenchmarkVMTemplates(b *testing.B) {

@@ -2,3 +2,10 @@ package sqlmini
 
 // RequireSameTable is requireSameTable for the external test package.
 var RequireSameTable = requireSameTable
+
+// IdleFrames counts the scratch frames c keeps for later executions.
+func IdleFrames(c *ExecCache) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.frames)
+}

@@ -209,5 +209,5 @@ func (p *ViewProgram) Result(ctx context.Context) (*relation.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.plan.finish(ctx, scanOf(ct))
+	return p.plan.finish(ctx, scanOf(ct, nil))
 }

@@ -247,7 +247,9 @@ func ScheduleFIFO(queries []Query, ev *Evaluator) (SequenceResult, error) {
 	return scheduler.ScheduleFIFO(queries, ev)
 }
 
-// OptimizeOrder runs the GA over permutations of [0, n).
+// OptimizeOrder runs the GA over permutations of [0, n). The GA reuses
+// the slices it passes to fitness, so fitness must not keep order past
+// its call; it should copy order if it needs it later.
 func OptimizeOrder(n int, fitness func(order []int) (float64, error), cfg GAConfig) ([]int, float64, scheduler.GAStats, error) {
 	return scheduler.OptimizeOrder(n, fitness, cfg)
 }

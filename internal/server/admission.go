@@ -7,6 +7,7 @@ import (
 
 	"ivdss/internal/core"
 	"ivdss/internal/netproto"
+	"ivdss/internal/sqlmini"
 
 	"ivdss/internal/wall"
 )
@@ -33,7 +34,20 @@ func (s *DSSServer) submit(req *netproto.Request) *netproto.Response {
 	ctx, cancel := req.BudgetContext(s.baseCtx)
 	defer cancel()
 
-	id := queryID(req.SQL)
+	// An Exec's text compiles here, once per text, and its statement names
+	// the request; a parse error answers after the shed checks, as a query
+	// error.
+	var st *sqlmini.Statement
+	var stErr error
+	if req.Kind == netproto.KindExec {
+		st, stErr = s.execCache.Statement(req.SQL)
+	}
+	var id string
+	if st != nil {
+		id = st.ID
+	} else {
+		id = sqlmini.QueryID(req.SQL)
+	}
 	horizon := s.requestHorizon(req)
 	if s.cfg.Epsilon > 0 && horizon <= 0 {
 		// The business value already sits at or below the threshold: the
@@ -57,7 +71,10 @@ func (s *DSSServer) submit(req *netproto.Request) *netproto.Response {
 	if req.Kind == netproto.KindBatch {
 		return s.submitBatch(ctx, req, id, horizon)
 	}
-	return s.submitExec(ctx, req, id, horizon)
+	if stErr != nil {
+		return s.execError(stErr)
+	}
+	return s.submitExec(ctx, req, st, id, horizon)
 }
 
 // requestHorizon computes the request's value horizon in experiment

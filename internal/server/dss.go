@@ -251,8 +251,9 @@ type DSSServer struct {
 	views map[core.ViewID]*viewState
 
 	// execCache is the server-wide execution cache (columnar images,
-	// hash-join builds): micro-batched workloads over the same replica
-	// snapshots skip re-conversion and re-building.
+	// hash-join builds, compiled statements): micro-batched workloads over
+	// the same replica snapshots skip re-conversion and re-building, and a
+	// repeated text is parsed and prepared once.
 	execCache *sqlmini.ExecCache
 
 	// sync is the live replication engine; it owns every replica write.

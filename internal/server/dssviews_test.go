@@ -9,6 +9,7 @@ import (
 	"ivdss/internal/core"
 	"ivdss/internal/netproto"
 	"ivdss/internal/relation"
+	"ivdss/internal/sqlmini"
 )
 
 // End-to-end materialized views at the live DSS: a configured view pulls a
@@ -69,8 +70,8 @@ func TestDSSViewMaterializesServesAndRefreshes(t *testing.T) {
 		return ok && st.Rows == 2 && st.Cursor == 2
 	})
 	st, _ := viewStatusRow(t, dssAddr)
-	if st.QueryID != queryID(exposureSQL) {
-		t.Errorf("status query ID = %q, want %q", st.QueryID, queryID(exposureSQL))
+	if st.QueryID != sqlmini.QueryID(exposureSQL) {
+		t.Errorf("status query ID = %q, want %q", st.QueryID, sqlmini.QueryID(exposureSQL))
 	}
 	if st.Table != "trades" || st.Site != 1 {
 		t.Errorf("status names table %q at site %d, want trades at 1", st.Table, st.Site)
@@ -82,7 +83,7 @@ func TestDSSViewMaterializesServesAndRefreshes(t *testing.T) {
 	if m["views_materialized_total"] < 1 {
 		t.Errorf("views_materialized_total = %v, want ≥ 1", m["views_materialized_total"])
 	}
-	id := core.ViewID("v" + strings.TrimPrefix(queryID(exposureSQL), "sql"))
+	id := core.ViewID("v" + strings.TrimPrefix(sqlmini.QueryID(exposureSQL), "sql"))
 	if _, ok := m["view_staleness_seconds_"+string(id)]; !ok {
 		t.Errorf("view_staleness_seconds_%s gauge missing from metrics", id)
 	}
@@ -139,7 +140,7 @@ func TestDSSViewMaterializesServesAndRefreshes(t *testing.T) {
 	// A view plan is the whole answer: the executor serves the materialized
 	// table and its freshness stamp without touching SQL execution.
 	plan := core.Plan{
-		Query:  core.Query{ID: queryID(exposureSQL), Tables: []core.TableID{"trades"}, BusinessValue: 1},
+		Query:  core.Query{ID: sqlmini.QueryID(exposureSQL), Tables: []core.TableID{"trades"}, BusinessValue: 1},
 		Access: []core.TableAccess{{Table: "trades", Site: 1, Kind: core.AccessView, View: id, Freshness: syncedAt}},
 	}
 	got, freshness, degraded, err := dss.executePlan(context.Background(), nil, exposureSQL, plan)

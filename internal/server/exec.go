@@ -2,14 +2,11 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"log"
 	"math"
 	"slices"
-	"strings"
 	"sync"
 
 	"ivdss/internal/core"
@@ -25,13 +22,6 @@ import (
 // per-report IV accounting. Scheduling — which query runs when, and with
 // which plan — lives in sched.go; this file only knows how to run the one
 // it is handed.
-
-// queryID derives a stable identifier for ad hoc SQL so repeated texts
-// share calibration entries.
-func queryID(sql string) string {
-	sum := sha256.Sum256([]byte(strings.Join(strings.Fields(sql), " ")))
-	return "sql-" + hex.EncodeToString(sum[:6])
-}
 
 // latencyBounds buckets CL/SL histograms in experiment minutes.
 var latencyBounds = []float64{.1, .5, 1, 2, 5, 10, 20, 40, 80, 160}
@@ -66,16 +56,16 @@ func isDegradedErr(err error) bool {
 	return errors.As(err, &ue)
 }
 
-// plannerQuery derives the planner's view of a parsed statement.
-func (s *DSSServer) plannerQuery(stmt *sqlmini.SelectStmt, sql string, bv float64, submit core.Time) (core.Query, error) {
-	var tables []core.TableID
-	for _, name := range stmt.TableNames() {
-		tables = append(tables, core.TableID(strings.ToLower(name)))
+// plannerQuery derives the planner's view of a compiled statement.
+func (s *DSSServer) plannerQuery(st *sqlmini.Statement, bv float64, submit core.Time) (core.Query, error) {
+	tables := make([]core.TableID, len(st.Tables))
+	for i, name := range st.Tables {
+		tables[i] = core.TableID(name)
 	}
 	if bv == 0 {
 		bv = 1
 	}
-	q := core.Query{ID: queryID(sql), Tables: tables, BusinessValue: bv, SubmitAt: submit}
+	q := core.Query{ID: st.ID, Tables: tables, BusinessValue: bv, SubmitAt: submit}
 	// Fail fast on unknown tables so batch members error individually.
 	for _, id := range tables {
 		if _, err := s.catalog.Placement().SiteOf(id); err != nil {
@@ -89,7 +79,7 @@ func (s *DSSServer) plannerQuery(stmt *sqlmini.SelectStmt, sql string, bv float6
 // delay, executes, and records calibration and metrics. The CL clock runs
 // from q.SubmitAt, so queries queued behind their workload predecessors pay
 // their waiting time.
-func (s *DSSServer) runOne(ctx context.Context, stmt *sqlmini.SelectStmt, sql string, q core.Query, plan core.Plan) (*relation.Table, *netproto.ReportMeta, error) {
+func (s *DSSServer) runOne(ctx context.Context, st *sqlmini.Statement, sql string, q core.Query, plan core.Plan) (*relation.Table, *netproto.ReportMeta, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, context.Cause(ctx)
 	}
@@ -123,7 +113,7 @@ func (s *DSSServer) runOne(ctx context.Context, stmt *sqlmini.SelectStmt, sql st
 		}
 	}
 
-	result, freshness, degradedExec, err := s.executePlan(ctx, stmt, sql, plan)
+	result, freshness, degradedExec, err := s.executePlan(ctx, st, sql, plan)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -178,9 +168,10 @@ func (s *DSSServer) runOne(ctx context.Context, stmt *sqlmini.SelectStmt, sql st
 // executePlan evaluates the statement with per-table data sources chosen
 // by the plan and returns the result, the oldest freshness timestamp
 // actually used, and whether the answer is degraded (a base read fell back
-// to a stale replica because the site was unreachable). sql is stmt's
+// to a stale replica because the site was unreachable). sql is st's
 // text as received, for the site a plan that reads only base tables is
-// shipped to.
+// shipped to; st is the DSS's compiled statement for it, so the pushdowns
+// are rendered and the plans prepared once per text, not per query.
 //
 // Such a plan runs at its heaviest site, the one whose tables hold the
 // most rows (siteFetches): the other sites' pushdowns come back first,
@@ -189,7 +180,7 @@ func (s *DSSServer) runOne(ctx context.Context, stmt *sqlmini.SelectStmt, sql st
 // any replica runs here, over every base site's pushdowns. Either way a
 // site gets one request per plan, and a failed request degrades exactly
 // that site's tables to their replicas.
-func (s *DSSServer) executePlan(ctx context.Context, stmt *sqlmini.SelectStmt, sql string, plan core.Plan) (*relation.Table, core.Time, bool, error) {
+func (s *DSSServer) executePlan(ctx context.Context, st *sqlmini.Statement, sql string, plan core.Plan) (*relation.Table, core.Time, bool, error) {
 	// A view plan is the whole answer, already materialized and
 	// pre-aggregated: serve it without re-evaluating the statement. The
 	// copy-on-write refresh discipline makes the returned snapshot stable.
@@ -208,7 +199,7 @@ func (s *DSSServer) executePlan(ctx context.Context, stmt *sqlmini.SelectStmt, s
 		return table, syncedAt, false, nil
 	}
 	fetchedAt := s.now()
-	fetches, ship := s.siteFetches(stmt, sql, plan)
+	fetches, ship := s.siteFetches(st, sql, plan)
 	s.callSites(ctx, fetches, ship)
 	if ctx.Err() != nil {
 		// The request's own deadline is the caller's answer — degrading to
@@ -306,7 +297,7 @@ func (s *DSSServer) executePlan(ctx context.Context, stmt *sqlmini.SelectStmt, s
 			return nil, 0, false, err
 		}
 	}
-	out, err := sqlmini.ExecuteWith(ctx, stmt, cat, sqlmini.Options{Cache: s.execCache})
+	out, err := st.Execute(ctx, cat, s.execCache)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -333,9 +324,9 @@ type siteFetch struct {
 // reads every table from base, ship is the site whose tables hold the
 // most rows (ties to the lowest site ID), and its request carries sql:
 // the statement runs there, over the other sites' fetches attached. Any
-// other site gets its tables' sqlmini.PushdownFor SELECTs (a KindExec for
-// one, a KindBatch for several), SELECT * where a pushdown is refused.
-func (s *DSSServer) siteFetches(stmt *sqlmini.SelectStmt, sql string, plan core.Plan) (fetches []siteFetch, ship *siteFetch) {
+// other site gets its tables' pushdown SELECTs (st.Pushdown, a KindExec
+// for one, a KindBatch for several), SELECT * where a pushdown is refused.
+func (s *DSSServer) siteFetches(st *sqlmini.Statement, sql string, plan core.Plan) (fetches []siteFetch, ship *siteFetch) {
 	allBase := true
 	for _, a := range plan.Access {
 		if a.Kind != core.AccessBase {
@@ -364,7 +355,7 @@ func (s *DSSServer) siteFetches(stmt *sqlmini.SelectStmt, sql string, plan core.
 		f.req = &netproto.Request{Kind: netproto.KindBatch, Batch: make([]netproto.BatchQuery, len(f.tables))}
 		for k, t := range f.tables {
 			var ok bool
-			if f.req.Batch[k].SQL, ok = sqlmini.PushdownFor(stmt, string(t)); !ok {
+			if f.req.Batch[k].SQL, ok = st.Pushdown(string(t)); !ok {
 				f.req.Batch[k].SQL = "SELECT * FROM " + string(t)
 			}
 		}

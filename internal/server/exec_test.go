@@ -44,13 +44,15 @@ func blackholedDSS(t *testing.T) *DSSServer {
 	return dss
 }
 
-func mustParse(t *testing.T, sql string) *sqlmini.SelectStmt {
+// mustParse compiles sql the way the DSS does on admission, into a cache
+// of its own.
+func mustParse(t *testing.T, sql string) *sqlmini.Statement {
 	t.Helper()
-	stmt, err := sqlmini.Parse(sql)
+	st, err := sqlmini.NewExecCache().Statement(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stmt
+	return st
 }
 
 // tradesSQL is the statement tradesBasePlan answers.

@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"ivdss/internal/cluster"
 	"ivdss/internal/core"
 	"ivdss/internal/netproto"
-	"ivdss/internal/sqlmini"
 )
 
 // Cluster front-end wiring: when DSSConfig.Peers names other shards, the
@@ -162,18 +160,19 @@ func (s *DSSServer) handleGossip(req *netproto.Request) *netproto.Response {
 }
 
 // requestFootprint derives the lowercased table footprint of an Exec or
-// Batch request without touching the catalog; parse failures yield nil
-// (the local path will produce the real error).
-func requestFootprint(req *netproto.Request) []core.TableID {
+// Batch request from its compiled statements, without touching the
+// catalog; parse failures yield nil (the local path will produce the real
+// error).
+func (s *DSSServer) requestFootprint(req *netproto.Request) []core.TableID {
 	seen := make(map[core.TableID]bool)
 	var out []core.TableID
 	add := func(sql string) {
-		stmt, err := sqlmini.Parse(sql)
+		st, err := s.execCache.Statement(sql)
 		if err != nil {
 			return
 		}
-		for _, name := range stmt.TableNames() {
-			id := core.TableID(strings.ToLower(name))
+		for _, name := range st.Tables {
+			id := core.TableID(name)
 			if !seen[id] {
 				seen[id] = true
 				out = append(out, id)
@@ -203,7 +202,7 @@ func (s *DSSServer) maybeSteal(req *netproto.Request) (*netproto.Response, bool)
 	if depth < s.cfg.StealHighWater {
 		return nil, false
 	}
-	footprint := requestFootprint(req)
+	footprint := s.requestFootprint(req)
 	maxAge := core.Duration(5 * s.cfg.GossipInterval.Seconds() * s.cfg.TimeScale)
 	target, ok := cluster.ChooseTarget(s.gossiper.Table(), depth, footprint, s.now(),
 		cluster.StealConfig{HighWater: s.cfg.StealHighWater, MaxAge: maxAge})

@@ -28,8 +28,9 @@ type RemoteServer struct {
 	mu     sync.RWMutex
 	tables map[string]*relation.Table
 	// execCache keeps the base tables' columnar images and join builds
-	// between pushdowns. Entries are validated by row count and execution
-	// holds mu.RLock, so an insert costs the next pushdown one rebuild.
+	// between pushdowns, and each SQL text's parse and plans. Entries are
+	// validated by row count and execution holds mu.RLock, so an insert
+	// costs the next pushdown one rebuild.
 	execCache *sqlmini.ExecCache
 	// scanDelay simulates WAN latency on every scan and exec; loopback
 	// demos use it so remote reads genuinely cost more than replicas.

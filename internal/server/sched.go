@@ -50,13 +50,13 @@ func (v breakerView) Snapshot(tables []core.TableID, now core.Time, horizon core
 	return snap, nil
 }
 
-// pendingQuery is the engine payload for one admitted query: the parsed
+// pendingQuery is the engine payload for one admitted query: the compiled
 // statement plus the path back to the waiting client — a reply channel
 // for ad hoc queries, a collector slot for batch members.
 type pendingQuery struct {
-	ctx  context.Context
-	stmt *sqlmini.SelectStmt
-	sql  string // as received: what a site holding every table runs whole
+	ctx context.Context
+	st  *sqlmini.Statement
+	sql string // as received: what a site holding every table runs whole
 	// done receives the response for an ad hoc query (nil for batch
 	// members).
 	done chan *netproto.Response
@@ -134,7 +134,7 @@ func (x liveExecutor) Execute(d scheduler.Dispatch, done func(core.Outcome)) {
 		p := d.Payload.(*pendingQuery)
 		s.stats.Counter("queries_total").Inc()
 		start := wall.Now()
-		result, meta, err := s.runOne(p.ctx, p.stmt, p.sql, d.Query, d.Plan)
+		result, meta, err := s.runOne(p.ctx, p.st, p.sql, d.Query, d.Plan)
 		var resp *netproto.Response
 		if err != nil {
 			resp = s.expiryResponse(err)
@@ -193,20 +193,16 @@ func (s *DSSServer) noteQueueDepth() {
 	s.stats.Gauge("admission_queue_depth").Set(float64(s.engine.QueueLen()))
 }
 
-// submitExec admits one ad hoc query into the engine and waits for its
-// report. Parse and catalog errors answer immediately — they are query
-// errors, not scheduling outcomes.
-func (s *DSSServer) submitExec(ctx context.Context, req *netproto.Request, id string, horizon core.Duration) *netproto.Response {
-	stmt, err := sqlmini.Parse(req.SQL)
-	if err != nil {
-		return s.execError(err)
-	}
-	q, err := s.plannerQuery(stmt, req.SQL, req.BusinessValue, s.now())
+// submitExec admits one ad hoc query, compiled as st, into the engine and
+// waits for its report. Catalog errors answer immediately — they are
+// query errors, not scheduling outcomes.
+func (s *DSSServer) submitExec(ctx context.Context, req *netproto.Request, st *sqlmini.Statement, id string, horizon core.Duration) *netproto.Response {
+	q, err := s.plannerQuery(st, req.BusinessValue, s.now())
 	if err != nil {
 		return s.execError(err)
 	}
 	q.Tenant = req.Tenant
-	p := &pendingQuery{ctx: ctx, stmt: stmt, sql: req.SQL, done: make(chan *netproto.Response, 1)}
+	p := &pendingQuery{ctx: ctx, st: st, sql: req.SQL, done: make(chan *netproto.Response, 1)}
 	if !s.engine.Submit(q, p) {
 		return s.shed(id, horizon, "queue-full")
 	}
@@ -242,12 +238,12 @@ func (s *DSSServer) submitBatch(ctx context.Context, req *netproto.Request, id s
 	queries := make([]core.Query, 0, len(req.Batch))
 	payloads := make([]any, 0, len(req.Batch))
 	for i, bq := range req.Batch {
-		stmt, err := sqlmini.Parse(bq.SQL)
+		st, err := s.execCache.Statement(bq.SQL)
 		if err != nil {
 			col.items[i].Err = err.Error()
 			continue
 		}
-		q, err := s.plannerQuery(stmt, bq.SQL, bq.BusinessValue, submit)
+		q, err := s.plannerQuery(st, bq.BusinessValue, submit)
 		if err != nil {
 			col.items[i].Err = err.Error()
 			continue
@@ -255,7 +251,7 @@ func (s *DSSServer) submitBatch(ctx context.Context, req *netproto.Request, id s
 		q.Tenant = req.Tenant
 		col.wg.Add(1)
 		queries = append(queries, q)
-		payloads = append(payloads, &pendingQuery{ctx: ctx, stmt: stmt, sql: bq.SQL, batch: col, reqIdx: i})
+		payloads = append(payloads, &pendingQuery{ctx: ctx, st: st, sql: bq.SQL, batch: col, reqIdx: i})
 	}
 	if len(queries) == 0 {
 		return &netproto.Response{Batch: col.items}

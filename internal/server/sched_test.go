@@ -10,6 +10,7 @@ import (
 	"ivdss/internal/faults"
 	"ivdss/internal/netproto"
 	"ivdss/internal/scheduler"
+	"ivdss/internal/sqlmini"
 )
 
 // Live-scheduling tests: the DSS driving the shared engine — aging at
@@ -98,7 +99,7 @@ func starvationPosition(t *testing.T, aging core.Aging) int {
 	}
 	eng.SetEpsilon(dss.cfg.Epsilon)
 	for _, a := range starvationArrivals {
-		q, err := dss.plannerQuery(mustParse(t, a.sql), a.sql, a.bv, minutes(a.at))
+		q, err := dss.plannerQuery(mustParse(t, a.sql), a.bv, minutes(a.at))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +114,7 @@ func starvationPosition(t *testing.T, aging core.Aging) int {
 		t.Fatalf("%d completions, want %d", len(outcomes), len(starvationArrivals))
 	}
 	for i, o := range outcomes {
-		if o.Query.ID == queryID(starvationCheap) {
+		if o.Query.ID == sqlmini.QueryID(starvationCheap) {
 			return i + 1
 		}
 	}

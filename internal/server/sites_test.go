@@ -146,11 +146,19 @@ type templateFederation struct {
 	tables  map[string]*relation.Table
 	siteOf  map[string]int // table → index into relays
 	relays  []*relay
+	remotes []*RemoteServer // aligned with relays
 	dss     *DSSServer
 	dssAddr string
 }
 
 func startTemplateFederation(tb testing.TB) *templateFederation {
+	tb.Helper()
+	return startTemplateFederationWith(tb, nil)
+}
+
+// startTemplateFederationWith is startTemplateFederation with the DSS
+// replicating the given tables.
+func startTemplateFederationWith(tb testing.TB, replicate map[core.TableID]time.Duration) *templateFederation {
 	tb.Helper()
 	tables, err := tpch.Generate(tpch.Config{Scale: 1, Seed: 1})
 	if err != nil {
@@ -167,12 +175,13 @@ func startTemplateFederation(tb testing.TB) *templateFederation {
 			site[j] = tables[name]
 			f.siteOf[name] = i
 		}
-		_, addr := startRemote(tb, site...)
+		remote, addr := startRemote(tb, site...)
 		r := startRelay(tb, addr)
 		f.relays = append(f.relays, r)
+		f.remotes = append(f.remotes, remote)
 		remotes[core.SiteID(i+1)] = r.addr()
 	}
-	f.dss, f.dssAddr = startDSSWith(tb, DSSConfig{Remotes: remotes, Rates: core.DiscountRates{CL: .5}, TimeScale: 1})
+	f.dss, f.dssAddr = startDSSWith(tb, DSSConfig{Remotes: remotes, Replicate: replicate, Rates: core.DiscountRates{CL: .5}, TimeScale: 1})
 	return f
 }
 

@@ -67,7 +67,7 @@ func (s *DSSServer) compileViews() ([]core.ViewDef, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: view %q: %w", spec.SQL, err)
 		}
-		qid := queryID(spec.SQL)
+		qid := sqlmini.QueryID(spec.SQL)
 		id := core.ViewID("v" + strings.TrimPrefix(qid, "sql"))
 		def := core.ViewDef{
 			ID:      id,

@@ -26,12 +26,14 @@ const (
 type Options struct {
 	Engine Engine
 	// Cache, when set, lets VM executions reuse columnar table images and
-	// hash-join builds across a micro-batch workload. Safe to share
-	// between goroutines.
+	// hash-join builds across a micro-batch workload, and RunWith reuse
+	// parsed statements and plans. Safe to share between goroutines.
 	Cache *ExecCache
 }
 
 // ExecuteWith evaluates a parsed statement with explicit engine options.
+// It prepares the statement for this one execution; RunWith with a Cache
+// reuses plans instead.
 func ExecuteWith(ctx context.Context, stmt *SelectStmt, cat Catalog, opts Options) (*relation.Table, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, context.Cause(ctx)
@@ -39,10 +41,6 @@ func ExecuteWith(ctx context.Context, stmt *SelectStmt, cat Catalog, opts Option
 	if opts.Engine == EngineTreeWalk {
 		return executeTree(ctx, stmt, cat)
 	}
-	// Memoize table fetches for the duration of this statement: Prepare
-	// and bind would otherwise hit the catalog twice per table, which for
-	// federated catalogs pays the (simulated) network cost twice and could
-	// observe two different snapshots of the same table.
 	cat = &onceCatalog{cat: cat}
 	p, err := Prepare(stmt, cat)
 	if err != nil {
@@ -51,8 +49,17 @@ func ExecuteWith(ctx context.Context, stmt *SelectStmt, cat Catalog, opts Option
 	return p.ExecuteContext(ctx, cat, opts.Cache)
 }
 
-// RunWith is ExecuteWith over query text.
+// RunWith is ExecuteWith over query text. With a Cache, the VM runs the
+// cache's Statement for the text: parsed once, and prepared once per set
+// of table schemas it is bound to.
 func RunWith(ctx context.Context, query string, cat Catalog, opts Options) (*relation.Table, error) {
+	if opts.Cache != nil && opts.Engine == EngineVM {
+		st, err := opts.Cache.Statement(query)
+		if err != nil {
+			return nil, err
+		}
+		return st.Execute(ctx, cat, opts.Cache)
+	}
 	stmt, err := Parse(query)
 	if err != nil {
 		return nil, err
@@ -60,8 +67,12 @@ func RunWith(ctx context.Context, query string, cat Catalog, opts Options) (*rel
 	return ExecuteWith(ctx, stmt, cat, opts)
 }
 
-// onceCatalog memoizes successful lookups so each table is fetched from
-// the underlying catalog exactly once per statement execution.
+// onceCatalog memoizes successful lookups for an execution that prepares:
+// Prepare and then ExecuteContext each look every table up, and the memo
+// makes both bind one table even under a catalog that could answer
+// differently in between (MapCatalog, the module's one Catalog, cannot).
+// An execution that reuses a kept plan (Statement.Execute) looks each
+// table up once, with no memo.
 type onceCatalog struct {
 	cat Catalog
 	m   map[string]*relation.Table
@@ -98,12 +109,14 @@ const execCacheCap = 128
 //
 // It also owns the executions' scratch frames: each execution borrows one
 // for its whole run, and what the frame lent is reused only after the
-// execution has returned it.
+// execution has returned it. And it keeps a Statement per SQL text run
+// through it (Statement, RunWith), at most stmtCacheCap of them.
 type ExecCache struct {
 	mu     sync.Mutex
 	cols   map[*relation.Table]*relation.ColTable
 	builds map[buildKey]*relation.JoinIndex
 	frames []*frame
+	stmts  map[string]*Statement
 }
 
 type buildKey struct {

@@ -8,9 +8,9 @@ import (
 	"ivdss/internal/relation"
 )
 
-// Catalog supplies the executor with tables by name. The federation layer
-// implements it to hand the executor either local replicas or base-table
-// data fetched from remote sites, depending on the chosen plan.
+// Catalog supplies the executor with tables by name. The DSS binds a
+// MapCatalog per plan: local replicas, or base-table data fetched from
+// remote sites, depending on the chosen plan.
 type Catalog interface {
 	Table(name string) (*relation.Table, error)
 }

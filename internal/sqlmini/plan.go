@@ -11,8 +11,9 @@ import (
 // chooses the join order, expands stars, and compiles every expression
 // to bytecode exactly once. The resulting Prepared is immutable and
 // reusable — ExecuteContext binds it to the catalog's current table
-// contents, so a micro-batch workload parses and plans one time and
-// then only executes.
+// contents, and an ExecCache's Statement keeps one per set of table
+// schemas (stmt.go), so a server parses and plans a repeated text one
+// time and then only executes.
 //
 // The grouping and output layouts are the tree walk's own (layoutAggregate
 // and layoutProject in exec.go); what the plan adds is deciding at

@@ -172,7 +172,7 @@ func (p *ViewProgram) Reset() {
 func (p *ViewProgram) Apply(ctx context.Context, rows []relation.Row) error {
 	delta := &relation.Table{Name: p.base.Name, Schema: p.base.Schema, Rows: rows}
 	var w working
-	if err := p.plan.bind(ctx, MapCatalog{p.base.Name: delta}, nil, &w); err != nil {
+	if err := p.plan.bind(ctx, []*relation.Table{delta}, nil, &w); err != nil {
 		return err
 	}
 	if p.acc != nil {

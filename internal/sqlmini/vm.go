@@ -466,10 +466,52 @@ func selInter(out, a, b []int32) []int32 {
 // nil cache disables cross-execution reuse. Safe for concurrent use on a
 // shared Prepared and a shared cache.
 func (p *Prepared) ExecuteContext(ctx context.Context, cat Catalog, cache *ExecCache) (*relation.Table, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, context.Cause(ctx)
+	}
+	tables := make([]*relation.Table, len(p.loads))
+	for i, ld := range p.loads {
+		t, err := cat.Table(ld.table)
+		if err != nil {
+			return nil, err
+		}
+		if !schemaEqual(t.Schema, ld.base) {
+			return nil, fmt.Errorf("sqlmini: table %q schema changed since prepare", ld.table)
+		}
+		tables[i] = t
+	}
+	return p.execute(ctx, tables, cache)
+}
+
+// binds reports whether tables, one per load, have the schemas p was
+// prepared against.
+func (p *Prepared) binds(tables []*relation.Table) bool {
+	for i, ld := range p.loads {
+		if !schemaEqual(tables[i].Schema, ld.base) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameLoads reports whether p and q were prepared against the same load
+// schemas.
+func (p *Prepared) sameLoads(q *Prepared) bool {
+	for i, ld := range p.loads {
+		if !schemaEqual(ld.base, q.loads[i].base) {
+			return false
+		}
+	}
+	return true
+}
+
+// execute runs the plan over tables, one per load, whose schemas are the
+// ones it was prepared against.
+func (p *Prepared) execute(ctx context.Context, tables []*relation.Table, cache *ExecCache) (*relation.Table, error) {
 	f := cache.frame()
 	defer cache.release(f)
 	w := &working{f: f}
-	if err := p.bind(ctx, cat, cache, w); err != nil {
+	if err := p.bind(ctx, tables, cache, w); err != nil {
 		return nil, err
 	}
 	if p.agg.lay != nil {
@@ -489,36 +531,27 @@ func (p *Prepared) ExecuteContext(ctx context.Context, cat Catalog, cache *ExecC
 // bind is the plan's first stage: it loads the tables into w (the
 // caller's, so it can stay off the heap, carrying the frame the stages
 // draw from) and runs the WHERE and joins.
-func (p *Prepared) bind(ctx context.Context, cat Catalog, cache *ExecCache, w *working) error {
+func (p *Prepared) bind(ctx context.Context, tables []*relation.Table, cache *ExecCache, w *working) error {
 	if err := ctx.Err(); err != nil {
 		return context.Cause(ctx)
 	}
-
 	*w = working{
 		loads: make([]*relation.ColTable, len(p.loads)),
 		rows:  make([][]int32, len(p.loads)),
 		refs:  p.refs,
 		f:     w.f,
 	}
-	ptrs := make([]*relation.Table, len(p.loads))
-	for i, ld := range p.loads {
-		t, err := cat.Table(ld.table)
-		if err != nil {
-			return err
-		}
-		if !schemaEqual(t.Schema, ld.base) {
-			return fmt.Errorf("sqlmini: table %q schema changed since prepare", ld.table)
-		}
+	for i, t := range tables {
 		// The (possibly cached) base image is shared and never written;
 		// plan-time refs address its columns by position, so it needs no
 		// requalified wrapper.
 		// A table whose rows violate its declared schema (type-confused wire
 		// rows) fails the query here; it is never handed to the row-at-a-time
 		// interpreter, which would compute over the confused cells.
+		var err error
 		if w.loads[i], err = cache.columnar(t); err != nil {
 			return err
 		}
-		ptrs[i] = t
 	}
 	w.n = w.loads[0].N
 
@@ -540,10 +573,10 @@ func (p *Prepared) bind(ctx context.Context, cat Catalog, cache *ExecCache, w *w
 			}
 			size := w.n * right.N
 			lrows, rrows, err = relation.CrossPairs(ctx, w.n, right.N, w.f.int32s(size), w.f.int32s(size))
-		case cache.buildsRight(ptrs[st.right], st.rsig, right.N, w.n):
+		case cache.buildsRight(tables[st.right], st.rsig, right.N, w.n):
 			// A right build indexes a base table, so it is cacheable across
 			// executions; probing it in working order is left-major.
-			if idx, err = cache.joinIndex(ctx, ptrs[st.right], right.Refs(st.rk), right.N, st.rsig); err == nil {
+			if idx, err = cache.joinIndex(ctx, tables[st.right], right.Refs(st.rk), right.N, st.rsig); err == nil {
 				size := idx.PairCap(w.n)
 				rrows, lrows, err = idx.Probe(ctx, w.keys(st.lk), w.n, w.f.int32s(size), w.f.int32s(size))
 			}

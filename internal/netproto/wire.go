@@ -25,7 +25,7 @@ import (
 // varints, length-prefixed strings, raw IEEE-754 floats and column-major
 // tables.
 const (
-	frameMagic    = 0xD2 // 0xD0 | format version 2
+	frameMagic    = 0xD3 // 0xD0 | format version 3
 	frameHeader   = 20
 	frameResponse = 0x80
 
@@ -241,8 +241,6 @@ func (w *wire) request(r *Request) {
 		w.f64(&q.BusinessValue)
 	})
 	w.uvarint(&r.Cursor)
-	w.str(&r.Filter)
-	list(w, &r.Columns, 1, w.str)
 	w.str(&r.Tenant)
 	opt(w, &r.Gossip, w.gossip)
 }

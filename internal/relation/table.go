@@ -93,16 +93,24 @@ type Table struct {
 // the image no longer describes the table: Rows and Schema are public, so
 // the row count and the column types are re-checked on every call.
 func (t *Table) Image() *ColTable {
-	c := t.image
-	if c == nil || c.N != len(t.Rows) || len(c.Cols) != len(t.Schema.Cols) {
-		return nil
+	if c := t.image; c != nil && c.Describes(t) {
+		return c
+	}
+	return nil
+}
+
+// Describes reports whether c can stand for t's rows: the same row count
+// and, column for column, the same types as t's schema.
+func (c *ColTable) Describes(t *Table) bool {
+	if c.N != len(t.Rows) || len(c.Cols) != len(t.Schema.Cols) {
+		return false
 	}
 	for i := range c.Cols {
 		if c.Cols[i].T != t.Schema.Cols[i].Type {
-			return nil
+			return false
 		}
 	}
-	return c
+	return true
 }
 
 // NewTable returns an empty table.

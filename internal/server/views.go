@@ -16,7 +16,7 @@ import (
 // full answer and is maintained incrementally. The sync agent treats the
 // view as one more synchronized unit ("view:<id>"); its cycles ship only
 // the base table's delta rows — filtered and projected at the base site
-// through the wire's delta projection — and the compiled delta program
+// by the view's shipping SELECT — and the compiled delta program
 // folds them into the running answer. The planner sees the view through
 // the catalog's ViewStates and offers it to the covered query alongside
 // base and replica access.
@@ -42,8 +42,7 @@ type ViewSpec struct {
 type viewState struct {
 	def     core.ViewDef
 	stmt    *sqlmini.SelectStmt
-	filter  string        // delta-projection predicate shipped to the base site
-	columns []string      // delta-projection column subset (nil = all)
+	wireSQL string        // the shipping SELECT its pulls carry in Request.SQL
 	period  time.Duration // configured refresh period (wall-clock)
 
 	prog     *sqlmini.ViewProgram // built on first snapshot
@@ -79,7 +78,7 @@ func (s *DSSServer) compileViews() ([]core.ViewDef, error) {
 		if period <= 0 {
 			period = 10 * time.Second
 		}
-		s.views[id] = &viewState{def: def, stmt: stmt, filter: filter, columns: columns, period: period}
+		s.views[id] = &viewState{def: def, stmt: stmt, wireSQL: sqlmini.WireSQL(table, filter, columns), period: period}
 		defs = append(defs, def)
 	}
 	return defs, nil

@@ -322,7 +322,7 @@ func TestExecCacheForget(t *testing.T) {
 	if len(cache.cols) != 2 || len(cache.builds) != 1 {
 		t.Fatalf("forgetting an unrelated table dropped live entries: %d tables, %d builds", len(cache.cols), len(cache.builds))
 	}
-	if cache.builds[buildKey{t: replica["orders"], sig: "1"}] == nil {
+	if cache.builds[buildKey{rows: rowsKey(replica["orders"]), sig: "1"}] == nil {
 		t.Fatal("a table joined twice holds no cached build")
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"time"
 
@@ -42,39 +43,46 @@ func (s *DSSServer) submit(req *netproto.Request) *netproto.Response {
 	if req.Kind == netproto.KindExec {
 		st, stErr = s.execCache.Statement(req.SQL)
 	}
-	var id string
-	if st != nil {
-		id = st.ID
-	} else {
-		id = sqlmini.QueryID(req.SQL)
-	}
 	horizon := s.requestHorizon(req)
 	if s.cfg.Epsilon > 0 && horizon <= 0 {
 		// The business value already sits at or below the threshold: the
 		// report is worthless before any work is done.
-		return s.shed(id, horizon, "projected-completion")
+		return s.shed(requestID(req, st), horizon, "projected-completion")
 	}
 	if s.cfg.Epsilon > 0 && !math.IsInf(horizon, 1) {
 		horizonWall := s.wallDelay(horizon)
 		if projected := s.projectedCompletion(); projected > horizonWall {
-			return s.shed(id, horizon, "projected-completion")
+			return s.shed(requestID(req, st), horizon, "projected-completion")
 		}
 		// Arm the horizon as a context deadline with a typed cause, so an
 		// execution that overruns it is cancelled mid-flight and the error
 		// names the value expiry rather than a generic timeout.
 		var cancelHorizon context.CancelFunc
 		ctx, cancelHorizon = context.WithDeadlineCause(ctx, wall.Now().Add(horizonWall),
-			&core.ValueExpiredError{Query: id, Horizon: horizon, Reason: "expired-running"})
+			&core.ValueExpiredError{Query: requestID(req, st), Horizon: horizon, Reason: "expired-running"})
 		defer cancelHorizon()
 	}
 
 	if req.Kind == netproto.KindBatch {
-		return s.submitBatch(ctx, req, id, horizon)
+		return s.submitBatch(ctx, req, horizon)
 	}
 	if stErr != nil {
 		return s.execError(stErr)
 	}
-	return s.submitExec(ctx, req, st, id, horizon)
+	return s.submitExec(ctx, req, st, horizon)
+}
+
+// requestID names a request in its shed and value-expiry errors: an Exec
+// by its statement (or its text, if that did not parse), a batch by its
+// size and its first member, so two batches' errors tell them apart.
+func requestID(req *netproto.Request, st *sqlmini.Statement) string {
+	if st != nil {
+		return st.ID
+	}
+	if req.Kind != netproto.KindBatch || len(req.Batch) == 0 {
+		return sqlmini.QueryID(req.SQL)
+	}
+	return fmt.Sprintf("batch-of-%d-from-%s", len(req.Batch), sqlmini.QueryID(req.Batch[0].SQL))
 }
 
 // requestHorizon computes the request's value horizon in experiment

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"ivdss/internal/core"
 	"ivdss/internal/faults"
 	"ivdss/internal/netproto"
+	"ivdss/internal/sqlmini"
 )
 
 // Admission-control tests: the bounded queue + worker pool in front of
@@ -93,6 +95,33 @@ func TestDSSShedsWorthlessQueryOnArrival(t *testing.T) {
 	}
 	if m := metricsOf(t, dssAddr); m["queries_shed_total"] < 1 {
 		t.Errorf("queries_shed_total = %v, want ≥ 1", m["queries_shed_total"])
+	}
+}
+
+// Two different batches shed on arrival name different queries: each is
+// named by its first member and its size, not by the empty text a batch
+// request carries in SQL.
+func TestDSSShedBatchesNameTheirMembers(t *testing.T) {
+	_, remoteAddr := startRemote(t, accountsTable(t), tradesTable(t))
+	_, dssAddr := startDSS(t, remoteAddr) // default Epsilon .01
+	named := regexp.MustCompile(`query (\S+) exceeds`)
+	var names []string
+	for _, first := range []string{"SELECT count(*) AS n FROM trades", "SELECT count(*) AS n FROM accounts"} {
+		_, err := netproto.Call(dssAddr, &netproto.Request{Kind: netproto.KindBatch, Batch: []netproto.BatchQuery{
+			{SQL: first, BusinessValue: .01}, {SQL: "SELECT 1", BusinessValue: .01}, // worthless on arrival
+		}}, 5*time.Second)
+		var remote *netproto.RemoteError
+		if !errors.As(err, &remote) || !remote.Expired {
+			t.Fatalf("batch led by %q: %v, want an expired RemoteError", first, err)
+		}
+		m := named.FindStringSubmatch(err.Error())
+		if want := "batch-of-2-from-" + sqlmini.QueryID(first); m == nil || m[1] != want {
+			t.Fatalf("batch led by %q: error %q, want it to name the query %s", first, err, want)
+		}
+		names = append(names, m[1])
+	}
+	if names[0] == names[1] {
+		t.Errorf("two different batches were both shed as %q", names[0])
 	}
 }
 

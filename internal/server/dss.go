@@ -3,7 +3,6 @@ package server
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -548,72 +547,33 @@ func (s *DSSServer) Listen(addr string) (string, error) {
 		s.gossiper.Start()
 	}
 	s.wg.Add(1)
-	go s.acceptLoop()
+	go serveConns(l, s.closed, &s.wg, &s.live, s.handle)
 	return l.Addr().String(), nil
 }
 
-func (s *DSSServer) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		raw, err := s.listener.Accept()
-		if err != nil {
-			select {
-			case <-s.closed:
-				return
-			default:
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			log.Printf("server: accept: %v", err)
-			continue
+func (s *DSSServer) handle(req *netproto.Request) *netproto.Response {
+	switch req.Kind {
+	case netproto.KindPing:
+		return &netproto.Response{}
+	case netproto.KindStatus:
+		return s.handleStatus()
+	case netproto.KindMetrics:
+		s.sync.RefreshStaleness()
+		return &netproto.Response{Metrics: s.stats.Flatten()}
+	case netproto.KindGossip:
+		return s.handleGossip(req)
+	case netproto.KindBatch, netproto.KindExec:
+		if req.Attach != nil {
+			// Only the DSS attaches tables, to the statements it ships
+			// to its sites; a client's would be silently ignored.
+			return &netproto.Response{Err: fmt.Sprintf("DSS does not bind attached tables (request kind %d): it answers from its sites and replicas", int(req.Kind))}
 		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			conn := netproto.NewConn(raw)
-			s.live.add(conn)
-			defer s.live.remove(conn)
-			s.handleConn(conn)
-		}()
-	}
-}
-
-func (s *DSSServer) handleConn(conn *netproto.Conn) {
-	defer conn.Close()
-	for {
-		req, err := conn.ReadRequest()
-		if err != nil {
-			return
-		}
-		var resp *netproto.Response
-		switch req.Kind {
-		case netproto.KindPing:
-			resp = &netproto.Response{}
-		case netproto.KindStatus:
-			resp = s.handleStatus()
-		case netproto.KindMetrics:
-			s.sync.RefreshStaleness()
-			resp = &netproto.Response{Metrics: s.stats.Flatten()}
-		case netproto.KindGossip:
-			resp = s.handleGossip(req)
-		case netproto.KindBatch, netproto.KindExec:
-			if req.Attach != nil {
-				// Only the DSS attaches tables, to the statements it ships
-				// to its sites; a client's would be silently ignored.
-				resp = &netproto.Response{Err: fmt.Sprintf("DSS does not bind attached tables (request kind %d): it answers from its sites and replicas", int(req.Kind))}
-				break
-			}
-			// Execution goes through admission control and the scheduling
-			// engine: bounded queue, micro-batch MQO, value-ranked dispatch,
-			// value-horizon shedding.
-			resp = s.submit(req)
-		default:
-			resp = &netproto.Response{Err: fmt.Sprintf("DSS does not serve request kind %d", int(req.Kind))}
-		}
-		if err := conn.WriteResponse(resp); err != nil {
-			return
-		}
+		// Execution goes through admission control and the scheduling
+		// engine: bounded queue, micro-batch MQO, value-ranked dispatch,
+		// value-horizon shedding.
+		return s.submit(req)
+	default:
+		return &netproto.Response{Err: fmt.Sprintf("DSS does not serve request kind %d", int(req.Kind))}
 	}
 }
 

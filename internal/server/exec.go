@@ -210,8 +210,8 @@ func (s *DSSServer) executePlan(ctx context.Context, st *sqlmini.Statement, sql 
 	cat := make(sqlmini.MapCatalog, len(plan.Access))
 	oldest := math.Inf(1)
 	degraded := false
-	// A fetched table is one-shot: its pointer never reaches the executor
-	// again, so evict what running over it cached. Replica snapshots stay
+	// A fetched table is one-shot: its rows never reach the executor
+	// again, so evict what running over them cached. Replica snapshots stay
 	// cached until the next sync swaps them.
 	var fetched []*relation.Table
 	defer func() {

@@ -196,7 +196,7 @@ func (s *DSSServer) noteQueueDepth() {
 // submitExec admits one ad hoc query, compiled as st, into the engine and
 // waits for its report. Catalog errors answer immediately — they are
 // query errors, not scheduling outcomes.
-func (s *DSSServer) submitExec(ctx context.Context, req *netproto.Request, st *sqlmini.Statement, id string, horizon core.Duration) *netproto.Response {
+func (s *DSSServer) submitExec(ctx context.Context, req *netproto.Request, st *sqlmini.Statement, horizon core.Duration) *netproto.Response {
 	q, err := s.plannerQuery(st, req.BusinessValue, s.now())
 	if err != nil {
 		return s.execError(err)
@@ -204,7 +204,7 @@ func (s *DSSServer) submitExec(ctx context.Context, req *netproto.Request, st *s
 	q.Tenant = req.Tenant
 	p := &pendingQuery{ctx: ctx, st: st, sql: req.SQL, done: make(chan *netproto.Response, 1)}
 	if !s.engine.Submit(q, p) {
-		return s.shed(id, horizon, "queue-full")
+		return s.shed(st.ID, horizon, "queue-full")
 	}
 	s.noteQueueDepth()
 	select {
@@ -227,7 +227,7 @@ func (s *DSSServer) execError(err error) *netproto.Response {
 // 3.2), then dispatched by the same engine that schedules ad hoc queries.
 // Admission against the queue bound is all-or-nothing, as a batch was one
 // admission unit on the wire.
-func (s *DSSServer) submitBatch(ctx context.Context, req *netproto.Request, id string, horizon core.Duration) *netproto.Response {
+func (s *DSSServer) submitBatch(ctx context.Context, req *netproto.Request, horizon core.Duration) *netproto.Response {
 	if len(req.Batch) == 0 {
 		return &netproto.Response{Err: "empty batch"}
 	}
@@ -257,7 +257,7 @@ func (s *DSSServer) submitBatch(ctx context.Context, req *netproto.Request, id s
 		return &netproto.Response{Batch: col.items}
 	}
 	if !s.engine.SubmitGroup(queries, payloads) {
-		return s.shed(id, horizon, "queue-full")
+		return s.shed(requestID(req, nil), horizon, "queue-full")
 	}
 	s.noteQueueDepth()
 

@@ -487,6 +487,7 @@ func TestReplicaPlanNeverShips(t *testing.T) {
 
 // A remote binds attachments only for a KindExec, never under the name
 // of a table it serves or twice under one name, and never a missing one.
+// It runs a Batch only for a KindBatch, never dropping one silently.
 func TestRemoteRefusesStrayAttachments(t *testing.T) {
 	_, addr := startRemote(t, accountsTable(t))
 	events := eventsTable(3)
@@ -504,6 +505,8 @@ func TestRemoteRefusesStrayAttachments(t *testing.T) {
 			"request kind 8 carries attached tables; only KindExec binds them"},
 		{&netproto.Request{Kind: netproto.KindScan, Table: "accounts", Attach: []*relation.Table{events}},
 			"request kind 3 carries attached tables; only KindExec binds them"},
+		{&netproto.Request{Kind: netproto.KindExec, SQL: "SELECT count(*) AS n FROM accounts", Batch: []netproto.BatchQuery{{SQL: "SELECT count(*) AS n FROM accounts"}}},
+			"request kind 4 carries a Batch; only KindBatch runs one"},
 	} {
 		resp, err := netproto.Call(addr, tc.req, 5*time.Second)
 		if err == nil || resp == nil || resp.Err != tc.want || resp.Result != nil {

@@ -149,3 +149,65 @@ func TestExecuteAllocationsDoNotGrowWithOutputRows(t *testing.T) {
 		t.Errorf("execution allocates %v objects for 2000 output rows and %v for 8000: a per-row term is back", small, large)
 	}
 }
+
+// The cache names a table's contents by the storage of its rows: a fresh
+// header over the same rows, as a remote takes one per request, is handed
+// the image and join build an earlier header earned; an append costs one
+// rebuild; and a header that declares other column types is never handed
+// the image of the types it does not have.
+func TestExecCacheKeysByRowStorage(t *testing.T) {
+	ctx := context.Background()
+	cache := NewExecCache()
+	live := testCatalog(t)
+	header := func(tbl *relation.Table) *relation.Table {
+		n := len(tbl.Rows)
+		return &relation.Table{Name: tbl.Name, Schema: tbl.Schema, Rows: tbl.Rows[:n:n]}
+	}
+	first, err := cache.columnar(header(live["orders"]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := cache.columnar(header(live["orders"])); err != nil || again != first || len(cache.cols) != 1 {
+		t.Fatalf("a second header over the same rows: same image %v, %d cached, err %v", again == first, len(cache.cols), err)
+	}
+
+	q := "SELECT c_name, o_total FROM customers, orders WHERE c_id = o_cust"
+	run := func() {
+		t.Helper()
+		snap := MapCatalog{"customers": header(live["customers"]), "orders": header(live["orders"])}
+		if _, err := RunWith(ctx, q, snap, Options{Cache: cache}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // the first join over these rows leaves a mark
+	run() // the second earns the build
+	key := buildKey{rows: rowsKey(live["orders"]), sig: "1"}
+	built := cache.builds[key]
+	if built == nil {
+		t.Fatal("two joins over fresh headers of the same rows earned no build")
+	}
+	run()
+	if cache.builds[key] != built || len(cache.builds) != 1 {
+		t.Errorf("a third header rebuilt the join: %d builds", len(cache.builds))
+	}
+
+	live["orders"].MustInsert(relation.Row{relation.IntVal(105), relation.IntVal(2), relation.FloatVal(5), relation.DateOf(2020, 6, 1)})
+	grown, err := cache.columnar(header(live["orders"]))
+	if err != nil || grown == first || grown.N != 6 {
+		t.Fatalf("after an append: old image reused %v, N %d, err %v", grown == first, grown.N, err)
+	}
+	if again, _ := cache.columnar(header(live["orders"])); again != grown {
+		t.Error("the rebuilt image is not reused by the next header")
+	}
+
+	retyped := header(live["orders"])
+	retyped.Schema = relation.MustSchema(
+		relation.Column{Name: "o_id", Type: relation.Int},
+		relation.Column{Name: "o_cust", Type: relation.Int},
+		relation.Column{Name: "o_total", Type: relation.Int},
+		relation.Column{Name: "o_date", Type: relation.Date},
+	)
+	if img, err := cache.columnar(retyped); err == nil {
+		t.Errorf("a header declaring o_total an int was handed an image with column types %v", img.Cols[2].T)
+	}
+}

@@ -139,7 +139,10 @@ func run(addr string, value float64, status, showMetrics, remote, batch bool, de
 	if strings.TrimSpace(sql) == "" {
 		return fmt.Errorf("no SQL given (pass it as the final argument)")
 	}
-	req := &netproto.Request{Kind: netproto.KindExec, SQL: sql, BusinessValue: value}
+	req := &netproto.Request{Kind: netproto.KindExec, SQL: sql}
+	if !remote {
+		req.BusinessValue = value // a remote site does not price its answers
+	}
 	ctx, cancel := callCtx(deadline)
 	defer cancel()
 	start := time.Now()

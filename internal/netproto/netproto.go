@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"time"
 
@@ -95,30 +96,28 @@ type SiteStatus struct {
 	ConsecutiveFailures int
 }
 
-// Request is the client-to-server message.
+// Request is the client-to-server message. Which body fields each kind
+// reads is stated once, per server, in RemoteContract and DSSContract; a
+// server refuses a request that sets any other (Check).
 type Request struct {
 	Kind  RequestKind
-	Table string // KindScan, KindSnapshot, KindDelta, KindInsert
-	// SQL is the statement a KindExec runs. On a pull from a remote site
-	// (KindScan, KindSnapshot, KindDelta) it is empty, or a view's
+	Table string // the base table a pull reads or an insert appends to
+	// SQL is the statement to run. On a pull it is empty, or a view's
 	// shipping SELECT, which must read Table alone and runs over the rows
 	// pulled; versions and cursors still count Table's base rows.
 	SQL string
-	// Attach, on a KindExec to a remote site, binds these tables beside
-	// the site's own under their names for the one statement: the other
-	// sites' pushdown results, when the DSS ships a cross-site statement
-	// to the site holding most of its rows. No other kind carries them.
-	Attach []*relation.Table
-	Rows   []relation.Row // KindInsert
-	// BusinessValue applies to KindExec on the DSS; zero means 1.
-	BusinessValue float64
-	// Batch carries the workload for KindBatch; a remote site refuses it
-	// on any other kind.
-	Batch []BatchQuery
-	// Cursor is the replication cursor for KindDelta: the table version the
-	// caller's replica already reflects. Base tables are append-only, so
-	// the version is the count of rows ever inserted and the delta is the
-	// suffix beyond it.
+	// Attach binds these tables beside a remote site's own under their
+	// names for the one statement: the other sites' pushdown results, when
+	// the DSS ships a cross-site statement to the site holding most of its
+	// rows.
+	Attach        []*relation.Table
+	Rows          []relation.Row // the rows an insert appends
+	BusinessValue float64        // the report's business value; zero means 1
+	Batch         []BatchQuery   // a workload of SELECTs, answered item by item
+	// Cursor is the replication cursor of a delta pull: the table version
+	// the caller's replica already reflects. Base tables are append-only,
+	// so the version is the count of rows ever inserted and the delta is
+	// the suffix beyond it.
 	Cursor uint64
 	// TimeoutMillis is the caller's remaining deadline budget, carried on
 	// the wire so the server can bound its own work (and its downstream
@@ -126,15 +125,14 @@ type Request struct {
 	// deadline. Relative milliseconds rather than an absolute instant, so
 	// clock skew between peers cannot corrupt the budget.
 	TimeoutMillis int64
-	// Tenant names the budget account for KindExec/KindBatch under
-	// per-tenant weighted fair shedding; empty is the default tenant.
+	// Tenant names the budget account under per-tenant weighted fair
+	// shedding; empty is the default tenant.
 	Tenant string
-	// Forwarded marks a KindExec/KindBatch a peer shard handed over via
+	// Forwarded marks a request a peer shard handed over via
 	// work-stealing: the receiver must serve it locally, never re-steal
 	// it, so a hand-off cannot loop.
 	Forwarded bool
-	// Gossip carries the caller's digest for KindGossip.
-	Gossip *GossipDigest
+	Gossip    *GossipDigest // the caller's anti-entropy digest
 }
 
 // BudgetContext derives a context bounded by the request's wire deadline,
@@ -145,6 +143,95 @@ func (r *Request) BudgetContext(parent context.Context) (context.Context, contex
 		return context.WithTimeout(parent, time.Duration(r.TimeoutMillis)*time.Millisecond)
 	}
 	return context.WithCancel(parent)
+}
+
+// Fields is a set of Request body fields, one bit each in declaration
+// order. Kind and TimeoutMillis ride in the frame header; any kind may
+// set them.
+type Fields uint16
+
+// The body fields of a Request.
+const (
+	FieldTable Fields = 1 << iota
+	FieldSQL
+	FieldAttach
+	FieldRows
+	FieldBusinessValue
+	FieldBatch
+	FieldCursor
+	FieldTenant
+	FieldForwarded
+	FieldGossip
+)
+
+var fieldNames = [...]string{"Table", "SQL", "Attach", "Rows", "BusinessValue", "Batch", "Cursor", "Tenant", "Forwarded", "Gossip"}
+
+var kindNames = [...]string{"", "KindPing", "KindTables", "KindScan", "KindExec", "KindInsert", "KindStatus",
+	"KindMetrics", "KindBatch", "KindSnapshot", "KindDelta", "KindGossip"}
+
+// String returns the kind's constant name.
+func (k RequestKind) String() string {
+	if k < KindPing || k > KindGossip {
+		return fmt.Sprintf("RequestKind(%d)", int(k))
+	}
+	return kindNames[k]
+}
+
+// A Contract is what one kind of server reads of a request: the kinds it
+// serves, each with the body fields it reads. A field a kind does not
+// read is refused, never dropped: an answer computed without it is not
+// the one the caller asked for.
+type Contract struct {
+	Server string // names the server in refusals
+	Reads  map[RequestKind]Fields
+}
+
+// RemoteContract is a remote site's contract; DSSContract is the DSS's.
+// Only the DSS attaches tables, to the statements it ships to its sites.
+var (
+	RemoteContract = Contract{"a remote site", map[RequestKind]Fields{
+		KindPing:     0,
+		KindTables:   0,
+		KindScan:     FieldTable | FieldSQL,
+		KindSnapshot: FieldTable | FieldSQL,
+		KindDelta:    FieldTable | FieldSQL | FieldCursor,
+		KindExec:     FieldSQL | FieldAttach,
+		KindBatch:    FieldBatch,
+		KindInsert:   FieldTable | FieldRows,
+	}}
+	DSSContract = Contract{"the DSS", map[RequestKind]Fields{
+		KindPing:    0,
+		KindStatus:  0,
+		KindMetrics: 0,
+		KindExec:    FieldSQL | FieldBusinessValue | FieldTenant | FieldForwarded,
+		KindBatch:   FieldBatch | FieldTenant | FieldForwarded,
+		KindGossip:  FieldGossip,
+	}}
+)
+
+// fields returns the body fields r sets: a non-empty string or slice, a
+// non-zero number, a true flag, a non-nil pointer.
+func (r *Request) fields() (f Fields) {
+	for bit, set := range [...]bool{r.Table != "", r.SQL != "", len(r.Attach) > 0, len(r.Rows) > 0,
+		r.BusinessValue != 0, len(r.Batch) > 0, r.Cursor != 0, r.Tenant != "", r.Forwarded, r.Gossip != nil} {
+		if set {
+			f |= 1 << bit
+		}
+	}
+	return f
+}
+
+// Check refuses a request c does not admit: a kind the server does not
+// serve, or a body field its kind does not read, named with the kind.
+func (r *Request) Check(c Contract) error {
+	reads, ok := c.Reads[r.Kind]
+	if !ok {
+		return fmt.Errorf("netproto: %s does not serve %v", c.Server, r.Kind)
+	}
+	if stray := r.fields() &^ reads; stray != 0 {
+		return fmt.Errorf("netproto: %v to %s does not read %s", r.Kind, c.Server, fieldNames[bits.TrailingZeros16(uint16(stray))])
+	}
+	return nil
 }
 
 // BatchQuery is one member of a KindBatch workload.

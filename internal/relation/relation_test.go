@@ -129,8 +129,16 @@ func TestInsertValidation(t *testing.T) {
 	if err := tbl.Insert(Row{StrVal("x")}); err == nil {
 		t.Error("wrong type accepted")
 	}
+	// Rows go in whole or not at all: one bad row appends none of them.
+	err := tbl.Insert(Row{IntVal(2)}, Row{IntVal(3)}, Row{StrVal("x")})
+	if want := "relation: table t: row 2: column a wants int, got string"; err == nil || err.Error() != want {
+		t.Errorf("err = %v, want %q", err, want)
+	}
 	if err := tbl.Insert(Row{IntVal(1)}); err != nil {
 		t.Errorf("valid row rejected: %v", err)
+	}
+	if tbl.NumRows() != 1 {
+		t.Errorf("%d rows after one valid insert, want 1", tbl.NumRows())
 	}
 }
 

@@ -118,18 +118,21 @@ func NewTable(name string, schema Schema) *Table {
 	return &Table{Name: name, Schema: schema}
 }
 
-// Insert appends a row after checking arity and types.
-func (t *Table) Insert(r Row) error {
-	if len(r) != t.Schema.Arity() {
-		return fmt.Errorf("relation: table %s: row arity %d, want %d", t.Name, len(r), t.Schema.Arity())
-	}
-	for i, v := range r {
-		if v.T != t.Schema.Cols[i].Type {
-			return fmt.Errorf("relation: table %s: column %s wants %s, got %s",
-				t.Name, t.Schema.Cols[i].Name, t.Schema.Cols[i].Type, v.T)
+// Insert appends rows after checking each one's arity and types: all of
+// them, or none if one fails.
+func (t *Table) Insert(rows ...Row) error {
+	for ri, r := range rows {
+		if len(r) != t.Schema.Arity() {
+			return fmt.Errorf("relation: table %s: row %d: arity %d, want %d", t.Name, ri, len(r), t.Schema.Arity())
+		}
+		for i, v := range r {
+			if v.T != t.Schema.Cols[i].Type {
+				return fmt.Errorf("relation: table %s: row %d: column %s wants %s, got %s",
+					t.Name, ri, t.Schema.Cols[i].Name, t.Schema.Cols[i].Type, v.T)
+			}
 		}
 	}
-	t.Rows = append(t.Rows, r)
+	t.Rows = append(t.Rows, rows...)
 	t.image = nil
 	return nil
 }

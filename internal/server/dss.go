@@ -552,6 +552,11 @@ func (s *DSSServer) Listen(addr string) (string, error) {
 }
 
 func (s *DSSServer) handle(req *netproto.Request) *netproto.Response {
+	// The contract is checked before a request can be stolen, admitted
+	// or planned, so a malformed one never reaches a peer.
+	if err := req.Check(netproto.DSSContract); err != nil {
+		return &netproto.Response{Err: err.Error()}
+	}
 	switch req.Kind {
 	case netproto.KindPing:
 		return &netproto.Response{}
@@ -562,18 +567,11 @@ func (s *DSSServer) handle(req *netproto.Request) *netproto.Response {
 		return &netproto.Response{Metrics: s.stats.Flatten()}
 	case netproto.KindGossip:
 		return s.handleGossip(req)
-	case netproto.KindBatch, netproto.KindExec:
-		if req.Attach != nil {
-			// Only the DSS attaches tables, to the statements it ships
-			// to its sites; a client's would be silently ignored.
-			return &netproto.Response{Err: fmt.Sprintf("DSS does not bind attached tables (request kind %d): it answers from its sites and replicas", int(req.Kind))}
-		}
-		// Execution goes through admission control and the scheduling
-		// engine: bounded queue, micro-batch MQO, value-ranked dispatch,
-		// value-horizon shedding.
-		return s.submit(req)
 	default:
-		return &netproto.Response{Err: fmt.Sprintf("DSS does not serve request kind %d", int(req.Kind))}
+		// KindExec or KindBatch. Execution goes through admission control
+		// and the scheduling engine: bounded queue, micro-batch MQO,
+		// value-ranked dispatch, value-horizon shedding.
+		return s.submit(req)
 	}
 }
 

@@ -99,6 +99,9 @@ func (s *RemoteServer) Listen(addr string) (string, error) {
 }
 
 func (s *RemoteServer) handle(req *netproto.Request) *netproto.Response {
+	if err := req.Check(netproto.RemoteContract); err != nil {
+		return &netproto.Response{Err: err.Error()}
+	}
 	// The wire deadline the caller stamped on the request bounds this
 	// server's work too: a coordinator that has stopped waiting must not
 	// keep a branch server scanning on its behalf. The server's own
@@ -113,12 +116,6 @@ func (s *RemoteServer) handle(req *netproto.Request) *netproto.Response {
 	ctx, cancel := req.BudgetContext(base)
 	defer cancel()
 
-	if req.Attach != nil && req.Kind != netproto.KindExec {
-		return &netproto.Response{Err: fmt.Sprintf("request kind %d carries attached tables; only KindExec binds them", int(req.Kind))}
-	}
-	if req.Batch != nil && req.Kind != netproto.KindBatch {
-		return &netproto.Response{Err: fmt.Sprintf("request kind %d carries a Batch; only KindBatch runs one", int(req.Kind))}
-	}
 	switch req.Kind {
 	case netproto.KindPing:
 		return &netproto.Response{}
@@ -132,7 +129,22 @@ func (s *RemoteServer) handle(req *netproto.Request) *netproto.Response {
 		}
 		return resp
 
-	case netproto.KindScan, netproto.KindSnapshot, netproto.KindDelta, netproto.KindExec, netproto.KindBatch:
+	case netproto.KindInsert:
+		// The write lock waits only for other requests taking snapshot
+		// headers, never for a read's execution. An insert lands whole or
+		// not at all.
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		t, ok := s.tables[strings.ToLower(req.Table)]
+		if !ok {
+			return &netproto.Response{Err: fmt.Sprintf("no table %q", req.Table)}
+		}
+		if err := t.Insert(req.Rows...); err != nil {
+			return &netproto.Response{Err: err.Error()}
+		}
+		return &netproto.Response{}
+
+	default: // the read kinds
 		// Every read pays the simulated WAN distance first.
 		if err := s.waitScanDelay(ctx); err != nil {
 			return &netproto.Response{Err: err.Error(), Expired: true}
@@ -141,42 +153,39 @@ func (s *RemoteServer) handle(req *netproto.Request) *netproto.Response {
 			return s.exec(ctx, req)
 		}
 		return s.pull(ctx, req)
-
-	case netproto.KindInsert:
-		// The write lock waits only for other requests taking snapshot
-		// headers, never for a read's execution.
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		t, ok := s.tables[strings.ToLower(req.Table)]
-		if !ok {
-			return &netproto.Response{Err: fmt.Sprintf("no table %q", req.Table)}
-		}
-		for i, row := range req.Rows {
-			if err := t.Insert(row); err != nil {
-				return &netproto.Response{Err: fmt.Sprintf("row %d: %v", i, err)}
-			}
-		}
-		return &netproto.Response{}
-
-	default:
-		return &netproto.Response{Err: fmt.Sprintf("unsupported request kind %d", int(req.Kind))}
 	}
 }
 
-// snapshot returns a catalog of every table this site serves, each a
-// header over the rows it holds now, capped at their count. The read lock
-// is held only to take the headers: base tables only append and a row is
-// never written once inserted, so a capped header stays a stable copy
-// while later inserts append past it, and reads execute with no lock held.
-func (s *RemoteServer) snapshot() sqlmini.MapCatalog {
+// snapshot returns a catalog of the tables named in reads that this site
+// serves, each a header over the rows it holds now, capped at their
+// count, with attach bound beside them. The read lock is held only to
+// take the headers: base tables only append and a row is never written
+// once inserted, so a capped header stays a stable copy while later
+// inserts append past it, and reads execute with no lock held. An
+// attachment that is missing, or named like a table this site serves
+// (read or not) or like an earlier attachment, is refused.
+func (s *RemoteServer) snapshot(attach []*relation.Table, reads ...[]string) (sqlmini.MapCatalog, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	cat := make(sqlmini.MapCatalog, len(s.tables))
-	for name, t := range s.tables {
-		n := len(t.Rows)
-		cat[name] = &relation.Table{Name: t.Name, Schema: t.Schema, Rows: t.Rows[:n:n]}
+	cat := make(sqlmini.MapCatalog, len(attach)+1)
+	for _, names := range reads {
+		for _, name := range names {
+			if t := s.tables[name]; t != nil && cat[name] == nil {
+				n := len(t.Rows)
+				cat[name] = &relation.Table{Name: t.Name, Schema: t.Schema, Rows: t.Rows[:n:n]}
+			}
+		}
 	}
-	return cat
+	for i, t := range attach {
+		if t != nil {
+			if name := strings.ToLower(t.Name); s.tables[name] == nil && cat[name] == nil {
+				cat[name] = t
+				continue
+			}
+		}
+		return nil, fmt.Errorf("attached table %d is missing or shadows a table already bound here", i)
+	}
+	return cat, nil
 }
 
 // pull answers a replication read: the whole table, or for a delta the
@@ -198,7 +207,7 @@ func (s *RemoteServer) pull(ctx context.Context, req *netproto.Request) *netprot
 			return &netproto.Response{Err: fmt.Sprintf("pull SQL reads %v; a pull of %q reads only that table", st.Tables, req.Table)}
 		}
 	}
-	cat := s.snapshot()
+	cat, _ := s.snapshot(nil, []string{name})
 	t, ok := cat[name]
 	if !ok {
 		return &netproto.Response{Err: fmt.Sprintf("no table %q", req.Table)}
@@ -229,25 +238,31 @@ func (s *RemoteServer) pull(ctx context.Context, req *netproto.Request) *netprot
 
 // exec answers a KindExec, or each SELECT of a KindBatch (the DSS's one
 // request for several of this site's tables) in its own item, over one
-// snapshot. A KindExec's attachments are the other sites' pushdowns for a
-// statement the DSS shipped here: bound beside this site's tables for the
-// one run, then forgotten, like the DSS forgets a fetch.
+// snapshot of the tables they read. A KindExec's attachments are the
+// other sites' pushdowns for a statement the DSS shipped here: bound
+// beside this site's tables for the one run, then forgotten, like the
+// DSS forgets a fetch.
 func (s *RemoteServer) exec(ctx context.Context, req *netproto.Request) *netproto.Response {
 	batch := req.Batch
 	if req.Kind == netproto.KindExec {
 		batch = []netproto.BatchQuery{{SQL: req.SQL}}
 	}
-	cat := s.snapshot()
+	// The statements compile first, so the snapshot takes only the tables
+	// they read; one that does not parse answers its own item below.
+	reads := make([][]string, 0, 1) // a KindExec's stays on the stack
+	for _, q := range batch {
+		if st, err := s.execCache.Statement(q.SQL); err == nil {
+			reads = append(reads, st.Tables)
+		}
+	}
 	defer func() {
 		for _, t := range req.Attach {
 			s.execCache.Forget(t)
 		}
 	}()
-	for i, t := range req.Attach {
-		if t == nil || cat[strings.ToLower(t.Name)] != nil {
-			return &netproto.Response{Err: fmt.Sprintf("attached table %d is missing or shadows a table already bound here", i)}
-		}
-		cat.Add(t.Name, t)
+	cat, err := s.snapshot(req.Attach, reads...)
+	if err != nil {
+		return &netproto.Response{Err: err.Error()}
 	}
 	items := make([]netproto.BatchItem, len(batch))
 	for i, q := range batch {

@@ -69,7 +69,11 @@ func TestRemoteRefusesAPullSQLOverOtherTables(t *testing.T) {
 			`pull SQL reads [trades]; a pull of "accounts" reads only that table`},
 		{netproto.KindDelta, "SELECT a_id FROM", "sqlmini: "},
 	} {
-		resp := remote.handle(&netproto.Request{Kind: tc.kind, Table: "accounts", SQL: tc.sql, Cursor: 1})
+		req := &netproto.Request{Kind: tc.kind, Table: "accounts", SQL: tc.sql}
+		if tc.kind == netproto.KindDelta {
+			req.Cursor = 1
+		}
+		resp := remote.handle(req)
 		if !strings.HasPrefix(resp.Err, tc.want) || resp.Version != 0 || resp.Result != nil || resp.DeltaRows != nil {
 			t.Errorf("kind %d %q: err %q, version %d, want the error %q and no rows read", tc.kind, tc.sql, resp.Err, resp.Version, tc.want)
 		}

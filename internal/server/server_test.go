@@ -297,28 +297,6 @@ func TestDSSRejectsUnknownTable(t *testing.T) {
 	}
 }
 
-// TestDSSRefusesClientAttachments: a client's attached tables would be
-// ignored, the answer computed over the sites' data instead, so the DSS
-// refuses them on both execution kinds.
-func TestDSSRefusesClientAttachments(t *testing.T) {
-	_, remoteAddr := startRemote(t, accountsTable(t))
-	_, dssAddr := startDSS(t, remoteAddr)
-	attach := []*relation.Table{accountsTable(t)}
-	for _, req := range []*netproto.Request{
-		{Kind: netproto.KindExec, SQL: "SELECT count(*) AS n FROM accounts", Attach: attach},
-		{Kind: netproto.KindBatch, Batch: []netproto.BatchQuery{{SQL: "SELECT count(*) AS n FROM accounts"}}, Attach: attach},
-	} {
-		_, err := netproto.Call(dssAddr, req, 5*time.Second)
-		if err == nil || !strings.Contains(err.Error(), "attached tables") {
-			t.Errorf("kind %d with attached tables: err = %v, want a refusal", int(req.Kind), err)
-		}
-	}
-	// The same statement without attachments is served.
-	if _, err := netproto.Call(dssAddr, &netproto.Request{Kind: netproto.KindExec, SQL: "SELECT count(*) AS n FROM accounts"}, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDSSOnlineCalibration(t *testing.T) {
 	_, remoteAddr := startRemote(t, accountsTable(t), tradesTable(t))
 	dss, dssAddr := startDSS(t, remoteAddr)

@@ -73,8 +73,6 @@ type (
 	Planner = core.Planner
 	// PlannerConfig parameterizes plan search.
 	PlannerConfig = core.PlannerConfig
-	// SearchMode selects the plan-space exploration strategy.
-	SearchMode = core.SearchMode
 	// Plan is a fully specified way to evaluate one query.
 	Plan = core.Plan
 	// AccessKind says where a plan reads one table from.
@@ -89,26 +87,8 @@ type (
 	CostModel = core.CostModel
 )
 
-// Search modes.
-const (
-	// ScatterGather is the paper's bounded prefix search (the default).
-	ScatterGather = core.ScatterGather
-	// ScatterGatherFull enumerates all subsets on the bounded timeline.
-	ScatterGatherFull = core.ScatterGatherFull
-	// Exhaustive is the unbounded correctness reference.
-	Exhaustive = core.Exhaustive
-)
-
-// Access kinds.
-const (
-	// AccessBase reads the authoritative base table at its remote site.
-	AccessBase = core.AccessBase
-	// AccessReplica reads a synchronized replica at the local DSS server.
-	AccessReplica = core.AccessReplica
-	// AccessView reads an incrementally maintained materialized view at
-	// the local DSS server.
-	AccessView = core.AccessView
-)
+// AccessBase reads the authoritative base table at its remote site.
+const AccessBase = core.AccessBase
 
 // InformationValue computes BusinessValue × (1−λCL)^CL × (1−λSL)^SL.
 func InformationValue(businessValue float64, lat Latencies, r DiscountRates) float64 {
@@ -205,16 +185,12 @@ func NewCatalog(p *Placement, m *ReplicationManager) (*Catalog, error) {
 type (
 	// Evaluator deterministically scores a workload execution order.
 	Evaluator = scheduler.Evaluator
-	// Outcome records how one query fared under a schedule.
-	Outcome = scheduler.Outcome
 	// SequenceResult is the outcome of one execution order.
 	SequenceResult = scheduler.SequenceResult
 	// MQOResult is the outcome of multi-query optimization.
 	MQOResult = scheduler.MQOResult
 	// GAConfig parameterizes the genetic algorithm.
 	GAConfig = scheduler.GAConfig
-	// Workload groups queries with overlapping execution ranges.
-	Workload = scheduler.Workload
 	// SchedulingEngine runs queries through DSS execution slots.
 	SchedulingEngine = scheduler.Engine
 	// Strategy chooses an execution plan at dispatch time.
@@ -301,9 +277,8 @@ type (
 	DSSServer = server.DSSServer
 	// DSSConfig wires a DSS server to its remote sites.
 	DSSConfig = server.DSSConfig
-	// Request and Response are the wire messages.
-	Request  = netproto.Request
-	Response = netproto.Response
+	// Request is the client-to-server wire message.
+	Request = netproto.Request
 )
 
 // NewRemoteServer returns a remote site server with no tables.

@@ -61,7 +61,7 @@ func callCtx(deadline time.Duration) (context.Context, context.CancelFunc) {
 
 func run(addr string, value float64, status, showMetrics, remote, batch bool, deadline time.Duration, sql string) error {
 	if batch {
-		return runBatch(addr, value, deadline, sql)
+		return runBatch(addr, value, remote, deadline, sql)
 	}
 	if showMetrics {
 		resp, err := netproto.Call(addr, &netproto.Request{Kind: netproto.KindMetrics}, 5*time.Second)
@@ -210,12 +210,17 @@ func printTable(t *relation.Table) {
 }
 
 // runBatch submits a ';'-separated workload for multi-query-optimized
-// execution and prints each member's result and IV accounting.
-func runBatch(addr string, value float64, deadline time.Duration, sql string) error {
+// execution and prints each member's result and IV accounting; a remote
+// site answers the members without pricing them.
+func runBatch(addr string, value float64, remote bool, deadline time.Duration, sql string) error {
 	var queries []netproto.BatchQuery
 	for _, part := range strings.Split(sql, ";") {
 		if q := strings.TrimSpace(part); q != "" {
-			queries = append(queries, netproto.BatchQuery{SQL: q, BusinessValue: value})
+			m := netproto.BatchQuery{SQL: q}
+			if !remote {
+				m.BusinessValue = value // a remote site does not price its answers
+			}
+			queries = append(queries, m)
 		}
 	}
 	if len(queries) == 0 {
@@ -246,6 +251,9 @@ func runBatch(addr string, value float64, deadline time.Duration, sql string) er
 			continue
 		}
 		printTable(item.Result)
+		if remote {
+			continue
+		}
 		fmt.Printf("plan: %s\nCL = %.2f min, SL = %.2f min, IV = %.4f\n",
 			item.Meta.PlanSignature, item.Meta.CLMinutes, item.Meta.SLMinutes, item.Meta.Value)
 		if item.Degraded {
@@ -253,7 +261,10 @@ func runBatch(addr string, value float64, deadline time.Duration, sql string) er
 		}
 		total += item.Meta.Value
 	}
-	fmt.Printf("\nworkload: %d queries, total IV %.4f (wall %v)\n",
-		len(resp.Batch), total, time.Since(start).Round(time.Millisecond))
+	summary := fmt.Sprintf("\nworkload: %d queries", len(resp.Batch))
+	if !remote {
+		summary += fmt.Sprintf(", total IV %.4f", total)
+	}
+	fmt.Printf("%s (wall %v)\n", summary, time.Since(start).Round(time.Millisecond))
 	return nil
 }

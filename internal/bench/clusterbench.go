@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -93,28 +94,26 @@ type clusterShard struct {
 	replicas []core.TableID
 	gossiper *cluster.Gossiper
 	version  atomic.Uint64
-	slots    int
 	clock    scheduler.Clock
 }
 
-// digest cuts the shard's current gossip state.
+// digest cuts the shard's current gossip state: the replicas its catalog
+// reports a state for at now, sorted.
 func (s *clusterShard) digest() cluster.Digest {
-	now := s.clock.Now()
-	fresh := make(map[core.TableID]core.Time, len(s.replicas))
-	if snap, err := s.catalog.Snapshot(s.replicas, now, 0); err == nil {
+	var replicas []core.TableID
+	if snap, err := s.catalog.Snapshot(s.replicas, s.clock.Now(), 0); err == nil {
 		for _, ts := range snap {
 			if ts.Replica != nil {
-				fresh[ts.ID] = ts.Replica.LastSync
+				replicas = append(replicas, ts.ID)
 			}
 		}
 	}
+	slices.Sort(replicas)
 	return cluster.Digest{
 		Node:       s.id,
 		Version:    s.version.Add(1),
-		Clock:      now,
 		QueueDepth: s.engine.QueueLen(),
-		Slots:      s.slots,
-		Freshness:  fresh,
+		Replicas:   replicas,
 	}
 }
 
@@ -212,11 +211,11 @@ func buildClusterShards(cfg ClusterScenarioConfig, wl *synth.Workload, smap *clu
 		if err != nil {
 			return nil, err
 		}
+		dep.Catalog.WatchSites(wl)
 		shards[i] = &clusterShard{
 			id:       cluster.ShardID(i),
 			catalog:  dep.Catalog,
 			replicas: dep.Replicas,
-			slots:    cfg.Slots,
 			clock:    clock,
 		}
 	}
@@ -258,7 +257,6 @@ func RunClusterScenario(cfg ClusterScenarioConfig) (ClusterScenarioResult, error
 			id:       0,
 			catalog:  world.Deployment.Catalog,
 			replicas: world.Deployment.Replicas,
-			slots:    cfg.Slots,
 			clock:    clock,
 		}}
 	} else {
@@ -287,7 +285,7 @@ func RunClusterScenario(cfg ClusterScenarioConfig) (ClusterScenarioResult, error
 
 	// Engines and strategies per shard.
 	for _, sh := range shards {
-		strategy, err := cfg.strategy(sh.catalog, wl)
+		strategy, err := cfg.strategy(sh.catalog)
 		if err != nil {
 			return res, err
 		}

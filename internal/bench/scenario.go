@@ -76,33 +76,6 @@ type ScenarioSuiteResult struct {
 	Scenarios []ScenarioResult `json:"scenarios"`
 }
 
-// OutageView overlays a workload's outage schedule on a catalog: any
-// table whose base site is inside an active outage window at snapshot
-// time is reported with BaseDown set, exactly as the live server marks
-// sites behind open breakers. Because the overlay is a pure function of
-// the snapshot instant, the same schedule drives the DES and any
-// wall-clock replay identically.
-type OutageView struct {
-	Inner    scheduler.CatalogView
-	Workload *synth.Workload
-}
-
-var _ scheduler.CatalogView = OutageView{}
-
-// Snapshot implements scheduler.CatalogView.
-func (v OutageView) Snapshot(tables []core.TableID, now core.Time, horizon core.Duration) ([]core.TableState, error) {
-	snap, err := v.Inner.Snapshot(tables, now, horizon)
-	if err != nil {
-		return nil, err
-	}
-	for i := range snap {
-		if v.Workload.SiteDown(snap[i].Site, now) {
-			snap[i].BaseDown = true
-		}
-	}
-	return snap, nil
-}
-
 // ScenarioCostFor returns the synthetic-table cost model shared by every
 // scenario — the Figure 4 shape plus fan-out coordination and flat result
 // transmission, so plan choice has all three axes to trade — recalibrated
@@ -116,10 +89,10 @@ func ScenarioCostFor(scale float64) core.CostModel {
 
 // ScenarioWorld materializes a scenario into everything a driver needs to
 // replay it: the generated workload, the deployment (placement, replicas,
-// sync schedules, catalog), and the scheduling strategy with the outage
-// overlay applied. The DES runner below, the one-shard cluster twin and
-// the DES-vs-manual-clock equivalence test all build on it, so they
-// execute one world.
+// sync schedules, and a catalog that reads the workload's outage
+// schedule), and the scheduling strategy. The DES runner below, the
+// one-shard cluster twin and the DES-vs-manual-clock equivalence test all
+// build on it, so they execute one world.
 type ScenarioWorld struct {
 	Workload   *synth.Workload
 	Deployment *Deployment
@@ -146,7 +119,8 @@ func BuildScenarioWorld(cfg ScenarioConfig) (*ScenarioWorld, error) {
 	if err != nil {
 		return nil, err
 	}
-	strategy, err := cfg.strategy(dep.Catalog, wl)
+	dep.Catalog.WatchSites(wl)
+	strategy, err := cfg.strategy(dep.Catalog)
 	if err != nil {
 		return nil, err
 	}
@@ -162,18 +136,13 @@ func (cfg ScenarioConfig) cost() core.CostModel {
 	return ScenarioCostFor(costmodel.VMProcessScale)
 }
 
-// strategy plans with IVQP over the catalog, seen through the workload's
-// outage overlay when it has outages.
-func (cfg ScenarioConfig) strategy(catalog *federation.Catalog, wl *synth.Workload) (*scheduler.IVQPStrategy, error) {
+// strategy plans with IVQP over the catalog.
+func (cfg ScenarioConfig) strategy(catalog *federation.Catalog) (*scheduler.IVQPStrategy, error) {
 	planner, err := core.NewPlanner(cfg.cost(), core.PlannerConfig{Rates: cfg.Rates, Horizon: cfg.PlannerHorizon})
 	if err != nil {
 		return nil, err
 	}
-	var view scheduler.CatalogView = catalog
-	if len(wl.Outages) > 0 {
-		view = OutageView{Inner: catalog, Workload: wl}
-	}
-	return &scheduler.IVQPStrategy{Planner: planner, Catalog: view, Horizon: cfg.PlannerHorizon}, nil
+	return &scheduler.IVQPStrategy{Planner: planner, Catalog: catalog, Horizon: cfg.PlannerHorizon}, nil
 }
 
 // engine is the matrix's engine policy around a strategy. Plan failures

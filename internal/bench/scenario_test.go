@@ -78,65 +78,6 @@ func TestRunScenariosAllPresets(t *testing.T) {
 	}
 }
 
-// TestOutageViewMarksBaseDown pins the outage overlay contract: inside a
-// storm window every table on a downed site reports BaseDown, outside it
-// none do — the same marking the live server applies for open breakers.
-func TestOutageViewMarksBaseDown(t *testing.T) {
-	cfg := DefaultScenarioConfig(quickPreset(t, "outage-storm"))
-	world, err := BuildScenarioWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outages := world.Workload.Outages
-	if len(outages) == 0 {
-		t.Fatal("outage-storm generated no outages")
-	}
-	view, ok := world.Strategy.Catalog.(OutageView)
-	if !ok {
-		t.Fatalf("strategy catalog is %T, want the outage overlay", world.Strategy.Catalog)
-	}
-
-	o := outages[0]
-	mid := (o.Start + o.End) / 2
-	all := world.Workload.Tables
-	snap, err := view.Snapshot(all, mid, cfg.PlannerHorizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	downTables, onDownSite := 0, 0
-	for _, st := range snap {
-		if world.Workload.SiteDown(st.Site, mid) {
-			onDownSite++
-			if !st.BaseDown {
-				t.Errorf("table %s on downed site %d not marked BaseDown", st.ID, st.Site)
-			}
-		} else if st.BaseDown {
-			t.Errorf("table %s on healthy site %d marked BaseDown", st.ID, st.Site)
-		}
-		if st.BaseDown {
-			downTables++
-		}
-	}
-	if onDownSite == 0 {
-		t.Fatal("no table lives on the downed sites; placement or schedule broken")
-	}
-	if downTables == 0 {
-		t.Fatal("no table marked BaseDown mid-storm")
-	}
-
-	// Before the first storm everything is up.
-	before := o.Start / 2
-	snap, err = view.Snapshot(all, before, cfg.PlannerHorizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range snap {
-		if st.BaseDown {
-			t.Errorf("table %s marked BaseDown at %v, before the first storm at %v", st.ID, before, o.Start)
-		}
-	}
-}
-
 // TestOutagesChangeOutcome: the storms must actually bite — the same
 // scenario with outages stripped yields a different (and no smaller)
 // total IV.
@@ -175,14 +116,14 @@ func TestOutagesChangeOutcome(t *testing.T) {
 // Outage presets are skipped here with a reason: live replay drives
 // outages through wall-clock fault proxies (internal/faults.StormDriver),
 // which has no hand-stepped equivalent; the DES covers those shapes via
-// the catalog BaseDown overlay in TestRunScenariosAllPresets and
-// TestOutageViewMarksBaseDown.
+// the catalog's BaseDown marking in TestRunScenariosAllPresets and
+// federation.TestCatalogMarksDownSitesBaseDown.
 func TestScenarioEquivalenceMatrix(t *testing.T) {
 	for _, preset := range synth.Presets() {
 		preset := preset
 		t.Run(preset.Name, func(t *testing.T) {
 			if preset.Outages != nil {
-				t.Skip("live-only shape: outage storms replay through wall-clock fault proxies; DES covers them via the catalog BaseDown overlay")
+				t.Skip("live-only shape: outage storms replay through wall-clock fault proxies; DES covers them via the catalog's BaseDown marking")
 			}
 			cfg := DefaultScenarioConfig(preset.Quick())
 

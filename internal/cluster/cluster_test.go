@@ -116,8 +116,8 @@ func TestTableMergeVersionSemantics(t *testing.T) {
 	if tab.Merge(Digest{Node: 0, Version: 9}, 1) {
 		t.Error("digest about self merged")
 	}
-	fresh := map[core.TableID]core.Time{"a": 5}
-	if !tab.Merge(Digest{Node: 1, Version: 2, QueueDepth: 3, Freshness: fresh}, 10) {
+	replicas := []core.TableID{"a"}
+	if !tab.Merge(Digest{Node: 1, Version: 2, QueueDepth: 3, Replicas: replicas}, 10) {
 		t.Error("first digest rejected")
 	}
 	if tab.Merge(Digest{Node: 1, Version: 2, QueueDepth: 99}, 11) {
@@ -133,11 +133,11 @@ func TestTableMergeVersionSemantics(t *testing.T) {
 	if !ok || v.Version != 3 || v.QueueDepth != 7 || v.ReceivedAt != 13 {
 		t.Errorf("held view %+v, want version 3 depth 7 received at 13", v)
 	}
-	// The merge must have deep-copied the sender's maps.
-	tab.Merge(Digest{Node: 2, Version: 1, Freshness: fresh}, 14)
-	fresh["a"] = 99
-	if v, _ := tab.Peer(2); v.Freshness["a"] != 5 {
-		t.Error("merged view aliases the sender's freshness map")
+	// The merge must have copied the sender's replica list.
+	tab.Merge(Digest{Node: 2, Version: 1, Replicas: replicas}, 14)
+	replicas[0] = "z"
+	if v, _ := tab.Peer(2); v.Replicas[0] != "a" {
+		t.Error("merged view aliases the sender's replica list")
 	}
 	if got := tab.Len(); got != 2 {
 		t.Errorf("Len = %d, want 2", got)
@@ -158,11 +158,7 @@ func stealTable(t *testing.T, self ShardID, views map[ShardID]struct {
 	t.Helper()
 	tab := NewTable(self)
 	for node, v := range views {
-		fresh := make(map[core.TableID]core.Time, len(v.tables))
-		for _, tbl := range v.tables {
-			fresh[tbl] = 0
-		}
-		if !tab.Merge(Digest{Node: node, Version: 1, QueueDepth: v.depth, Freshness: fresh}, v.received) {
+		if !tab.Merge(Digest{Node: node, Version: 1, QueueDepth: v.depth, Replicas: v.tables}, v.received) {
 			t.Fatalf("merge for node %d rejected", node)
 		}
 	}

@@ -1,56 +1,29 @@
 package cluster
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
 	"ivdss/internal/core"
 )
 
-// Digest is one shard's gossiped state summary: what its peers need to
-// decide routing fallbacks and work-stealing without a central registry.
-// Digests are versioned per node — a higher Version supersedes, so merges
-// are idempotent and order-free (the anti-entropy property).
+// Digest is one shard's gossiped state summary: what a peer reads to
+// decide a work-steal without a central registry. Digests are versioned
+// per node — a higher Version supersedes, so merges are idempotent and
+// order-free (the anti-entropy property).
 type Digest struct {
 	Node ShardID
 	// Version is the sender's per-node monotone counter; stale versions
 	// lose every merge.
 	Version uint64
-	// Clock is the sender's experiment time when the digest was cut. Peers
-	// exchange it so freshness stamps can be interpreted under skew.
-	Clock core.Time
 	// QueueDepth is the shard's admission queue length (waiting, not
 	// executing); the work-stealing load signal.
 	QueueDepth int
-	// Slots is the shard's execution parallelism, for depth normalization.
-	Slots int
-	// TotalIV is the shard's cumulative delivered information value.
-	TotalIV float64
-	// OpenBreakers flags the remote sites this shard currently sees down.
-	OpenBreakers map[core.SiteID]bool
-	// Freshness maps every table (and "view:" unit) the shard holds a
-	// local replica of to its last synchronization stamp — the coverage
-	// set work-stealing checks before handing a footprint over.
-	Freshness map[core.TableID]core.Time
-}
-
-// clone deep-copies the digest's maps so merged views never alias the
-// sender's state.
-func (d Digest) clone() Digest {
-	out := d
-	if d.OpenBreakers != nil {
-		out.OpenBreakers = make(map[core.SiteID]bool, len(d.OpenBreakers))
-		for k, v := range d.OpenBreakers {
-			out.OpenBreakers[k] = v
-		}
-	}
-	if d.Freshness != nil {
-		out.Freshness = make(map[core.TableID]core.Time, len(d.Freshness))
-		for k, v := range d.Freshness {
-			out.Freshness[k] = v
-		}
-	}
-	return out
+	// Replicas lists, sorted, the tables the shard holds a local replica
+	// of: the coverage set work-stealing checks before handing a
+	// footprint over.
+	Replicas []core.TableID
 }
 
 // PeerView is a merged digest plus when this node received it.
@@ -84,7 +57,8 @@ func (t *Table) Merge(d Digest, now core.Time) bool {
 	if held, ok := t.peers[d.Node]; ok && d.Version <= held.Version {
 		return false
 	}
-	t.peers[d.Node] = PeerView{Digest: d.clone(), ReceivedAt: now}
+	d.Replicas = slices.Clone(d.Replicas) // never alias the sender's state
+	t.peers[d.Node] = PeerView{Digest: d, ReceivedAt: now}
 	return true
 }
 

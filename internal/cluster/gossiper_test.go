@@ -69,7 +69,7 @@ func TestGossipConvergesOnManualClock(t *testing.T) {
 			Transport: tr,
 			State: func() Digest {
 				versions[i]++
-				return Digest{Node: ShardID(i), Version: versions[i], Clock: clock.Now(), QueueDepth: i}
+				return Digest{Node: ShardID(i), Version: versions[i], QueueDepth: i}
 			},
 			Interval: 1,
 			Seed:     7,
@@ -177,10 +177,9 @@ func TestGossipConvergenceUnderPartition(t *testing.T) {
 			Transport: nodeTransport{net: net, self: ShardID(i)},
 			State: func() Digest {
 				return Digest{
-					Node:      ShardID(i),
-					Version:   versions[i].Add(1),
-					Clock:     clock.Now(),
-					Freshness: map[core.TableID]core.Time{"orders": clock.Now()},
+					Node:     ShardID(i),
+					Version:  versions[i].Add(1),
+					Replicas: []core.TableID{"orders"},
 				}
 			},
 			Interval: 1,

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"slices"
+
 	"ivdss/internal/core"
 )
 
@@ -52,7 +54,7 @@ func covers(d Digest, footprint []core.TableID) bool {
 		return false
 	}
 	for _, tid := range footprint {
-		if _, ok := d.Freshness[tid]; !ok {
+		if !slices.Contains(d.Replicas, tid) {
 			return false
 		}
 	}

@@ -21,9 +21,12 @@ type Window struct {
 // proxies on the wall clock: when a window opens, the target's proxy
 // drops new connections and severs established ones (a site crash); when
 // the last window covering a target closes, the proxy passes traffic
-// again (the site rebooted). It is the live-mode twin of the DES's
-// catalog BaseDown overlay — both consume the same generated schedule,
-// scaled from experiment minutes to wall time by the caller.
+// again (the site rebooted). It is the live-mode twin of the DES, whose
+// catalog reads the schedule as its site-health source and marks the
+// down site's tables BaseDown (federation.Catalog.WatchSites): both
+// consume the same generated schedule, scaled from experiment minutes to
+// wall time by the caller. Live, the crashed site's breaker opens and the
+// server's catalog marks it down by the same rule.
 type StormDriver struct {
 	proxies map[string]*Proxy
 	windows []Window

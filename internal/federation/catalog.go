@@ -18,6 +18,12 @@ type ReplicaStates interface {
 	Tables() []core.TableID
 }
 
+// SiteHealth says whether a remote site is down at an instant: the DES
+// outage schedule (synth.Workload) or the live server's open breakers.
+type SiteHealth interface {
+	SiteDown(site core.SiteID, now core.Time) bool
+}
+
 // Catalog combines table placement, replication state, and the
 // materialized-view directory into the snapshot the IVQP planner consumes:
 // per table, every data source the plan space enumerates.
@@ -25,6 +31,7 @@ type Catalog struct {
 	placement *Placement
 	replicas  ReplicaStates
 	views     viewRegistry
+	health    SiteHealth // nil: every site is up
 }
 
 // NewCatalog wires a placement to the keeper of replica freshness. Every
@@ -45,12 +52,26 @@ func NewCatalog(p *Placement, m ReplicaStates) (*Catalog, error) {
 	return &Catalog{placement: p, replicas: m}, nil
 }
 
+// WatchSites makes the catalog read site health from h: a table whose
+// base site h reports down is snapshotted with BaseDown, so its base
+// access leaves the plan space and the planner prices the freshest local
+// source's true staleness instead. Both legs mark outages here and
+// nowhere else. Call it before the catalog is shared.
+func (c *Catalog) WatchSites(h SiteHealth) { c.health = h }
+
+// SiteDown reports whether the watched health source has the site down
+// at now; false when no source is watched.
+func (c *Catalog) SiteDown(site core.SiteID, now core.Time) bool {
+	return c.health != nil && c.health.SiteDown(site, now)
+}
+
 // Placement exposes the underlying placement.
 func (c *Catalog) Placement() *Placement { return c.placement }
 
 // Snapshot returns the planner view of the given tables at time now,
-// including scheduled syncs within the horizon (0 = unbounded). The
-// tables' replica states share one array.
+// including scheduled syncs within the horizon (0 = unbounded) and, per
+// table, whether its base site is down (WatchSites). The tables' replica
+// states share one array.
 func (c *Catalog) Snapshot(tables []core.TableID, now core.Time, horizon core.Duration) ([]core.TableState, error) {
 	out := make([]core.TableState, len(tables))
 	var replicas []core.ReplicaState
@@ -59,7 +80,7 @@ func (c *Catalog) Snapshot(tables []core.TableID, now core.Time, horizon core.Du
 		if err != nil {
 			return nil, err
 		}
-		out[i] = core.TableState{ID: id, Site: site, Views: c.viewStatesFor(id, now, horizon)}
+		out[i] = core.TableState{ID: id, Site: site, Views: c.viewStatesFor(id, now, horizon), BaseDown: c.SiteDown(site, now)}
 		if rs, ok := c.replicas.StateFor(id, now, horizon); ok {
 			if replicas == nil {
 				replicas = make([]core.ReplicaState, len(tables))

@@ -5,6 +5,7 @@ import (
 
 	"ivdss/internal/core"
 	"ivdss/internal/replication"
+	"ivdss/internal/synth"
 )
 
 func tableIDs(n int) []core.TableID {
@@ -191,5 +192,66 @@ func TestNewCatalogRejectsUnplacedReplica(t *testing.T) {
 	}
 	if _, err := NewCatalog(placement, mgr); err == nil {
 		t.Error("replicated-but-unplaced table accepted")
+	}
+}
+
+// downSites is a site-health stub: the sites it holds are down at every
+// instant, as the live server's open breakers are.
+type downSites map[core.SiteID]bool
+
+func (d downSites) SiteDown(site core.SiteID, _ core.Time) bool { return d[site] }
+
+// The catalog marks BaseDown from its one site-health source, whichever
+// leg supplies it: the DES's outage schedule (a synth.Workload) or the
+// live server's breakers (the stub). Inside a window every table of the
+// down site is marked and no other table is; outside it none is; with no
+// source none is. Reading the source allocates nothing.
+func TestCatalogMarksDownSitesBaseDown(t *testing.T) {
+	tables := []core.TableID{"accounts", "trades"} // sites 1 and 2
+	schedule := &synth.Workload{Outages: []synth.Outage{{Site: 1, Start: 10, End: 20}}}
+	for _, tc := range []struct {
+		name   string
+		health SiteHealth
+		at     core.Time
+		down   core.SiteID // 0: no site is down
+	}{
+		{"schedule, inside the window", schedule, 15, 1},
+		{"schedule, at the window's start", schedule, 10, 1},
+		{"schedule, before the window", schedule, 5, 0},
+		{"schedule, at the window's exclusive end", schedule, 20, 0},
+		{"stub", downSites{2: true}, 15, 2},
+		{"no source", nil, 15, 0},
+	} {
+		catalog, _ := buildTestWorld(t)
+		catalog.WatchSites(tc.health)
+		snap, err := catalog.Snapshot(tables, tc.at, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ts := range snap {
+			if ts.BaseDown != (ts.Site == tc.down) {
+				t.Errorf("%s: table %s on site %d has BaseDown %v", tc.name, ts.ID, ts.Site, ts.BaseDown)
+			}
+			if down := catalog.SiteDown(ts.Site, tc.at); down != ts.BaseDown {
+				t.Errorf("%s: SiteDown(%d) = %v, the snapshot says %v", tc.name, ts.Site, down, ts.BaseDown)
+			}
+		}
+	}
+
+	plain, _ := buildTestWorld(t)
+	allocs := func(c *Catalog) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if _, err := c.Snapshot(tables, 15, 100); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	base := allocs(plain)
+	for _, h := range []SiteHealth{schedule, downSites{1: true}} {
+		watched, _ := buildTestWorld(t)
+		watched.WatchSites(h)
+		if n := allocs(watched); n > base {
+			t.Errorf("a snapshot reading %T allocates %.0f times, %.0f without a source", h, n, base)
+		}
 	}
 }

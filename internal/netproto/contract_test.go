@@ -36,12 +36,18 @@ func TestContractNamesEveryBodyField(t *testing.T) {
 	}
 }
 
-// wellFormed returns a request of kind k that sets every field k reads.
-func wellFormed(t *testing.T, k RequestKind, reads Fields) *Request {
+// wellFormed returns a request of kind k that sets every field k reads,
+// its batch members' values only where c reads them.
+func wellFormed(t *testing.T, c Contract, k RequestKind, reads Fields) *Request {
 	r, n := &Request{Kind: k}, 0
 	for bit, name := range fieldNames {
 		if reads&(1<<bit) != 0 {
 			fill(t, reflect.ValueOf(r).Elem().FieldByName(name), &n)
+		}
+	}
+	if !c.MemberValues {
+		for i := range r.Batch {
+			r.Batch[i].BusinessValue = 0
 		}
 	}
 	return r
@@ -54,7 +60,7 @@ func TestCheckRefusesWhatAKindDoesNotRead(t *testing.T) {
 	for _, c := range []Contract{RemoteContract, DSSContract} {
 		for k := KindPing; k <= KindGossip; k++ {
 			reads, served := c.Reads[k]
-			r := wellFormed(t, k, reads)
+			r := wellFormed(t, c, k, reads)
 			if !served {
 				if err := r.Check(c); err == nil || err.Error() != "netproto: "+c.Server+" does not serve "+k.String() {
 					t.Errorf("%s, unserved %v: %v", c.Server, k, err)
@@ -72,12 +78,19 @@ func TestCheckRefusesWhatAKindDoesNotRead(t *testing.T) {
 				if reads&(1<<bit) != 0 {
 					continue
 				}
-				stray := wellFormed(t, k, reads|1<<bit)
+				stray := wellFormed(t, c, k, reads|1<<bit)
 				want := "netproto: " + k.String() + " to " + c.Server + " does not read " + name
 				if err := stray.Check(c); err == nil || err.Error() != want {
 					t.Errorf("%s, %v with %s: %v, want %q", c.Server, k, name, err, want)
 				}
 			}
 		}
+	}
+	// A remote site does not price a batch's members: a member's value is
+	// refused like a stray field.
+	priced := wellFormed(t, DSSContract, KindBatch, FieldBatch)
+	want := "netproto: KindBatch to a remote site does not read Batch.BusinessValue"
+	if err := priced.Check(RemoteContract); err == nil || err.Error() != want {
+		t.Errorf("a remote site, KindBatch with a member's value: %v, want %q", err, want)
 	}
 }

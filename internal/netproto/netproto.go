@@ -14,6 +14,7 @@ import (
 	"io"
 	"math/bits"
 	"net"
+	"slices"
 	"time"
 
 	"ivdss/internal/relation"
@@ -61,26 +62,14 @@ const (
 	KindGossip
 )
 
-// GossipDigest is the wire form of one shard's anti-entropy state summary
-// (internal/cluster.Digest): queue depth, breaker state, and replica
-// freshness, versioned per node so merges are order-free.
+// GossipDigest is the wire form of one shard's anti-entropy state
+// summary (internal/cluster.Digest): its queue depth and the tables it
+// holds a replica of, versioned per node so merges are order-free.
 type GossipDigest struct {
-	Node    int
-	Version uint64
-	// Clock is the sender's experiment time (minutes) when the digest was
-	// cut.
-	Clock float64
-	// QueueDepth is the shard's admission queue length; Slots its
-	// execution parallelism.
-	QueueDepth int
-	Slots      int
-	// TotalIV is the shard's cumulative delivered information value.
-	TotalIV float64
-	// OpenBreakers flags remote sites the shard currently sees down.
-	OpenBreakers map[int]bool
-	// Freshness maps replicated table names to last-sync stamps
-	// (experiment minutes) — the coverage set work-stealing checks.
-	Freshness map[string]float64
+	Node       int
+	Version    uint64
+	QueueDepth int      // the shard's admission queue length
+	Replicas   []string // the replicated tables, sorted
 }
 
 // SiteStatus describes one remote site's health as the DSS sees it, for
@@ -184,12 +173,15 @@ func (k RequestKind) String() string {
 type Contract struct {
 	Server string // names the server in refusals
 	Reads  map[RequestKind]Fields
+	// MemberValues: the server reads a batch member's BusinessValue.
+	MemberValues bool
 }
 
 // RemoteContract is a remote site's contract; DSSContract is the DSS's.
-// Only the DSS attaches tables, to the statements it ships to its sites.
+// Only the DSS attaches tables, to the statements it ships to its sites,
+// and only the DSS prices a batch's members.
 var (
-	RemoteContract = Contract{"a remote site", map[RequestKind]Fields{
+	RemoteContract = Contract{Server: "a remote site", Reads: map[RequestKind]Fields{
 		KindPing:     0,
 		KindTables:   0,
 		KindScan:     FieldTable | FieldSQL,
@@ -199,7 +191,7 @@ var (
 		KindBatch:    FieldBatch,
 		KindInsert:   FieldTable | FieldRows,
 	}}
-	DSSContract = Contract{"the DSS", map[RequestKind]Fields{
+	DSSContract = Contract{Server: "the DSS", MemberValues: true, Reads: map[RequestKind]Fields{
 		KindPing:    0,
 		KindStatus:  0,
 		KindMetrics: 0,
@@ -222,7 +214,8 @@ func (r *Request) fields() (f Fields) {
 }
 
 // Check refuses a request c does not admit: a kind the server does not
-// serve, or a body field its kind does not read, named with the kind.
+// serve, or a body field its kind does not read, named with the kind; a
+// batch member's BusinessValue is named Batch.BusinessValue.
 func (r *Request) Check(c Contract) error {
 	reads, ok := c.Reads[r.Kind]
 	if !ok {
@@ -230,6 +223,9 @@ func (r *Request) Check(c Contract) error {
 	}
 	if stray := r.fields() &^ reads; stray != 0 {
 		return fmt.Errorf("netproto: %v to %s does not read %s", r.Kind, c.Server, fieldNames[bits.TrailingZeros16(uint16(stray))])
+	}
+	if !c.MemberValues && slices.ContainsFunc(r.Batch, func(q BatchQuery) bool { return q.BusinessValue != 0 }) {
+		return fmt.Errorf("netproto: %v to %s does not read Batch.BusinessValue", r.Kind, c.Server)
 	}
 	return nil
 }

@@ -25,7 +25,7 @@ import (
 // varints, length-prefixed strings, raw IEEE-754 floats and column-major
 // tables.
 const (
-	frameMagic    = 0xD3 // 0xD0 | format version 3
+	frameMagic    = 0xD4 // 0xD0 | format version 4
 	frameHeader   = 20
 	frameResponse = 0x80
 
@@ -302,12 +302,8 @@ func (w *wire) meta(m *ReportMeta) {
 func (w *wire) gossip(g *GossipDigest) {
 	w.int(&g.Node)
 	w.uvarint(&g.Version)
-	w.f64(&g.Clock)
 	w.int(&g.QueueDepth)
-	w.int(&g.Slots)
-	w.f64(&g.TotalIV)
-	dict(w, &g.OpenBreakers, 2, w.int, w.bool)
-	dict(w, &g.Freshness, 9, w.str, w.f64)
+	list(w, &g.Replicas, 1, w.str)
 }
 
 // table carries a table-bearing field column-major. Encoding, the

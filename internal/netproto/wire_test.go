@@ -60,11 +60,8 @@ type message struct {
 // golden files pin their bytes; the fuzzer starts from them.
 func goldenMessages() []message {
 	meta := &ReportMeta{PlanSignature: "accounts=replica", CLMinutes: 1.5, SLMinutes: 2.25, Value: .875, Degraded: true}
-	gossip := &GossipDigest{
-		Node: 2, Version: 9, Clock: 12.5, QueueDepth: 3, Slots: 4, TotalIV: 7.75,
-		OpenBreakers: map[int]bool{3: true, 1: false},
-		Freshness:    map[string]float64{"orders": 11.5, "lineitem": 12},
-	}
+	gossip := &GossipDigest{Node: 2, Version: 9, QueueDepth: 3, Replicas: []string{"lineitem", "orders"}}
+	idle := &GossipDigest{Node: 1, Version: 1} // a shard with an empty queue that replicates nothing
 	edge := edgeTable()
 	accounts := relation.NewTable("accounts", relation.MustSchema(relation.Column{Name: "a_id", Type: relation.Int}))
 	accounts.MustInsert(relation.Row{relation.IntVal(1)})
@@ -88,6 +85,7 @@ func goldenMessages() []message {
 		{"delta", &Request{Kind: KindDelta, Table: "edge", Cursor: 4}, &Response{DeltaRows: edge.Rows[4:], Version: 6}},
 		{"delta_resync", &Request{Kind: KindDelta, Table: "edge", Cursor: 99}, &Response{Version: 6, Resync: true}},
 		{"gossip", &Request{Kind: KindGossip, Gossip: gossip}, &Response{Gossip: gossip}},
+		{"gossip_idle", &Request{Kind: KindGossip, Gossip: idle}, &Response{Gossip: idle}},
 		{"expired", &Request{Kind: KindExec, SQL: "SELECT 1"}, &Response{Err: "value expired", Expired: true, Degraded: true}},
 		{"exec_attached", &Request{Kind: KindExec, SQL: "SELECT count(*) AS n FROM edge, accounts", Attach: []*relation.Table{edge, withoutImage(accounts)}},
 			&Response{Result: edge}},

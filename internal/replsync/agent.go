@@ -113,10 +113,12 @@ type Agent struct {
 	self *atomic.Pointer[Agent]
 
 	mu sync.Mutex
-	// fmu is the planner's way in: mu is held across Apply (a whole-replica
-	// clone on the live server) while StateFor runs once per plan, so the
-	// ledger fields and the tables map are also covered by fmu, which is
-	// only ever held for a few loads or stores. Lock order: mu, then fmu.
+	// fmu is the planner's way in: mu is held across Apply (on the live
+	// server, a replica's row-slice copy and append, or a view's fold of
+	// the delta and render of its rows) while StateFor runs once per plan,
+	// so the ledger fields and the tables map are also covered by fmu,
+	// which is only ever held for a few loads or stores. Lock order: mu,
+	// then fmu.
 	fmu     sync.RWMutex
 	tables  map[core.TableID]*tableState
 	genSeq  uint64

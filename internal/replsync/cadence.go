@@ -23,9 +23,10 @@ import (
 // completed query with the erosion of the (1−λSL)^SL factor; the loss is
 // split evenly across the accessed replicated tables (the oldest-freshness
 // semantics of SL make exact attribution impossible, and an even split
-// keeps hot tables hot).
+// keeps hot tables hot). Only the cadence controller reads the ledger, so
+// without Adaptive it is a no-op and takes no lock.
 func (a *Agent) ObserveLoss(tables []core.TableID, loss float64) {
-	if loss <= 0 || len(tables) == 0 {
+	if !a.cfg.Adaptive || loss <= 0 || len(tables) == 0 {
 		return
 	}
 	a.mu.Lock()

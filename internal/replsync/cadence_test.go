@@ -3,6 +3,7 @@ package replsync
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"ivdss/internal/core"
 	"ivdss/internal/metrics"
@@ -212,5 +213,35 @@ func TestEngineEquivalentUnderSimAndManualClock(t *testing.T) {
 	}
 	if !sawDelta {
 		t.Fatal("scenario never produced a delta sync")
+	}
+}
+
+// Without Adaptive nothing reads the loss ledger, so ObserveLoss keeps
+// none and does not wait for mu, which a sync holds across Apply.
+func TestStaticAgentKeepsNoLossLedger(t *testing.T) {
+	clk := &scheduler.ManualClock{}
+	a, err := New(Config{
+		Clock:  clk,
+		Fetch:  &modelFetcher{clock: clk, baseRows: 10, rowsPerMin: 1, rowBytes: 8},
+		Apply:  &countApplier{},
+		Tables: []TableConfig{{ID: "hot", Period: 10}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.mu.Lock()
+	observed := make(chan struct{})
+	go func() {
+		a.ObserveLoss([]core.TableID{"hot"}, 5)
+		close(observed)
+	}()
+	select {
+	case <-observed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("ObserveLoss waited for mu on an agent without Adaptive")
+	}
+	a.mu.Unlock()
+	if len(a.losses) != 0 {
+		t.Errorf("a static agent kept the loss ledger %v", a.losses)
 	}
 }

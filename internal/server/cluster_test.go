@@ -2,6 +2,7 @@ package server
 
 import (
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -71,8 +72,8 @@ func TestClusterGossipOverWire(t *testing.T) {
 	if view.Version == 0 {
 		t.Error("peer view carries no version")
 	}
-	if _, ok := view.Freshness["accounts"]; !ok {
-		t.Errorf("peer freshness %v does not cover the replicated table", view.Freshness)
+	if !slices.Contains(view.Replicas, "accounts") {
+		t.Errorf("peer replicas %v do not cover the replicated table", view.Replicas)
 	}
 	if v := s0.stats.Flatten()["gossip_rounds_total"]; v == 0 {
 		t.Error("no gossip rounds counted")
@@ -93,7 +94,7 @@ func TestClusterGossipHandlerAnswersDigest(t *testing.T) {
 			Node:       1,
 			Version:    41,
 			QueueDepth: 6,
-			Freshness:  map[string]float64{"accounts": 3},
+			Replicas:   []string{"accounts"},
 		},
 	}, 2*time.Second)
 	if err != nil {

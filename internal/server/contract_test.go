@@ -91,6 +91,15 @@ func TestEveryKindRefusesTheFieldsItDoesNotRead(t *testing.T) {
 			}
 		}
 	}
+	// A remote site does not price a batch's members; the DSS does.
+	priced := &netproto.Request{Kind: netproto.KindBatch, Batch: []netproto.BatchQuery{{SQL: "SELECT count(*) AS n FROM accounts", BusinessValue: .9}}}
+	want := "KindBatch to a remote site does not read Batch.BusinessValue"
+	if _, err := netproto.Call(remoteAddr, priced, 5*time.Second); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("a remote site, KindBatch with a member's value: %v, want the refusal %q", err, want)
+	}
+	if _, err := netproto.Call(dssAddr, priced, 5*time.Second); err != nil {
+		t.Errorf("the DSS, KindBatch with a member's value: %v", err)
+	}
 	// Of all the inserts above, only the well-formed one landed.
 	if n := len(remote.tables["accounts"].Rows); n != 3 {
 		t.Errorf("accounts holds %d rows after one well-formed insert of one row, want 3", n)

@@ -55,11 +55,6 @@ type DSSConfig struct {
 	// DialTimeout bounds remote calls: both establishing a connection and
 	// each round trip run under this deadline. Default 5s.
 	DialTimeout time.Duration
-	// BaseContext roots every request context and the replication engine;
-	// it is cancelled on Close in addition to whatever its owner does.
-	// Defaults to a fresh background context for embedded servers.
-	BaseContext context.Context
-
 	// SyncBudget caps replication traffic, in bytes per wall-clock second
 	// shared across all tables. Zero means unlimited. Cycles that would
 	// overdraw the budget defer until it refills.
@@ -187,9 +182,6 @@ func (c DSSConfig) withDefaults() DSSConfig {
 	if c.RetrySeed == 0 {
 		c.RetrySeed = 1
 	}
-	if c.BaseContext == nil {
-		c.BaseContext = context.Background()
-	}
 	if c.GossipInterval == 0 {
 		c.GossipInterval = 2 * time.Second
 	}
@@ -233,7 +225,7 @@ type DSSServer struct {
 	// deadlines, budget-capped retries, and a circuit breaker per site.
 	pool     *netproto.Pool
 	retrier  netproto.Retrier
-	breakers map[core.SiteID]*faults.Breaker
+	breakers siteBreakers
 
 	// Cluster front-end state: the gossip ring (nil when not clustered),
 	// the digest version counter, and the tenant budget accounts (nil when
@@ -295,6 +287,7 @@ func NewDSSServer(cfg DSSConfig) (*DSSServer, error) {
 		return nil, fmt.Errorf("server: TimeScale must be positive")
 	}
 
+	root := context.Background() //lint:allow ctxcheck(the server's root: discovery runs under it, and every request and the sync agent under baseCtx, which Close cancels)
 	// Discover which tables each remote serves, in site order so the
 	// first configuration error surfaced is the same on every run.
 	siteOf := make(map[core.TableID]core.SiteID)
@@ -304,7 +297,7 @@ func NewDSSServer(cfg DSSConfig) (*DSSServer, error) {
 		if site < 1 {
 			return nil, fmt.Errorf("server: remote site IDs start at 1, got %d", site)
 		}
-		discoverCtx, cancel := context.WithTimeout(cfg.BaseContext, cfg.DialTimeout)
+		discoverCtx, cancel := context.WithTimeout(root, cfg.DialTimeout)
 		resp, err := netproto.CallContext(discoverCtx, addr, &netproto.Request{Kind: netproto.KindTables}, cfg.DialTimeout)
 		cancel()
 		if err == nil && len(resp.TableRows) != len(resp.Tables) {
@@ -363,7 +356,27 @@ func NewDSSServer(cfg DSSConfig) (*DSSServer, error) {
 		execCache: sqlmini.NewExecCache(),
 		closed:    make(chan struct{}),
 	}
-	s.baseCtx, s.baseCancel = context.WithCancel(cfg.BaseContext)
+	s.baseCtx, s.baseCancel = context.WithCancel(root)
+	s.breakers = make(siteBreakers, len(cfg.Remotes))
+	for _, site := range sortedKeys(cfg.Remotes) {
+		site := site
+		s.breakers[site] = faults.NewBreaker(faults.BreakerConfig{
+			FailureThreshold: cfg.BreakerFailures,
+			// Wall-clock config to experiment minutes, on the same scaled
+			// clock the engine runs on — which is what lets the identical
+			// breaker logic run under the DES.
+			OpenTimeout:    cfg.BreakerOpenTimeout.Seconds() * cfg.TimeScale,
+			HalfOpenProbes: cfg.BreakerProbes,
+			Clock:          s.clock,
+			OnTransition: func(from, to faults.BreakerState) {
+				s.stats.Counter("breaker_transitions_total").Inc()
+				//lint:allow metriccheck(per-site gauge family, bounded by cfg.Remotes)
+				s.stats.Gauge(breakerGaugeName(site)).Set(float64(to))
+				log.Printf("server: site %d breaker %v -> %v", site, from, to)
+			},
+		})
+		s.stats.Gauge(breakerGaugeName(site)).Set(float64(faults.Closed)) //lint:allow metriccheck(per-site gauge family, bounded by cfg.Remotes)
+	}
 	// The sync agent keeps the replicas' freshness, so the catalog the
 	// planner reads is built over it: what a plan is priced with is what
 	// the replica store holds, not a schedule it may drift from.
@@ -377,6 +390,7 @@ func NewDSSServer(cfg DSSConfig) (*DSSServer, error) {
 	if s.catalog, err = federation.NewCatalog(placement, s.sync); err != nil {
 		return nil, err
 	}
+	s.catalog.WatchSites(s.breakers)
 	for _, def := range views {
 		if err := s.catalog.RegisterView(def); err != nil {
 			return nil, err
@@ -398,7 +412,7 @@ func NewDSSServer(cfg DSSConfig) (*DSSServer, error) {
 		}
 		s.budgets = budgets
 	}
-	eng, err := s.newEngine(&scheduler.IVQPStrategy{Planner: planner, Catalog: breakerView{s}, Horizon: cfg.PlannerHorizon})
+	eng, err := s.newEngine(&scheduler.IVQPStrategy{Planner: planner, Catalog: s.catalog, Horizon: cfg.PlannerHorizon})
 	if err != nil {
 		return nil, err
 	}
@@ -420,26 +434,6 @@ func NewDSSServer(cfg DSSConfig) (*DSSServer, error) {
 		BaseDelay:   cfg.RetryBaseDelay,
 		Budget:      cfg.RetryBudget,
 		Rand:        netproto.NewJitter(cfg.RetrySeed),
-	}
-	s.breakers = make(map[core.SiteID]*faults.Breaker, len(cfg.Remotes))
-	for _, site := range sortedKeys(cfg.Remotes) {
-		site := site
-		s.breakers[site] = faults.NewBreaker(faults.BreakerConfig{
-			FailureThreshold: cfg.BreakerFailures,
-			// Wall-clock config to experiment minutes, on the same scaled
-			// clock the engine runs on — which is what lets the identical
-			// breaker logic run under the DES.
-			OpenTimeout:    cfg.BreakerOpenTimeout.Seconds() * cfg.TimeScale,
-			HalfOpenProbes: cfg.BreakerProbes,
-			Clock:          s.clock,
-			OnTransition: func(from, to faults.BreakerState) {
-				s.stats.Counter("breaker_transitions_total").Inc()
-				//lint:allow metriccheck(per-site gauge family, bounded by cfg.Remotes)
-				s.stats.Gauge(breakerGaugeName(site)).Set(float64(to))
-				log.Printf("server: site %d breaker %v -> %v", site, from, to)
-			},
-		})
-		s.stats.Gauge(breakerGaugeName(site)).Set(float64(faults.Closed)) //lint:allow metriccheck(per-site gauge family, bounded by cfg.Remotes)
 	}
 	// Initial snapshot pulls so replicas are usable immediately; periodic
 	// cycles (deltas from here on) start with Listen.
@@ -498,21 +492,17 @@ func (s *DSSServer) callSite(ctx context.Context, site core.SiteID, req *netprot
 	return resp, nil
 }
 
-// openSites returns the sites whose breaker currently rejects calls, or
-// nil without allocating when none does: it runs on every snapshot the
-// planner takes, GA evaluations included.
-func (s *DSSServer) openSites() map[core.SiteID]bool {
-	var down map[core.SiteID]bool
-	for site, br := range s.breakers {
-		//lint:allow detordercheck(breaker reads commute and the result is a set)
-		if br.State() == faults.Open {
-			if down == nil {
-				down = make(map[core.SiteID]bool)
-			}
-			down[site] = true
-		}
-	}
-	return down
+// siteBreakers is the DSS's site-health source for the catalog: a site
+// is down while its breaker rejects calls. Reading it allocates nothing;
+// the catalog asks once per table of every snapshot the planner takes,
+// GA evaluations included.
+type siteBreakers map[core.SiteID]*faults.Breaker
+
+// SiteDown implements federation.SiteHealth. The breaker keeps its own
+// clock, so now is not read.
+func (b siteBreakers) SiteDown(site core.SiteID, _ core.Time) bool {
+	br, ok := b[site]
+	return ok && br.State() == faults.Open
 }
 
 // LoadCalibration merges a previously saved calibration snapshot into the

@@ -88,11 +88,11 @@ func (s *DSSServer) runOne(ctx context.Context, st *sqlmini.Statement, sql strin
 	// and must not be calibrated into the plan's processing cost.
 	began := math.Max(plan.Start, s.now())
 	// A plan that touches a table whose base site is behind an open breaker
-	// was searched around the outage (breakerView): flag its answer.
-	down := s.openSites()
+	// was searched around the outage (the catalog's BaseDown): flag its
+	// answer.
 	degradedPlanning := false
 	for _, a := range plan.Access {
-		degradedPlanning = degradedPlanning || down[a.Site]
+		degradedPlanning = degradedPlanning || s.catalog.SiteDown(a.Site, began)
 	}
 
 	// Honour a delayed plan, bounded by MaxDelay — and by the request
@@ -153,9 +153,12 @@ func (s *DSSServer) runOne(ctx context.Context, st *sqlmini.Statement, sql strin
 	}
 	// Feed the adaptive replication loop: what this report lost to
 	// staleness, charged to the replicas its plan read, and the query
-	// itself for the placement review's workload window.
-	s.observeSyncLoss(plan, value, lat)
-	s.noteRecentQuery(q)
+	// itself for the placement review's workload window. Nothing else
+	// reads either.
+	if s.cfg.AdaptiveSync {
+		s.observeSyncLoss(plan, value, lat)
+		s.noteRecentQuery(q)
+	}
 	return result, &netproto.ReportMeta{
 		PlanSignature: plan.Signature(),
 		CLMinutes:     lat.CL,

@@ -12,82 +12,43 @@ import (
 )
 
 // Cluster front-end wiring: when DSSConfig.Peers names other shards, the
-// server joins the anti-entropy gossip ring (exchanging breaker state,
-// replica freshness and queue depth over netproto KindGossip) and, with
+// server joins the anti-entropy gossip ring (exchanging queue depth and
+// the replicated tables over netproto KindGossip) and, with
 // StealHighWater set, hands whole Exec/Batch requests to the least-loaded
 // peer whose replica set covers the footprint once its own admission queue
 // backs up. Routing queries TO shards is the client's job (ivqp-workload
 // builds the same cluster.ShardMap); this file only keeps shards honest
-// about each other's load and freshness.
+// about each other's load and coverage.
 
 // shardDigest cuts this server's current gossip state. It is the
 // cluster.GossipConfig.State provider: called once per outgoing round and
 // once per answered exchange.
 func (s *DSSServer) shardDigest() cluster.Digest {
-	now := s.now()
 	s.mu.RLock()
-	fresh := make(map[core.TableID]core.Time, len(s.replicas))
-	for id, snap := range s.replicas {
-		fresh[id] = snap.syncedAt
-	}
+	replicas := sortedKeys(s.replicas)
 	s.mu.RUnlock()
 	return cluster.Digest{
-		Node:         cluster.ShardID(s.cfg.ShardID),
-		Version:      s.shardVersion.Add(1),
-		Clock:        now,
-		QueueDepth:   s.engine.QueueLen(),
-		Slots:        s.cfg.Workers,
-		OpenBreakers: s.openSites(),
-		Freshness:    fresh,
+		Node:       cluster.ShardID(s.cfg.ShardID),
+		Version:    s.shardVersion.Add(1),
+		QueueDepth: s.engine.QueueLen(),
+		Replicas:   replicas,
 	}
 }
 
 // digestToWire converts a gossip digest to its netproto form.
 func digestToWire(d cluster.Digest) *netproto.GossipDigest {
-	g := &netproto.GossipDigest{
-		Node:       int(d.Node),
-		Version:    d.Version,
-		Clock:      float64(d.Clock),
-		QueueDepth: d.QueueDepth,
-		Slots:      d.Slots,
-		TotalIV:    d.TotalIV,
-	}
-	if len(d.OpenBreakers) > 0 {
-		g.OpenBreakers = make(map[int]bool, len(d.OpenBreakers))
-		for site, v := range d.OpenBreakers {
-			g.OpenBreakers[int(site)] = v
-		}
-	}
-	if len(d.Freshness) > 0 {
-		g.Freshness = make(map[string]float64, len(d.Freshness))
-		for id, t := range d.Freshness {
-			g.Freshness[string(id)] = float64(t)
-		}
+	g := &netproto.GossipDigest{Node: int(d.Node), Version: d.Version, QueueDepth: d.QueueDepth}
+	for _, id := range d.Replicas {
+		g.Replicas = append(g.Replicas, string(id))
 	}
 	return g
 }
 
 // digestFromWire converts a netproto digest back to the cluster form.
 func digestFromWire(g *netproto.GossipDigest) cluster.Digest {
-	d := cluster.Digest{
-		Node:       cluster.ShardID(g.Node),
-		Version:    g.Version,
-		Clock:      core.Time(g.Clock),
-		QueueDepth: g.QueueDepth,
-		Slots:      g.Slots,
-		TotalIV:    g.TotalIV,
-	}
-	if len(g.OpenBreakers) > 0 {
-		d.OpenBreakers = make(map[core.SiteID]bool, len(g.OpenBreakers))
-		for site, v := range g.OpenBreakers {
-			d.OpenBreakers[core.SiteID(site)] = v
-		}
-	}
-	if len(g.Freshness) > 0 {
-		d.Freshness = make(map[core.TableID]core.Time, len(g.Freshness))
-		for id, t := range g.Freshness {
-			d.Freshness[core.TableID(id)] = core.Time(t)
-		}
+	d := cluster.Digest{Node: cluster.ShardID(g.Node), Version: g.Version, QueueDepth: g.QueueDepth}
+	for _, id := range g.Replicas {
+		d.Replicas = append(d.Replicas, core.TableID(id))
 	}
 	return d
 }

@@ -22,34 +22,6 @@ import (
 // (Section 3.3) and horizon shedding. The DES dispatcher drives the
 // identical engine on virtual time — one scheduling core, two drivers.
 
-// breakerView is the catalog the server plans from: the live twin of
-// bench.OutageView, with open breakers in place of an outage schedule. The
-// server's strategy is a plain scheduler.IVQPStrategy over it, so dispatch
-// and workload formation search the same plan space, and the plan a query
-// is ranked with is the plan liveExecutor runs, as in the DES
-// (scheduler.PlanExecutor).
-type breakerView struct{ s *DSSServer }
-
-var _ scheduler.CatalogView = breakerView{}
-
-func (v breakerView) Snapshot(tables []core.TableID, now core.Time, horizon core.Duration) ([]core.TableState, error) {
-	snap, err := v.s.catalog.Snapshot(tables, now, horizon)
-	if err != nil {
-		return nil, err
-	}
-	// Degradation policy (planner-level): a site whose breaker is open is
-	// excluded from the plan space, so the search itself falls back to the
-	// freshest replica — pricing the true staleness into the IV — instead
-	// of the executor discovering the outage per call.
-	down := v.s.openSites()
-	for i := range snap {
-		if down[snap[i].Site] {
-			snap[i].BaseDown = true
-		}
-	}
-	return snap, nil
-}
-
 // pendingQuery is the engine payload for one admitted query: the compiled
 // statement plus the path back to the waiting client — a reply channel
 // for ad hoc queries, a collector slot for batch members.
@@ -92,9 +64,12 @@ type batchCollector struct {
 }
 
 // newEngine wires the shared scheduling engine to this server: scaled
-// wall clock, real execution, planning by strategy (IVQP over breakerView
-// outside tests), and the configured MQO window, GA, aging, and admission
-// bound.
+// wall clock, real execution, planning by strategy (IVQP over the
+// catalog outside tests), and the configured MQO window, GA, aging, and
+// admission bound. The catalog marks the sites behind open breakers
+// down, so dispatch and workload formation search the same plan space,
+// and the plan a query is ranked with is the plan liveExecutor runs, as
+// in the DES (scheduler.PlanExecutor).
 func (s *DSSServer) newEngine(strategy scheduler.Strategy) (*scheduler.Engine, error) {
 	ecfg := scheduler.EngineConfig{
 		Clock:    s.clock,

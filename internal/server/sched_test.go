@@ -87,7 +87,7 @@ func starvationPosition(t *testing.T, aging core.Aging) int {
 	eng, err := scheduler.NewEngine(scheduler.EngineConfig{
 		Clock:           clock,
 		Executor:        serviceExecutor{clock: clock, dss: dss, service: minutes(starvationService)},
-		Strategy:        &scheduler.IVQPStrategy{Planner: planner, Catalog: breakerView{dss}, Horizon: dss.cfg.PlannerHorizon},
+		Strategy:        &scheduler.IVQPStrategy{Planner: planner, Catalog: dss.catalog, Horizon: dss.cfg.PlannerHorizon},
 		Rates:           dss.cfg.Rates,
 		Slots:           dss.cfg.Workers,
 		Aging:           dss.cfg.Aging,
@@ -342,7 +342,7 @@ func TestDSSExecutesTheDispatchedPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &recordingStrategy{
-		inner: &scheduler.IVQPStrategy{Planner: planner, Catalog: breakerView{dss}, Horizon: dss.cfg.PlannerHorizon},
+		inner: &scheduler.IVQPStrategy{Planner: planner, Catalog: dss.catalog, Horizon: dss.cfg.PlannerHorizon},
 		cost:  cost,
 	}
 	dss.engine.Stop()
@@ -396,7 +396,7 @@ func (r *baseReadRecorder) Estimate(q core.Query, access []core.TableAccess, sta
 }
 
 // TestDSSBatchFormationSeesOpenBreakers: batch formation plans through the
-// same breaker overlay as dispatch. With site 1's breaker open, (a) a
+// same catalog, open breakers marked down, as dispatch. With site 1's breaker open, (a) a
 // batch over its replicated table is formed and run without pricing one
 // base read there, and (b) a batch with a member only site 1's base table
 // can answer falls back to submission order: that member fails with the
@@ -432,7 +432,7 @@ func TestDSSBatchFormationSeesOpenBreakers(t *testing.T) {
 		t.Fatal(err)
 	}
 	dss.engine.Stop()
-	if dss.engine, err = dss.newEngine(&scheduler.IVQPStrategy{Planner: planner, Catalog: breakerView{dss}, Horizon: dss.cfg.PlannerHorizon}); err != nil {
+	if dss.engine, err = dss.newEngine(&scheduler.IVQPStrategy{Planner: planner, Catalog: dss.catalog, Horizon: dss.cfg.PlannerHorizon}); err != nil {
 		t.Fatal(err)
 	}
 	addr, err := dss.Listen("127.0.0.1:0")
@@ -443,7 +443,7 @@ func TestDSSBatchFormationSeesOpenBreakers(t *testing.T) {
 	// Kill site 1: the failing replica pulls trip its breaker.
 	proxy.SetMode(faults.ModeBlackhole, 0)
 	proxy.Sever()
-	eventually(t, 10*time.Second, "site 1 breaker opens", func() bool { return dss.openSites()[1] })
+	eventually(t, 10*time.Second, "site 1 breaker opens", func() bool { return dss.catalog.SiteDown(1, dss.now()) })
 
 	batch := func(sqls ...string) *netproto.Response {
 		t.Helper()

@@ -211,7 +211,7 @@ func startDSS(t *testing.T, remoteAddr string) (*DSSServer, string) {
 func TestDSSEndToEnd(t *testing.T) {
 	remote, remoteAddr := startRemote(t, accountsTable(t), tradesTable(t))
 	_ = remote
-	_, dssAddr := startDSS(t, remoteAddr)
+	dss, dssAddr := startDSS(t, remoteAddr)
 
 	sql := `SELECT a.a_id, a.a_balance + sum(tr.t_amount) AS exposure
 	        FROM accounts a, trades tr WHERE a.a_id = tr.t_account
@@ -237,6 +237,10 @@ func TestDSSEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(resp.Meta.PlanSignature, "accounts=") {
 		t.Errorf("plan signature = %q", resp.Meta.PlanSignature)
+	}
+	// Only the adaptive placement review reads the recent-query window.
+	if n := len(dss.recentWindow()); n != 0 {
+		t.Errorf("a DSS without adaptive sync kept %d queries for the placement review", n)
 	}
 }
 

@@ -130,7 +130,9 @@ type Workload struct {
 	Outages  []Outage
 }
 
-// SiteDown reports whether the schedule has the site down at t.
+// SiteDown reports whether the schedule has the site down at t. It makes
+// a Workload a federation.SiteHealth: the DES catalog reads it to mark
+// the down site's tables BaseDown, as the live catalog reads breakers.
 func (w *Workload) SiteDown(site core.SiteID, t core.Time) bool {
 	for _, o := range w.Outages {
 		if o.Site == site && o.Down(t) {

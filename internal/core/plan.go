@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 )
 
@@ -82,6 +83,34 @@ type ReplicaState struct {
 	// ascending order. An empty slice means no further syncs are known
 	// within the planning horizon.
 	NextSyncs []Time
+}
+
+// Unsynced is the state of a replica with no version at or before now and
+// none promised within the snapshot's horizon: its LastSync lies so far
+// ahead that no plan reaches it.
+func Unsynced(now Time) ReplicaState { return ReplicaState{LastSync: now + 1e18} }
+
+// At is the state a snapshot holding rs implies for a later instant t:
+// every sync it promised at or before t counts as done at its instant,
+// and NextSyncs is the sub-slice of the promises in (t, t+horizon]
+// (horizon 0: all of them), not a copy. With a horizon, a first version
+// still pending past t+horizon reads as Unsynced(t). The replication
+// Manager answers every instant by this rule from its schedule.
+func (rs ReplicaState) At(t Time, horizon Duration) ReplicaState {
+	next := rs.NextSyncs
+	done := sort.Search(len(next), func(i int) bool { return next[i] > t })
+	if done > 0 {
+		rs.LastSync = next[done-1]
+	}
+	end := len(next)
+	if horizon > 0 {
+		if rs.LastSync > t+horizon {
+			return Unsynced(t)
+		}
+		end = sort.Search(len(next), func(i int) bool { return next[i] > t+horizon })
+	}
+	rs.NextSyncs = next[done:end:end]
+	return rs
 }
 
 // TableState is the catalog snapshot the planner receives for one table.

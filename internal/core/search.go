@@ -108,7 +108,12 @@ func (p *Planner) Mode() SearchMode { return p.cfg.Mode }
 // scheduler replanning a queued query passes a later instant). The snapshot
 // may contain states for tables the query does not touch; states for all
 // touched tables must be present.
-func (p *Planner) Best(q Query, snapshot []TableState, now Time) (Plan, SearchStats, error) {
+//
+// buf lends the search its scratch: with capacity for twice q's tables
+// the search allocates nothing, and the plan's Access aliases buf until
+// buf is lent again. Without it (the usual call) every plan owns its
+// Access.
+func (p *Planner) Best(q Query, snapshot []TableState, now Time, buf ...TableAccess) (Plan, SearchStats, error) {
 	var stats SearchStats
 	if err := q.Validate(); err != nil {
 		return Plan{}, stats, err
@@ -120,7 +125,7 @@ func (p *Planner) Best(q Query, snapshot []TableState, now Time) (Plan, SearchSt
 	if err != nil {
 		return Plan{}, stats, err
 	}
-	s := newSearch(p, q, states)
+	s := newSearch(p, q, states, buf)
 	switch p.cfg.Mode {
 	case Exhaustive:
 		err = s.exhaustive(now)
@@ -188,8 +193,9 @@ func (p *Planner) horizonEnd(now Time) Time {
 
 // search is one planning episode. Each candidate is built in access and
 // priced there; only one that beats the best so far is copied, into best.
-// access and best are the halves of one buffer, the episode's only
-// allocation, and best becomes the returned plan's Access.
+// access and best are the halves of one buffer, lent by the caller or
+// else the episode's only allocation, and best becomes the returned
+// plan's Access.
 type search struct {
 	p      *Planner
 	q      Query
@@ -202,8 +208,11 @@ type search struct {
 	bestCost     CostEstimate
 }
 
-func newSearch(p *Planner, q Query, states []TableState) search {
-	buf := make([]TableAccess, 2*len(states))
+func newSearch(p *Planner, q Query, states []TableState, buf []TableAccess) search {
+	if cap(buf) < 2*len(states) {
+		buf = make([]TableAccess, 2*len(states))
+	}
+	buf = buf[:2*len(states)]
 	return search{p: p, q: q, states: states,
 		access: buf[:len(states)], best: buf[len(states):len(states)], bestVal: math.Inf(-1)}
 }

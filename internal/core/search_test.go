@@ -550,7 +550,7 @@ func TestEnumeratorMatchesOracle(t *testing.T) {
 		p := mustPlanner(t, rec, PlannerConfig{Rates: DiscountRates{CL: .1, SL: .1}})
 		for _, until := range []Time{math.Inf(1), now + 6} {
 			want := syncEventsWithin(q, states, now, until)
-			s := newSearch(p, q, states)
+			s := newSearch(p, q, states, nil)
 			got := s.syncEvents(nil, now, until)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("trial %d: sync events in (%v, %v] = %v, oracle %v", trial, now, until, got, want)
@@ -562,7 +562,7 @@ func TestEnumeratorMatchesOracle(t *testing.T) {
 				for _, skip := range []bool{false, true} {
 					want := p.combinationsAt(q, states, tp, full, skip)
 					rec.calls = nil
-					s := newSearch(p, q, states)
+					s := newSearch(p, q, states, nil)
 					s.gatherAt(tp, full, skip)
 					if len(rec.calls) != len(want) {
 						t.Fatalf("trial %d t=%v full=%v skip=%v: %d assignments, oracle %d", trial, tp, full, skip, len(rec.calls), len(want))

@@ -43,6 +43,13 @@ type ViewState struct {
 	NextSyncs []Time
 }
 
+// At is the view's state at a later instant t by ReplicaState.At's rule.
+func (vs ViewState) At(t Time, horizon Duration) ViewState {
+	rs := ReplicaState{vs.LastSync, vs.NextSyncs}.At(t, horizon)
+	vs.LastSync, vs.NextSyncs = rs.LastSync, rs.NextSyncs
+	return vs
+}
+
 // ViewDef ties a view to its defining SQL. The catalog registers
 // definitions; ViewStates are derived from the replication manager's state
 // for the view's unit.

@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -157,11 +158,23 @@ func appendConfigKey(dst []byte, queryID string, access []core.TableAccess) []by
 }
 
 // RecordAccess stores a measured cost under the access set's configuration
-// key, the write-side twin of the Estimate lookup.
-func (m *CalibratedModel) RecordAccess(queryID string, access []core.TableAccess, est core.CostEstimate) {
+// key, the write-side twin of the Estimate lookup. It refuses, and
+// reports false for, an estimate that is no cost: a negative or
+// non-finite component would hand the planner a plan finishing before it
+// starts.
+func (m *CalibratedModel) RecordAccess(queryID string, access []core.TableAccess, est core.CostEstimate) bool {
+	if !isCost(est) {
+		return false
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.entries[ConfigKeyForAccess(queryID, access)] = est
+	return true
+}
+
+// isCost reports whether every component of est is finite and ≥ 0.
+func isCost(est core.CostEstimate) bool {
+	return min(est.Queue, est.Process, est.Transmit) >= 0 && !math.IsInf(est.Total(), 1)
 }
 
 // Footprint summarizes the data sources of one access set.
@@ -236,7 +249,7 @@ func (m *CalibratedModel) ReadJSON(r io.Reader) error {
 	sort.Strings(keys)
 	for _, k := range keys {
 		v := file.Entries[k]
-		if v.Queue < 0 || v.Process < 0 || v.Transmit < 0 {
+		if !isCost(v) {
 			return fmt.Errorf("costmodel: calibration entry %q has negative components", k)
 		}
 		m.entries[k] = v

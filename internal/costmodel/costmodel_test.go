@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -250,5 +251,51 @@ func TestCalibrationReadJSONRejectsBadInput(t *testing.T) {
 	}
 	if err := m.ReadJSON(strings.NewReader(`{"entries":{"k":{"Process":-1}}}`)); err == nil {
 		t.Error("negative cost accepted")
+	}
+}
+
+// TestCalibratedEstimateIsACost: whatever is recorded — measurements cut
+// short, clock steps backwards, NaN or infinite arithmetic — every
+// estimate stays finite and ≥ 0. A refused record reports false and
+// leaves the entry it would have replaced.
+func TestCalibratedEstimateIsACost(t *testing.T) {
+	m, err := NewCalibratedModel(&CountModel{LocalProcess: 1, PerBaseTable: 2, TransmitFlat: .5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	component := func(rng *rand.Rand) core.Duration {
+		switch rng.Intn(6) {
+		case 0:
+			return -10 * rng.Float64()
+		case 1:
+			return math.NaN()
+		case 2:
+			return math.Inf(1 - 2*rng.Intn(2))
+		default:
+			return 10 * rng.Float64()
+		}
+	}
+	kinds := []core.AccessKind{core.AccessBase, core.AccessReplica}
+	rng := rand.New(rand.NewSource(22))
+	refused := 0
+	for i := 0; i < 5000; i++ {
+		q := core.Query{ID: string(rune('p' + rng.Intn(3)))}
+		acc := access(kinds[rng.Intn(2)], kinds[rng.Intn(2)], kinds[rng.Intn(2)])
+		before := m.Estimate(q, acc, 0)
+		est := core.CostEstimate{Queue: component(rng), Process: component(rng), Transmit: component(rng)}
+		if !m.RecordAccess(q.ID, acc, est) {
+			refused++
+			if after := m.Estimate(q, acc, 0); after != before {
+				t.Fatalf("refused %+v, yet the estimate moved %+v -> %+v", est, before, after)
+			}
+		}
+		for _, got := range []core.CostEstimate{m.Estimate(q, acc, 0), m.Estimate(q, access(kinds[rng.Intn(2)], kinds[rng.Intn(2)], kinds[rng.Intn(2)]), 0)} {
+			if !(got.Queue >= 0 && got.Process >= 0 && got.Transmit >= 0) || math.IsInf(got.Total(), 0) {
+				t.Fatalf("record %d (%+v): an estimate reads %+v", i, est, got)
+			}
+		}
+	}
+	if refused == 0 || refused == 5000 {
+		t.Fatalf("%d of 5000 records refused: the fixture does not mix costs and non-costs", refused)
 	}
 }

@@ -201,44 +201,21 @@ func (m *Manager) Reschedule(id core.TableID, future []core.Time) error {
 // after the last RecordSync.
 func (m *Manager) StateFor(id core.TableID, now core.Time, horizon core.Duration) (core.ReplicaState, bool) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	ts, ok := m.tables[id]
+	var sched []core.Time
+	if ok {
+		sched = ts.schedule
+	}
+	m.mu.Unlock()
 	if !ok {
 		return core.ReplicaState{}, false
 	}
-	end := now + horizon
-	if horizon == 0 {
-		end = core.Time(1<<62 - 1)
+	if len(sched) == 0 {
+		return core.Unsynced(now), true
 	}
-	// First schedule entry strictly after now.
-	cut := sort.SearchFloat64s(ts.schedule, now)
-	for cut < len(ts.schedule) && ts.schedule[cut] <= now {
-		cut++
-	}
-	rs := core.ReplicaState{LastSync: -1}
-	seenPast := cut > 0
-	if seenPast {
-		rs.LastSync = ts.schedule[cut-1]
-	}
-	for _, t := range ts.schedule[cut:] {
-		if t > end {
-			break
-		}
-		rs.NextSyncs = append(rs.NextSyncs, t)
-	}
-	return finishState(rs, seenPast, now), true
-}
-
-// finishState encodes "never synchronized yet" so the planner's
-// replicaVersionAt sees no usable current version: LastSync is pushed past
-// now onto the first future sync (or left unusable when none exist).
-func finishState(rs core.ReplicaState, seenPast bool, now core.Time) core.ReplicaState {
-	if seenPast {
-		return rs
-	}
-	if len(rs.NextSyncs) == 0 {
-		// No sync ever: model as a replica that never becomes usable.
-		return core.ReplicaState{LastSync: now + 1e18}
-	}
-	return core.ReplicaState{LastSync: rs.NextSyncs[0], NextSyncs: rs.NextSyncs[1:]}
+	// The schedule read as a snapshot taken before its first entry: At
+	// counts every entry up to now as done, or keeps the first one pending.
+	// A schedule is replaced, never written in place, so the state shares
+	// its array.
+	return core.ReplicaState{LastSync: sched[0], NextSyncs: sched[1:]}.At(now, horizon), true
 }

@@ -402,18 +402,27 @@ func (c *pricingCounter) Estimate(q core.Query, access []core.TableAccess, start
 // what a formation really prices. /calibrated prices /uniform's plans
 // through a CalibratedModel warmed with every configuration they read, as
 // the live server's model is, so each estimate builds and looks up a
-// configuration key.
+// configuration key. /live prices /weighted's plans over the DSS's
+// catalog: replica freshness from a sync agent, site health from
+// breakers (LiveCatalog).
 func BenchmarkFormBatch(b *testing.B) {
-	b.Run("uniform", func(b *testing.B) { benchmarkFormBatch(b, nil, false) })
+	b.Run("uniform", func(b *testing.B) { benchmarkFormBatch(b, nil, false, false) })
 	weights := make(map[string]float64)
 	for i := 0; i < 16; i++ {
 		weights[fmt.Sprintf("q%d", i)] = .5 + .25*float64(i%10)
 	}
-	b.Run("weighted", func(b *testing.B) { benchmarkFormBatch(b, weights, false) })
-	b.Run("calibrated", func(b *testing.B) { benchmarkFormBatch(b, nil, true) })
+	b.Run("weighted", func(b *testing.B) { benchmarkFormBatch(b, weights, false, false) })
+	b.Run("calibrated", func(b *testing.B) { benchmarkFormBatch(b, nil, true, false) })
+	b.Run("live", func(b *testing.B) { benchmarkFormBatch(b, weights, false, true) })
 }
 
-func benchmarkFormBatch(b *testing.B, weights map[string]float64, calibrated bool) {
+// LiveCatalog builds the DSS's catalog over placement: each table kept
+// fresh by a replsync.Agent, synced at 0 and armed every period, and each
+// site's health read from a breaker. The external test package sets it,
+// since replsync and faults import this package.
+var LiveCatalog func(tb testing.TB, placement *federation.Placement, period core.Duration) *federation.Catalog
+
+func benchmarkFormBatch(b *testing.B, weights map[string]float64, calibrated, live bool) {
 	tables := []core.TableID{"c", "o", "n", "r", "l", "s", "p", "ps"}
 	sites := make(map[core.TableID]core.SiteID, len(tables))
 	mgr := replication.NewManager()
@@ -434,6 +443,9 @@ func benchmarkFormBatch(b *testing.B, weights map[string]float64, calibrated boo
 	catalog, err := federation.NewCatalog(placement, mgr)
 	if err != nil {
 		b.Fatal(err)
+	}
+	if live {
+		catalog = LiveCatalog(b, placement, 60)
 	}
 	count := &costmodel.CountModel{LocalProcess: .02, PerBaseTable: .05, TransmitFlat: .02, QueryWeights: weights}
 	cost := &pricingCounter{CostModel: count}

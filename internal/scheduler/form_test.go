@@ -9,6 +9,8 @@ import (
 
 	"ivdss/internal/core"
 	"ivdss/internal/costmodel"
+	"ivdss/internal/federation"
+	"ivdss/internal/replication"
 )
 
 // TestFormMemoIsExact: formation prices each (member, decision instant)
@@ -328,5 +330,150 @@ func TestEngineConcurrentGroupsReachOneOutcomeEach(t *testing.T) {
 		if n != 1 {
 			t.Errorf("%s reached %d outcomes", id, n)
 		}
+	}
+}
+
+// countingCatalog counts the snapshots taken through it.
+type countingCatalog struct {
+	CatalogView
+	n int
+}
+
+func (c *countingCatalog) Snapshot(tables []core.TableID, now core.Time, horizon core.Duration) ([]core.TableState, error) {
+	c.n++
+	return c.CatalogView.Snapshot(tables, now, horizon)
+}
+
+// downAfter reports site 2 down from the instant at on.
+type downAfter core.Time
+
+func (d downAfter) SiteDown(site core.SiteID, now core.Time) bool {
+	return site == 2 && now >= core.Time(d)
+}
+
+// sameSnapshot reports whether two snapshots agree, an empty NextSyncs
+// equal to a nil one.
+func sameSnapshot(a, b []core.TableState) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.ID != y.ID || x.Site != y.Site || x.BaseDown != y.BaseDown || (x.Replica == nil) != (y.Replica == nil) || len(x.Views) != len(y.Views) {
+			return false
+		}
+		if x.Replica != nil && (x.Replica.LastSync != y.Replica.LastSync || !slices.Equal(x.Replica.NextSyncs, y.Replica.NextSyncs)) {
+			return false
+		}
+		for j, v := range x.Views {
+			w := y.Views[j]
+			if v.ID != w.ID || v.QueryID != w.QueryID || v.LastSync != w.LastSync || !slices.Equal(v.NextSyncs, w.NextSyncs) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestWarmTurnAllocatesNothing: once a member's view is taken, pricing
+// another of its turns (a memo miss) takes no snapshot and allocates
+// nothing. The members are a replica-and-view query and a three-table one
+// with a table whose site goes down mid-walk and a table whose first sync
+// lies past the horizon; every turn's states equal a fresh snapshot's, and
+// so does its plan.
+func TestWarmTurnAllocatesNothing(t *testing.T) {
+	rates := core.DiscountRates{CL: .05, SL: .2}
+	placement, err := federation.NewPlacement(map[core.TableID]core.SiteID{"t1": 1, "t3": 2, "t4": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := replication.NewManager()
+	catalog, err := federation.NewCatalog(placement, mgr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := core.ViewDef{ID: "v1", QueryID: "q1", Table: "t1", SQL: "SELECT a, sum(b) FROM t1 GROUP BY a"}
+	if err := catalog.RegisterView(def); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []struct {
+		unit           core.TableID
+		period, offset core.Duration
+	}{{"t1", 20, 0}, {"t3", 30, 0}, {"t4", 30, 250}, {core.ViewUnit(def.ID), 25, 0}} {
+		sched, err := replication.Periodic(s.period, s.offset, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mgr.Register(s.unit, sched); err != nil {
+			t.Fatal(err)
+		}
+	}
+	catalog.WatchSites(downAfter(10))
+	planner, err := core.NewPlanner(&costmodel.CountModel{LocalProcess: 2, PerBaseTable: 2}, core.PlannerConfig{Rates: rates, Horizon: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &countingCatalog{CatalogView: catalog}
+	ev := &Evaluator{Planner: planner, Catalog: counted, Horizon: 100}
+	members := queriesAt([]core.Time{3, 5}, []core.TableID{"t1"}, []core.TableID{"t1", "t3", "t4"})
+	p := newTurns(ev, members, 4, true)
+	for idx := range members {
+		if _, err := p.head(idx, 160); err != nil { // widens the view past every turn below, and t4's first sync
+			t.Fatal(err)
+		}
+	}
+	views := counted.n
+	if views != len(members) {
+		t.Fatalf("%d snapshots for %d members", views, len(members))
+	}
+	decisions := []core.Time{5, 12.5, 29, 31, 44, 160}
+	viewed := 0
+	for idx, q := range members {
+		for _, d := range decisions {
+			snap, err := catalog.Snapshot(q.Tables, d, ev.Horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			states, err := p.statesAt(idx, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameSnapshot(states, snap) {
+				t.Fatalf("%s at %v: the view reads %+v, a fresh snapshot %+v", q.ID, d, states, snap)
+			}
+			got, err := p.head(idx, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := planner.Best(q, snap, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Plan.Signature() != want.Signature() || got.Plan.Start != want.Start || got.Plan.Cost != want.Cost {
+				t.Fatalf("%s at %v: priced %s from %v, a fresh snapshot plans %s from %v", q.ID, d, got.Plan.Signature(), got.Plan.Start, want.Signature(), want.Start)
+			}
+			if _, ok := got.Plan.ViewAccess(); ok {
+				viewed++
+			}
+			if d >= 10 && slices.Contains(got.Plan.BaseTables(), "t3") {
+				t.Fatalf("%s at %v reads t3's base after its site went down: %s", q.ID, d, got.Plan.Signature())
+			}
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := p.head(idx, decisions[i%len(decisions)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a warm turn allocates %v times, want 0", q.ID, allocs)
+		}
+	}
+	if counted.n != views {
+		t.Errorf("warm turns took %d more snapshots", counted.n-views)
+	}
+	if viewed == 0 {
+		t.Error("no turn read the view: the fixture does not exercise view states")
 	}
 }

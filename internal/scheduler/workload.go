@@ -147,7 +147,8 @@ type stepKey struct {
 // form is the one Section 3.2 formation loop, shared by ScheduleMQO and
 // the engine: derive candidate ranges, merge overlapping ones into
 // workloads, and GA-order each multi-member workload for the total
-// information value ev scores from start(). The two callers differ only
+// information value ev scores from start(), every member's turns priced
+// from one catalog view of it (turns). The two callers differ only
 // in start (a serial makespan clock, or now) and seed (the GA seed of
 // workload wi, drawn for multi-member workloads only). Workloads reach
 // visit in time order, each before the next is ordered, so start may
@@ -170,20 +171,22 @@ func form(queries []core.Query, ev *Evaluator, ga GAConfig, start func() core.Ti
 			wcfg := ga
 			wcfg.Seed = seed(wi)
 			// A member's turn depends only on the member and the instant it
-			// reaches the head, so the GA prices each such pair once and
-			// scores a permutation as a walk over the priced turns. The memo
-			// dies with this workload: nothing priced outlives a formation.
+			// reaches the head, so the GA prices each such pair once, from
+			// the member's one catalog view, and scores a permutation as a
+			// walk over the priced turns. The memo and the views die with
+			// this workload: nothing priced outlives a formation.
+			p := newTurns(ev, o.members, o.from, true)
 			memo := make(map[stepKey]step)
 			at := func(idx int, decision core.Time) (step, error) {
 				k := stepKey{idx, math.Float64bits(decision)}
 				if s, ok := memo[k]; ok {
 					return s, nil
 				}
-				h, err := ev.head(o.members[idx], decision)
+				h, err := p.head(idx, decision)
 				if err != nil {
 					return step{}, err
 				}
-				s := step{h.Value, h.Plan.ResultAt(), h.Expired}
+				s := stepOf(h)
 				memo[k] = s
 				return s, nil
 			}

@@ -396,8 +396,9 @@ func NewDSSServer(cfg DSSConfig) (*DSSServer, error) {
 			return nil, err
 		}
 	}
-	// Pre-create the admission and fetch metrics so a -metrics dump shows
-	// them at zero before the first query is shed, cancelled or fetched.
+	// Pre-create the admission, fetch and calibration metrics so a -metrics
+	// dump shows them at zero before the first query is shed, cancelled or
+	// fetched, or a cost refused.
 	s.stats.Counter("queries_shed_total")
 	s.stats.Counter("queries_cancelled_total")
 	s.stats.Counter("queries_deadline_exceeded_total")
@@ -405,6 +406,7 @@ func NewDSSServer(cfg DSSConfig) (*DSSServer, error) {
 	s.stats.Counter("pushdowns_total")
 	s.stats.Counter("whole_pushdowns_total")
 	s.stats.Counter("attached_tables_total")
+	s.stats.Counter("calibration_refused_total")
 	if len(cfg.Tenants) > 0 {
 		budgets, err := cluster.NewBudgets(cluster.BudgetConfig{Weights: cfg.Tenants, Now: s.clock.Now})
 		if err != nil {

@@ -83,16 +83,13 @@ func (s *DSSServer) runOne(ctx context.Context, st *sqlmini.Statement, sql strin
 	if err := ctx.Err(); err != nil {
 		return nil, nil, context.Cause(ctx)
 	}
-	// Processing is measured from here (or from a delayed plan's start), not
-	// from the dispatch instant: the hand-off to this goroutine is queueing,
-	// and must not be calibrated into the plan's processing cost.
-	began := math.Max(plan.Start, s.now())
 	// A plan that touches a table whose base site is behind an open breaker
 	// was searched around the outage (the catalog's BaseDown): flag its
 	// answer.
 	degradedPlanning := false
+	released := math.Max(plan.Start, s.now())
 	for _, a := range plan.Access {
-		degradedPlanning = degradedPlanning || s.catalog.SiteDown(a.Site, began)
+		degradedPlanning = degradedPlanning || s.catalog.SiteDown(a.Site, released)
 	}
 
 	// Honour a delayed plan, bounded by MaxDelay — and by the request
@@ -113,6 +110,11 @@ func (s *DSSServer) runOne(ctx context.Context, st *sqlmini.Statement, sql strin
 		}
 	}
 
+	// Processing is measured from here, after any delay, not from the
+	// dispatch instant or the plan's start: the hand-off to this goroutine
+	// is queueing, and a wait that MaxDelay cut short ends before
+	// plan.Start. Neither is the plan's processing cost.
+	began := s.now()
 	result, freshness, degradedExec, err := s.executePlan(ctx, st, sql, plan)
 	if err != nil {
 		return nil, nil, err
@@ -126,7 +128,9 @@ func (s *DSSServer) runOne(ctx context.Context, st *sqlmini.Statement, sql strin
 	// (query, data-source configuration) pair. For plans without views the
 	// key reduces to the legacy base-table subset, so saved calibrations
 	// keep matching.
-	s.costs.RecordAccess(q.ID, plan.Access, core.CostEstimate{Process: finish - began})
+	if !s.costs.RecordAccess(q.ID, plan.Access, core.CostEstimate{Process: finish - began}) {
+		s.stats.Counter("calibration_refused_total").Inc()
+	}
 
 	lat := core.Latencies{
 		CL: math.Max(finish-q.SubmitAt, 0),

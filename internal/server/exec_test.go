@@ -177,3 +177,42 @@ func TestDSSExecutePlanMalformed(t *testing.T) {
 		})
 	}
 }
+
+// TestCutDelayCalibratesNoNegativeCost: at TimeScale 10 a replica plan
+// released 5 minutes ahead would wait 30 s, and MaxDelay cuts the wait to
+// 50 ms (half a minute), so the plan runs 4.5 minutes before its start.
+// The cost calibrated for it is measured from when the work began, never
+// from the start it did not wait for, so it is not negative and is kept.
+func TestCutDelayCalibratesNoNegativeCost(t *testing.T) {
+	_, siteAddr := startRemote(t, accountsTable(t), tradesTable(t))
+	dss, err := NewDSSServer(DSSConfig{
+		Remotes:   map[core.SiteID]string{1: siteAddr},
+		Replicate: map[core.TableID]time.Duration{"trades": time.Hour},
+		Rates:     core.DiscountRates{CL: .05, SL: .05},
+		TimeScale: 10,
+		MaxDelay:  50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dss.Close() })
+	now := dss.now()
+	q := core.Query{ID: "q", Tables: []core.TableID{"trades"}, BusinessValue: 1, SubmitAt: now}
+	plan := core.Plan{Query: q, Access: []core.TableAccess{{Table: "trades", Site: 1, Kind: core.AccessReplica, Freshness: now}}, Start: now + 5}
+	start := time.Now()
+	if _, _, err := dss.runOne(context.Background(), mustParse(t, tradesSQL), tradesSQL, q, plan); err != nil {
+		t.Fatal(err)
+	}
+	if waited := time.Since(start); waited > time.Second {
+		t.Fatalf("runOne took %v: MaxDelay did not cut the wait", waited)
+	}
+	if est := dss.costs.Estimate(q, plan.Access, plan.Start); est.Process < 0 || est.Process > .5 {
+		t.Errorf("calibrated %+v for the replica plan, want a processing cost in [0, 0.5] minutes", est)
+	}
+	if n := dss.costs.Len(); n != 1 {
+		t.Errorf("%d calibration entries, want the plan's one", n)
+	}
+	if n := dss.stats.Counter("calibration_refused_total").Value(); n != 0 {
+		t.Errorf("calibration_refused_total %d, want 0", n)
+	}
+}
